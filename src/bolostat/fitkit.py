@@ -115,6 +115,8 @@ class ComplexSweep:
             raise ValueError(
                 f"length mismatch: {self.freqs.size} freqs vs {self.values.size} values"
             )
+        if not (np.all(np.isfinite(self.freqs)) and np.all(np.isfinite(self.values))):
+            raise ValueError("freqs and values must be finite")
         if self.freqs.size >= 2 and not np.all(np.diff(self.freqs) > 0):
             raise ValueError("freqs must be strictly increasing")
 
@@ -335,7 +337,9 @@ def _least_squares_impl(
         # wildly different units are comparable
         col_nat = col * scales
         dead = col_nat <= col_nat.max() * 1e-14 if col_nat.max() > 0 else np.ones(n, bool)
-        at_bound = ((x - lo) <= 1e-12 * scales) | ((hi - x) <= 1e-12 * scales)
+        at_lo = (x - lo) <= 1e-12 * scales
+        at_hi = (hi - x) <= 1e-12 * scales
+        at_bound = at_lo | at_hi
         # a flat direction pinned at its bound is inactive, not singular
         interior_dead = dead & ~at_bound
         if interior_dead.any():
@@ -391,8 +395,11 @@ def _least_squares_impl(
             lam *= 10.0
         if not accepted:
             # no decrease at any damping: at a (possibly bound-constrained)
-            # stationary point
-            converged = grad_inf < 1e-4 * max(1.0, cost)
+            # stationary point.  Components pushing into an active bound are
+            # not free to move, so only the projected gradient must vanish.
+            blocked = (at_lo[active] & (grad_s > 0)) | (at_hi[active] & (grad_s < 0))
+            projected = np.abs(grad_s[~blocked])
+            converged = projected.max(initial=0.0) < 1e-4 * max(1.0, cost)
             break
         if converged:
             break

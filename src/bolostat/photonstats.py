@@ -9,7 +9,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import h as PLANCK_H, k as BOLTZMANN_K
+
+# exact by the 2019 SI definitions
+PLANCK_H = 6.62607015e-34  # J s
+BOLTZMANN_K = 1.380649e-23  # J/K
 
 __all__ = [
     "PhotonMoments",

@@ -37,11 +37,12 @@ from .fitkit import (
     fit_measurement,
 )
 from .photonstats import (
-    CalibrationScale,
+    PhotonMoments,
     RadiatorState,
     beamsplitter_combine,
     coherent_variance,
     flux_to_power,
+    g2_zero,
     mixed_moments,
     planck_mean_photon,
     thermal_variance,
@@ -257,9 +258,6 @@ class SweepConfig:
     def probe_grid(self):
         return np.linspace(self.probe_start_hz, self.probe_stop_hz, self.probe_points)
 
-    def scale(self):
-        return CalibrationScale(alpha=self.alpha_photon_per_hz)
-
     def control_values(self):
         return self.flux_grid if self.mode == "coherent" else self.t_grid_k
 
@@ -425,7 +423,7 @@ def extract_statistics(dataset, calibration=None):
         sigma2 = max(sigma**2 - sigma_base**2, 0.0)
         variance = alpha**2 * sigma2
         mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base, n_cap)
-        g2 = 1.0 + (variance - mean) / mean**2 if mean > 0 else float("nan")
+        g2 = g2_zero(PhotonMoments(mean, variance)) if mean > 0 else float("nan")
         power = flux_to_power(mean, cfg.radiator_frequency_hz, cfg.filter_fwhm_hz)
         return StatsRecord(
             control=point.control,

@@ -106,6 +106,16 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
     assert all(r["converged"] == "0" for r in rows)
 
 
+def test_non_finite_sample_exits_one(tmp_path, thermal_config_file, capsys):
+    dataset = tmp_path / "d.json"
+    cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
+    doc = json.loads(dataset.read_text())
+    doc["records"][0]["re"][3] = float("nan")
+    dataset.write_text(json.dumps(doc))
+    assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     raw = make_config().to_dict()

@@ -51,6 +51,15 @@ def base_calibration(sigma=0.1e6, seed=0, frac=0.05):
     return sweep, fit_base_calibration(sweep, init)
 
 
+@pytest.mark.parametrize("where", ["values", "freqs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_complex_sweep_rejects_non_finite_samples(where, bad):
+    arrays = {"freqs": np.linspace(0.0, 1.0, 10), "values": np.ones(10, dtype=complex)}
+    arrays[where][-1] = bad  # the last entry keeps freqs increasing for inf
+    with pytest.raises(ValueError, match="finite"):
+        ComplexSweep(**arrays)
+
+
 class TestLeastSquares:
     @staticmethod
     def line_model(p, f):
@@ -105,6 +114,20 @@ class TestLeastSquares:
             _chain_model, sweep, init=np.clip(init, lo, hi), bounds=(lo, hi), max_iter=2
         )
         assert not res.converged and res.n_iter == 2
+
+    def test_stall_at_active_bound_is_converged(self):
+        # the unconstrained optimum (1) lies below the bound: the gradient
+        # points into the bound, so the projected gradient vanishes there
+        f = np.linspace(0.0, 1.0, 20)
+        sweep = ComplexSweep(f, np.ones(f.size, dtype=complex))
+        res = least_squares(
+            lambda p, f: np.full(f.size, p[0], dtype=complex),
+            sweep,
+            init=[2.0],
+            bounds=([2.0], [np.inf]),
+        )
+        assert res.converged
+        assert res.params[0] == 2.0
 
     def test_init_outside_bounds_rejected(self):
         f = np.linspace(0.0, 1.0, 20)

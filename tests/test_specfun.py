@@ -87,14 +87,19 @@ def test_accuracy_over_full_target_square():
     rng = np.random.default_rng(17)
     pts = rng.uniform(-30, 30, 800) + 1j * rng.uniform(-30, 30, 800)
     pts = pts[(pts.real >= 0) | (pts.real**2 - pts.imag**2 <= 700.0)][:300]
+    # plus the right half-plane out to |z| = 1e7, where the sigma-floor
+    # calibration evaluates (|z| ~ 3e5)
+    radius = 10 ** rng.uniform(math.log10(30), 7, 60)
+    pts = np.concatenate([pts, radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, 60))])
     for z in pts:
         ref = erfcx_ref(complex(z))
         assert abs(erfcx(complex(z)) - ref) / abs(ref) < 1e-10
 
 
 def test_region_seams_are_smooth():
-    # the evaluation switches methods at |iz| = 2.5 and 6.0: both sides of
-    # each seam must stay on the reference to 1e-10, so any jump is < 2e-10
+    # one method covers the plane, so no circle may show a jump; |iz| = 2.5
+    # and 6.0 are where series / continued-fraction kernels switch method.
+    # Both sides of each stay on the reference to 1e-10, so any jump < 2e-10
     for radius in (2.5, 6.0):
         for angle in np.linspace(-math.pi, math.pi, 17):
             z = radius * np.exp(1j * angle)
