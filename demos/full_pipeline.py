@@ -44,7 +44,6 @@ config = SweepConfig.from_dict(
         "probe_stop_hz": 545e6,
         "probe_points": 451,
         "noise": 0.0,
-        "workers": 1,
     }
     | {"t_grid_k": [HF_OVER_K / math.log(1 + 1 / n) for n in (0.2, 0.5, 1.0, 2.0, 4.0)]}
 )

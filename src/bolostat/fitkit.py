@@ -15,18 +15,20 @@ residuals.  On top of it sit the resonance extractors used by the pipeline:
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .response import (
+    PARAM_NAMES,
+    PHASE_NAMES,
     BackgroundParams,
     FreqDistribution,
     LineParams,
     ResonatorParams,
+    _chain_model,
     sigma_floor,
 )
-from .specfun import erfcx
 
 __all__ = [
     "ComplexSweep",
@@ -52,21 +54,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# canonical ordering of the twelve free scalars of the full chain model
-PARAM_NAMES = (
-    "mu",
-    "sigma",
-    "gamma_c",
-    "phi",
-    "gamma",
-    "s_b",
-    "f_b",
-    "gamma_bc",
-    "gamma_b",
-    "phi_b",
-    "tau",
-    "varphi",
-)
+# position of each chain scalar in a raw vector (order: PARAM_NAMES)
+_AT = {name: i for i, name in enumerate(PARAM_NAMES)}
 
 # fixed after the base-temperature calibration; single source of truth for
 # the frozen/free split (change here to re-partition the staged fit)
@@ -144,54 +133,28 @@ class FullModelParams:
     line: LineParams
 
     def to_vector(self):
-        return np.array(
-            [
-                self.dist.mu,
-                self.dist.sigma,
-                self.res.gamma_c,
-                self.res.phi,
-                self.res.gamma,
-                self.bg.s_b,
-                self.bg.f_b,
-                self.bg.gamma_bc,
-                self.bg.gamma_b,
-                self.bg.phi_b,
-                self.line.tau,
-                self.line.varphi,
-            ]
-        )
+        values = {**vars(self.res), **vars(self.dist), **vars(self.bg), **vars(self.line)}
+        return np.array([values[name] for name in PARAM_NAMES])
 
     @classmethod
     def from_vector(cls, x):
+        """Validated parameters from a raw vector; phases wrap to (-pi, pi]."""
         x = np.asarray(x, dtype=float)
         if x.size != len(PARAM_NAMES):
             raise ValueError(f"expected {len(PARAM_NAMES)} scalars, got {x.size}")
-        mu, sigma, gamma_c, phi, gamma, s_b, f_b, gamma_bc, gamma_b, phi_b, tau, varphi = x
+        values = dict(zip(PARAM_NAMES, x), f_r=x[_AT["mu"]])
+        for name in PHASE_NAMES:
+            values[name] = wrap_angle(values[name])
+
+        def part(kind):
+            return kind(**{f.name: values[f.name] for f in fields(kind)})
+
         return cls(
-            res=ResonatorParams(f_r=mu, gamma_c=gamma_c, gamma=gamma, phi=wrap_angle(phi)),
-            dist=FreqDistribution(mu=mu, sigma=sigma),
-            bg=BackgroundParams(
-                s_b=s_b, f_b=f_b, gamma_bc=gamma_bc, gamma_b=gamma_b, phi_b=wrap_angle(phi_b)
-            ),
-            line=LineParams(tau=tau, varphi=wrap_angle(varphi)),
+            res=part(ResonatorParams),
+            dist=part(FreqDistribution),
+            bg=part(BackgroundParams),
+            line=part(LineParams),
         )
-
-
-def _chain_model(x, freqs):
-    # raw-vector evaluation of the full chain; phases stay unwrapped while
-    # fitting and are normalized only on output
-    mu, sigma, gamma_c, phi, gamma, s_b, f_b, gamma_bc, gamma_b, phi_b, tau, varphi = x
-    dprime = TWO_PI * (mu - freqs)
-    if sigma <= sigma_floor(gamma):
-        line = 1.0 - np.exp(1j * phi) * gamma_c / (gamma / 2.0 + 1j * dprime)
-    else:
-        arg = (gamma / 2.0 + 1j * dprime) / (2.0 * math.sqrt(2.0) * math.pi * sigma)
-        line = 1.0 - np.exp(1j * phi) * gamma_c / (
-            2.0 * math.sqrt(TWO_PI) * sigma
-        ) * erfcx(arg)
-    delta_b = TWO_PI * (f_b - freqs)
-    background = s_b + np.exp(1j * phi_b) * gamma_bc / (gamma_b / 2.0 + 1j * delta_b)
-    return np.exp(1j * (freqs * tau + varphi)) * background * line
 
 
 @dataclass
@@ -201,7 +164,9 @@ class FitResult:
     ``params`` is the fitted scalar vector, ``residual_norm`` the RMS complex
     residual per point, ``covariance`` the usual SSR/(m-n) * (J^T J)^-1
     estimate (None when it cannot be formed), ``converged`` whether a
-    convergence test fired before the iteration cap.
+    convergence test fired before the iteration cap, ``grad_norm`` the
+    largest column-scaled gradient component at the last Jacobian, leaving
+    out those that push into an active bound.
     """
 
     params: np.ndarray
@@ -355,7 +320,10 @@ def _least_squares_impl(
         ca = col[active]
         Js = Ja / ca
         grad_s = Js.T @ r
-        grad_inf = float(np.linalg.norm(grad_s, np.inf))
+        # components pushing into an active bound cannot move, so only the
+        # projected gradient has to vanish at a (bound-constrained) optimum
+        blocked = (at_lo[active] & (grad_s > 0)) | (at_hi[active] & (grad_s < 0))
+        grad_inf = float(np.abs(grad_s[~blocked]).max(initial=0.0))
         if grad_inf < gtol * max(1.0, cost):
             converged = True
             break
@@ -394,12 +362,9 @@ def _least_squares_impl(
                 break
             lam *= 10.0
         if not accepted:
-            # no decrease at any damping: at a (possibly bound-constrained)
-            # stationary point.  Components pushing into an active bound are
-            # not free to move, so only the projected gradient must vanish.
-            blocked = (at_lo[active] & (grad_s > 0)) | (at_hi[active] & (grad_s < 0))
-            projected = np.abs(grad_s[~blocked])
-            converged = projected.max(initial=0.0) < 1e-4 * max(1.0, cost)
+            # no decrease at any damping: at a stationary point unless the
+            # projected gradient is still large
+            converged = grad_inf < 1e-4 * max(1.0, cost)
             break
         if converged:
             break
@@ -604,50 +569,33 @@ class CalibrationResult:
 
 
 def _default_bounds(freqs, gamma_scale):
+    """(lo, hi) box of the twelve chain scalars; sigma starts at its floor."""
     span = freqs[-1] - freqs[0]
-    lo = np.array(
-        [
-            freqs[0],
-            0.0,  # sigma lower bound replaced by the floor below
-            1e-6 * gamma_scale,
-            -np.inf,
-            1e-3 * gamma_scale,
-            1e-6,
-            freqs[0] - 2.0 * span,
-            1e-6 * gamma_scale,
-            1e-3 * gamma_scale,
-            -np.inf,
-            0.0,
-            -np.inf,
-        ]
+    box = {name: (-np.inf, np.inf) for name in PHASE_NAMES}
+    box.update(
+        mu=(freqs[0], freqs[-1]),
+        sigma=(sigma_floor(gamma_scale), 20e6),
+        gamma_c=(1e-6 * gamma_scale, 1e3 * gamma_scale),
+        gamma=(1e-3 * gamma_scale, 1e3 * gamma_scale),
+        s_b=(1e-6, 1e6),
+        f_b=(freqs[0] - 2.0 * span, freqs[-1] + 2.0 * span),
+        gamma_bc=(1e-6 * gamma_scale, 1e6 * gamma_scale),
+        gamma_b=(1e-3 * gamma_scale, 1e6 * gamma_scale),
+        tau=(0.0, TWO_PI / max(float(np.min(np.diff(freqs))), 1e-300)),  # below grid alias
     )
-    hi = np.array(
-        [
-            freqs[-1],
-            20e6,
-            1e3 * gamma_scale,
-            np.inf,
-            1e3 * gamma_scale,
-            1e6,
-            freqs[-1] + 2.0 * span,
-            1e6 * gamma_scale,
-            1e6 * gamma_scale,
-            np.inf,
-            TWO_PI / max(float(np.min(np.diff(freqs))), 1e-300),  # below grid alias
-            np.inf,
-        ]
-    )
-    return lo, hi
+    lo, hi = zip(*(box[name] for name in PARAM_NAMES))
+    return np.array(lo), np.array(hi)
 
 
 def _scales(x0, freqs):
     span = freqs[-1] - freqs[0]
     center = 0.5 * (freqs[0] + freqs[-1])
     s = np.maximum(np.abs(x0), 1e-300)
-    s[0] = max(s[0], span)  # mu
-    s[6] = max(s[6], span)  # f_b
-    s[3] = s[9] = s[11] = 1.0  # phases
-    s[10] = max(s[10], 1.0 / center)  # tau: one radian of delay phase
+    for name in ("mu", "f_b"):
+        s[_AT[name]] = max(s[_AT[name]], span)
+    for name in PHASE_NAMES:
+        s[_AT[name]] = 1.0
+    s[_AT["tau"]] = max(s[_AT["tau"]], 1.0 / center)  # one radian of delay phase
     return s
 
 
@@ -674,12 +622,11 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     """
     _require_points(sweep, 8, "fit_base_calibration")
     x0 = init.to_vector()
-    lo, hi = _default_bounds(sweep.freqs, gamma_scale=x0[4])
-    lo[1] = sigma_floor(x0[4])
+    lo, hi = _default_bounds(sweep.freqs, gamma_scale=x0[_AT["gamma"]])
     x0 = np.clip(x0, lo, hi)
     scales = _scales(x0, sweep.freqs)
 
-    sigma_idx = PARAM_NAMES.index("sigma")
+    sigma_idx = _AT["sigma"]
     free = [i for i in range(len(PARAM_NAMES)) if i != sigma_idx]
 
     def stage_a_model(xf, freqs, base=x0):
@@ -715,7 +662,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
             stacklevel=2,
         )
     params = FullModelParams.from_vector(fit.params)
-    frozen = {name: fit.params[PARAM_NAMES.index(name)] for name in FROZEN_PARAM_NAMES}
+    frozen = {name: fit.params[_AT[name]] for name in FROZEN_PARAM_NAMES}
     span = float(np.ptp(np.abs(sweep.values)))
     misfit = fit.residual_norm > residual_tol * max(span, 1e-300)
     return CalibrationResult(params=params, fit=fit, frozen=frozen, misfit_flag=misfit)
@@ -739,21 +686,20 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
     _require_points(sweep, 8, "fit_measurement")
     base = calibration.params.to_vector()
     for name, value in calibration.frozen.items():
-        base[PARAM_NAMES.index(name)] = value
+        base[_AT[name]] = value
 
-    lo, hi = _default_bounds(sweep.freqs, gamma_scale=base[PARAM_NAMES.index("gamma")])
-    lo[1] = sigma_floor(base[PARAM_NAMES.index("gamma")])
+    lo, hi = _default_bounds(sweep.freqs, gamma_scale=base[_AT["gamma"]])
 
     if init_hint is not None:
         x_init = init_hint.to_vector()
     else:
         x_init = base.copy()
         mags = np.abs(sweep.values)
-        x_init[0] = sweep.freqs[int(np.argmin(mags))]
-        x_init[1] = 0.1 * _apparent_linewidth(sweep)
+        x_init[_AT["mu"]] = sweep.freqs[int(np.argmin(mags))]
+        x_init[_AT["sigma"]] = 0.1 * _apparent_linewidth(sweep)
     x_init = np.clip(x_init, lo, hi)
 
-    free = [PARAM_NAMES.index(n) for n in MEASUREMENT_PARAM_NAMES]
+    free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
 
     def model(xf, freqs, base=base):
         full = base.copy()
@@ -771,7 +717,7 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
         param_names=MEASUREMENT_PARAM_NAMES,
     )
     sigma_idx = MEASUREMENT_PARAM_NAMES.index("sigma")
-    if _snap_sigma_to_floor(fit, sigma_idx, lo[1], model, sweep):
+    if _snap_sigma_to_floor(fit, sigma_idx, lo[_AT["sigma"]], model, sweep):
         warnings.warn(
             "fitted broadening pinned at its lower bound",
             DegenerateSigmaWarning,

@@ -23,16 +23,13 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .fitkit import (
-    PARAM_NAMES,
     ComplexSweep,
     FullModelParams,
-    _chain_model,  # synthesis reuses the single forward-model implementation
     fit_base_calibration,
     fit_measurement,
 )
@@ -47,7 +44,7 @@ from .photonstats import (
     planck_mean_photon,
     thermal_variance,
 )
-from .response import sigma_floor
+from .response import PARAM_NAMES, PHASE_NAMES, _chain_model, sigma_floor
 
 __all__ = [
     "ConfigError",
@@ -85,6 +82,9 @@ STATS_HEADER = [
 
 MODES = ("thermal", "coherent", "mixed")
 
+# relative spread of the perturbed-truth calibration start (see _calibration_init)
+INIT_PERTURBATION = 0.05
+
 
 class ConfigError(ValueError):
     """A sweep configuration field failed validation."""
@@ -105,7 +105,11 @@ def default_seed(explicit=None, config_seed=0):
 
 @dataclass(frozen=True)
 class ChainParams:
-    """True measurement-chain scalars used for synthesis (see fitkit.PARAM_NAMES)."""
+    """True measurement-chain scalars used for synthesis.
+
+    Every `PARAM_NAMES` scalar except the line center and broadening, which
+    `vector` takes per trace; ``mu_base_hz`` is the center at zero input.
+    """
 
     mu_base_hz: float
     gamma_c: float
@@ -120,23 +124,9 @@ class ChainParams:
     varphi: float
 
     def vector(self, mu, sigma):
-        """Full twelve-scalar vector with the given line center/broadening."""
-        return np.array(
-            [
-                mu,
-                sigma,
-                self.gamma_c,
-                self.phi,
-                self.gamma,
-                self.s_b,
-                self.f_b,
-                self.gamma_bc,
-                self.gamma_b,
-                self.phi_b,
-                self.tau,
-                self.varphi,
-            ]
-        )
+        """Raw `PARAM_NAMES` vector with the given line center/broadening."""
+        values = dict(vars(self), mu=mu, sigma=sigma)
+        return np.array([values[name] for name in PARAM_NAMES])
 
 
 @dataclass(frozen=True)
@@ -157,8 +147,6 @@ class SweepConfig:
     flux_grid: tuple = ()
     coherent_input_flux: float = 0.0
     noise: float = 0.0
-    workers: int = 1
-    init_perturbation: float = 0.05
 
     @classmethod
     def from_dict(cls, raw):
@@ -206,12 +194,6 @@ class SweepConfig:
             probe_stop_hz=need("probe_stop_hz", float, lambda v: v > 0, "must be positive"),
             probe_points=need("probe_points", int, lambda v: v >= 8, "must be >= 8"),
             noise=need("noise", float, lambda v: v >= 0, "must be >= 0") if "noise" in raw else 0.0,
-            workers=need("workers", int, lambda v: v >= 1, "must be >= 1") if "workers" in raw else 1,
-            init_perturbation=(
-                need("init_perturbation", float, lambda v: 0 <= v < 0.5, "must lie in [0, 0.5)")
-                if "init_perturbation" in raw
-                else 0.05
-            ),
         )
         if cfg["probe_stop_hz"] <= cfg["probe_start_hz"]:
             raise ConfigError("field 'probe_stop_hz': must exceed probe_start_hz")
@@ -371,23 +353,23 @@ def simulate_sweep(cfg, seed=None):
 def _calibration_init(cfg, base_sweep, seed):
     """Perturbed-truth starting point for the base calibration.
 
-    Scale parameters move by +-init_perturbation relative, frequencies by
-    +-init_perturbation of the probe span, phases by +-init_perturbation rad;
+    Scale parameters move by +-INIT_PERTURBATION relative, frequencies by
+    +-INIT_PERTURBATION of the probe span, phases by +-INIT_PERTURBATION rad;
     mu additionally snaps to the trace magnitude minimum.
     """
     rng = np.random.Generator(np.random.Philox(seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
     x = cfg.chain.vector(cfg.chain.mu_base_hz, sigma_floor(cfg.chain.gamma))
-    frac = cfg.init_perturbation
+    frac = INIT_PERTURBATION
     for i, name in enumerate(PARAM_NAMES):
         u = rng.uniform(-1.0, 1.0)
         if name in ("mu", "f_b"):
             x[i] += frac * span * u
-        elif name in ("phi", "phi_b", "varphi"):
+        elif name in PHASE_NAMES:
             x[i] += frac * u
         elif name != "sigma":  # sigma starts at its floor untouched
             x[i] *= 1.0 + frac * u
-    x[0] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
+    x[PARAM_NAMES.index("mu")] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
     return FullModelParams.from_vector(x)
 
 
@@ -404,10 +386,10 @@ def extract_statistics(dataset, calibration=None):
     """Fit every trace of a dataset and convert to photon statistics.
 
     Runs `fit_base_calibration` on the stored base trace (unless a
-    calibration is supplied), then one `fit_measurement` per record,
-    possibly across several worker threads; the output order always follows
-    the dataset order.  Non-converged fits are reported in their record via
-    ``converged``/``n_iter``/``residual_norm`` rather than dropped.
+    calibration is supplied), then one `fit_measurement` per record, in
+    dataset order on the calling thread.  Non-converged fits are reported in
+    their record via ``converged``/``n_iter``/``residual_norm`` rather than
+    dropped.
     """
     cfg = dataset.config
     if calibration is None:
@@ -438,9 +420,6 @@ def extract_statistics(dataset, calibration=None):
             residual_norm=fit.residual_norm,
         )
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(one, dataset.records))
     return [one(point) for point in dataset.records]
 
 

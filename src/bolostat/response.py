@@ -28,6 +28,7 @@ __all__ = [
     "LineParams",
     "RlcParams",
     "RlcRates",
+    "PARAM_NAMES",
     "sigma_floor",
     "bare_reflection",
     "averaged_reflection",
@@ -134,6 +135,21 @@ class RlcRates(NamedTuple):
     gamma_c_expr: float
 
 
+# The twelve free scalars of the chain model, in the one order every raw
+# vector uses: the averaged line, the background, then the line delay.  Each
+# group lists the leading arguments of the helper that evaluates it, so
+# `_chain_model` hands each helper its slice of the vector.
+_LINE_NAMES = ("mu", "sigma", "gamma_c", "phi", "gamma")
+_BACKGROUND_NAMES = ("s_b", "f_b", "gamma_bc", "gamma_b", "phi_b")
+_DELAY_NAMES = ("tau", "varphi")
+PARAM_NAMES = _LINE_NAMES + _BACKGROUND_NAMES + _DELAY_NAMES
+PHASE_NAMES = ("phi", "phi_b", "varphi")
+
+_LINE = slice(0, len(_LINE_NAMES))
+_BACKGROUND = slice(_LINE.stop, _LINE.stop + len(_BACKGROUND_NAMES))
+_DELAY = slice(_BACKGROUND.stop, len(PARAM_NAMES))
+
+
 def sigma_floor(gamma):
     """Smallest broadening (Hz) handled by the closed-form Gaussian average.
 
@@ -144,13 +160,47 @@ def sigma_floor(gamma):
     return 1e-6 * gamma / TWO_PI
 
 
+def _line(mu, sigma, gamma_c, phi, gamma, f_p):
+    # averaged line: the bare Lorentzian at f_r = mu up to the sigma floor,
+    # the erfcx (Voigt) closed form above it; scalars or broadcastable arrays
+    dprime = TWO_PI * (mu - f_p)
+    if sigma <= sigma_floor(gamma):
+        return 1.0 - np.exp(1j * phi) * gamma_c / (gamma / 2.0 + 1j * dprime)
+    arg = (gamma / 2.0 + 1j * dprime) / (2.0 * math.sqrt(2.0) * math.pi * sigma)
+    return 1.0 - np.exp(1j * phi) * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma) * erfcx(arg)
+
+
+def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p, n_resonances=1, spacing=80e6):
+    term = 0.0
+    for k in range(n_resonances):
+        delta_b = TWO_PI * (f_b + k * spacing - f_p)
+        term = term + np.exp(1j * phi_b) * gamma_bc / (gamma_b / 2.0 + 1j * delta_b)
+    return s_b + term
+
+
+def _delay(tau, varphi, f_p):
+    return np.exp(1j * (f_p * tau + varphi))
+
+
+def _chain_model(x, f_p):
+    """Full chain response at a raw twelve-scalar vector in `PARAM_NAMES` order.
+
+    No validation and no phase wrapping, so a fitter may move every scalar
+    freely; `full_chain_response` is the same expression on the dataclasses.
+    """
+    return (
+        _delay(*x[_DELAY], f_p)
+        * _background(*x[_BACKGROUND], f_p)
+        * _line(*x[_LINE], f_p)
+    )
+
+
 def bare_reflection(res, f_p):
     """Reflection of the bare line: S11 = 1 - e^{i phi} gamma_c / (gamma/2 + i Delta).
 
     Delta = 2*pi*(f_r - f_p).  Accepts a scalar or array probe frequency.
     """
-    delta = TWO_PI * (res.f_r - np.asarray(f_p, dtype=float))
-    return 1.0 - np.exp(1j * res.phi) * res.gamma_c / (res.gamma / 2.0 + 1j * delta)
+    return _line(res.f_r, 0.0, res.gamma_c, res.phi, res.gamma, np.asarray(f_p, dtype=float))
 
 
 def averaged_reflection(res, dist, f_p):
@@ -163,14 +213,9 @@ def averaged_reflection(res, dist, f_p):
     profile of the line.  For sigma below `sigma_floor(gamma)` the Gaussian is
     effectively a delta distribution and the bare line at f_r = mu is returned.
     """
-    if dist.sigma <= sigma_floor(res.gamma):
-        return bare_reflection(
-            ResonatorParams(dist.mu, res.gamma_c, res.gamma, res.phi), f_p
-        )
-    dprime = TWO_PI * (dist.mu - np.asarray(f_p, dtype=float))
-    arg = (res.gamma / 2.0 + 1j * dprime) / (2.0 * math.sqrt(2.0) * math.pi * dist.sigma)
-    prefactor = res.gamma_c / (2.0 * math.sqrt(TWO_PI) * dist.sigma)
-    return 1.0 - np.exp(1j * res.phi) * prefactor * erfcx(arg)
+    return _line(
+        dist.mu, dist.sigma, res.gamma_c, res.phi, res.gamma, np.asarray(f_p, dtype=float)
+    )
 
 
 def averaged_reflection_gh(res, dist, f_p, n_nodes=64):
@@ -192,8 +237,9 @@ def averaged_reflection_gh(res, dist, f_p, n_nodes=64):
 
 def _bare_grid(res, f_r, f_p):
     # bare_reflection evaluated on an (f_r, f_p) outer grid
-    delta = TWO_PI * (np.asarray(f_r)[:, None] - np.asarray(f_p)[None, :])
-    return 1.0 - np.exp(1j * res.phi) * res.gamma_c / (res.gamma / 2.0 + 1j * delta)
+    return _line(
+        np.asarray(f_r)[:, None], 0.0, res.gamma_c, res.phi, res.gamma, np.asarray(f_p)[None, :]
+    )
 
 
 def averaged_reflection_mc(res, dist, f_p, n_samples, seed, chunk=20000):
@@ -226,14 +272,10 @@ def background_transfer(bg, f_p, n_resonances=1, spacing=80e6):
     is repeated at f_b + k*spacing (the output path of a real chain shows a
     comb of such mismatch resonances; the default spacing is 80 MHz).
     """
-    f_p = np.asarray(f_p, dtype=float)
-    term = 0.0
-    for k in range(n_resonances):
-        delta_b = TWO_PI * (bg.f_b + k * spacing - f_p)
-        term = term + np.exp(1j * bg.phi_b) * bg.gamma_bc / (
-            bg.gamma_b / 2.0 + 1j * delta_b
-        )
-    return bg.s_b + term
+    return _background(
+        bg.s_b, bg.f_b, bg.gamma_bc, bg.gamma_b, bg.phi_b, np.asarray(f_p, dtype=float),
+        n_resonances, spacing,
+    )
 
 
 def full_chain_response(res, dist, bg, line, f_p, n_resonances=1, spacing=80e6):
@@ -241,13 +283,13 @@ def full_chain_response(res, dist, bg, line, f_p, n_resonances=1, spacing=80e6):
 
     S11(f_p) = exp(i*(f_p*tau + varphi)) H(f_p) <S11(f_p)>
 
-    Note the delay phase is f_p*tau with no 2*pi (tau in rad/Hz).  This is
-    the function the staged fits are run against.
+    Note the delay phase is f_p*tau with no 2*pi (tau in rad/Hz).  With one
+    background resonance this is bitwise `_chain_model`, which the staged
+    fits and the synthesis run on.
     """
     f_p = np.asarray(f_p, dtype=float)
-    line_factor = np.exp(1j * (f_p * line.tau + line.varphi))
     return (
-        line_factor
+        _delay(line.tau, line.varphi, f_p)
         * background_transfer(bg, f_p, n_resonances, spacing)
         * averaged_reflection(res, dist, f_p)
     )

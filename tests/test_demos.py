@@ -1,0 +1,21 @@
+"""The demos that drive the fitting and pipeline API run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["resonance_fitting.py", "full_pipeline.py"])
+def test_demo_exits_zero(demo, tmp_path):
+    # full_pipeline.py writes its files under the temporary directory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -29,7 +29,6 @@ from bolostat.fitkit import (
     initial_background_frequency,
     wrap_angle,
 )
-from bolostat.response import sigma_floor
 
 from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, PROBE_GRID, perturbed_model
 
@@ -90,7 +89,6 @@ class TestLeastSquares:
             CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0]
         ).to_vector()
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
-        lo[1] = sigma_floor(GAMMA)
         history = []
         least_squares(
             _chain_model,
@@ -109,7 +107,6 @@ class TestLeastSquares:
             CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0]
         ).to_vector()
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
-        lo[1] = sigma_floor(GAMMA)
         res = least_squares(
             _chain_model, sweep, init=np.clip(init, lo, hi), bounds=(lo, hi), max_iter=2
         )
@@ -117,17 +114,22 @@ class TestLeastSquares:
 
     def test_stall_at_active_bound_is_converged(self):
         # the unconstrained optimum (1) lies below the bound: the gradient
-        # points into the bound, so the projected gradient vanishes there
+        # points into the bound, so the projected gradient vanishes there and
+        # the first gradient test stops the fit, with no damping sweep
         f = np.linspace(0.0, 1.0, 20)
         sweep = ComplexSweep(f, np.ones(f.size, dtype=complex))
-        res = least_squares(
-            lambda p, f: np.full(f.size, p[0], dtype=complex),
-            sweep,
-            init=[2.0],
-            bounds=([2.0], [np.inf]),
-        )
+        evals = []
+
+        def model(p, f):
+            evals.append(p[0])
+            return np.full(f.size, p[0], dtype=complex)
+
+        res = least_squares(model, sweep, init=[2.0], bounds=([2.0], [np.inf]))
         assert res.converged
         assert res.params[0] == 2.0
+        assert res.grad_norm < 1e-8
+        # residual, one-sided Jacobian (2) and the final Gauss-Newton polish
+        assert len(evals) <= 4
 
     def test_init_outside_bounds_rejected(self):
         f = np.linspace(0.0, 1.0, 20)

@@ -11,7 +11,6 @@ from bolostat import (
     extract_statistics,
     planck_mean_photon,
     RadiatorState,
-    run_calibration,
     simulate_sweep,
 )
 from bolostat.pipeline import (
@@ -60,7 +59,6 @@ def make_config(mode="thermal", **overrides):
         "probe_stop_hz": 545e6,
         "probe_points": 451,
         "noise": 0.0,
-        "workers": 1,
     }
     if mode in ("thermal", "mixed"):
         raw["t_grid_k"] = [temp_for_mean(n) for n in (0.3, 1.0, 3.0)]
@@ -186,17 +184,20 @@ class TestExtraction:
             recomputed = 1.0 + (r.variance_n - r.mean_n) / r.mean_n**2
             assert abs(r.g2 - recomputed) < 1e-12
 
-    def test_worker_pool_preserves_order_and_values(self):
-        dataset = simulate_sweep(make_config())
-        calib = run_calibration(dataset)
-        serial = extract_statistics(dataset, calib)
-        cfg4 = make_config(workers=4)
-        parallel = extract_statistics(
-            simulate_sweep(cfg4), run_calibration(simulate_sweep(cfg4))
-        )
-        assert [r.control for r in serial] == [r.control for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.mean_n == pytest.approx(b.mean_n, rel=1e-9)
+    def test_retired_keys_in_old_files_are_ignored(self):
+        # configs and datasets written while `workers` and `init_perturbation`
+        # were settable still load, and give the same statistics
+        retired = {"workers": 4, "init_perturbation": 0.05}
+        cfg = make_config()
+        assert make_config(**retired) == cfg
+        dataset = simulate_sweep(cfg)
+        buf = io.StringIO()
+        dataset_to_json(dataset, buf)
+        doc = json.loads(buf.getvalue())
+        doc["config"].update(retired)
+        old = dataset_from_json(io.StringIO(json.dumps(doc)))
+        assert old.config == cfg
+        assert extract_statistics(old) == extract_statistics(dataset)
 
 
 class TestPersistence:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bolostat import (
+    PARAM_NAMES,
     BackgroundParams,
     FreqDistribution,
+    FullModelParams,
     LineParams,
     ResonatorParams,
     RlcParams,
@@ -18,7 +20,9 @@ from bolostat import (
     sigma_floor,
 )
 
-from conftest import GAMMA, GAMMA_C, MU
+from bolostat.response import PHASE_NAMES, _chain_model
+
+from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, perturb_vector
 
 RES = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
 
@@ -203,6 +207,37 @@ class TestFullChain:
         for tau in (1e-10, 5e-10, 2e-9):
             val = full_chain_response(RES, self.DIST, bg, LineParams(tau=tau), f_p)
             np.testing.assert_allclose(np.angle(val / ref), f_p * tau, rtol=1e-9)
+
+    def test_raw_vector_model_is_bitwise_the_dataclass_model(self, probe_grid):
+        # the fits and the synthesis run on _chain_model; it must be the same
+        # expression as full_chain_response, on both sides of the sigma floor
+        rng = np.random.default_rng(23)
+        at = {name: i for i, name in enumerate(PARAM_NAMES)}
+        for k in range(20):
+            x = perturb_vector(CHAIN_TRUE.vector(MU, 0.0), rng, 30e6, frac=0.3)
+            for name in PHASE_NAMES:
+                x[at[name]] = rng.uniform(-np.pi, np.pi)
+            side = 1.0 if k % 2 else -1.0
+            x[at["sigma"]] = sigma_floor(x[at["gamma"]]) * 10 ** (side * rng.uniform(0.01, 4))
+            p = FullModelParams.from_vector(x)
+            np.testing.assert_array_equal(
+                _chain_model(x, probe_grid),
+                full_chain_response(p.res, p.dist, p.bg, p.line, probe_grid),
+            )
+
+    def test_chain_vector_round_trips_through_full_model_params(self):
+        mu, sigma, c = MU + 1e6, 0.4e6, CHAIN_TRUE
+        x = c.vector(mu, sigma)
+        p = FullModelParams.from_vector(x)
+        assert p == FullModelParams(
+            res=ResonatorParams(f_r=mu, gamma_c=c.gamma_c, gamma=c.gamma, phi=c.phi),
+            dist=FreqDistribution(mu=mu, sigma=sigma),
+            bg=BackgroundParams(
+                s_b=c.s_b, f_b=c.f_b, gamma_bc=c.gamma_bc, gamma_b=c.gamma_b, phi_b=c.phi_b
+            ),
+            line=LineParams(tau=c.tau, varphi=c.varphi),
+        )
+        np.testing.assert_array_equal(p.to_vector(), x)
 
 
 class TestRlc:

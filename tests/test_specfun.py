@@ -18,9 +18,16 @@ ERFCX_1 = 0.427583576155807
 
 
 def erfcx_ref(z):
-    """Extended-precision reference, evaluated per point."""
-    z = mp.mpc(z)
-    return complex(mp.exp(z * z) * mp.erfc(z))
+    """Extended-precision reference, evaluated per point.
+
+    The phase of exp(z^2) is Im(z^2) = 2 Re(z) Im(z), of size |z|^2, so the
+    working precision grows by two digits per decade of |z|: 30 digits alone
+    lose that phase beyond |z| ~ 1e8.
+    """
+    digits = 30 + math.ceil(2 * math.log10(max(abs(z), 1.0)))
+    with mp.workdps(digits):
+        z = mp.mpc(z)
+        return complex(mp.exp(z * z) * mp.erfc(z))
 
 
 def erfcx_quad_oracle(z):
@@ -87,10 +94,11 @@ def test_accuracy_over_full_target_square():
     rng = np.random.default_rng(17)
     pts = rng.uniform(-30, 30, 800) + 1j * rng.uniform(-30, 30, 800)
     pts = pts[(pts.real >= 0) | (pts.real**2 - pts.imag**2 <= 700.0)][:300]
-    # plus the right half-plane out to |z| = 1e7, where the sigma-floor
-    # calibration evaluates (|z| ~ 3e5)
-    radius = 10 ** rng.uniform(math.log10(30), 7, 60)
-    pts = np.concatenate([pts, radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, 60))])
+    # plus the right half-plane out to |z| = 1e15, where the sigma-floor
+    # calibration evaluates (|z| ~ 3e5) and beyond
+    for lo_decade, hi_decade, n in ((math.log10(30), 7, 60), (7, 15, 40)):
+        radius = 10 ** rng.uniform(lo_decade, hi_decade, n)
+        pts = np.concatenate([pts, radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, n))])
     for z in pts:
         ref = erfcx_ref(complex(z))
         assert abs(erfcx(complex(z)) - ref) / abs(ref) < 1e-10
