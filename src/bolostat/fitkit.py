@@ -1,8 +1,11 @@
 """Nonlinear and linear fitting machinery for complex reflection traces.
 
-The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine with a
-central finite-difference Jacobian operating on stacked real/imaginary
-residuals.  On top of it sit the resonance extractors used by the pipeline:
+The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine operating
+on stacked real/imaginary residuals.  It takes the Jacobian from the caller
+when one is given -- the staged chain fits pass `response`'s closed-form
+`_chain_jacobian`, one erfcx call per iteration -- and otherwise forms a
+central finite difference.  On top of it sit the resonance extractors used
+by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `lorentzian_fit`    -- real-valued Lorentzian peak (filter passband style)
@@ -26,6 +29,7 @@ from .response import (
     FreqDistribution,
     LineParams,
     ResonatorParams,
+    _chain_jacobian,
     _chain_model,
     sigma_floor,
 )
@@ -191,6 +195,7 @@ def least_squares(
     scales=None,
     param_names=(),
     callback=None,
+    jac=None,
 ):
     """Damped Gauss-Newton minimizer of sum |model(f_i) - value_i|^2.
 
@@ -206,14 +211,17 @@ def least_squares(
         Per-parameter box; steps are projected onto it.  Infinite entries
         leave a side open.
     scales : array_like, optional
-        Natural magnitude of each parameter, used for the absolute floor of
-        the finite-difference step (``fd_abs`` is relative to the scale) and
-        for conditioning; defaults to |init| where nonzero.
+        Natural magnitude of each parameter, used for conditioning and for
+        the absolute floor of the finite-difference step (``fd_abs`` is
+        relative to the scale); defaults to |init| where nonzero.
     param_names : tuple of str, optional
         Used in diagnostics, e.g. to name rank-deficient directions.
     callback : callable(n_iter, residual_norm), optional
         Invoked after every accepted step (residual norms are
         non-increasing along this sequence).
+    jac : callable(params, freqs) -> complex ndarray, optional
+        Jacobian of ``model``, shape (len(freqs), len(params)).  Without it
+        the Jacobian is a central finite difference.
 
     Returns
     -------
@@ -224,17 +232,20 @@ def least_squares(
 
     Notes
     -----
-    The Jacobian is a central finite difference with per-parameter step
+    With ``jac`` the Jacobian is the caller's, evaluated once per iteration.
+    Otherwise it is a central finite difference with per-parameter step
     max(fd_rel*|p|, fd_abs*scale), switching to a one-sided difference at an
-    active bound.  Steps solve the column-scaled damped normal equations;
-    the damping factor is increased until the cost decreases, so the
-    residual norm is non-increasing across accepted iterations.
+    active bound; ``fd_rel`` and ``fd_abs`` apply only to that default.
+    The iteration is the same either way.  Steps solve the column-scaled
+    damped normal equations; the damping factor is increased until the cost
+    decreases, so the residual norm is non-increasing across accepted
+    iterations.
     Deterministic: identical inputs give identical iterates.
     """
     _require_points(sweep, 8, "least_squares")
     return _least_squares_impl(
         model, sweep, init, bounds, max_iter, frtol, gtol, fd_rel, fd_abs,
-        scales, param_names, callback,
+        scales, param_names, callback, jac,
     )
 
 
@@ -251,6 +262,7 @@ def _least_squares_impl(
     scales=None,
     param_names=(),
     callback=None,
+    jac=None,
 ):
     freqs, data = sweep.freqs, sweep.values
     x = np.asarray(init, dtype=float).copy()
@@ -274,6 +286,9 @@ def _least_squares_impl(
         return np.concatenate([r.real, r.imag])
 
     def jacobian(xv):
+        if jac is not None:
+            Jc = jac(xv, freqs)
+            return np.concatenate([Jc.real, Jc.imag])
         J = np.empty((2 * freqs.size, n))
         for i in range(n):
             h = max(fd_rel * abs(xv[i]), fd_abs * scales[i])
@@ -599,6 +614,23 @@ def _scales(x0, freqs):
     return s
 
 
+def _partial_chain(base, free):
+    """Chain model and Jacobian over the entries ``free`` of ``base``, the rest held."""
+
+    def full(xf):
+        x = base.copy()
+        x[free] = xf
+        return x
+
+    def model(xf, freqs):
+        return _chain_model(full(xf), freqs)
+
+    def jac(xf, freqs):
+        return _chain_jacobian(full(xf), freqs)[:, free]
+
+    return model, jac
+
+
 def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     """Fit all twelve chain parameters on a reference (base) trace.
 
@@ -629,11 +661,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     sigma_idx = _AT["sigma"]
     free = [i for i in range(len(PARAM_NAMES)) if i != sigma_idx]
 
-    def stage_a_model(xf, freqs, base=x0):
-        full = base.copy()
-        full[free] = xf
-        return _chain_model(full, freqs)
-
+    stage_a_model, stage_a_jac = _partial_chain(x0, free)
     stage_a = least_squares(
         stage_a_model,
         sweep,
@@ -642,6 +670,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
         max_iter=max_iter,
         scales=scales[free],
         param_names=tuple(PARAM_NAMES[i] for i in free),
+        jac=stage_a_jac,
     )
     x1 = x0.copy()
     x1[free] = stage_a.params
@@ -654,6 +683,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
         max_iter=max_iter,
         scales=scales,
         param_names=PARAM_NAMES,
+        jac=_chain_jacobian,
     )
     if _snap_sigma_to_floor(fit, sigma_idx, lo[sigma_idx], _chain_model, sweep):
         warnings.warn(
@@ -700,12 +730,7 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
     x_init = np.clip(x_init, lo, hi)
 
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
-
-    def model(xf, freqs, base=base):
-        full = base.copy()
-        full[free] = xf
-        return _chain_model(full, freqs)
-
+    model, jac = _partial_chain(base, free)
     scales = _scales(x_init, sweep.freqs)
     fit = least_squares(
         model,
@@ -715,6 +740,7 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
         max_iter=max_iter,
         scales=scales[free],
         param_names=MEASUREMENT_PARAM_NAMES,
+        jac=jac,
     )
     sigma_idx = MEASUREMENT_PARAM_NAMES.index("sigma")
     if _snap_sigma_to_floor(fit, sigma_idx, lo[_AT["sigma"]], model, sweep):

@@ -195,6 +195,114 @@ def _chain_model(x, f_p):
     )
 
 
+_SQRT_PI = math.sqrt(math.pi)
+
+# Beyond this |z| the closed forms of erfcx'(z) and of the sigma factor g(z)
+# cancel more than 2*log10|z| and 4*log10|z| digits (about 2 and 4 here),
+# and their asymptotic series take over; 24 terms reach below 1e-17 there.
+_SERIES_FROM = 8.0
+
+
+def _series_coeffs(ratio, n_terms=24):
+    # c_0 = 1, c_{k+1} = c_k * ratio(k); highest power first for np.polyval
+    c = [1.0]
+    for k in range(n_terms - 1):
+        c.append(c[-1] * ratio(k))
+    return np.array(c[::-1])
+
+
+# erfcx'(z) ~ -(1/(sqrt(pi) z^2)) * sum_k c_k z^(-2k)
+_DW_SERIES = _series_coeffs(lambda k: -(2 * k + 3) / 2.0)
+# g(z) ~ (1/(sqrt(pi) z^3)) * sum_k c_k z^(-2k)
+_G_SERIES = _series_coeffs(lambda k: -(2 * k + 3) * (k + 2) / (2.0 * (k + 1)))
+
+
+def _erfcx_derivatives(z, w):
+    """erfcx'(z) and g(z) = (1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi), given w = erfcx(z).
+
+    erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); g is the sigma factor of the
+    Voigt line, d<S11>/dsigma = (P/sigma) g(z).  Both closed forms are
+    differences of nearly equal terms at large |z|, so there the
+    asymptotic series are used instead.
+    """
+    z = np.asarray(z, dtype=complex)
+    dw = 2.0 * z * w - 2.0 / _SQRT_PI
+    g = (1.0 + 2.0 * z * z) * w - 2.0 * z / _SQRT_PI
+    far = np.abs(z) > _SERIES_FROM
+    if far.any():
+        zf = z[far]
+        v = 1.0 / (zf * zf)
+        dw[far] = -np.polyval(_DW_SERIES, v) * v / _SQRT_PI
+        g[far] = np.polyval(_G_SERIES, v) * v / (_SQRT_PI * zf)
+    return dw, g
+
+
+def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
+    """Value of `_line` and its derivatives in `_LINE_NAMES` order."""
+    a = gamma / 2.0 + 1j * TWO_PI * (mu - f_p)
+    rot = np.exp(1j * phi)
+    if sigma <= sigma_floor(gamma):
+        q = rot * gamma_c / a
+        # sigma: the right derivative sigma * d^2L/dmu^2 of the Gaussian
+        # average, so that a fit can leave the floor
+        return 1.0 - q, (
+            1j * TWO_PI * q / a,
+            8.0 * math.pi**2 * sigma * q / (a * a),
+            -rot / a,
+            -1j * q,
+            q / (2.0 * a),
+        )
+    c = 2.0 * math.sqrt(2.0) * math.pi * sigma
+    z = a / c
+    w = erfcx(z)
+    unit = rot / (2.0 * math.sqrt(TWO_PI) * sigma)
+    p = unit * gamma_c
+    pw = p * w
+    dw, g = _erfcx_derivatives(z, w)
+    return 1.0 - pw, (
+        -1j * TWO_PI * p * dw / c,
+        p / sigma * g,
+        -unit * w,
+        -1j * pw,
+        -p * dw / (2.0 * c),
+    )
+
+
+def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
+    """Value of one-resonance `_background` and its derivatives in `_BACKGROUND_NAMES` order."""
+    b = gamma_b / 2.0 + 1j * TWO_PI * (f_b - f_p)
+    unit = np.exp(1j * phi_b) / b
+    term = gamma_bc * unit
+    return s_b + term, (
+        np.ones_like(term),
+        -1j * TWO_PI * term / b,
+        unit,
+        -term / (2.0 * b),
+        1j * term,
+    )
+
+
+def _chain_jacobian(x, f_p):
+    """Complex Jacobian of `_chain_model` in closed form: (len(f_p), 12).
+
+    Columns follow `PARAM_NAMES`.  The Voigt line takes one erfcx call and
+    its derivative from erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); the
+    background and delay columns are elementary.  On the bare-Lorentzian
+    branch (sigma at or below `sigma_floor`) the sigma column is the right
+    derivative of the Gaussian average, not zero.
+    """
+    f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
+    delay = _delay(*x[_DELAY], f_p)
+    background, d_background = _background_jacobian(*x[_BACKGROUND], f_p)
+    line, d_line = _line_jacobian(*x[_LINE], f_p)
+    value = delay * background * line
+    jac = np.empty((f_p.size, len(PARAM_NAMES)), dtype=complex)
+    jac[:, _LINE] = np.column_stack(d_line) * (delay * background)[:, None]
+    jac[:, _BACKGROUND] = np.column_stack(d_background) * (delay * line)[:, None]
+    jac[:, _DELAY] = np.column_stack((1j * f_p * value, 1j * value))
+    return jac
+
+
 def bare_reflection(res, f_p):
     """Reflection of the bare line: S11 = 1 - e^{i phi} gamma_c / (gamma/2 + i Delta).
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
     rows = list(csv.DictReader((tmp_path / "s.csv").open()))
     assert len(rows) == 2
     assert all(r["converged"] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("seed", [1, 9, 2, 6])
+def test_noisy_thermal_sweeps_fit_cleanly(tmp_path, seed, monkeypatch):
+    # shipped thermal config at noise 0.01: with a finite-difference Jacobian
+    # the base calibration raised RankDeficiencyError (seeds 1, 9) or did not
+    # converge (seeds 2, 6, exit 2)
+    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    config = tmp_path / "noisy.json"
+    config.write_text(json.dumps(dict(json.loads(shipped.read_text()), noise=0.01, seed=seed)))
+    dataset = tmp_path / "d.json"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(dataset)]) == 0
+    assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_non_finite_sample_exits_one(tmp_path, thermal_config_file, capsys):

@@ -1,5 +1,10 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bolostat import (
     PARAM_NAMES,
@@ -20,9 +25,18 @@ from bolostat import (
     sigma_floor,
 )
 
-from bolostat.response import PHASE_NAMES, _chain_model
+from bolostat.fitkit import _default_bounds
+from bolostat.response import (
+    PHASE_NAMES,
+    _chain_jacobian,
+    _chain_model,
+    _erfcx_derivatives,
+    _line,
+    _line_jacobian,
+)
+from bolostat.specfun import erfcx
 
-from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, perturb_vector
+from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, PROBE_GRID, perturb_vector
 
 RES = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
 
@@ -238,6 +252,155 @@ class TestFullChain:
             line=LineParams(tau=c.tau, varphi=c.varphi),
         )
         np.testing.assert_array_equal(p.to_vector(), x)
+
+
+AT = {name: i for i, name in enumerate(PARAM_NAMES)}
+
+
+def fd_steps(x, f_p):
+    """Central-difference step per parameter, 1e-5 of its natural size."""
+    widths = dict(
+        mu=x[AT["gamma"]] / (2 * np.pi),
+        f_b=x[AT["gamma_b"]] / (2 * np.pi),
+        tau=1.0 / np.max(np.abs(f_p)),  # one radian of delay phase
+    )
+    return np.array([
+        1e-5 * widths.get(name, 1.0 if name in PHASE_NAMES else abs(x[i]))
+        for i, name in enumerate(PARAM_NAMES)
+    ])
+
+
+def central_differences(x, f_p):
+    """Central-difference columns of _chain_model's Jacobian, with a roundoff bound each."""
+    steps = fd_steps(x, f_p)
+    eps = np.finfo(float).eps * np.max(np.abs(_chain_model(x, f_p)))
+    cols, slack = [], []
+    for i in range(len(PARAM_NAMES)):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += steps[i]
+        xm[i] -= steps[i]
+        # the step as represented: x + h rounds at large |x| (mu, f_b)
+        h2 = xp[i] - xm[i]
+        cols.append((_chain_model(xp, f_p) - _chain_model(xm, f_p)) / h2)
+        slack.append(16 * eps / h2)
+    return np.column_stack(cols), np.array(slack)
+
+
+def sigma_by_heat_equation(x, f_p):
+    """dS/dsigma = sigma d^2S/dmu^2 (the Gaussian average solves the heat
+    equation), as a second difference in mu, with its roundoff bound.
+
+    A difference in sigma itself cancels to nothing near the floor, where S
+    moves by ~1e-12 per Hz of sigma, and is flat below it.
+    """
+    s0 = _chain_model(x, f_p)
+    eps = np.finfo(float).eps * np.max(np.abs(s0))
+    # well inside the narrowest feature: the fourth-order term stays below
+    # 1e-7 of the second-order one
+    h = 3e-4 * x[AT["gamma"]] / (2 * np.pi)
+    at = AT["mu"]
+    xp, xm = x.copy(), x.copy()
+    xp[at] += h
+    xm[at] -= h
+    hp, hm = xp[at] - x[at], x[at] - xm[at]
+    d2 = 2 * ((_chain_model(xp, f_p) - s0) / hp - (s0 - _chain_model(xm, f_p)) / hm) / (hp + hm)
+    return x[AT["sigma"]] * d2, 16 * x[AT["sigma"]] * eps / (hp * hm)
+
+
+def g_ref(z):
+    """(1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi) and erfcx'(z) in extended precision.
+
+    As in `test_specfun.erfcx_ref`, two digits per decade of |z| keep the
+    phase of exp(z^2); the two differences cancel up to four more per decade.
+    """
+    digits = 30 + math.ceil(6 * math.log10(max(abs(z), 1.0)))
+    with mp.workdps(digits):
+        z = mp.mpc(z)
+        w = mp.exp(z * z) * mp.erfc(z)
+        two_over_sqrt_pi = 2 / mp.sqrt(mp.pi)
+        return (
+            complex((1 + 2 * z * z) * w - z * two_over_sqrt_pi),
+            complex(2 * z * w - two_over_sqrt_pi),
+        )
+
+
+class TestChainJacobian:
+    # the fit grid of acceptance criterion 3
+    FREQS = np.linspace(500e6, 545e6, 451)
+
+    @pytest.mark.parametrize("sigma", [0.3e6, 0.9e6, 1.8e6, 2.8e6])
+    def test_columns_match_central_differences_on_criterion_3_grid(self, sigma):
+        for mu in np.linspace(510e6, 530e6, 5):
+            x = CHAIN_TRUE.vector(mu, sigma)
+            jac = _chain_jacobian(x, self.FREQS)
+            ref, _ = central_differences(x, self.FREQS)
+            err = np.max(np.abs(jac - ref), axis=0)
+            scale = np.max(np.abs(jac), axis=0)
+            worst = int(np.argmax(err / scale))
+            assert np.all(err <= 1e-6 * scale), (
+                f"{PARAM_NAMES[worst]}: relative difference {err[worst] / scale[worst]:.2e}"
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        unit=st.lists(st.floats(0.0, 1.0), min_size=len(PARAM_NAMES), max_size=len(PARAM_NAMES)),
+        above_floor=st.booleans(),
+    )
+    def test_columns_match_differences_inside_the_fit_box(self, unit, above_floor):
+        # rates and scales log-uniform, frequencies, phases and delay
+        # uniform, inside the box the staged fits search; sigma on either
+        # side of its floor (the box's lower sigma bound)
+        lo, hi = _default_bounds(PROBE_GRID, GAMMA)
+        x = np.empty(len(PARAM_NAMES))
+        for i, name in enumerate(PARAM_NAMES):
+            if name in PHASE_NAMES:
+                x[i] = np.pi * (2 * unit[i] - 1)
+            elif name in ("mu", "f_b", "tau"):
+                x[i] = lo[i] + unit[i] * (hi[i] - lo[i])
+            else:
+                x[i] = lo[i] * (hi[i] / lo[i]) ** unit[i]
+        floor = sigma_floor(x[AT["gamma"]])
+        u = unit[AT["sigma"]]
+        x[AT["sigma"]] = floor * (20e6 / floor) ** u if above_floor else floor * 1e-3**u
+        f_p = PROBE_GRID[::10]
+        jac = _chain_jacobian(x, f_p)
+        ref, slack = central_differences(x, f_p)
+        ref[:, AT["sigma"]], slack[AT["sigma"]] = sigma_by_heat_equation(x, f_p)
+        for i, name in enumerate(PARAM_NAMES):
+            scale = np.max(np.abs(jac[:, i]))
+            err = np.max(np.abs(jac[:, i] - ref[:, i]))
+            assert err <= 1e-6 * scale + slack[i], (
+                f"{name}: |analytic - difference| = {err:.3e}, column max {scale:.3e}"
+            )
+
+    def test_sigma_factor_and_erfcx_derivative_match_mpmath(self):
+        # 0.1 <= |z| <= 1e6 over the right half-plane the line lives in,
+        # dense on both sides of the switch to the asymptotic series at |z| = 8
+        rng = np.random.default_rng(41)
+        radius = np.concatenate([10 ** rng.uniform(-1, 6, 300), rng.uniform(6, 10, 100)])
+        z = radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, radius.size))
+        dw, g = _erfcx_derivatives(z, erfcx(z))
+        for k in range(z.size):
+            ref_g, ref_dw = g_ref(complex(z[k]))
+            assert abs(g[k] - ref_g) <= 1e-10 * abs(ref_g), z[k]
+            assert abs(dw[k] - ref_dw) <= 1e-10 * abs(ref_dw), z[k]
+
+    def test_floor_branch_sigma_column_is_the_right_derivative(self, probe_grid):
+        floor = sigma_floor(GAMMA)
+        line = (MU, floor, GAMMA_C, 0.4, GAMMA)
+        _, d_floor = _line_jacobian(*line, probe_grid)
+        # sigma * d^2L/dmu^2 of the bare line, by a second difference
+        h = 1e3
+        d2 = (
+            _line(MU + h, 0.0, *line[2:], probe_grid)
+            - 2 * _line(MU, 0.0, *line[2:], probe_grid)
+            + _line(MU - h, 0.0, *line[2:], probe_grid)
+        ) / h**2
+        np.testing.assert_allclose(d_floor[1], floor * d2, rtol=1e-5)
+        assert np.all(np.abs(d_floor[1]) > 0)
+        # and the Voigt branch just above the floor continues it
+        _, d_above = _line_jacobian(MU, floor * (1 + 1e-9), *line[2:], probe_grid)
+        np.testing.assert_allclose(d_above[1], d_floor[1], rtol=1e-8)
 
 
 class TestRlc:
