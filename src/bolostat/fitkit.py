@@ -572,15 +572,32 @@ class CalibrationResult:
 
     ``params`` holds all twelve fitted scalars; the entries named in
     `FROZEN_PARAM_NAMES` are fixed for every subsequent `fit_measurement`.
-    ``misfit_flag`` is set when the residual stayed above ``residual_tol``
-    despite formal convergence (e.g. the background model missed a
-    resonance present in the data).
+    ``misfit_flag`` is set when the residual stayed above both
+    ``residual_tol`` of the trace span and the trace's own noise level
+    (e.g. the background model missed a resonance present in the data).
     """
 
     params: FullModelParams
     fit: FitResult
     frozen: dict
     misfit_flag: bool
+
+
+def _noise_rms(values):
+    """Model-free RMS of the complex noise on a trace.
+
+    Third differences cancel a smooth line to O(h^3), and white noise of RMS
+    s gives them RMS sqrt(20)*s.  Second differences would leave about 6e-4
+    of the span of line curvature on a 451-point grid at zero noise, more
+    than the misfit of a background resonance 70 MHz outside the window.
+    """
+    return math.sqrt(np.mean(np.abs(np.diff(values, 3)) ** 2) / 20.0)
+
+
+# A residual within this margin of the noise estimate is noise, not misfit:
+# on white noise their ratio has a spread of about 0.6/sqrt(n), so the
+# margin 1 + _NOISE_MARGIN/sqrt(n) sits over six spreads above 1.
+_NOISE_MARGIN = 4.0
 
 
 def _default_bounds(freqs, gamma_scale):
@@ -646,7 +663,9 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
         Starting point (e.g. truth perturbed by a few percent, or heuristics).
     residual_tol : float
         RMS residual per point, relative to the trace magnitude span, above
-        which the calibration is flagged as a model mismatch.
+        which the calibration is flagged as a model mismatch, unless the
+        residual is also within the trace's own noise level (see
+        `_noise_rms`).
 
     Returns
     -------
@@ -694,7 +713,8 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     params = FullModelParams.from_vector(fit.params)
     frozen = {name: fit.params[_AT[name]] for name in FROZEN_PARAM_NAMES}
     span = float(np.ptp(np.abs(sweep.values)))
-    misfit = fit.residual_norm > residual_tol * max(span, 1e-300)
+    noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(sweep.values)
+    misfit = fit.residual_norm > max(residual_tol * max(span, 1e-300), noise)
     return CalibrationResult(params=params, fit=fit, frozen=frozen, misfit_flag=misfit)
 
 

@@ -12,12 +12,19 @@ referenced to the base trace, and reports g2(0).
 
 File formats (all deterministic given the same inputs):
 
-* traces: CSV with header ``f_p_hz,re,im``
-* datasets: one JSON document with config, truth table, and traces
+* traces: CSV with header ``f_p_hz,re,im`` (the human-readable export of
+  one trace)
+* datasets: one JSON document (``bolostat-dataset-v2``) with config, truth
+  table, and traces.  Config, control and truth are plain sorted JSON; each
+  trace stores ``f_p_hz``, ``re`` and ``im`` as one base64 string of
+  little-endian float64 bytes, so a read-back is bitwise exact and costs no
+  per-sample text formatting.  ``bolostat-dataset-v1`` documents, which
+  held the same arrays as JSON number lists, are still read.
 * statistics: CSV with header ``control,mu_hz,sigma_hz,mean_n,variance_n,
   g2,power_w,converged,n_iter,residual_norm``
 """
 
+import base64
 import csv
 import dataclasses
 import json
@@ -66,7 +73,9 @@ __all__ = [
     "DATASET_FORMAT",
 ]
 
-DATASET_FORMAT = "bolostat-dataset-v1"
+DATASET_FORMAT = "bolostat-dataset-v2"
+# formats `dataset_from_json` reads; v1 stored the arrays as number lists
+_READ_FORMATS = ("bolostat-dataset-v1", DATASET_FORMAT)
 STATS_HEADER = [
     "control",
     "mu_hz",
@@ -445,21 +454,46 @@ def trace_from_csv(fh):
     )
 
 
+def _encode_array(a):
+    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(raw, key):
+    """A v2 base64 float64 string, or a v1 JSON number list, as a float array."""
+    if isinstance(raw, list):
+        try:
+            return np.array(raw, dtype=float)
+        except TypeError:
+            raise ValueError(f"'{key}': not a list of numbers") from None
+    if not isinstance(raw, str):
+        raise ValueError(f"'{key}': expected a base64 string, got {type(raw).__name__}")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"'{key}': not valid base64 ({exc})") from None
+    if len(data) % 8:
+        raise ValueError(f"'{key}': {len(data)} bytes is not a whole number of float64 samples")
+    return np.frombuffer(data, "<f8").astype(float)  # a writable native-order copy
+
+
 def _point_to_dict(point):
     return {
         "control": point.control,
         "truth": point.truth,
-        "f_p_hz": [float(f) for f in point.sweep.freqs],
-        "re": [float(v) for v in point.sweep.values.real],
-        "im": [float(v) for v in point.sweep.values.imag],
+        "f_p_hz": _encode_array(point.sweep.freqs),
+        "re": _encode_array(point.sweep.values.real),
+        "im": _encode_array(point.sweep.values.imag),
     }
 
 
 def _point_from_dict(d):
-    freqs = np.array([float(x) for x in d["f_p_hz"]])
-    values = np.array([float(x) for x in d["re"]]) + 1j * np.array(
-        [float(x) for x in d["im"]]
-    )
+    freqs, re, im = (_decode_array(d[key], key) for key in ("f_p_hz", "re", "im"))
+    if not freqs.shape == re.shape == im.shape:
+        raise ValueError(
+            f"trace arrays differ in length: f_p_hz {freqs.size}, re {re.size}, im {im.size}"
+        )
+    values = re.astype(complex)
+    values.imag = im  # not re + 1j*im, which turns a -0.0 real part into +0.0
     return TracePoint(
         control=d["control"], truth=d["truth"], sweep=ComplexSweep(freqs, values)
     )
@@ -478,8 +512,8 @@ def dataset_to_json(dataset, fh):
 
 def dataset_from_json(fh):
     doc = json.load(fh)
-    if doc.get("format") != DATASET_FORMAT:
-        raise ValueError(f"not a {DATASET_FORMAT} document")
+    if doc.get("format") not in _READ_FORMATS:
+        raise ValueError(f"not a bolostat dataset document (format {doc.get('format')!r})")
     raw = doc["config"]
     raw["chain"] = dict(raw["chain"])
     cfg = SweepConfig.from_dict(raw)

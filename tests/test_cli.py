@@ -7,7 +7,7 @@ import pytest
 
 from bolostat import cli
 
-from test_pipeline import make_config
+from test_pipeline import MALFORMED_V2, decode_f8, encode_f8, make_config
 
 
 @pytest.fixture
@@ -125,10 +125,25 @@ def test_non_finite_sample_exits_one(tmp_path, thermal_config_file, capsys):
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
     doc = json.loads(dataset.read_text())
-    doc["records"][0]["re"][3] = float("nan")
+    re = decode_f8(doc["records"][0]["re"])
+    re[3] = float("nan")
+    doc["records"][0]["re"] = encode_f8(re)
     dataset.write_text(json.dumps(doc))
     assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+def test_malformed_dataset_exits_one(tmp_path, thermal_config_file, capsys, case):
+    mutate, match = MALFORMED_V2[case]
+    dataset = tmp_path / "d.json"
+    cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
+    doc = json.loads(dataset.read_text())
+    mutate(doc["records"][0])
+    dataset.write_text(json.dumps(doc))
+    assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bolostat import (
     FullModelParams,
     RankDeficiencyError,
     ResonatorParams,
+    SweepConfig,
     bare_reflection,
     circle_fit,
     fit_base_calibration,
@@ -19,6 +22,8 @@ from bolostat import (
     least_squares,
     lorentzian_fit,
     polynomial_fit,
+    run_calibration,
+    simulate_sweep,
 )
 from bolostat.fitkit import (
     FROZEN_PARAM_NAMES,
@@ -309,6 +314,34 @@ class TestBaseCalibration:
         calib = fit_base_calibration(sweep, init, residual_tol=1e-4)
         assert calib.fit.converged
         assert calib.misfit_flag
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_second_background_resonance_in_window_is_flagged(self, noise):
+        # the second resonance sits at 513 MHz, inside the probe window; at
+        # noise 0.01 the residual is more than twice the trace's noise level
+        truth = FullModelParams.from_vector(CHAIN_TRUE.vector(MU, 0.1e6))
+        values = full_chain_response(
+            truth.res, truth.dist, truth.bg, truth.line, PROBE_GRID,
+            n_resonances=2, spacing=-18e6,
+        )
+        rng = np.random.Generator(np.random.Philox(3))
+        s = noise * np.ptp(np.abs(values)) / np.sqrt(2)
+        values = values + rng.normal(0, s, values.size) + 1j * rng.normal(0, s, values.size)
+        init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
+        calib = fit_base_calibration(ComplexSweep(PROBE_GRID, values), init)
+        assert calib.misfit_flag
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_noise_level_residual_is_not_a_misfit(self, seed):
+        # shipped thermal config at noise 0.01: residual/span is 0.0095-0.0101,
+        # ten times residual_tol, but it is the injected noise, not a misfit
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+        raw = dict(json.loads(shipped.read_text()), noise=0.01, seed=seed)
+        dataset = simulate_sweep(SweepConfig.from_dict(raw))
+        calib = run_calibration(dataset)
+        span = np.ptp(np.abs(dataset.base.sweep.values))
+        assert calib.fit.residual_norm > 9e-3 * span
+        assert not calib.misfit_flag
 
 
 class TestMeasurementFit:

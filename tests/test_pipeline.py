@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import math
@@ -6,14 +7,17 @@ import numpy as np
 import pytest
 
 from bolostat import (
+    ComplexSweep,
     ConfigError,
     SweepConfig,
+    SweepDataset,
     extract_statistics,
     planck_mean_photon,
     RadiatorState,
     simulate_sweep,
 )
 from bolostat.pipeline import (
+    TracePoint,
     dataset_from_json,
     dataset_to_json,
     stats_from_csv,
@@ -30,6 +34,54 @@ HF_OVER_K = 0.40448020624971226  # 8.428 GHz in kelvin
 
 def temp_for_mean(n):
     return HF_OVER_K / math.log(1.0 + 1.0 / n)
+
+
+def encode_f8(a):
+    return base64.b64encode(np.asarray(a, "<f8").tobytes()).decode("ascii")
+
+
+def decode_f8(s):
+    return np.frombuffer(base64.b64decode(s), "<f8").copy()
+
+
+def v1_document(dataset):
+    """The dataset as the v1 writer stored it, with number lists for arrays."""
+
+    def point(p):
+        return {
+            "control": p.control,
+            "truth": p.truth,
+            "f_p_hz": [float(f) for f in p.sweep.freqs],
+            "re": [float(v) for v in p.sweep.values.real],
+            "im": [float(v) for v in p.sweep.values.imag],
+        }
+
+    doc = {
+        "format": "bolostat-dataset-v1",
+        "config": dataset.config.to_dict(),
+        "base": point(dataset.base),
+        "records": [point(p) for p in dataset.records],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+# ways to damage the first record of a v2 document, with the message each gives
+MALFORMED_V2 = {
+    "bad-base64": (lambda p: p.update(re="not*base64"), "base64"),
+    "ragged-bytes": (
+        lambda p: p.update(im=base64.b64encode(base64.b64decode(p["im"])[:-3]).decode()),
+        "float64",
+    ),
+    "unequal-lengths": (lambda p: p.update(re=encode_f8(decode_f8(p["re"])[:-1])), "length"),
+    "not-a-string": (lambda p: p.update(im={"im": 1.0}), "base64 string"),
+}
+
+
+def assert_same_arrays(a, b):
+    """Bitwise equality of every trace, so -0.0 and 0.0 differ."""
+    for p, q in zip((a.base, *a.records), (b.base, *b.records), strict=True):
+        assert p.sweep.freqs.tobytes() == q.sweep.freqs.tobytes()
+        assert p.sweep.values.tobytes() == q.sweep.values.tobytes()
 
 
 def make_config(mode="thermal", **overrides):
@@ -218,10 +270,52 @@ class TestPersistence:
         buf.seek(0)
         again = dataset_from_json(buf)
         assert again.config == dataset.config
-        np.testing.assert_array_equal(
-            again.records[1].sweep.values, dataset.records[1].sweep.values
-        )
+        assert_same_arrays(again, dataset)
         assert again.records[1].truth == dataset.records[1].truth
+        assert again.records[1].sweep.values.flags.writeable
+
+    def test_dataset_json_v2_encoding_is_pinned(self):
+        # -0.0, the smallest subnormal, 1e308 and 0.1 as little-endian float64
+        values = np.array([0.1, -0.0, 1e308, 5e-324], dtype=complex)
+        values.imag = [5e-324, 1e308, -0.0, 0.1]
+        sweep = ComplexSweep(freqs=[-0.0, 5e-324, 0.1, 1e308], values=values)
+        dataset = SweepDataset(
+            config=make_config(),
+            base=TracePoint(control=None, truth={"mean_n": 0.0}, sweep=sweep),
+            records=(TracePoint(control=1.0, truth={"mean_n": 0.5}, sweep=sweep),),
+        )
+        buf = io.StringIO()
+        dataset_to_json(dataset, buf)
+        doc = json.loads(buf.getvalue())
+        assert doc["format"] == "bolostat-dataset-v2"
+        for point in (doc["base"], *doc["records"]):
+            assert point["f_p_hz"] == "AAAAAAAAAIABAAAAAAAAAJqZmZmZmbk/oMjrhfPM4X8="
+            assert point["re"] == "mpmZmZmZuT8AAAAAAAAAgKDI64XzzOF/AQAAAAAAAAA="
+            assert point["im"] == "AQAAAAAAAACgyOuF88zhfwAAAAAAAACAmpmZmZmZuT8="
+        again = dataset_from_json(io.StringIO(buf.getvalue()))
+        assert_same_arrays(again, dataset)
+        assert np.signbit(again.base.sweep.values.real[1])
+
+    def test_dataset_json_v1_still_loads(self):
+        dataset = simulate_sweep(make_config(noise=0.01))
+        buf = io.StringIO()
+        dataset_to_json(dataset, buf)
+        v2 = dataset_from_json(io.StringIO(buf.getvalue()))
+        v1 = dataset_from_json(io.StringIO(v1_document(dataset)))
+        assert v1.config == v2.config
+        assert [p.truth for p in v1.records] == [p.truth for p in v2.records]
+        assert_same_arrays(v1, v2)
+        assert extract_statistics(v1) == extract_statistics(v2)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+    def test_dataset_json_malformed_arrays_raise(self, case):
+        mutate, match = MALFORMED_V2[case]
+        buf = io.StringIO()
+        dataset_to_json(simulate_sweep(make_config(t_grid_k=[1.0])), buf)
+        doc = json.loads(buf.getvalue())
+        mutate(doc["records"][0])
+        with pytest.raises(ValueError, match=match):
+            dataset_from_json(io.StringIO(json.dumps(doc)))
 
     def test_stats_csv_round_trip_exact(self):
         records = extract_statistics(simulate_sweep(make_config()))
