@@ -64,4 +64,4 @@ print(f"  net heating at T_b = 0.1 K, T = 1 K: "
 
 scale = CalibrationScale(alpha=1.92e-6)  # 1.92 photon/MHz
 print(f"  a 1 MHz fitted broadening maps to (Delta n)^2 = "
-      f"{sigma_to_variance(1e6, scale):.4f}")
+      f"{sigma_to_variance(1e6, 0.0, scale):.4f}")

@@ -1,8 +1,10 @@
 """Command-line surface: simulate / fit / stats / demod / report.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 when any fit
-failed to converge (results are still written).  The default seed can be
-overridden with --seed or the BOLOSTAT_SEED environment variable.
+failed to converge (results are still written) or could not be carried out
+at all (a `FitError`, e.g. singular normal equations; nothing is written).
+The default seed can be overridden with --seed or the BOLOSTAT_SEED
+environment variable.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import sys
 import numpy as np
 
 from . import dspchain, pipeline
+from .fitkit import FitError
 from .photonstats import (
     MixedField,
     PhotonMoments,
@@ -194,6 +197,9 @@ def main(argv=None):
     except (pipeline.ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except FitError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -52,11 +52,18 @@ __all__ = [
     "polynomial_fit",
     "fit_base_calibration",
     "fit_measurement",
-    "initial_background_frequency",
     "wrap_angle",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# LM tolerances: relative cost decrease and scaled projected gradient that
+# count as converged, and the finite-difference step max(_FD_REL*|p|,
+# _FD_ABS*scale) used when no Jacobian is given
+_FRTOL = 1e-10
+_GTOL = 1e-8
+_FD_REL = 1e-6
+_FD_ABS = 1e-9
 
 # position of each chain scalar in a raw vector (order: PARAM_NAMES)
 _AT = {name: i for i, name in enumerate(PARAM_NAMES)}
@@ -188,10 +195,6 @@ def least_squares(
     init,
     bounds=None,
     max_iter=200,
-    frtol=1e-10,
-    gtol=1e-8,
-    fd_rel=1e-6,
-    fd_abs=1e-9,
     scales=None,
     param_names=(),
     callback=None,
@@ -212,8 +215,8 @@ def least_squares(
         leave a side open.
     scales : array_like, optional
         Natural magnitude of each parameter, used for conditioning and for
-        the absolute floor of the finite-difference step (``fd_abs`` is
-        relative to the scale); defaults to |init| where nonzero.
+        the absolute floor of the finite-difference step; defaults to |init|
+        where nonzero.
     param_names : tuple of str, optional
         Used in diagnostics, e.g. to name rank-deficient directions.
     callback : callable(n_iter, residual_norm), optional
@@ -234,18 +237,18 @@ def least_squares(
     -----
     With ``jac`` the Jacobian is the caller's, evaluated once per iteration.
     Otherwise it is a central finite difference with per-parameter step
-    max(fd_rel*|p|, fd_abs*scale), switching to a one-sided difference at an
-    active bound; ``fd_rel`` and ``fd_abs`` apply only to that default.
-    The iteration is the same either way.  Steps solve the column-scaled
-    damped normal equations; the damping factor is increased until the cost
-    decreases, so the residual norm is non-increasing across accepted
-    iterations.
+    max(1e-6*|p|, 1e-9*scale), switching to a one-sided difference at an
+    active bound.  The iteration is the same either way.  Steps solve the
+    column-scaled damped normal equations; the damping factor is increased
+    until the cost decreases, so the residual norm is non-increasing across
+    accepted iterations.  The fit has converged when the projected,
+    column-scaled gradient falls below 1e-8*max(1, cost), or when an
+    essentially undamped step lowers the cost by less than 1e-10 relative.
     Deterministic: identical inputs give identical iterates.
     """
     _require_points(sweep, 8, "least_squares")
     return _least_squares_impl(
-        model, sweep, init, bounds, max_iter, frtol, gtol, fd_rel, fd_abs,
-        scales, param_names, callback, jac,
+        model, sweep, init, bounds, max_iter, scales, param_names, callback, jac
     )
 
 
@@ -255,10 +258,6 @@ def _least_squares_impl(
     init,
     bounds=None,
     max_iter=200,
-    frtol=1e-10,
-    gtol=1e-8,
-    fd_rel=1e-6,
-    fd_abs=1e-9,
     scales=None,
     param_names=(),
     callback=None,
@@ -291,7 +290,7 @@ def _least_squares_impl(
             return np.concatenate([Jc.real, Jc.imag])
         J = np.empty((2 * freqs.size, n))
         for i in range(n):
-            h = max(fd_rel * abs(xv[i]), fd_abs * scales[i])
+            h = max(_FD_REL * abs(xv[i]), _FD_ABS * scales[i])
             xp, xm = xv.copy(), xv.copy()
             if xv[i] + h > hi[i]:
                 xm[i] = xv[i] - h
@@ -339,7 +338,7 @@ def _least_squares_impl(
         # projected gradient has to vanish at a (bound-constrained) optimum
         blocked = (at_lo[active] & (grad_s > 0)) | (at_hi[active] & (grad_s < 0))
         grad_inf = float(np.abs(grad_s[~blocked]).max(initial=0.0))
-        if grad_inf < gtol * max(1.0, cost):
+        if grad_inf < _GTOL * max(1.0, cost):
             converged = True
             break
         A = Js.T @ Js
@@ -371,7 +370,7 @@ def _least_squares_impl(
                     callback(n_iter, math.sqrt(cost / freqs.size))
                 # a small relative decrease only counts as convergence once
                 # the step is essentially undamped (pure Gauss-Newton)
-                if rel_change < frtol and lam <= 1e-6:
+                if rel_change < _FRTOL and lam <= 1e-6:
                     converged = True
                 lam = max(lam / 5.0, 1e-12)
                 break
@@ -570,16 +569,15 @@ def polynomial_fit(x, y, degree):
 class CalibrationResult:
     """Output of the base-temperature calibration.
 
-    ``params`` holds all twelve fitted scalars; the entries named in
-    `FROZEN_PARAM_NAMES` are fixed for every subsequent `fit_measurement`.
-    ``misfit_flag`` is set when the residual stayed above both
-    ``residual_tol`` of the trace span and the trace's own noise level
-    (e.g. the background model missed a resonance present in the data).
+    ``fit.params`` holds all twelve fitted scalars in `PARAM_NAMES` order;
+    every subsequent `fit_measurement` holds the entries named in
+    `FROZEN_PARAM_NAMES` at these values.  ``misfit_flag`` is set when the
+    residual stayed above both ``residual_tol`` of the trace span and the
+    trace's own noise level (e.g. the background model missed a resonance
+    present in the data).
     """
 
-    params: FullModelParams
     fit: FitResult
-    frozen: dict
     misfit_flag: bool
 
 
@@ -648,6 +646,36 @@ def _partial_chain(base, free):
     return model, jac
 
 
+def _fit_free(sweep, x, free, lo, hi, scales, max_iter):
+    """LM fit of the entries ``free`` of ``x``, the rest held; returns (x_fit, FitResult).
+
+    A free sigma the data cannot tell from its floor is pinned there with a
+    `DegenerateSigmaWarning`.  `least_squares` is called via the module, model
+    first, so a tracer that wraps it sees every staged fit.
+    """
+    model, jac = _partial_chain(x, free)
+    fit = least_squares(
+        model,
+        sweep,
+        init=x[free],
+        bounds=(lo[free], hi[free]),
+        max_iter=max_iter,
+        scales=scales[free],
+        param_names=tuple(PARAM_NAMES[i] for i in free),
+        jac=jac,
+    )
+    sigma = _AT["sigma"]
+    if sigma in free and _snap_sigma_to_floor(fit, free.index(sigma), lo[sigma], model, sweep):
+        warnings.warn(
+            "fitted broadening pinned at its lower bound",
+            DegenerateSigmaWarning,
+            stacklevel=3,
+        )
+    x_fit = x.copy()
+    x_fit[free] = fit.params
+    return x_fit, fit
+
+
 def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     """Fit all twelve chain parameters on a reference (base) trace.
 
@@ -677,45 +705,14 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     x0 = np.clip(x0, lo, hi)
     scales = _scales(x0, sweep.freqs)
 
-    sigma_idx = _AT["sigma"]
-    free = [i for i in range(len(PARAM_NAMES)) if i != sigma_idx]
-
-    stage_a_model, stage_a_jac = _partial_chain(x0, free)
-    stage_a = least_squares(
-        stage_a_model,
-        sweep,
-        init=x0[free],
-        bounds=(lo[free], hi[free]),
-        max_iter=max_iter,
-        scales=scales[free],
-        param_names=tuple(PARAM_NAMES[i] for i in free),
-        jac=stage_a_jac,
-    )
-    x1 = x0.copy()
-    x1[free] = stage_a.params
-
-    fit = least_squares(
-        _chain_model,
-        sweep,
-        init=x1,
-        bounds=(lo, hi),
-        max_iter=max_iter,
-        scales=scales,
-        param_names=PARAM_NAMES,
-        jac=_chain_jacobian,
-    )
-    if _snap_sigma_to_floor(fit, sigma_idx, lo[sigma_idx], _chain_model, sweep):
-        warnings.warn(
-            "base-trace broadening pinned at its lower bound (zero-broadening regime)",
-            DegenerateSigmaWarning,
-            stacklevel=2,
-        )
-    params = FullModelParams.from_vector(fit.params)
-    frozen = {name: fit.params[_AT[name]] for name in FROZEN_PARAM_NAMES}
+    every = list(range(len(PARAM_NAMES)))
+    stage_a = [i for i in every if i != _AT["sigma"]]
+    x1, _ = _fit_free(sweep, x0, stage_a, lo, hi, scales, max_iter)
+    _, fit = _fit_free(sweep, x1, every, lo, hi, scales, max_iter)
     span = float(np.ptp(np.abs(sweep.values)))
     noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(sweep.values)
     misfit = fit.residual_norm > max(residual_tol * max(span, 1e-300), noise)
-    return CalibrationResult(params=params, fit=fit, frozen=frozen, misfit_flag=misfit)
+    return CalibrationResult(fit=fit, misfit_flag=misfit)
 
 
 def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
@@ -734,44 +731,20 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
         lower bound.
     """
     _require_points(sweep, 8, "fit_measurement")
-    base = calibration.params.to_vector()
-    for name, value in calibration.frozen.items():
-        base[_AT[name]] = value
-
-    lo, hi = _default_bounds(sweep.freqs, gamma_scale=base[_AT["gamma"]])
+    x = calibration.fit.params.copy()
+    lo, hi = _default_bounds(sweep.freqs, gamma_scale=x[_AT["gamma"]])
 
     if init_hint is not None:
-        x_init = init_hint.to_vector()
+        start = init_hint.to_vector()
     else:
-        x_init = base.copy()
-        mags = np.abs(sweep.values)
-        x_init[_AT["mu"]] = sweep.freqs[int(np.argmin(mags))]
-        x_init[_AT["sigma"]] = 0.1 * _apparent_linewidth(sweep)
-    x_init = np.clip(x_init, lo, hi)
-
+        start = x.copy()
+        start[_AT["mu"]] = sweep.freqs[int(np.argmin(np.abs(sweep.values)))]
+        start[_AT["sigma"]] = 0.1 * _apparent_linewidth(sweep)
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
-    model, jac = _partial_chain(base, free)
-    scales = _scales(x_init, sweep.freqs)
-    fit = least_squares(
-        model,
-        sweep,
-        init=x_init[free],
-        bounds=(lo[free], hi[free]),
-        max_iter=max_iter,
-        scales=scales[free],
-        param_names=MEASUREMENT_PARAM_NAMES,
-        jac=jac,
-    )
-    sigma_idx = MEASUREMENT_PARAM_NAMES.index("sigma")
-    if _snap_sigma_to_floor(fit, sigma_idx, lo[_AT["sigma"]], model, sweep):
-        warnings.warn(
-            "fitted broadening pinned at its lower bound",
-            DegenerateSigmaWarning,
-            stacklevel=2,
-        )
-    mu = float(fit.params[MEASUREMENT_PARAM_NAMES.index("mu")])
-    sigma = float(fit.params[sigma_idx])
-    return mu, sigma, fit
+    x[free] = np.clip(start[free], lo[free], hi[free])  # held entries stay as calibrated
+
+    x_fit, fit = _fit_free(sweep, x, free, lo, hi, _scales(x, sweep.freqs), max_iter)
+    return float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit
 
 
 def _snap_sigma_to_floor(fit, sigma_index, floor, model, sweep):
@@ -781,10 +754,9 @@ def _snap_sigma_to_floor(fit, sigma_index, floor, model, sweep):
     before the bound is reached; if re-evaluating at the floor does not
     worsen the fit measurably, the floor is the honest report.
     """
-    x = fit.params.copy()
-    if x[sigma_index] <= floor * (1.0 + 1e-9):
+    if fit.params[sigma_index] <= floor * (1.0 + 1e-9):
         return True
-    x_floor = x.copy()
+    x_floor = fit.params.copy()
     x_floor[sigma_index] = floor
     r = model(x_floor, sweep.freqs) - sweep.values
     cost_floor = float(r.real @ r.real + r.imag @ r.imag)
@@ -809,9 +781,3 @@ def _apparent_linewidth(sweep):
     if below.sum() < 2:
         return 2.0 * float(np.median(np.diff(sweep.freqs)))
     return float(sweep.freqs[below].max() - sweep.freqs[below].min())
-
-
-def initial_background_frequency(freqs, spacing=80e6):
-    """Nearest background-comb line to the center of the probe window."""
-    center = 0.5 * (freqs[0] + freqs[-1])
-    return spacing * round(center / spacing)

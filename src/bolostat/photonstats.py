@@ -184,11 +184,15 @@ def g2_zero(m):
     return 1.0 + (m.variance - m.mean) / m.mean**2
 
 
-def sigma_to_variance(sigma, scale):
-    """Photon-number variance from fitted broadening: (alpha*sigma)^2."""
+def sigma_to_variance(sigma, sigma_base, scale):
+    """Photon-number variance alpha^2*(sigma^2 - sigma_base^2) from fitted broadening.
+
+    ``sigma_base`` is the broadening of the zero-input base trace; a fitted
+    sigma below it maps to zero variance.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return (scale.alpha * sigma) ** 2
+    return scale.alpha**2 * max(sigma**2 - sigma_base**2, 0.0)
 
 
 def beamsplitter_combine(coh_in, th_in, Gamma):

@@ -41,6 +41,7 @@ from .fitkit import (
     fit_measurement,
 )
 from .photonstats import (
+    CalibrationScale,
     PhotonMoments,
     RadiatorState,
     beamsplitter_combine,
@@ -49,6 +50,7 @@ from .photonstats import (
     g2_zero,
     mixed_moments,
     planck_mean_photon,
+    sigma_to_variance,
     thermal_variance,
 )
 from .response import PARAM_NAMES, PHASE_NAMES, _chain_model, sigma_floor
@@ -405,14 +407,13 @@ def extract_statistics(dataset, calibration=None):
         calibration = run_calibration(dataset)
     sigma_base = float(calibration.fit.params[PARAM_NAMES.index("sigma")])
     mu_base = float(calibration.fit.params[PARAM_NAMES.index("mu")])
-    alpha = cfg.alpha_photon_per_hz
+    scale = CalibrationScale(cfg.alpha_photon_per_hz)
     caps = [cfg.truth_moments(c)[0] for c in cfg.control_values()]
     n_cap = 2.0 * max(caps) + 1.0
 
     def one(point):
         mu, sigma, fit = fit_measurement(point.sweep, calibration)
-        sigma2 = max(sigma**2 - sigma_base**2, 0.0)
-        variance = alpha**2 * sigma2
+        variance = sigma_to_variance(sigma, sigma_base, scale)
         mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base, n_cap)
         g2 = g2_zero(PhotonMoments(mean, variance)) if mean > 0 else float("nan")
         power = flux_to_power(mean, cfg.radiator_frequency_hz, cfg.filter_fwhm_hz)
@@ -486,7 +487,18 @@ def _point_to_dict(point):
     }
 
 
-def _point_from_dict(d):
+def _require_object(obj, what, keys=()):
+    """``obj`` if it is a JSON object holding ``keys``; a ValueError naming ``what`` if not."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what}: missing {', '.join(map(repr, missing))}")
+    return obj
+
+
+def _point_from_dict(d, what):
+    _require_object(d, what, ("control", "truth", "f_p_hz", "re", "im"))
     freqs, re, im = (_decode_array(d[key], key) for key in ("f_p_hz", "re", "im"))
     if not freqs.shape == re.shape == im.shape:
         raise ValueError(
@@ -511,16 +523,16 @@ def dataset_to_json(dataset, fh):
 
 
 def dataset_from_json(fh):
-    doc = json.load(fh)
+    doc = _require_object(json.load(fh), "dataset")
     if doc.get("format") not in _READ_FORMATS:
         raise ValueError(f"not a bolostat dataset document (format {doc.get('format')!r})")
-    raw = doc["config"]
-    raw["chain"] = dict(raw["chain"])
-    cfg = SweepConfig.from_dict(raw)
+    _require_object(doc, "dataset", ("config", "base", "records"))
+    if not isinstance(doc["records"], list):
+        raise ValueError(f"'records': expected a list, got {type(doc['records']).__name__}")
     return SweepDataset(
-        config=cfg,
-        base=_point_from_dict(doc["base"]),
-        records=tuple(_point_from_dict(p) for p in doc["records"]),
+        config=SweepConfig.from_dict(_require_object(doc["config"], "'config'")),
+        base=_point_from_dict(doc["base"], "'base'"),
+        records=tuple(_point_from_dict(p, f"record {k}") for k, p in enumerate(doc["records"])),
     )
 
 

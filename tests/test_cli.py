@@ -107,6 +107,24 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
     assert all(r["converged"] == "0" for r in rows)
 
 
+def test_fit_error_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
+    import bolostat.pipeline as pl
+    from bolostat import RankDeficiencyError
+
+    dataset = tmp_path / "d.json"
+    cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
+
+    def singular_fit(sweep, calibration, **kwargs):
+        raise RankDeficiencyError("normal equations are singular; degenerate directions: mu")
+
+    monkeypatch.setattr(pl, "fit_measurement", singular_fit)
+    rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degenerate directions: mu" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("seed", [1, 9, 2, 6])
 def test_noisy_thermal_sweeps_fit_cleanly(tmp_path, seed, monkeypatch):
     # shipped thermal config at noise 0.01: with a finite-difference Jacobian
@@ -138,9 +156,7 @@ def test_malformed_dataset_exits_one(tmp_path, thermal_config_file, capsys, case
     mutate, match = MALFORMED_V2[case]
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
-    doc = json.loads(dataset.read_text())
-    mutate(doc["records"][0])
-    dataset.write_text(json.dumps(doc))
+    dataset.write_text(json.dumps(mutate(json.loads(dataset.read_text()))))
     assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from bolostat import (
     SweepConfig,
     bare_reflection,
     circle_fit,
+    extract_statistics,
     fit_base_calibration,
     fit_measurement,
     full_chain_response,
@@ -31,7 +33,6 @@ from bolostat.fitkit import (
     PARAM_NAMES,
     _chain_model,
     _default_bounds,
-    initial_background_frequency,
     wrap_angle,
 )
 
@@ -299,8 +300,6 @@ class TestBaseCalibration:
     def test_frozen_set_is_the_documented_partition(self):
         assert FROZEN_PARAM_NAMES == ("gamma", "s_b", "gamma_bc", "gamma_b", "tau", "varphi")
         assert MEASUREMENT_PARAM_NAMES == ("mu", "sigma", "gamma_c", "phi", "f_b", "phi_b")
-        _, calib = base_calibration()
-        assert set(calib.frozen) == set(FROZEN_PARAM_NAMES)
 
     def test_unmodeled_second_background_resonance_is_flagged(self):
         # data carry a two-resonance background comb, model assumes one
@@ -420,7 +419,34 @@ class TestMeasurementFit:
                 assert abs(a / b - 1) < 0.02
 
 
-def test_initial_background_frequency_snaps_to_comb():
-    # window center 524 MHz sits between the 480 and 560 MHz comb lines
-    assert initial_background_frequency(PROBE_GRID) == 560e6
-    assert initial_background_frequency(np.array([430e6, 470e6])) == 480e6
+def test_staged_fits_call_least_squares_through_the_module(monkeypatch):
+    # a tracer that wraps fitkit.least_squares and its first argument must
+    # see every staged fit: two calibration stages plus one fit per trace
+    import bolostat.fitkit as fk
+
+    real = fk.least_squares
+    calls = []
+
+    def counting(*args, **kwargs):
+        model = args[0]  # positional, as perfbench's wrapper expects
+        assert callable(model)
+        evals = [0]
+
+        def counted_model(x, freqs):
+            evals[0] += 1
+            return model(x, freqs)
+
+        calls.append(evals)
+        return real(counted_model, *args[1:], **kwargs)
+
+    monkeypatch.setattr(fk, "least_squares", counting)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    dataset = simulate_sweep(SweepConfig.from_dict(json.loads(shipped.read_text())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        extract_statistics(dataset)
+    assert len(dataset.records) == 9
+    assert len(calls) == 2 + 9
+    assert all(evals[0] > 0 for evals in calls)
+    # only the base calibration ends at the sigma floor
+    assert sum(issubclass(w.category, DegenerateSigmaWarning) for w in caught) == 1

@@ -132,13 +132,23 @@ class TestSigmaCalibration:
     SCALE = CalibrationScale(alpha=1.92e-6)  # 1.92 photon/MHz
 
     def test_zero(self):
-        assert sigma_to_variance(0.0, self.SCALE) == 0.0
+        assert sigma_to_variance(0.0, 0.0, self.SCALE) == 0.0
 
     def test_reference_values(self):
-        np.testing.assert_allclose(sigma_to_variance(1e6, self.SCALE), 3.6864, rtol=1e-12)
+        np.testing.assert_allclose(sigma_to_variance(1e6, 0.0, self.SCALE), 3.6864, rtol=1e-12)
         np.testing.assert_allclose(
-            sigma_to_variance(0.52e6, self.SCALE), 0.9969, atol=1e-3
+            sigma_to_variance(0.52e6, 0.0, self.SCALE), 0.9969, atol=1e-3
         )
+
+    def test_base_broadening_is_subtracted_in_quadrature(self):
+        np.testing.assert_allclose(
+            sigma_to_variance(1e6, 0.6e6, self.SCALE), 0.64 * 3.6864, rtol=1e-12
+        )
+        assert sigma_to_variance(0.5e6, 0.6e6, self.SCALE) == 0.0
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            sigma_to_variance(-1.0, 0.0, self.SCALE)
 
 
 class TestBeamsplitter:

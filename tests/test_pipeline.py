@@ -65,15 +65,43 @@ def v1_document(dataset):
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-# ways to damage the first record of a v2 document, with the message each gives
+def first_record(change):
+    """A document mutation that applies ``change`` to the first record."""
+
+    def mutate(doc):
+        change(doc["records"][0])
+        return doc
+
+    return mutate
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# ways to damage a v2 document (each maps the parsed document to the damaged
+# one), with the message each gives
 MALFORMED_V2 = {
-    "bad-base64": (lambda p: p.update(re="not*base64"), "base64"),
+    "bad-base64": (first_record(lambda p: p.update(re="not*base64")), "base64"),
     "ragged-bytes": (
-        lambda p: p.update(im=base64.b64encode(base64.b64decode(p["im"])[:-3]).decode()),
+        first_record(
+            lambda p: p.update(im=base64.b64encode(base64.b64decode(p["im"])[:-3]).decode())
+        ),
         "float64",
     ),
-    "unequal-lengths": (lambda p: p.update(re=encode_f8(decode_f8(p["re"])[:-1])), "length"),
-    "not-a-string": (lambda p: p.update(im={"im": 1.0}), "base64 string"),
+    "unequal-lengths": (
+        first_record(lambda p: p.update(re=encode_f8(decode_f8(p["re"])[:-1]))),
+        "length",
+    ),
+    "not-a-string": (first_record(lambda p: p.update(im={"im": 1.0})), "base64 string"),
+    "not-an-object": (lambda doc: [doc], "expected a JSON object"),
+    "no-config": (without("config"), "missing 'config'"),
+    "no-base": (without("base"), "missing 'base'"),
+    "no-records": (without("records"), "missing 'records'"),
+    "config-not-an-object": (lambda doc: dict(doc, config=[doc["config"]]), "'config'"),
+    "records-not-a-list": (lambda doc: dict(doc, records=doc["records"][0]), "'records'"),
+    "record-not-an-object": (lambda doc: dict(doc, records=[1.0]), "record 0"),
+    "record-without-re": (first_record(lambda p: p.pop("re")), "missing 're'"),
 }
 
 
@@ -312,8 +340,7 @@ class TestPersistence:
         mutate, match = MALFORMED_V2[case]
         buf = io.StringIO()
         dataset_to_json(simulate_sweep(make_config(t_grid_k=[1.0])), buf)
-        doc = json.loads(buf.getvalue())
-        mutate(doc["records"][0])
+        doc = mutate(json.loads(buf.getvalue()))
         with pytest.raises(ValueError, match=match):
             dataset_from_json(io.StringIO(json.dumps(doc)))
 
