@@ -10,9 +10,11 @@ center mu and broadening sigma.
 import numpy as np
 
 from bolostat import (
+    BackgroundParams,
     ChainParams,
     ComplexSweep,
-    FullModelParams,
+    FreqDistribution,
+    LineParams,
     ResonatorParams,
     bare_reflection,
     circle_fit,
@@ -51,17 +53,21 @@ chain = ChainParams(
 
 
 def synthesize(mu, sigma):
-    p = FullModelParams.from_vector(chain.vector(mu, sigma))
-    return ComplexSweep(freqs, full_chain_response(p.res, p.dist, p.bg, p.line, freqs))
+    c = chain
+    res = ResonatorParams(f_r=mu, gamma_c=c.gamma_c, gamma=c.gamma, phi=c.phi)
+    bg = BackgroundParams(c.s_b, c.f_b, c.gamma_bc, c.gamma_b, c.phi_b)
+    line = LineParams(c.tau, c.varphi)
+    return ComplexSweep(freqs, full_chain_response(res, FreqDistribution(mu, sigma), bg, line, freqs))
 
 
 # reference trace in the zero-broadening regime, fitted from a deliberately
-# wrong starting point (5% off in every parameter class)
+# wrong starting point (5% off in every parameter class); the fits take the
+# twelve chain scalars as one vector in PARAM_NAMES order
 rng = np.random.default_rng(42)
 init = chain.vector(524e6, 0.1e6)
 init[0] += 1.5e6
 init[2:] *= 1 + 0.05 * rng.uniform(-1, 1, 10)
-calibration = fit_base_calibration(synthesize(524e6, 0.1e6), FullModelParams.from_vector(init))
+calibration = fit_base_calibration(synthesize(524e6, 0.1e6), init)
 
 print("\nbase calibration (all twelve parameters, staged):")
 print(f"  converged in {calibration.fit.n_iter} iterations,"

@@ -55,7 +55,6 @@ from .fitkit import (
     DegenerateSigmaWarning,
     FitError,
     FitResult,
-    FullModelParams,
     RankDeficiencyError,
     circle_fit,
     fit_base_calibration,

@@ -18,16 +18,13 @@ by the pipeline:
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .response import (
     PARAM_NAMES,
     PHASE_NAMES,
-    BackgroundParams,
-    FreqDistribution,
-    LineParams,
     ResonatorParams,
     _chain_jacobian,
     _chain_model,
@@ -36,7 +33,6 @@ from .response import (
 
 __all__ = [
     "ComplexSweep",
-    "FullModelParams",
     "FitResult",
     "CalibrationResult",
     "FitError",
@@ -127,45 +123,6 @@ class ComplexSweep:
 def _require_points(sweep, n, what):
     if len(sweep) < n:
         raise FitError(f"{what} needs at least {n} points, got {len(sweep)}")
-
-
-@dataclass(frozen=True)
-class FullModelParams:
-    """All scalars of the full chain model.
-
-    ``res.f_r`` is shadowed by ``dist.mu`` (the averaged line is centered on
-    the distribution mean), leaving exactly twelve scalar degrees of freedom
-    in the canonical `PARAM_NAMES` order.
-    """
-
-    res: ResonatorParams
-    dist: FreqDistribution
-    bg: BackgroundParams
-    line: LineParams
-
-    def to_vector(self):
-        values = {**vars(self.res), **vars(self.dist), **vars(self.bg), **vars(self.line)}
-        return np.array([values[name] for name in PARAM_NAMES])
-
-    @classmethod
-    def from_vector(cls, x):
-        """Validated parameters from a raw vector; phases wrap to (-pi, pi]."""
-        x = np.asarray(x, dtype=float)
-        if x.size != len(PARAM_NAMES):
-            raise ValueError(f"expected {len(PARAM_NAMES)} scalars, got {x.size}")
-        values = dict(zip(PARAM_NAMES, x), f_r=x[_AT["mu"]])
-        for name in PHASE_NAMES:
-            values[name] = wrap_angle(values[name])
-
-        def part(kind):
-            return kind(**{f.name: values[f.name] for f in fields(kind)})
-
-        return cls(
-            res=part(ResonatorParams),
-            dist=part(FreqDistribution),
-            bg=part(BackgroundParams),
-            line=part(LineParams),
-        )
 
 
 @dataclass
@@ -581,20 +538,28 @@ class CalibrationResult:
     misfit_flag: bool
 
 
-def _noise_rms(values):
-    """Model-free RMS of the complex noise on a trace.
+def _chain_vector(x, what):
+    """``x`` as a float copy; a ValueError unless it is twelve finite scalars."""
+    x = np.array(x, dtype=float)
+    if x.shape != (len(PARAM_NAMES),) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{what}: expected {len(PARAM_NAMES)} finite scalars in PARAM_NAMES order")
+    return x
 
-    Third differences cancel a smooth line to O(h^3), and white noise of RMS
-    s gives them RMS sqrt(20)*s.  Second differences would leave about 6e-4
-    of the span of line curvature on a 451-point grid at zero noise, more
-    than the misfit of a background resonance 70 MHz outside the window.
+
+def _noise_rms(residual):
+    """RMS of the complex noise on a trace, from its fit residual.
+
+    A misfit left in the residual is smooth on the probe grid, so it mostly
+    cancels in the first differences, while white noise of RMS s gives them
+    RMS sqrt(2)*s.  Differencing the residual rather than the trace keeps
+    the line itself out of the estimate, however coarse the grid.
     """
-    return math.sqrt(np.mean(np.abs(np.diff(values, 3)) ** 2) / 20.0)
+    return math.sqrt(np.mean(np.abs(np.diff(residual)) ** 2) / 2.0)
 
 
 # A residual within this margin of the noise estimate is noise, not misfit:
-# on white noise their ratio has a spread of about 0.6/sqrt(n), so the
-# margin 1 + _NOISE_MARGIN/sqrt(n) sits over six spreads above 1.
+# on white noise their ratio has a spread of about 0.35/sqrt(n) at 41 to 451
+# points, so the margin 1 + _NOISE_MARGIN/sqrt(n) sits ten spreads above 1.
 _NOISE_MARGIN = 4.0
 
 
@@ -687,8 +652,10 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     Parameters
     ----------
     sweep : ComplexSweep
-    init : FullModelParams
-        Starting point (e.g. truth perturbed by a few percent, or heuristics).
+    init : array_like
+        Starting point, the twelve scalars in `PARAM_NAMES` order (e.g.
+        truth perturbed by a few percent, or heuristics); it is clipped into
+        the fit box, so it need not be a physical chain.
     residual_tol : float
         RMS residual per point, relative to the trace magnitude span, above
         which the calibration is flagged as a model mismatch, unless the
@@ -700,7 +667,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     CalibrationResult
     """
     _require_points(sweep, 8, "fit_base_calibration")
-    x0 = init.to_vector()
+    x0 = _chain_vector(init, "init")
     lo, hi = _default_bounds(sweep.freqs, gamma_scale=x0[_AT["gamma"]])
     x0 = np.clip(x0, lo, hi)
     scales = _scales(x0, sweep.freqs)
@@ -710,7 +677,8 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     x1, _ = _fit_free(sweep, x0, stage_a, lo, hi, scales, max_iter)
     _, fit = _fit_free(sweep, x1, every, lo, hi, scales, max_iter)
     span = float(np.ptp(np.abs(sweep.values)))
-    noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(sweep.values)
+    residual = _chain_model(fit.params, sweep.freqs) - sweep.values
+    noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(residual)
     misfit = fit.residual_norm > max(residual_tol * max(span, 1e-300), noise)
     return CalibrationResult(fit=fit, misfit_flag=misfit)
 
@@ -721,8 +689,9 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
     The six parameters named in `FROZEN_PARAM_NAMES` are held at their
     calibrated values.  mu is initialized at the magnitude minimum of the
     trace and sigma at 10% of the apparent linewidth; the nuisance
-    parameters start from the calibration.  ``init_hint`` (a FullModelParams)
-    overrides those starting values.
+    parameters start from the calibration.  ``init_hint``, a twelve-scalar
+    vector in `PARAM_NAMES` order, overrides those starting values; its
+    frozen entries are ignored.
 
     Returns
     -------
@@ -735,7 +704,7 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
     lo, hi = _default_bounds(sweep.freqs, gamma_scale=x[_AT["gamma"]])
 
     if init_hint is not None:
-        start = init_hint.to_vector()
+        start = _chain_vector(init_hint, "init_hint")
     else:
         start = x.copy()
         start[_AT["mu"]] = sweep.freqs[int(np.argmin(np.abs(sweep.values)))]

@@ -20,8 +20,8 @@ File formats (all deterministic given the same inputs):
   little-endian float64 bytes, so a read-back is bitwise exact and costs no
   per-sample text formatting.  ``bolostat-dataset-v1`` documents, which
   held the same arrays as JSON number lists, are still read.
-* statistics: CSV with header ``control,mu_hz,sigma_hz,mean_n,variance_n,
-  g2,power_w,converged,n_iter,residual_norm``
+* statistics: CSV with one column per `StatsRecord` field, in field order;
+  floats are written as their ``repr``, booleans as 0/1
 """
 
 import base64
@@ -34,12 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fitkit import (
-    ComplexSweep,
-    FullModelParams,
-    fit_base_calibration,
-    fit_measurement,
-)
+from .fitkit import ComplexSweep, fit_base_calibration, fit_measurement
 from .photonstats import (
     CalibrationScale,
     PhotonMoments,
@@ -54,6 +49,7 @@ from .photonstats import (
     thermal_variance,
 )
 from .response import PARAM_NAMES, PHASE_NAMES, _chain_model, sigma_floor
+from .response import BackgroundParams, FreqDistribution, LineParams, ResonatorParams
 
 __all__ = [
     "ConfigError",
@@ -78,18 +74,6 @@ __all__ = [
 DATASET_FORMAT = "bolostat-dataset-v2"
 # formats `dataset_from_json` reads; v1 stored the arrays as number lists
 _READ_FORMATS = ("bolostat-dataset-v1", DATASET_FORMAT)
-STATS_HEADER = [
-    "control",
-    "mu_hz",
-    "sigma_hz",
-    "mean_n",
-    "variance_n",
-    "g2",
-    "power_w",
-    "converged",
-    "n_iter",
-    "residual_norm",
-]
 
 MODES = ("thermal", "coherent", "mixed")
 
@@ -219,7 +203,19 @@ class SweepConfig:
                 chain_fields[name] = float(raw["chain"][name])
             except (TypeError, ValueError):
                 raise ConfigError(f"field 'chain.{name}': expected float") from None
-        cfg["chain"] = ChainParams(**chain_fields)
+        c = cfg["chain"] = ChainParams(**chain_fields)
+        # the response dataclasses' own physical checks, each named by the
+        # chain field it guards; phases stay free, as the fits leave them
+        for name, kind, args in (
+            ("mu_base_hz", FreqDistribution, (c.mu_base_hz, 0.0)),
+            ("gamma_c", ResonatorParams, (c.mu_base_hz, c.gamma_c, c.gamma)),
+            ("gamma_b", BackgroundParams, (c.s_b, c.f_b, c.gamma_bc, c.gamma_b)),
+            ("tau", LineParams, (c.tau,)),
+        ):
+            try:
+                kind(*args)
+            except ValueError as exc:
+                raise ConfigError(f"field 'chain.{name}': {exc}") from None
 
         def grid(key):
             values = need(key, tuple, lambda g: len(g) >= 1, "must be non-empty")
@@ -299,24 +295,28 @@ class StatsRecord:
     residual_norm: float
 
 
+# the stats CSV has one column per StatsRecord field, in field order, and
+# each field's type says how its cell is written and read back
+_STATS_FIELDS = dataclasses.fields(StatsRecord)
+STATS_HEADER = [f.name for f in _STATS_FIELDS]
+_WRITE_CELL = {float: lambda v: repr(float(v)), bool: int, int: int}
+_READ_CELL = {float: float, bool: lambda text: bool(int(text)), int: int}
+
+
 def _shift_hz(coeffs, n):
     """Resonance shift (relative to zero input) of the calibration polynomial."""
     c = np.asarray(coeffs, dtype=float)
     return float(np.polynomial.polynomial.polyval(n, c) - c[0])
 
 
-def _invert_shift(coeffs, shift, n_cap):
-    """Solve shift(n) = shift for n >= 0 on the configured cubic."""
+def _invert_shift(coeffs, shift):
+    """Smallest n >= 0 with shift(n) = shift on the configured cubic; 0 if none."""
     c = np.asarray(coeffs, dtype=float).copy()
     c[0] = -shift
     roots = np.polynomial.polynomial.polyroots(c)
     real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
-    valid = real[(real >= -1e-12) & (real <= n_cap)]
-    if valid.size:
-        return float(max(valid.min(), 0.0))
-    if real.size:  # out of calibrated range: clamp to the nearest physical root
-        return float(max(real[np.argmin(np.abs(real))], 0.0))
-    return 0.0
+    valid = real[real >= -1e-12]
+    return float(max(valid.min(), 0.0)) if valid.size else 0.0
 
 
 def _synthesize(cfg, mean, variance, rng):
@@ -362,11 +362,13 @@ def simulate_sweep(cfg, seed=None):
 
 
 def _calibration_init(cfg, base_sweep, seed):
-    """Perturbed-truth starting point for the base calibration.
+    """Perturbed-truth starting point for the base calibration, a `PARAM_NAMES` vector.
 
     Scale parameters move by +-INIT_PERTURBATION relative, frequencies by
     +-INIT_PERTURBATION of the probe span, phases by +-INIT_PERTURBATION rad;
-    mu additionally snaps to the trace magnitude minimum.
+    mu additionally snaps to the trace magnitude minimum.  The start need
+    not be a physical chain (gamma_c may cross gamma); the fit clips it
+    into its box.
     """
     rng = np.random.Generator(np.random.Philox(seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
@@ -381,7 +383,7 @@ def _calibration_init(cfg, base_sweep, seed):
         elif name != "sigma":  # sigma starts at its floor untouched
             x[i] *= 1.0 + frac * u
     x[PARAM_NAMES.index("mu")] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
-    return FullModelParams.from_vector(x)
+    return x
 
 
 def run_calibration(dataset, seed=None):
@@ -408,13 +410,11 @@ def extract_statistics(dataset, calibration=None):
     sigma_base = float(calibration.fit.params[PARAM_NAMES.index("sigma")])
     mu_base = float(calibration.fit.params[PARAM_NAMES.index("mu")])
     scale = CalibrationScale(cfg.alpha_photon_per_hz)
-    caps = [cfg.truth_moments(c)[0] for c in cfg.control_values()]
-    n_cap = 2.0 * max(caps) + 1.0
 
     def one(point):
         mu, sigma, fit = fit_measurement(point.sweep, calibration)
         variance = sigma_to_variance(sigma, sigma_base, scale)
-        mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base, n_cap)
+        mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base)
         g2 = g2_zero(PhotonMoments(mean, variance)) if mean > 0 else float("nan")
         power = flux_to_power(mean, cfg.radiator_frequency_hz, cfg.filter_fwhm_hz)
         return StatsRecord(
@@ -540,20 +540,7 @@ def stats_to_csv(records, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(STATS_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                repr(float(r.control)),
-                repr(float(r.mu_hz)),
-                repr(float(r.sigma_hz)),
-                repr(float(r.mean_n)),
-                repr(float(r.variance_n)),
-                repr(float(r.g2)),
-                repr(float(r.power_w)),
-                int(r.converged),
-                r.n_iter,
-                repr(float(r.residual_norm)),
-            ]
-        )
+        writer.writerow([_WRITE_CELL[f.type](getattr(r, f.name)) for f in _STATS_FIELDS])
 
 
 def stats_from_csv(fh):
@@ -561,20 +548,7 @@ def stats_from_csv(fh):
     header = next(reader)
     if header != STATS_HEADER:
         raise ValueError(f"unexpected statistics header: {header}")
-    out = []
-    for row in reader:
-        out.append(
-            StatsRecord(
-                control=float(row[0]),
-                mu_hz=float(row[1]),
-                sigma_hz=float(row[2]),
-                mean_n=float(row[3]),
-                variance_n=float(row[4]),
-                g2=float(row[5]),
-                power_w=float(row[6]),
-                converged=bool(int(row[7])),
-                n_iter=int(row[8]),
-                residual_norm=float(row[9]),
-            )
-        )
-    return out
+    return [
+        StatsRecord(*(_READ_CELL[f.type](text) for f, text in zip(_STATS_FIELDS, row, strict=True)))
+        for row in reader
+    ]

@@ -1,7 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from bolostat import ChainParams, FullModelParams
+from bolostat import (
+    BackgroundParams,
+    ChainParams,
+    FreqDistribution,
+    LineParams,
+    ResonatorParams,
+)
 from bolostat.fitkit import PARAM_NAMES
 
 # reference thermometer line used throughout: 524 MHz resonance,
@@ -53,6 +61,13 @@ def perturb_vector(x, rng, span, frac=0.05):
 
 
 def perturbed_model(chain, mu, sigma, rng, span, frac=0.05):
-    return FullModelParams.from_vector(
-        perturb_vector(chain.vector(mu, sigma), rng, span, frac)
+    return perturb_vector(chain.vector(mu, sigma), rng, span, frac)
+
+
+def chain_parts(x):
+    """(res, dist, bg, line) of a `PARAM_NAMES` vector, as `full_chain_response` takes them."""
+    values = dict(zip(PARAM_NAMES, x), f_r=x[PARAM_NAMES.index("mu")])
+    return tuple(
+        kind(**{f.name: values[f.name] for f in fields(kind)})
+        for kind in (ResonatorParams, FreqDistribution, BackgroundParams, LineParams)
     )

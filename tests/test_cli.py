@@ -55,7 +55,7 @@ def test_simulate_then_fit(tmp_path, thermal_config_file):
     stats = tmp_path / "stats.csv"
     assert cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)]) == 0
     assert cli.main(["fit", str(dataset), "--out", str(stats)]) == 0
-    rows = list(csv.DictReader(stats.open()))
+    rows = list(csv.DictReader(stats.read_text().splitlines()))
     assert len(rows) == 2
     assert float(rows[1]["g2"]) == pytest.approx(2.0, abs=0.05)
 
@@ -102,7 +102,7 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
     assert rc == 2
     assert "did not converge" in capsys.readouterr().err
     # results are still written, with diagnostics per record
-    rows = list(csv.DictReader((tmp_path / "s.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "s.csv").read_text().splitlines()))
     assert len(rows) == 2
     assert all(r["converged"] == "0" for r in rows)
 
@@ -171,6 +171,33 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+def test_unphysical_chain_exits_one(tmp_path, capsys):
+    # gamma_c above gamma: rejected when the config is read, not after a
+    # dataset has been written
+    bad = tmp_path / "bad.json"
+    raw = make_config().to_dict()
+    raw["chain"]["gamma_c"] = 1.5 * raw["chain"]["gamma"]
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "x.json"
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert "chain.gamma_c" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_strongly_overcoupled_chain_fits(tmp_path, monkeypatch):
+    # gamma_c = 0.95*gamma is physical; at seed 12 the perturbed calibration
+    # start has gamma_c > gamma, which the fit box allows
+    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    raw = dict(json.loads(shipped.read_text()), seed=12)
+    raw["chain"]["gamma_c"] = 0.95 * raw["chain"]["gamma"]
+    config = tmp_path / "overcoupled.json"
+    config.write_text(json.dumps(raw))
+    dataset = tmp_path / "d.json"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(dataset)]) == 0
+    assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_missing_file_exits_one(tmp_path):
     assert cli.main(["fit", str(tmp_path / "absent.json"), "--out", str(tmp_path / "s.csv")]) == 1
 
@@ -187,7 +214,7 @@ def test_demod(tmp_path):
             writer.writerow([repr(float(ti)), repr(float(vi))])
     out = tmp_path / "iq.csv"
     assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     iq = np.array([complex(float(r["i"]), float(r["q"])) for r in rows])
     assert abs(abs(iq.mean()) - 0.3) < 1e-3
     assert abs(np.angle(iq.mean()) - 0.4) < 1e-3
@@ -202,7 +229,7 @@ def test_report_merges_series(tmp_path, thermal_config_file):
     assert cli.main(
         ["report", str(s1), str(s1), "--labels", "thermal,coherent", "--out", str(merged)]
     ) == 0
-    rows = list(csv.DictReader(merged.open()))
+    rows = list(csv.DictReader(merged.read_text().splitlines()))
     assert {r["series"] for r in rows} == {"thermal", "coherent"}
     assert set(rows[0]) == {"series", "mean_n", "variance_n", "g2"}
 

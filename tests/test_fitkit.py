@@ -11,7 +11,6 @@ from bolostat import (
     DegenerateCircleError,
     DegenerateSigmaWarning,
     FitError,
-    FullModelParams,
     RankDeficiencyError,
     ResonatorParams,
     SweepConfig,
@@ -36,16 +35,20 @@ from bolostat.fitkit import (
     wrap_angle,
 )
 
-from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, PROBE_GRID, perturbed_model
+from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, PROBE_GRID, chain_parts, perturbed_model
+
+
+def add_noise(values, noise, seed):
+    """White complex noise of RMS ``noise`` times the |values| span."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = noise * np.ptp(np.abs(values)) / np.sqrt(2)
+    return values + rng.normal(0, s, values.size) + 1j * rng.normal(0, s, values.size)
 
 
 def synth_sweep(mu, sigma, chain=CHAIN_TRUE, freqs=PROBE_GRID, noise=0.0, seed=0):
     values = _chain_model(chain.vector(mu, sigma), freqs)
     if noise > 0:
-        rng = np.random.Generator(np.random.Philox(seed))
-        span = np.ptp(np.abs(values))
-        s = noise * span / np.sqrt(2)
-        values = values + rng.normal(0, s, freqs.size) + 1j * rng.normal(0, s, freqs.size)
+        values = add_noise(values, noise, seed)
     return ComplexSweep(freqs=freqs, values=values)
 
 
@@ -91,9 +94,7 @@ class TestLeastSquares:
     def test_residual_non_increasing_over_accepted_steps(self):
         sweep = synth_sweep(523e6, 0.8e6)
         rng = np.random.default_rng(4)
-        init = perturbed_model(
-            CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0]
-        ).to_vector()
+        init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
         history = []
         least_squares(
@@ -109,9 +110,7 @@ class TestLeastSquares:
     def test_iteration_cap_reports_not_converged(self):
         sweep = synth_sweep(523e6, 0.8e6)
         rng = np.random.default_rng(4)
-        init = perturbed_model(
-            CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0]
-        ).to_vector()
+        init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
         res = least_squares(
             _chain_model, sweep, init=np.clip(init, lo, hi), bounds=(lo, hi), max_iter=2
@@ -292,10 +291,16 @@ class TestBaseCalibration:
 
     def test_truth_init_converges_immediately(self):
         sweep = synth_sweep(MU, 0.1e6)
-        init = FullModelParams.from_vector(CHAIN_TRUE.vector(MU, 0.1e6))
-        calib = fit_base_calibration(sweep, init)
+        calib = fit_base_calibration(sweep, CHAIN_TRUE.vector(MU, 0.1e6))
         assert calib.fit.converged
         assert calib.fit.residual_norm < 1e-12
+
+    @pytest.mark.parametrize(
+        "init", [CHAIN_TRUE.vector(MU, 0.1e6)[:-1], np.full(12, np.nan)], ids=["short", "nan"]
+    )
+    def test_init_must_be_twelve_finite_scalars(self, init):
+        with pytest.raises(ValueError, match="PARAM_NAMES"):
+            fit_base_calibration(synth_sweep(MU, 0.1e6), init)
 
     def test_frozen_set_is_the_documented_partition(self):
         assert FROZEN_PARAM_NAMES == ("gamma", "s_b", "gamma_bc", "gamma_b", "tau", "varphi")
@@ -303,10 +308,8 @@ class TestBaseCalibration:
 
     def test_unmodeled_second_background_resonance_is_flagged(self):
         # data carry a two-resonance background comb, model assumes one
-        truth = FullModelParams.from_vector(CHAIN_TRUE.vector(MU, 0.1e6))
-        values = full_chain_response(
-            truth.res, truth.dist, truth.bg, truth.line, PROBE_GRID, n_resonances=2
-        )
+        truth = chain_parts(CHAIN_TRUE.vector(MU, 0.1e6))
+        values = full_chain_response(*truth, PROBE_GRID, n_resonances=2)
         sweep = ComplexSweep(PROBE_GRID, values)
         rng = np.random.default_rng(1)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, rng, 30e6)
@@ -318,17 +321,34 @@ class TestBaseCalibration:
     def test_second_background_resonance_in_window_is_flagged(self, noise):
         # the second resonance sits at 513 MHz, inside the probe window; at
         # noise 0.01 the residual is more than twice the trace's noise level
-        truth = FullModelParams.from_vector(CHAIN_TRUE.vector(MU, 0.1e6))
-        values = full_chain_response(
-            truth.res, truth.dist, truth.bg, truth.line, PROBE_GRID,
-            n_resonances=2, spacing=-18e6,
-        )
-        rng = np.random.Generator(np.random.Philox(3))
-        s = noise * np.ptp(np.abs(values)) / np.sqrt(2)
-        values = values + rng.normal(0, s, values.size) + 1j * rng.normal(0, s, values.size)
+        truth = chain_parts(CHAIN_TRUE.vector(MU, 0.1e6))
+        values = full_chain_response(*truth, PROBE_GRID, n_resonances=2, spacing=-18e6)
+        values = add_noise(values, noise, seed=3)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
         calib = fit_base_calibration(ComplexSweep(PROBE_GRID, values), init)
         assert calib.misfit_flag
+
+    def test_coarse_grid_misfit_above_noise_is_flagged(self):
+        # 41 points: the second comb line at 611 MHz leaves a residual of
+        # 1.5e-4 of the span, three times the injected noise.  An estimate
+        # from the trace's own differences took the line curvature between
+        # so few points for noise and passed this misfit.
+        grid = np.linspace(PROBE_GRID[0], PROBE_GRID[-1], 41)
+        truth = chain_parts(CHAIN_TRUE.vector(MU, 0.1e6))
+        noise = 5e-5
+        values = add_noise(full_chain_response(*truth, grid, n_resonances=2), noise, seed=3)
+        init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
+        calib = fit_base_calibration(ComplexSweep(grid, values), init, residual_tol=1e-4)
+        assert calib.fit.residual_norm > 2.5 * noise * np.ptp(np.abs(values))
+        assert calib.misfit_flag
+
+    @pytest.mark.parametrize("points", [41, 101])
+    def test_noise_only_on_coarse_grids_is_not_a_misfit(self, points):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+        raw = json.loads(shipped.read_text())
+        for seed in range(1, 13):
+            cfg = dict(raw, noise=0.01, seed=seed, probe_points=points, t_grid_k=[0.5])
+            assert not run_calibration(simulate_sweep(SweepConfig.from_dict(cfg))).misfit_flag
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_noise_level_residual_is_not_a_misfit(self, seed):

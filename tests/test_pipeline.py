@@ -17,6 +17,8 @@ from bolostat import (
     simulate_sweep,
 )
 from bolostat.pipeline import (
+    STATS_HEADER,
+    StatsRecord,
     TracePoint,
     dataset_from_json,
     dataset_to_json,
@@ -164,13 +166,28 @@ class TestConfigValidation:
             ({"beamsplitter_gamma": 1.5}, "beamsplitter_gamma"),
             ({"t_grid_k": [2.0, 1.0, 3.0]}, "t_grid_k"),
             ({"alpha_photon_per_hz": -1.0}, "alpha_photon_per_hz"),
+            ({"chain": {"gamma_c": 1.01 * CHAIN_TRUE.gamma}}, "chain.gamma_c"),
+            ({"chain": {"gamma_c": 0.0}}, "chain.gamma_c"),
+            ({"chain": {"tau": -1e-9}}, "chain.tau"),
+            ({"chain": {"gamma_b": -CHAIN_TRUE.gamma_b}}, "chain.gamma_b"),
+            ({"chain": {"mu_base_hz": 0.0}}, "chain.mu_base_hz"),
+            ({"chain": {"gamma": float("nan")}}, "chain.gamma_c"),
         ],
     )
     def test_named_field_errors(self, mutation, field):
         raw = make_config().to_dict()
-        raw.update(mutation)
+        for key, value in mutation.items():
+            if isinstance(value, dict):  # a nested mutation, e.g. of one chain field
+                raw[key].update(value)
+            else:
+                raw[key] = value
         with pytest.raises(ConfigError, match=field):
             SweepConfig.from_dict(raw)
+
+    def test_chain_phases_are_unrestricted(self):
+        raw = make_config().to_dict()
+        raw["chain"].update(phi=4.0, phi_b=-7.0, varphi=10.0)
+        assert SweepConfig.from_dict(raw).chain.varphi == 10.0
 
     def test_missing_chain_entry(self):
         raw = make_config().to_dict()
@@ -351,6 +368,34 @@ class TestPersistence:
         buf.seek(0)
         again = stats_from_csv(buf)
         assert again == records
+
+    def test_stats_csv_row_text_is_pinned(self):
+        record = StatsRecord(
+            control=0.5,
+            mu_hz=523000000.0,
+            sigma_hz=-0.0,
+            mean_n=1 / 3,
+            variance_n=5e-324,
+            g2=2.0000000000000004,
+            power_w=1e-20,
+            converged=True,
+            n_iter=7,
+            residual_norm=1e308,
+        )
+        buf = io.StringIO()
+        stats_to_csv([record], buf)
+        assert buf.getvalue() == (
+            "control,mu_hz,sigma_hz,mean_n,variance_n,g2,power_w,converged,n_iter,residual_norm\n"
+            "0.5,523000000.0,-0.0,0.3333333333333333,5e-324,2.0000000000000004,1e-20,1,7,1e+308\n"
+        )
+        buf.seek(0)
+        (again,) = stats_from_csv(buf)
+        assert again == record and type(again.converged) is bool and type(again.n_iter) is int
+        assert math.copysign(1.0, again.sigma_hz) == -1.0
+
+    def test_stats_csv_short_row_raises(self):
+        with pytest.raises(ValueError):
+            stats_from_csv(io.StringIO(",".join(STATS_HEADER) + "\n0.5,523000000.0\n"))
 
     def test_stats_csv_header_self_describing(self):
         records = extract_statistics(simulate_sweep(make_config(t_grid_k=[1.0])))
