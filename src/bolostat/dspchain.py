@@ -4,10 +4,16 @@ FIR low-pass filtering, decimation, and multi-trace averaging.
 Mirrors a room-temperature readout chain sampling at 250 Msps with a
 62.5 MHz intermediate frequency, a 500 kHz low-pass FIR before averaging,
 and one retained IQ point per 16 ns (decimation by 4).
+
+What does not depend on the trace -- the unit tone, the local oscillator
+and the FIR taps -- is computed once per key and held, read-only, in
+two-entry caches: a run of repeated traces reuses it, and no cached array
+is ever handed to a caller.
 """
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +98,33 @@ _WINDOWS = {
 }
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# maxsize 2: a run of repeated traces uses one key per cache; a larger cache
+# only holds stale trace-length arrays (a 16-entry tone cache keeps one per
+# tone of a 16-tone schedule and grows peak RSS)
+@lru_cache(maxsize=2)
+def _unit_tone(phase, f_if, n, fs):
+    # cos(2 pi f_if t + phase); amp stays outside the key, so amp * tone is
+    # the uncached product bit for bit, signed zeros included
+    t = np.arange(n) / fs
+    return _read_only(np.cos(2.0 * np.pi * f_if * t + phase))
+
+
+@lru_cache(maxsize=2)
+def _local_oscillator(n, fs, f_if, t0):
+    t = t0 + np.arange(n) / fs
+    return _read_only(np.exp(-2j * np.pi * f_if * t))
+
+
+@lru_cache(maxsize=2)
+def _cached_taps(spec, rate):
+    return _read_only(design_taps(spec, rate))
+
+
 def synth_raw_trace(amp, phase, f_if, noise_rms, duration, fs, seed):
     """Cosine tone plus white Gaussian noise, Philox-seeded.
 
@@ -105,11 +138,10 @@ def synth_raw_trace(amp, phase, f_if, noise_rms, duration, fs, seed):
     n = int(round(duration * fs))
     if n < 1:
         raise ValueError("duration too short for one sample")
-    t = np.arange(n) / fs
-    samples = amp * np.cos(2.0 * np.pi * f_if * t + phase)
+    samples = amp * _unit_tone(phase, f_if, n, fs)
     if noise_rms > 0:
         rng = np.random.Generator(np.random.Philox(seed))
-        samples = samples + rng.normal(0.0, noise_rms, n)
+        samples += rng.normal(0.0, noise_rms, n)
     return RawTrace(samples=samples, fs=fs)
 
 
@@ -121,8 +153,7 @@ def digital_downconvert(trace, f_if):
     """
     if not f_if < trace.fs / 2:
         raise ValueError(f"aliasing: f_if={f_if} must be below fs/2={trace.fs / 2}")
-    t = trace.t0 + np.arange(trace.samples.size) / trace.fs
-    lo = np.exp(-2j * np.pi * f_if * t)
+    lo = _local_oscillator(trace.samples.size, trace.fs, f_if, trace.t0)
     return IqStream(iq=trace.samples * lo, rate=trace.fs)
 
 
@@ -160,8 +191,11 @@ def fir_lowpass(stream, spec):
         raise ValueError(
             f"stream of {len(stream)} samples is shorter than {spec.n_taps} taps"
         )
-    taps = design_taps(spec, stream.rate)
-    filtered = np.convolve(stream.iq, taps, mode="valid")
+    taps = _cached_taps(spec, stream.rate)
+    # real taps: two real convolutions, not one complex x complex
+    filtered = np.empty(len(stream) - spec.n_taps + 1, dtype=complex)
+    filtered.real = np.convolve(stream.iq.real, taps, mode="valid")
+    filtered.imag = np.convolve(stream.iq.imag, taps, mode="valid")
     log.debug(
         "fir_lowpass: cutoff=%g Hz, %d taps, group delay %d samples trimmed",
         spec.cutoff,
@@ -190,7 +224,7 @@ def average_traces(streams, n_rep=None):
         first = next(it)
     except StopIteration:
         raise ValueError("no traces to average") from None
-    acc = first.iq.astype(complex).copy()
+    acc = np.array(first.iq, dtype=complex)
     rate = first.rate
     length = len(first)
     count = 1

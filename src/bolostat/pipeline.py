@@ -366,13 +366,14 @@ def _calibration_init(cfg, base_sweep, seed):
 
     Scale parameters move by +-INIT_PERTURBATION relative, frequencies by
     +-INIT_PERTURBATION of the probe span, phases by +-INIT_PERTURBATION rad;
-    mu additionally snaps to the trace magnitude minimum.  The start need
-    not be a physical chain (gamma_c may cross gamma); the fit clips it
-    into its box.
+    mu additionally snaps to the trace magnitude minimum, and sigma starts at
+    the floor of the perturbed gamma, the lower bound of the fit box.  The
+    start need not be a physical chain (gamma_c may cross gamma); the fit
+    clips it into its box.
     """
     rng = np.random.Generator(np.random.Philox(seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
-    x = cfg.chain.vector(cfg.chain.mu_base_hz, sigma_floor(cfg.chain.gamma))
+    x = cfg.chain.vector(cfg.chain.mu_base_hz, 0.0)
     frac = INIT_PERTURBATION
     for i, name in enumerate(PARAM_NAMES):
         u = rng.uniform(-1.0, 1.0)
@@ -380,8 +381,10 @@ def _calibration_init(cfg, base_sweep, seed):
             x[i] += frac * span * u
         elif name in PHASE_NAMES:
             x[i] += frac * u
-        elif name != "sigma":  # sigma starts at its floor untouched
+        elif name != "sigma":
             x[i] *= 1.0 + frac * u
+    # just above its bound, sigma's column is dead and stage B is rank deficient
+    x[PARAM_NAMES.index("sigma")] = sigma_floor(x[PARAM_NAMES.index("gamma")])
     x[PARAM_NAMES.index("mu")] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
     return x
 

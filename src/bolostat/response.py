@@ -350,6 +350,9 @@ def _bare_grid(res, f_r, f_p):
     )
 
 
+_MC_BLOCK_POINTS = 2**16
+
+
 def averaged_reflection_mc(res, dist, f_p, n_samples, seed, chunk=20000):
     """Monte-Carlo average of `bare_reflection` over f_r ~ N(mu, sigma^2).
 
@@ -357,19 +360,36 @@ def averaged_reflection_mc(res, dist, f_p, n_samples, seed, chunk=20000):
     counter-based Philox generator keyed by ``seed``, so the result is
     reproducible and independent of chunking; the reduction order over
     chunks is fixed.
+
+    The sum runs in real arithmetic: with a + ib = gamma/2 + i*2*pi*(f_r - f_p),
+    the bare line is 1 - e^{i phi} gamma_c (a - ib)/(a^2 + b^2), so only
+    sum 1/(a^2 + b^2) and sum b/(a^2 + b^2) are accumulated.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
     rng = np.random.Generator(np.random.Philox(seed))
-    acc = np.zeros(f_p.shape, dtype=complex)
+    a = res.gamma / 2.0
+    sum_inv = np.zeros(f_p.shape)
+    sum_b_inv = np.zeros(f_p.shape)
+    # the (draw, f_p) grid is built a cache-sized block of rows at a time
+    rows = max(1, _MC_BLOCK_POINTS // f_p.size)
     drawn = 0
     while drawn < n_samples:
         m = min(chunk, n_samples - drawn)
         f_r = rng.normal(dist.mu, dist.sigma, m)
-        acc += _bare_grid(res, f_r, f_p).sum(axis=0)
+        for start in range(0, m, rows):
+            b = f_r[start : start + rows, None] - f_p[None, :]
+            b *= TWO_PI
+            inv = b * b
+            inv += a * a
+            np.reciprocal(inv, out=inv)
+            sum_inv += inv.sum(axis=0)
+            b *= inv
+            sum_b_inv += b.sum(axis=0)
         drawn += m
-    out = acc / n_samples
+    mean_inverse = (a * sum_inv - 1j * sum_b_inv) / n_samples
+    out = 1.0 - np.exp(1j * res.phi) * res.gamma_c * mean_inverse
     return out if out.size > 1 else complex(out[0])
 
 

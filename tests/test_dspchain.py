@@ -5,6 +5,7 @@ from bolostat import (
     DEFAULT_FIR,
     FirSpec,
     IqStream,
+    RawTrace,
     average_traces,
     decimate,
     digital_downconvert,
@@ -135,6 +136,70 @@ class TestFir:
         lhs = fir_lowpass(combined, DEFAULT_FIR).iq
         rhs = 2.0 * fir_lowpass(a, DEFAULT_FIR).iq + 3.0 * fir_lowpass(b, DEFAULT_FIR).iq
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+class TestCaches:
+    # the tone, the local oscillator and the taps are cached per key; the
+    # outputs must stay those of the uncached formulas
+
+    @staticmethod
+    def uncached_tone(amp, phase, f_if, noise, n, fs, seed):
+        t = np.arange(n) / fs
+        samples = amp * np.cos(2.0 * np.pi * f_if * t + phase)
+        if noise > 0:
+            samples = samples + np.random.Generator(np.random.Philox(seed)).normal(0.0, noise, n)
+        return samples
+
+    @staticmethod
+    def uncached_ddc(samples, fs, f_if, t0):
+        t = t0 + np.arange(samples.size) / fs
+        return samples * np.exp(-2j * np.pi * f_if * t)
+
+    @pytest.mark.parametrize("amp, phase, noise", [(1.0, 0.6, 0.0), (0.7, -2.1, 0.02), (-0.0, 0.3, 0.0)])
+    def test_synth_and_ddc_bit_identical_to_uncached(self, amp, phase, noise):
+        for _ in range(2):  # the second pass reads the caches
+            trace = tone(amp=amp, phase=phase, noise=noise, seed=5)
+            expected = self.uncached_tone(amp, phase, F_IF, noise, 8000, FS, 5)
+            assert trace.samples.tobytes() == expected.tobytes()
+            for t0 in (0.0, 1.234e-6):
+                for f_if in (F_IF, 0.9 * F_IF):
+                    iq = digital_downconvert(RawTrace(trace.samples, FS, t0), f_if).iq
+                    assert iq.tobytes() == self.uncached_ddc(expected, FS, f_if, t0).tobytes()
+
+    def test_distinct_t0_and_f_if_give_distinct_local_oscillators(self):
+        ones = RawTrace(np.ones(8000), FS)
+        lo = digital_downconvert(ones, F_IF).iq
+        shifted = digital_downconvert(RawTrace(np.ones(8000), FS, t0=1e-9), F_IF).iq
+        detuned = digital_downconvert(ones, 0.9 * F_IF).iq
+        assert not np.array_equal(lo, shifted)
+        assert not np.array_equal(lo, detuned)
+        np.testing.assert_array_equal(lo, self.uncached_ddc(np.ones(8000), FS, F_IF, 0.0))
+
+    def test_mutating_outputs_leaves_the_next_call_unchanged(self):
+        for kwargs in ({}, dict(amp=0.8, phase=0.4), dict(amp=0.8, phase=0.4, noise=0.1, seed=2)):
+            first = tone(**kwargs)
+            reference = first.samples.copy()
+            first.samples[:] = 7.0
+            assert tone(**kwargs).samples.tobytes() == reference.tobytes()
+        stream = digital_downconvert(tone(), F_IF)
+        reference = stream.iq.copy()
+        stream.iq[:] = 7.0
+        assert digital_downconvert(tone(), F_IF).iq.tobytes() == reference.tobytes()
+        filtered = fir_lowpass(IqStream(iq=reference, rate=FS), DEFAULT_FIR)
+        filtered_again = filtered.iq.copy()
+        filtered.iq[:] = 7.0
+        np.testing.assert_array_equal(
+            fir_lowpass(IqStream(iq=reference, rate=FS), DEFAULT_FIR).iq, filtered_again
+        )
+
+    def test_fir_matches_complex_convolution(self):
+        stream = digital_downconvert(tone(amp=1.0, phase=0.6, noise=0.02, seed=3), F_IF)
+        taps = design_taps(DEFAULT_FIR, FS)
+        expected = np.convolve(stream.iq, taps, mode="valid")
+        for _ in range(2):
+            out = fir_lowpass(stream, DEFAULT_FIR).iq
+            assert out.shape == expected.shape
+            assert np.max(np.abs(out - expected)) <= 1e-15
 
 
 class TestDecimate:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bolostat import (
+    PARAM_NAMES,
     ComplexSweep,
     ConfigError,
     SweepConfig,
@@ -14,12 +15,14 @@ from bolostat import (
     extract_statistics,
     planck_mean_photon,
     RadiatorState,
+    sigma_floor,
     simulate_sweep,
 )
 from bolostat.pipeline import (
     STATS_HEADER,
     StatsRecord,
     TracePoint,
+    _calibration_init,
     dataset_from_json,
     dataset_to_json,
     stats_from_csv,
@@ -27,6 +30,7 @@ from bolostat.pipeline import (
     trace_from_csv,
     trace_to_csv,
     default_seed,
+    run_calibration,
 )
 
 from conftest import CHAIN_TRUE
@@ -280,6 +284,21 @@ class TestExtraction:
         for r in records:
             recomputed = 1.0 + (r.variance_n - r.mean_n) / r.mean_n**2
             assert abs(r.g2 - recomputed) < 1e-12
+
+    def test_calibration_starts_sigma_on_its_bound(self):
+        # gamma_c = 0.95*gamma, seed 13: the perturbed start lowers gamma, and
+        # sigma used to start at the floor of the config's gamma, just above
+        # the fit box's bound (the floor of the start's gamma).  Its column
+        # was then dead and stage B raised RankDeficiencyError.
+        raw = make_config(seed=13).to_dict()
+        raw["chain"]["gamma_c"] = 0.95 * raw["chain"]["gamma"]
+        cfg = SweepConfig.from_dict(raw)
+        dataset = simulate_sweep(cfg)
+        init = _calibration_init(cfg, dataset.base.sweep, cfg.seed)
+        gamma = init[PARAM_NAMES.index("gamma")]
+        assert gamma < cfg.chain.gamma
+        assert init[PARAM_NAMES.index("sigma")] == sigma_floor(gamma)
+        assert run_calibration(dataset).fit.converged
 
     def test_retired_keys_in_old_files_are_ignored(self):
         # configs and datasets written while `workers` and `init_perturbation`

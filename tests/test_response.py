@@ -27,6 +27,7 @@ from bolostat import (
 from bolostat.fitkit import _default_bounds
 from bolostat.response import (
     PHASE_NAMES,
+    _bare_grid,
     _chain_jacobian,
     _chain_model,
     _erfcx_derivatives,
@@ -168,6 +169,20 @@ class TestMonteCarloOracle:
         a = averaged_reflection_mc(RES, dist, MU, n_samples=5000, seed=3, chunk=5000)
         b = averaged_reflection_mc(RES, dist, MU, n_samples=5000, seed=3, chunk=7)
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.4])
+    def test_real_sums_match_complex_grid(self, phi):
+        # the oracle sums the real and imaginary parts of 1/(a + ib); the
+        # reference averages the complex bare line over the same draws
+        res = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=phi)
+        dist = FreqDistribution(mu=MU, sigma=0.5e6)
+        grid = np.linspace(MU - 15e6, MU + 15e6, 201)
+        rng = np.random.Generator(np.random.Philox(11))
+        expected = sum(
+            _bare_grid(res, rng.normal(MU, 0.5e6, 20_000), grid).sum(axis=0) for _ in range(5)
+        ) / 100_000
+        mc = averaged_reflection_mc(res, dist, grid, n_samples=100_000, seed=11)
+        np.testing.assert_allclose(mc, expected, rtol=1e-13, atol=0)
 
     def test_rejects_empty_sample_budget(self):
         with pytest.raises(ValueError):
