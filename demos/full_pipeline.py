@@ -22,7 +22,6 @@ config = SweepConfig.from_dict(
         "mode": "thermal",
         "seed": 7,
         "radiator_frequency_hz": 8.428e9,
-        "filter_center_hz": 8.428e9,
         "filter_fwhm_hz": 133e6,
         "alpha_photon_per_hz": 1.92e-6,
         "beamsplitter_gamma": 0.01,

@@ -128,7 +128,9 @@ def _cmd_stats(args):
 def _cmd_demod(args):
     with open(args.trace) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty raw trace file")
         if header != ["t_s", "v"]:
             sys.stderr.write(f"error: expected raw trace header t_s,v, got {header}\n")
             return 1
@@ -165,20 +167,18 @@ def _cmd_report(args):
     if len(labels) != len(args.stats):
         sys.stderr.write("error: number of labels must match number of input CSVs\n")
         return 1
+    rows = []
+    for label, path in zip(labels, args.stats):
+        with open(path) as fh:
+            rows += [
+                [label, *(repr(float(v)) for v in (rec.mean_n, rec.variance_n, rec.g2))]
+                for rec in pipeline.stats_from_csv(fh)
+            ]
+    # every input is read first, so a bad one leaves no partial output
     with open(args.out, "w") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["series", "mean_n", "variance_n", "g2"])
-        for label, path in zip(labels, args.stats):
-            with open(path) as fh:
-                for rec in pipeline.stats_from_csv(fh):
-                    writer.writerow(
-                        [
-                            label,
-                            repr(float(rec.mean_n)),
-                            repr(float(rec.variance_n)),
-                            repr(float(rec.g2)),
-                        ]
-                    )
+        writer.writerows(rows)
     return 0
 
 

@@ -204,22 +204,6 @@ def least_squares(
     Deterministic: identical inputs give identical iterates.
     """
     _require_points(sweep, 8, "least_squares")
-    return _least_squares_impl(
-        model, sweep, init, bounds, max_iter, scales, param_names, callback, jac
-    )
-
-
-def _least_squares_impl(
-    model,
-    sweep,
-    init,
-    bounds=None,
-    max_iter=200,
-    scales=None,
-    param_names=(),
-    callback=None,
-    jac=None,
-):
     freqs, data = sweep.freqs, sweep.values
     x = np.asarray(init, dtype=float).copy()
     n = x.size
@@ -435,7 +419,7 @@ def circle_fit(sweep):
     gamma0 = 8.0 * math.pi / max(dtheta[k0], 1e-300)
     theta00 = float(0.5 * (theta[0] + theta[-1]))
     phase_sweep = ComplexSweep(freqs=sweep.freqs, values=theta.astype(complex))
-    res = _least_squares_impl(
+    res = least_squares(
         _phase_model,
         phase_sweep,
         init=[theta00, f_r0, gamma0],
@@ -465,14 +449,14 @@ def lorentzian_fit(x, y):
     """Least-squares Lorentzian y = offset + amplitude / (1 + (2(x-c)/fwhm)^2).
 
     Returns (center, fwhm, amplitude, offset); amplitude is negative for a
-    dip.  Needs >= 5 points spanning the peak.
+    dip.  Needs >= 8 points spanning the peak, as `least_squares` does.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    if x.size < 5:
-        raise FitError(f"lorentzian_fit needs at least 5 points, got {x.size}")
+    if x.size < 8:
+        raise FitError(f"lorentzian_fit needs at least 8 points, got {x.size}")
 
     offset0 = 0.5 * (np.median(y[: max(2, x.size // 8)]) + np.median(y[-max(2, x.size // 8):]))
     k = int(np.argmax(np.abs(y - offset0)))
@@ -490,7 +474,7 @@ def lorentzian_fit(x, y):
     order = np.argsort(x)
     sweep = ComplexSweep(freqs=x[order], values=y[order].astype(complex))
     span = x.max() - x.min()
-    res = _least_squares_impl(
+    res = least_squares(
         model,
         sweep,
         init=[x[k], fwhm0, amp0, offset0],
@@ -614,9 +598,9 @@ def _partial_chain(base, free):
 def _fit_free(sweep, x, free, lo, hi, scales, max_iter):
     """LM fit of the entries ``free`` of ``x``, the rest held; returns (x_fit, FitResult).
 
-    A free sigma the data cannot tell from its floor is pinned there with a
-    `DegenerateSigmaWarning`.  `least_squares` is called via the module, model
-    first, so a tracer that wraps it sees every staged fit.
+    A free sigma that ends on its lower bound raises `DegenerateSigmaWarning`;
+    the FitResult is returned unedited.  `least_squares` is called via the
+    module, model first, so a tracer that wraps it sees every staged fit.
     """
     model, jac = _partial_chain(x, free)
     fit = least_squares(
@@ -629,15 +613,15 @@ def _fit_free(sweep, x, free, lo, hi, scales, max_iter):
         param_names=tuple(PARAM_NAMES[i] for i in free),
         jac=jac,
     )
+    x_fit = x.copy()
+    x_fit[free] = fit.params
     sigma = _AT["sigma"]
-    if sigma in free and _snap_sigma_to_floor(fit, free.index(sigma), lo[sigma], model, sweep):
+    if sigma in free and x_fit[sigma] <= lo[sigma]:
         warnings.warn(
             "fitted broadening pinned at its lower bound",
             DegenerateSigmaWarning,
             stacklevel=3,
         )
-    x_fit = x.copy()
-    x_fit[free] = fit.params
     return x_fit, fit
 
 
@@ -696,8 +680,8 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
     Returns
     -------
     (mu, sigma, FitResult)
-        A `DegenerateSigmaWarning` is emitted when sigma ends pinned at its
-        lower bound.
+        A `DegenerateSigmaWarning` is emitted when sigma ends on its lower
+        bound.
     """
     _require_points(sweep, 8, "fit_measurement")
     x = calibration.fit.params.copy()
@@ -714,29 +698,6 @@ def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
 
     x_fit, fit = _fit_free(sweep, x, free, lo, hi, _scales(x, sweep.freqs), max_iter)
     return float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit
-
-
-def _snap_sigma_to_floor(fit, sigma_index, floor, model, sweep):
-    """Pin sigma at its floor when the fit cannot distinguish it from zero.
-
-    Near the zero-broadening regime the cost surface is flat in sigma well
-    before the bound is reached; if re-evaluating at the floor does not
-    worsen the fit measurably, the floor is the honest report.
-    """
-    if fit.params[sigma_index] <= floor * (1.0 + 1e-9):
-        return True
-    x_floor = fit.params.copy()
-    x_floor[sigma_index] = floor
-    r = model(x_floor, sweep.freqs) - sweep.values
-    cost_floor = float(r.real @ r.real + r.imag @ r.imag)
-    n = sweep.freqs.size
-    cost = fit.residual_norm**2 * n
-    span = float(np.ptp(np.abs(sweep.values)))
-    if cost_floor - cost <= max(1e-9 * cost, (1e-10 * span) ** 2 * 2 * n):
-        fit.params[sigma_index] = floor
-        fit.residual_norm = math.sqrt(cost_floor / n)
-        return True
-    return False
 
 
 def _apparent_linewidth(sweep):

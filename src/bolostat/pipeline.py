@@ -48,7 +48,7 @@ from .photonstats import (
     sigma_to_variance,
     thermal_variance,
 )
-from .response import PARAM_NAMES, PHASE_NAMES, _chain_model, sigma_floor
+from .response import PARAM_NAMES, PHASE_NAMES, _chain_model
 from .response import BackgroundParams, FreqDistribution, LineParams, ResonatorParams
 
 __all__ = [
@@ -129,7 +129,6 @@ class SweepConfig:
     mode: str
     seed: int
     radiator_frequency_hz: float
-    filter_center_hz: float
     filter_fwhm_hz: float
     alpha_photon_per_hz: float
     beamsplitter_gamma: float
@@ -166,9 +165,6 @@ class SweepConfig:
             seed=need("seed", int) if "seed" in raw else 0,
             radiator_frequency_hz=need(
                 "radiator_frequency_hz", float, lambda v: v > 0, "must be positive"
-            ),
-            filter_center_hz=need(
-                "filter_center_hz", float, lambda v: v > 0, "must be positive"
             ),
             filter_fwhm_hz=need(
                 "filter_fwhm_hz", float, lambda v: v > 0, "must be positive"
@@ -366,10 +362,10 @@ def _calibration_init(cfg, base_sweep, seed):
 
     Scale parameters move by +-INIT_PERTURBATION relative, frequencies by
     +-INIT_PERTURBATION of the probe span, phases by +-INIT_PERTURBATION rad;
-    mu additionally snaps to the trace magnitude minimum, and sigma starts at
-    the floor of the perturbed gamma, the lower bound of the fit box.  The
-    start need not be a physical chain (gamma_c may cross gamma); the fit
-    clips it into its box.
+    mu additionally snaps to the trace magnitude minimum, and sigma stays 0.
+    The start need not be a physical chain (gamma_c may cross gamma); the fit
+    clips it into its box, which puts sigma on the floor of the perturbed
+    gamma.
     """
     rng = np.random.Generator(np.random.Philox(seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
@@ -383,8 +379,6 @@ def _calibration_init(cfg, base_sweep, seed):
             x[i] += frac * u
         elif name != "sigma":
             x[i] *= 1.0 + frac * u
-    # just above its bound, sigma's column is dead and stage B is rank deficient
-    x[PARAM_NAMES.index("sigma")] = sigma_floor(x[PARAM_NAMES.index("gamma")])
     x[PARAM_NAMES.index("mu")] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
     return x
 
@@ -449,7 +443,9 @@ def trace_to_csv(sweep, fh):
 
 def trace_from_csv(fh):
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty trace file")
     if header != ["f_p_hz", "re", "im"]:
         raise ValueError(f"unexpected trace header: {header}")
     rows = [(float(f), complex(float(re), float(im))) for f, re, im in reader]
@@ -548,7 +544,9 @@ def stats_to_csv(records, fh):
 
 def stats_from_csv(fh):
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty statistics file")
     if header != STATS_HEADER:
         raise ValueError(f"unexpected statistics header: {header}")
     return [

@@ -107,6 +107,31 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
     assert all(r["converged"] == "0" for r in rows)
 
 
+def test_non_converged_calibration_exits_two(tmp_path, monkeypatch, capsys):
+    # on clean data the base calibration converges in one iteration, so the
+    # noisy thermal config is what a one-iteration cap leaves unconverged
+    import bolostat.pipeline as pl
+
+    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    config = tmp_path / "noisy.json"
+    config.write_text(json.dumps(dict(json.loads(shipped.read_text()), noise=0.01, seed=1)))
+    dataset = tmp_path / "d.json"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(dataset)]) == 0
+
+    real_calibration = pl.fit_base_calibration
+
+    def starved_calibration(sweep, init, **kwargs):
+        return real_calibration(sweep, init, max_iter=1, **kwargs)
+
+    monkeypatch.setattr(pl, "fit_base_calibration", starved_calibration)
+    rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "1 fit(s) did not converge" in capsys.readouterr().err
+    rows = list(csv.DictReader((tmp_path / "s.csv").read_text().splitlines()))
+    assert len(rows) == 9
+
+
 def test_fit_error_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
     import bolostat.pipeline as pl
     from bolostat import RankDeficiencyError
@@ -238,3 +263,14 @@ def test_report_label_mismatch(tmp_path):
     src = tmp_path / "s.csv"
     src.write_text("control,mu_hz\n")
     assert cli.main(["report", str(src), "--labels", "a,b", "--out", str(tmp_path / "o.csv")]) == 1
+
+
+@pytest.mark.parametrize("command", ["report", "demod"])
+def test_empty_input_exits_one_without_output(tmp_path, capsys, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "out.csv"
+    extra = ["--f-if", "62.5e6"] if command == "demod" else []
+    assert cli.main([command, str(empty), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

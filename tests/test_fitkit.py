@@ -136,6 +136,32 @@ class TestLeastSquares:
         # residual, one-sided Jacobian (2) and the final Gauss-Newton polish
         assert len(evals) <= 4
 
+    def test_uphill_jacobian_stops_without_a_step(self):
+        # a wrong-sign Jacobian points every damped step uphill, so no step
+        # lowers the cost at any damping and the fit stops where it started
+        f = np.linspace(0.0, 1.0, 20)
+        sweep = ComplexSweep(f, self.line_model(np.array([2.0, -1.0]), f))
+
+        def wrong_jac(p, f):
+            return -np.column_stack([f, np.ones_like(f)]).astype(complex)
+
+        res = least_squares(self.line_model, sweep, init=[1.0, 0.0], jac=wrong_jac)
+        assert not res.converged and res.n_iter == 1
+        np.testing.assert_array_equal(res.params, [1.0, 0.0])
+
+    def test_every_direction_pinned_is_converged(self):
+        # the model ignores its parameter, whose init sits on its bound: the
+        # only column is dead and pinned, so no direction is left to move
+        f = np.linspace(0.0, 1.0, 20)
+        sweep = ComplexSweep(f, np.zeros(f.size, dtype=complex))
+
+        def constant(p, f):
+            return np.ones(f.size, dtype=complex)
+
+        res = least_squares(constant, sweep, init=[1.0], bounds=([1.0], [np.inf]))
+        assert res.converged and res.n_iter == 1
+        assert res.params[0] == 1.0
+
     def test_init_outside_bounds_rejected(self):
         f = np.linspace(0.0, 1.0, 20)
         sweep = ComplexSweep(f, self.line_model(np.array([1.0, 0.0]), f))
@@ -396,12 +422,11 @@ class TestMeasurementFit:
             assert abs(mu - 522e6) < 1e3, gamma
             assert abs(sigma / 1.0e6 - 1) < 0.01, gamma
 
-    def test_zero_broadening_pins_sigma_and_warns(self):
+    def test_zero_broadening_fits_sigma_near_its_floor(self):
         _, calib = base_calibration()
         sweep = synth_sweep(522e6, 0.0)
-        with pytest.warns(DegenerateSigmaWarning):
-            mu, sigma, fit = fit_measurement(sweep, calib)
-        assert sigma <= 1e-5 * GAMMA  # at the floor
+        mu, sigma, fit = fit_measurement(sweep, calib)
+        assert sigma <= 1e-5 * GAMMA  # near the floor
         assert abs(mu - 522e6) < 1e3
 
     def test_noise_robust_sigma(self):
@@ -470,3 +495,37 @@ def test_staged_fits_call_least_squares_through_the_module(monkeypatch):
     assert all(evals[0] > 0 for evals in calls)
     # only the base calibration ends at the sigma floor
     assert sum(issubclass(w.category, DegenerateSigmaWarning) for w in caught) == 1
+
+
+def test_measurement_fit_evaluates_the_model_only_inside_least_squares(monkeypatch):
+    # the FitResult describes the point the LM returned: no chain-model
+    # evaluation after it may move sigma or the residual
+    import bolostat.fitkit as fk
+
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    dataset = simulate_sweep(SweepConfig.from_dict(json.loads(shipped.read_text())))
+    calibration = run_calibration(dataset)
+    sweep = dataset.records[-1].sweep
+
+    real_lsq, real_model = fk.least_squares, fk._chain_model
+    inside = [False]
+    calls = []
+
+    def flagged_lsq(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_lsq(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted_model(x, freqs):
+        calls.append(inside[0])
+        return real_model(x, freqs)
+
+    monkeypatch.setattr(fk, "least_squares", flagged_lsq)
+    monkeypatch.setattr(fk, "_chain_model", counted_model)
+    _, sigma, fit = fit_measurement(sweep, calibration)
+    gamma = calibration.fit.params[PARAM_NAMES.index("gamma")]
+    lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
+    assert sigma > lo[PARAM_NAMES.index("sigma")]
+    assert calls and all(calls)

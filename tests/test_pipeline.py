@@ -22,7 +22,6 @@ from bolostat.pipeline import (
     STATS_HEADER,
     StatsRecord,
     TracePoint,
-    _calibration_init,
     dataset_from_json,
     dataset_to_json,
     stats_from_csv,
@@ -123,7 +122,6 @@ def make_config(mode="thermal", **overrides):
         "mode": mode,
         "seed": 7,
         "radiator_frequency_hz": 8.428e9,
-        "filter_center_hz": 8.428e9,
         "filter_fwhm_hz": 133e6,
         "alpha_photon_per_hz": 1.92e-6,
         "beamsplitter_gamma": 0.01,
@@ -285,25 +283,36 @@ class TestExtraction:
             recomputed = 1.0 + (r.variance_n - r.mean_n) / r.mean_n**2
             assert abs(r.g2 - recomputed) < 1e-12
 
-    def test_calibration_starts_sigma_on_its_bound(self):
-        # gamma_c = 0.95*gamma, seed 13: the perturbed start lowers gamma, and
-        # sigma used to start at the floor of the config's gamma, just above
-        # the fit box's bound (the floor of the start's gamma).  Its column
-        # was then dead and stage B raised RankDeficiencyError.
+    def test_calibration_starts_sigma_on_its_bound(self, monkeypatch):
+        # gamma_c = 0.95*gamma, seed 13: the perturbed start lowers gamma, so
+        # the floor of the config's gamma lies just above the fit box's bound
+        # (the floor of the start's gamma).  A sigma started there had a dead
+        # column, and stage B raised RankDeficiencyError.
+        import bolostat.fitkit as fk
+
         raw = make_config(seed=13).to_dict()
         raw["chain"]["gamma_c"] = 0.95 * raw["chain"]["gamma"]
         cfg = SweepConfig.from_dict(raw)
         dataset = simulate_sweep(cfg)
-        init = _calibration_init(cfg, dataset.base.sweep, cfg.seed)
-        gamma = init[PARAM_NAMES.index("gamma")]
-        assert gamma < cfg.chain.gamma
-        assert init[PARAM_NAMES.index("sigma")] == sigma_floor(gamma)
+        real = fk.least_squares
+        starts = []
+
+        def recording(*args, **kwargs):
+            starts.append((kwargs["param_names"], kwargs["init"], kwargs["bounds"][0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fk, "least_squares", recording)
         assert run_calibration(dataset).fit.converged
+        names, init, lo = starts[1]  # stage B: all twelve free
+        assert names == tuple(PARAM_NAMES)
+        sigma = PARAM_NAMES.index("sigma")
+        assert init[sigma] == lo[sigma] < sigma_floor(cfg.chain.gamma)
 
     def test_retired_keys_in_old_files_are_ignored(self):
-        # configs and datasets written while `workers` and `init_perturbation`
-        # were settable still load, and give the same statistics
-        retired = {"workers": 4, "init_perturbation": 0.05}
+        # configs and datasets written while `workers`, `init_perturbation`
+        # and `filter_center_hz` were settable still load, and give the same
+        # statistics
+        retired = {"workers": 4, "init_perturbation": 0.05, "filter_center_hz": 8.428e9}
         cfg = make_config()
         assert make_config(**retired) == cfg
         dataset = simulate_sweep(cfg)
@@ -415,6 +424,11 @@ class TestPersistence:
     def test_stats_csv_short_row_raises(self):
         with pytest.raises(ValueError):
             stats_from_csv(io.StringIO(",".join(STATS_HEADER) + "\n0.5,523000000.0\n"))
+
+    @pytest.mark.parametrize("reader", [stats_from_csv, trace_from_csv])
+    def test_empty_csv_raises(self, reader):
+        with pytest.raises(ValueError, match="empty"):
+            reader(io.StringIO(""))
 
     def test_stats_csv_header_self_describing(self):
         records = extract_statistics(simulate_sweep(make_config(t_grid_k=[1.0])))
