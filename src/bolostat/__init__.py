@@ -59,6 +59,7 @@ from .fitkit import (
     circle_fit,
     fit_base_calibration,
     fit_measurement,
+    fit_measurements,
     least_squares,
     lorentzian_fit,
     polynomial_fit,

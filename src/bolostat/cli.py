@@ -1,8 +1,10 @@
 """Command-line surface: simulate / fit / stats / demod / report.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 when any fit
-failed to converge (results are still written) or could not be carried out
-at all (a `FitError`, e.g. singular normal equations; nothing is written).
+failed to converge or the base calibration could not be carried out at all.
+A trace fit that did not converge, singular normal equations included, is
+reported in its own row (``converged=0``) and the other rows are still
+written; a calibration `FitError` writes nothing.
 The default seed can be overridden with --seed or the BOLOSTAT_SEED
 environment variable.
 """

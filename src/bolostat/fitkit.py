@@ -1,19 +1,22 @@
 """Nonlinear and linear fitting machinery for complex reflection traces.
 
 The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine operating
-on stacked real/imaginary residuals.  It takes the Jacobian from the caller
-when one is given -- the staged chain fits pass `response`'s closed-form
-`_chain_jacobian`, one erfcx call per iteration -- and otherwise forms a
-central finite difference.  On top of it sit the resonance extractors used
-by the pipeline:
+on stacked real/imaginary residuals.  Its one loop, `_lm`, carries a leading
+batch axis of independent fits, each with its own damping and convergence
+test.  `least_squares` runs it as a batch of one, with the caller's Jacobian
+when one is given -- the calibration stages pass `response`'s closed-form
+`_chain_jacobian`, one erfcx call per iteration -- and otherwise a central
+finite difference.  On top of it sit the resonance extractors used by the
+pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `lorentzian_fit`    -- real-valued Lorentzian peak (filter passband style)
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
-* `fit_base_calibration` / `fit_measurement` -- the staged full-model procedure:
+* `fit_base_calibration` / `fit_measurements` -- the staged full-model procedure:
   all twelve chain parameters are fitted once on a reference (base) trace,
-  six of them are then frozen, and each subsequent trace refits only
-  {mu, sigma, gamma_c, phi, f_b, phi_b}.
+  six of them are then frozen, and every subsequent trace refits only
+  {mu, sigma, gamma_c, phi, f_b, phi_b}, all traces of a sweep in one batch
+  (`fit_measurement` is its one-trace call).
 """
 
 import math
@@ -48,6 +51,7 @@ __all__ = [
     "polynomial_fit",
     "fit_base_calibration",
     "fit_measurement",
+    "fit_measurements",
     "wrap_angle",
 ]
 
@@ -201,7 +205,8 @@ def least_squares(
     accepted iterations.  The fit has converged when the projected,
     column-scaled gradient falls below 1e-8*max(1, cost), or when an
     essentially undamped step lowers the cost by less than 1e-10 relative.
-    Deterministic: identical inputs give identical iterates.
+    Deterministic: identical inputs give identical iterates.  The fit is a
+    batch of one of the LM loop that `fit_measurements` runs over a sweep.
     """
     _require_points(sweep, 8, "least_squares")
     freqs, data = sweep.freqs, sweep.values
@@ -243,114 +248,203 @@ def least_squares(
             J[:, i] = (resid(xp) - resid(xm)) / (xp[i] - xm[i])
         return J
 
-    r = resid(x)
-    cost = float(r @ r)
-    lam = 1e-3
-    converged = False
-    grad_inf = float("nan")
-    n_iter = 0
-    J = None
-    for n_iter in range(1, max_iter + 1):
-        J = jacobian(x)
-        col = np.linalg.norm(J, axis=0)
+    [fit], [failure] = _lm(
+        lambda X, rows: resid(X[0])[None],
+        lambda X, rows: jacobian(X[0])[None],
+        x[None],
+        lo,
+        hi,
+        scales[None],
+        names,
+        max_iter,
+        callback,
+    )
+    if failure is not None:
+        raise RankDeficiencyError(failure)
+    return fit
+
+
+def _sum_squares(r):
+    # each row's r @ r
+    return np.array([row @ row for row in r])
+
+
+def _solve_rows(M, b):
+    """x with M[k] x[k] = b[k] for every row k; NaN rows where M[k] is singular."""
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(M[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _gram(Js):
+    # Js^T Js of every row
+    return np.swapaxes(Js, 1, 2) @ Js
+
+
+def _singular(names, which):
+    return "normal equations are singular; degenerate directions: " + ", ".join(
+        names[i] for i in which
+    )
+
+
+def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter, callback=None):
+    """Levenberg-Marquardt over a batch of independent fits; the one LM loop.
+
+    Row k of the (B, n) start ``x0`` minimizes the sum of squares of its
+    residual within the box (``lo``, ``hi``, broadcast against ``x0``).
+    ``resid(X, rows)`` returns the real residuals (len(rows), m) of the
+    batch rows ``rows`` at the points X (len(rows), n), and
+    ``jacobian(X, rows)`` their Jacobians (len(rows), m, n).  Every row
+    keeps its own damping, convergence test, polish step and covariance,
+    so it follows the iterates it would follow alone; each step evaluates
+    only the rows still iterating.  A column that is flat and pinned at its
+    bound leaves its row's solve through an identity row and column.
+
+    Returns (fits, failures): a `FitResult` per row, and per row None or the
+    message of the singular normal equations that stopped it there, with
+    its last accepted point and ``converged=False``.
+    """
+    x = np.array(x0, dtype=float)
+    n_rows, n = x.shape
+    lo, hi, scales = (np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in (lo, hi, scales))
+    eye = np.eye(n)
+    diag = np.arange(n)
+    r = resid(x, np.arange(n_rows))
+    n_points = r.shape[1] / 2  # complex samples
+    cost = _sum_squares(r)
+    lam = np.full(n_rows, 1e-3)
+    converged = np.zeros(n_rows, dtype=bool)
+    grad_inf = np.full(n_rows, np.nan)
+    n_iter = np.zeros(n_rows, dtype=int)
+    failures = [None] * n_rows
+    J = None  # each row's last Jacobian
+    pending = np.arange(n_rows)
+    for it in range(1, max_iter + 1):
+        if pending.size == 0:
+            break
+        n_iter[pending] = it
+        Jp = jacobian(x[pending], pending)
+        if J is None:
+            # the Jacobian's own memory layout, which sets the summation
+            # order of the products formed from it
+            J = np.empty_like(Jp, shape=(n_rows,) + Jp.shape[1:])
+        J[pending] = Jp
+        col = np.linalg.norm(Jp, axis=1)
         # degeneracy is judged per natural-scale step, so that columns with
         # wildly different units are comparable
-        col_nat = col * scales
-        dead = col_nat <= col_nat.max() * 1e-14 if col_nat.max() > 0 else np.ones(n, bool)
-        at_lo = (x - lo) <= 1e-12 * scales
-        at_hi = (hi - x) <= 1e-12 * scales
-        at_bound = at_lo | at_hi
+        col_nat = col * scales[pending]
+        dead = col_nat <= col_nat.max(axis=1, keepdims=True) * 1e-14
+        at_lo = (x[pending] - lo[pending]) <= 1e-12 * scales[pending]
+        at_hi = (hi[pending] - x[pending]) <= 1e-12 * scales[pending]
         # a flat direction pinned at its bound is inactive, not singular
-        interior_dead = dead & ~at_bound
-        if interior_dead.any():
-            which = ", ".join(names[i] for i in np.nonzero(interior_dead)[0])
-            raise RankDeficiencyError(
-                f"normal equations are singular; degenerate directions: {which}"
-            )
-        active = np.nonzero(~dead)[0]
-        if active.size == 0:
-            converged = True  # every direction pinned at a bound
-            break
-        Ja = J[:, active]
-        ca = col[active]
-        Js = Ja / ca
-        grad_s = Js.T @ r
+        interior_dead = dead & ~(at_lo | at_hi)
+        for k in np.nonzero(interior_dead.any(axis=1))[0]:
+            failures[pending[k]] = _singular(names, np.nonzero(interior_dead[k])[0])
+        go = ~interior_dead.any(axis=1)
+        pinned = go & dead.all(axis=1)
+        converged[pending[pinned]] = True  # every direction pinned at a bound
+        go &= ~pinned
+
+        ca = np.where(dead, 1.0, col)
+        Js = Jp / ca[:, None, :]
+        if dead.any():
+            Js = np.where(dead[:, None, :], 0.0, Js)
+        grad_s = (np.swapaxes(Js, 1, 2) @ r[pending][..., None])[..., 0]
         # components pushing into an active bound cannot move, so only the
         # projected gradient has to vanish at a (bound-constrained) optimum
-        blocked = (at_lo[active] & (grad_s > 0)) | (at_hi[active] & (grad_s < 0))
-        grad_inf = float(np.abs(grad_s[~blocked]).max(initial=0.0))
-        if grad_inf < _GTOL * max(1.0, cost):
-            converged = True
-            break
-        A = Js.T @ Js
+        blocked = dead | (at_lo & (grad_s > 0)) | (at_hi & (grad_s < 0))
+        grad = np.where(blocked, 0.0, np.abs(grad_s)).max(axis=1)
+        grad_inf[pending[go]] = grad[go]
+        small = go & (grad < _GTOL * np.maximum(1.0, cost[pending]))
+        converged[pending[small]] = True
+        go = np.nonzero(go & ~small)[0]  # positions in pending that take a step
+
+        A = _gram(Js[go])
+        A[:, diag, diag] += dead[go]  # an inactive column solves to a zero step
         singvals = np.linalg.svd(A, compute_uv=False)
-        if singvals[-1] < singvals[0] * 1e-28:
-            _, _, vt = np.linalg.svd(A)
-            weights = np.abs(vt[-1])
-            which = ", ".join(names[active[i]] for i in np.nonzero(weights > 0.3)[0])
-            raise RankDeficiencyError(
-                f"normal equations are singular; degenerate directions: {which}"
-            )
-        accepted = False
-        while lam < 1e14:
-            try:
-                step_s = np.linalg.solve(A + lam * np.eye(active.size), -grad_s)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_new = x.copy()
-            x_new[active] = x[active] + step_s / ca
-            x_new = np.clip(x_new, lo, hi)
-            r_new = resid(x_new)
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost:
-                rel_change = (cost - cost_new) / max(cost, 1e-300)
-                x, r, cost = x_new, r_new, cost_new
-                accepted = True
+        singular = singvals[:, -1] < singvals[:, 0] * 1e-28
+        for k in np.nonzero(singular)[0]:
+            _, _, vt = np.linalg.svd(A[k])
+            failures[pending[go[k]]] = _singular(names, np.nonzero(np.abs(vt[-1]) > 0.3)[0])
+        go, A = go[~singular], A[~singular]
+        rows, grad_s, ca = pending[go], grad_s[go], ca[go]
+        del Jp, Js  # J holds the Jacobian; the model calls below need the room
+
+        # each row raises its own damping until its cost decreases
+        accepted = np.zeros(rows.size, dtype=bool)
+        stop = np.zeros(rows.size, dtype=bool)
+        trying = np.nonzero(lam[rows] < 1e14)[0]
+        while trying.size:
+            t = rows[trying]
+            step_s = _solve_rows(A[trying] + lam[t][:, None, None] * eye, -grad_s[trying])
+            solved = np.all(np.isfinite(step_s), axis=1)
+            lam[t[~solved]] *= 10.0
+            trying, t, step_s = trying[solved], t[solved], step_s[solved]
+            if trying.size:
+                x_new = np.clip(x[t] + step_s / ca[trying], lo[t], hi[t])
+                r_new = resid(x_new, t)
+                cost_new = _sum_squares(r_new)
+                better = cost_new < cost[t]
+                b = t[better]
+                rel_change = (cost[b] - cost_new[better]) / np.maximum(cost[b], 1e-300)
+                x[b], r[b], cost[b] = x_new[better], r_new[better], cost_new[better]
                 if callback is not None:
-                    callback(n_iter, math.sqrt(cost / freqs.size))
+                    for row in b:
+                        callback(it, math.sqrt(cost[row] / n_points))
                 # a small relative decrease only counts as convergence once
                 # the step is essentially undamped (pure Gauss-Newton)
-                if rel_change < _FRTOL and lam <= 1e-6:
-                    converged = True
-                lam = max(lam / 5.0, 1e-12)
-                break
-            lam *= 10.0
-        if not accepted:
-            # no decrease at any damping: at a stationary point unless the
-            # projected gradient is still large
-            converged = grad_inf < 1e-4 * max(1.0, cost)
-            break
-        if converged:
-            break
+                stop[trying[better]] = converged[b] = (rel_change < _FRTOL) & (lam[b] <= 1e-6)
+                lam[b] = np.maximum(lam[b] / 5.0, 1e-12)
+                accepted[trying[better]] = True
+                lam[t[~better]] *= 10.0
+            trying = np.nonzero(~accepted & (lam[rows] < 1e14))[0]
+        # no decrease at any damping: at a stationary point unless the
+        # projected gradient is still large
+        stuck = rows[~accepted]
+        converged[stuck] = grad_inf[stuck] < 1e-4 * np.maximum(1.0, cost[stuck])
+        pending = rows[accepted & ~stop]
 
-    if converged and J is not None:
+    done = np.nonzero(converged)[0]
+    if done.size:
         # one undamped Gauss-Newton polish: the cost surface is too flat
         # near the optimum for cost differences to certify full parameter
         # precision, but the pure step lands on the stationary point
-        col = np.linalg.norm(J, axis=0)
+        col = np.linalg.norm(J[done], axis=1)
         col[col == 0] = 1.0
-        Js = J / col
-        try:
-            step = np.linalg.solve(Js.T @ Js + 1e-12 * np.eye(n), -(Js.T @ r))
-            x_new = np.clip(x + step / col, lo, hi)
-            r_new = resid(x_new)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost * (1.0 + 1e-12):
-                x, r, cost = x_new, r_new, cost_new
-        except np.linalg.LinAlgError:
-            pass
+        Js = J[done] / col[:, None, :]
+        grad = (np.swapaxes(Js, 1, 2) @ r[done][..., None])[..., 0]
+        step = _solve_rows(_gram(Js) + 1e-12 * eye, -grad)
+        solved = np.all(np.isfinite(step), axis=1)
+        done, step, col = done[solved], step[solved], col[solved]
+        if done.size:
+            x_new = np.clip(x[done] + step / col, lo[done], hi[done])
+            r_new = resid(x_new, done)
+            cost_new = _sum_squares(r_new)
+            keep = cost_new <= cost[done] * (1.0 + 1e-12)
+            kept = done[keep]
+            x[kept], r[kept], cost[kept] = x_new[keep], r_new[keep], cost_new[keep]
 
-    covariance = _covariance(J, cost, 2 * freqs.size, n) if J is not None else None
-    return FitResult(
-        params=x,
-        residual_norm=math.sqrt(cost / freqs.size),
-        covariance=covariance,
-        n_iter=n_iter,
-        converged=converged,
-        grad_norm=grad_inf,
-        param_names=names,
-    )
+    return [
+        FitResult(
+            params=x[k].copy(),
+            residual_norm=math.sqrt(cost[k] / n_points),
+            covariance=(
+                None if J is None or failures[k] else _covariance(J[k], cost[k], J.shape[1], n)
+            ),
+            n_iter=int(n_iter[k]),
+            converged=bool(converged[k]),
+            grad_norm=float(grad_inf[k]),
+            param_names=names,
+        )
+        for k in range(n_rows)
+    ], failures
 
 
 def _covariance(J, cost, m, n):
@@ -511,7 +605,7 @@ class CalibrationResult:
     """Output of the base-temperature calibration.
 
     ``fit.params`` holds all twelve fitted scalars in `PARAM_NAMES` order;
-    every subsequent `fit_measurement` holds the entries named in
+    every subsequent `fit_measurements` holds the entries named in
     `FROZEN_PARAM_NAMES` at these values.  ``misfit_flag`` is set when the
     residual stayed above both ``residual_tol`` of the trace span and the
     trace's own noise level (e.g. the background model missed a resonance
@@ -569,38 +663,41 @@ def _default_bounds(freqs, gamma_scale):
 def _scales(x0, freqs):
     span = freqs[-1] - freqs[0]
     center = 0.5 * (freqs[0] + freqs[-1])
-    s = np.maximum(np.abs(x0), 1e-300)
+    s = np.maximum(np.abs(x0), 1e-300)  # x0: one vector or a (B, 12) batch
     for name in ("mu", "f_b"):
-        s[_AT[name]] = max(s[_AT[name]], span)
+        s[..., _AT[name]] = np.maximum(s[..., _AT[name]], span)
     for name in PHASE_NAMES:
-        s[_AT[name]] = 1.0
-    s[_AT["tau"]] = max(s[_AT["tau"]], 1.0 / center)  # one radian of delay phase
+        s[..., _AT[name]] = 1.0
+    s[..., _AT["tau"]] = np.maximum(s[..., _AT["tau"]], 1.0 / center)  # one radian of delay phase
     return s
 
 
 def _partial_chain(base, free):
-    """Chain model and Jacobian over the entries ``free`` of ``base``, the rest held."""
+    """Chain model and Jacobian over the entries ``free`` of ``base``, the rest
+    held; they take one vector of free entries or a (B, len(free)) batch."""
 
     def full(xf):
-        x = base.copy()
-        x[free] = xf
+        x = np.empty(np.shape(xf)[:-1] + base.shape)
+        x[...] = base
+        x[..., free] = xf
         return x
 
     def model(xf, freqs):
         return _chain_model(full(xf), freqs)
 
     def jac(xf, freqs):
-        return _chain_jacobian(full(xf), freqs)[:, free]
+        return _chain_jacobian(full(xf), freqs)[..., free]
 
     return model, jac
 
 
 def _fit_free(sweep, x, free, lo, hi, scales, max_iter):
-    """LM fit of the entries ``free`` of ``x``, the rest held; returns (x_fit, FitResult).
+    """One calibration stage: LM fit of the entries ``free`` of ``x``, the
+    rest held; returns (x_fit, FitResult).
 
     A free sigma that ends on its lower bound raises `DegenerateSigmaWarning`;
     the FitResult is returned unedited.  `least_squares` is called via the
-    module, model first, so a tracer that wraps it sees every staged fit.
+    module, model first, so a tracer that wraps it sees both stages.
     """
     model, jac = _partial_chain(x, free)
     fit = least_squares(
@@ -615,14 +712,19 @@ def _fit_free(sweep, x, free, lo, hi, scales, max_iter):
     )
     x_fit = x.copy()
     x_fit[free] = fit.params
-    sigma = _AT["sigma"]
-    if sigma in free and x_fit[sigma] <= lo[sigma]:
+    if _AT["sigma"] in free:
+        _warn_if_pinned(x_fit, lo, stacklevel=3)
+    return x_fit, fit
+
+
+def _warn_if_pinned(x_fit, lo, stacklevel):
+    """`DegenerateSigmaWarning` when the fitted sigma lies on its lower bound."""
+    if x_fit[_AT["sigma"]] <= lo[_AT["sigma"]]:
         warnings.warn(
             "fitted broadening pinned at its lower bound",
             DegenerateSigmaWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-    return x_fit, fit
 
 
 def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
@@ -668,36 +770,91 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
 
 
 def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
-    """Per-trace fit of {mu, sigma, gamma_c, phi, f_b, phi_b} against a calibration.
+    """`fit_measurements` of one trace: (mu, sigma, FitResult)."""
+    hints = None if init_hint is None else [init_hint]
+    return fit_measurements([sweep], calibration, hints, max_iter)[0]
+
+
+def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
+    """Fit {mu, sigma, gamma_c, phi, f_b, phi_b} to every trace of a sweep.
 
     The six parameters named in `FROZEN_PARAM_NAMES` are held at their
-    calibrated values.  mu is initialized at the magnitude minimum of the
-    trace and sigma at 10% of the apparent linewidth; the nuisance
-    parameters start from the calibration.  ``init_hint``, a twelve-scalar
-    vector in `PARAM_NAMES` order, overrides those starting values; its
-    frozen entries are ignored.
+    calibrated values.  For each trace, mu is initialized at the magnitude
+    minimum and sigma at 10% of the apparent linewidth; the nuisance
+    parameters start from the calibration.  ``init_hints``, one entry per
+    trace that is None or a twelve-scalar vector in `PARAM_NAMES` order,
+    overrides those starting values; frozen entries are ignored.
+
+    The traces must share one probe grid.  They are fitted as one batch of
+    the LM: every step makes one model and one Jacobian call over the traces
+    still iterating, while each trace keeps its own damping and convergence
+    test.  A trace whose normal equations go singular stops there: its
+    FitResult holds its last accepted point with ``converged=False``, and
+    the other traces go on.
 
     Returns
     -------
-    (mu, sigma, FitResult)
-        A `DegenerateSigmaWarning` is emitted when sigma ends on its lower
-        bound.
+    list of (mu, sigma, FitResult), in the order of ``sweeps``
+        A `DegenerateSigmaWarning` is emitted for each trace whose sigma
+        ends on its lower bound.
     """
-    _require_points(sweep, 8, "fit_measurement")
-    x = calibration.fit.params.copy()
-    lo, hi = _default_bounds(sweep.freqs, gamma_scale=x[_AT["gamma"]])
-
-    if init_hint is not None:
-        start = _chain_vector(init_hint, "init_hint")
-    else:
-        start = x.copy()
-        start[_AT["mu"]] = sweep.freqs[int(np.argmin(np.abs(sweep.values)))]
-        start[_AT["sigma"]] = 0.1 * _apparent_linewidth(sweep)
+    sweeps = list(sweeps)
+    hints = [None] * len(sweeps) if init_hints is None else list(init_hints)
+    if len(hints) != len(sweeps):
+        raise ValueError(f"init_hints: {len(hints)} entries for {len(sweeps)} traces")
+    if not sweeps:
+        return []
+    freqs = sweeps[0].freqs
+    for sweep in sweeps:
+        _require_points(sweep, 8, "fit_measurements")
+        if not np.array_equal(sweep.freqs, freqs):
+            raise ValueError("fit_measurements: the traces must share one probe grid")
+    x = calibration.fit.params
+    lo, hi = _default_bounds(freqs, gamma_scale=x[_AT["gamma"]])
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
-    x[free] = np.clip(start[free], lo[free], hi[free])  # held entries stay as calibrated
+    starts = np.array([_measurement_start(s, x, h) for s, h in zip(sweeps, hints)])
+    X = np.tile(x, (len(sweeps), 1))
+    X[:, free] = np.clip(starts[:, free], lo[free], hi[free])  # held entries stay as calibrated
 
-    x_fit, fit = _fit_free(sweep, x, free, lo, hi, _scales(x, sweep.freqs), max_iter)
-    return float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit
+    model, jac = _partial_chain(x, free)
+    data = np.array([sweep.values for sweep in sweeps])
+
+    def resid(xf, rows):
+        r = model(xf, freqs) - data[rows]
+        return np.concatenate([r.real, r.imag], axis=1)
+
+    def jacobian(xf, rows):
+        Jc = jac(xf, freqs)
+        return np.concatenate([Jc.real, Jc.imag], axis=1)
+
+    fits, _ = _lm(
+        resid,
+        jacobian,
+        X[:, free],
+        lo[free],
+        hi[free],
+        _scales(X, freqs)[:, free],
+        tuple(PARAM_NAMES[i] for i in free),
+        max_iter,
+    )
+    out = []
+    for fit in fits:
+        x_fit = x.copy()
+        x_fit[free] = fit.params
+        _warn_if_pinned(x_fit, lo, stacklevel=2)
+        out.append((float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit))
+    return out
+
+
+def _measurement_start(sweep, x, hint):
+    """Starting vector of one trace's fit: ``hint``, or ``x`` with mu and
+    sigma read off the trace."""
+    if hint is not None:
+        return _chain_vector(hint, "init_hint")
+    start = x.copy()
+    start[_AT["mu"]] = sweep.freqs[int(np.argmin(np.abs(sweep.values)))]
+    start[_AT["sigma"]] = 0.1 * _apparent_linewidth(sweep)
+    return start
 
 
 def _apparent_linewidth(sweep):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fitkit import ComplexSweep, fit_base_calibration, fit_measurement
+from .fitkit import ComplexSweep, fit_base_calibration, fit_measurements
 from .photonstats import (
     CalibrationScale,
     PhotonMoments,
@@ -396,10 +396,11 @@ def extract_statistics(dataset, calibration=None):
     """Fit every trace of a dataset and convert to photon statistics.
 
     Runs `fit_base_calibration` on the stored base trace (unless a
-    calibration is supplied), then one `fit_measurement` per record, in
-    dataset order on the calling thread.  Non-converged fits are reported in
-    their record via ``converged``/``n_iter``/``residual_norm`` rather than
-    dropped.
+    calibration is supplied), then one `fit_measurements` call per distinct
+    probe grid (one for every dataset `simulate_sweep` writes), on the
+    calling thread.  Records come back in dataset order.  Non-converged
+    fits, singular ones included, are reported in their record via
+    ``converged``/``n_iter``/``residual_norm`` rather than dropped.
     """
     cfg = dataset.config
     if calibration is None:
@@ -408,8 +409,7 @@ def extract_statistics(dataset, calibration=None):
     mu_base = float(calibration.fit.params[PARAM_NAMES.index("mu")])
     scale = CalibrationScale(cfg.alpha_photon_per_hz)
 
-    def one(point):
-        mu, sigma, fit = fit_measurement(point.sweep, calibration)
+    def one(point, mu, sigma, fit):
         variance = sigma_to_variance(sigma, sigma_base, scale)
         mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base)
         g2 = g2_zero(PhotonMoments(mean, variance)) if mean > 0 else float("nan")
@@ -427,7 +427,14 @@ def extract_statistics(dataset, calibration=None):
             residual_norm=fit.residual_norm,
         )
 
-    return [one(point) for point in dataset.records]
+    by_grid = {}
+    for k, point in enumerate(dataset.records):
+        by_grid.setdefault(point.sweep.freqs.tobytes(), []).append(k)
+    fitted = {}
+    for rows in by_grid.values():
+        sweeps = [dataset.records[k].sweep for k in rows]
+        fitted.update(zip(rows, fit_measurements(sweeps, calibration)))
+    return [one(point, *fitted[k]) for k, point in enumerate(dataset.records)]
 
 
 # ---------------------------------------------------------------------------

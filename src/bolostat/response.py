@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import erfcx
+from .specfun import _horner, erfcx
 
 __all__ = [
     "ResonatorParams",
@@ -148,6 +148,8 @@ PHASE_NAMES = ("phi", "phi_b", "varphi")
 _LINE = slice(0, len(_LINE_NAMES))
 _BACKGROUND = slice(_LINE.stop, _LINE.stop + len(_BACKGROUND_NAMES))
 _DELAY = slice(_BACKGROUND.stop, len(PARAM_NAMES))
+_SIGMA = PARAM_NAMES.index("sigma")
+_GAMMA = PARAM_NAMES.index("gamma")
 
 
 def sigma_floor(gamma):
@@ -162,9 +164,10 @@ def sigma_floor(gamma):
 
 def _line(mu, sigma, gamma_c, phi, gamma, f_p):
     # averaged line: the bare Lorentzian at f_r = mu up to the sigma floor,
-    # the erfcx (Voigt) closed form above it; scalars or broadcastable arrays
+    # the erfcx (Voigt) closed form above it; scalars or broadcastable
+    # arrays, all on one side of the floor (`_chain_model` splits a batch)
     dprime = TWO_PI * (mu - f_p)
-    if sigma <= sigma_floor(gamma):
+    if np.all(sigma <= sigma_floor(gamma)):
         return 1.0 - np.exp(1j * phi) * gamma_c / (gamma / 2.0 + 1j * dprime)
     arg = (gamma / 2.0 + 1j * dprime) / (2.0 * math.sqrt(2.0) * math.pi * sigma)
     return 1.0 - np.exp(1j * phi) * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma) * erfcx(arg)
@@ -182,16 +185,45 @@ def _delay(tau, varphi, f_p):
     return np.exp(1j * (f_p * tau + varphi))
 
 
+def _scalars(x, part):
+    """The entries ``part`` of a raw vector, one per helper argument: floats
+    for a (12,) vector, (B, 1) columns for a (B, 12) batch of rows."""
+    sub = x[..., part]
+    return sub if sub.ndim == 1 else sub.T[..., None]
+
+
+def _straddles_floor(x):
+    """Row mask of a (B, 12) batch at or below the sigma floor, when the
+    batch has rows on both sides of it; None otherwise."""
+    floor = x[..., _SIGMA] <= sigma_floor(x[..., _GAMMA])
+    return floor if floor.ndim and floor.any() and not floor.all() else None
+
+
+def _by_branch(fn, x, f_p, floor):
+    # fn over a batch, the rows on each side of the sigma floor apart
+    below = fn(x[floor], f_p)
+    out = np.empty((len(x),) + below.shape[1:], dtype=below.dtype)
+    out[floor] = below
+    out[~floor] = fn(x[~floor], f_p)
+    return out
+
+
 def _chain_model(x, f_p):
     """Full chain response at a raw twelve-scalar vector in `PARAM_NAMES` order.
 
+    ``x`` is one vector, giving shape f_p.shape, or a (B, 12) batch of rows,
+    giving (B, len(f_p)); each row takes its own side of the sigma floor.
     No validation and no phase wrapping, so a fitter may move every scalar
     freely; `full_chain_response` is the same expression on the dataclasses.
     """
+    x = np.asarray(x, dtype=float)
+    floor = _straddles_floor(x)
+    if floor is not None:
+        return _by_branch(_chain_model, x, f_p, floor)
     return (
-        _delay(*x[_DELAY], f_p)
-        * _background(*x[_BACKGROUND], f_p)
-        * _line(*x[_LINE], f_p)
+        _delay(*_scalars(x, _DELAY), f_p)
+        * _background(*_scalars(x, _BACKGROUND), f_p)
+        * _line(*_scalars(x, _LINE), f_p)
     )
 
 
@@ -204,7 +236,7 @@ _SERIES_FROM = 8.0
 
 
 def _series_coeffs(ratio, n_terms=24):
-    # c_0 = 1, c_{k+1} = c_k * ratio(k); highest power first for np.polyval
+    # c_0 = 1, c_{k+1} = c_k * ratio(k); highest power first for _horner
     c = [1.0]
     for k in range(n_terms - 1):
         c.append(c[-1] * ratio(k))
@@ -232,8 +264,8 @@ def _erfcx_derivatives(z, w):
     if far.any():
         zf = z[far]
         v = 1.0 / (zf * zf)
-        dw[far] = -np.polyval(_DW_SERIES, v) * v / _SQRT_PI
-        g[far] = np.polyval(_G_SERIES, v) * v / (_SQRT_PI * zf)
+        dw[far] = -_horner(_DW_SERIES, v) * v / _SQRT_PI
+        g[far] = _horner(_G_SERIES, v) * v / (_SQRT_PI * zf)
     return dw, g
 
 
@@ -241,7 +273,7 @@ def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
     """Value of `_line` and its derivatives in `_LINE_NAMES` order."""
     a = gamma / 2.0 + 1j * TWO_PI * (mu - f_p)
     rot = np.exp(1j * phi)
-    if sigma <= sigma_floor(gamma):
+    if np.all(sigma <= sigma_floor(gamma)):
         q = rot * gamma_c / a
         # sigma: the right derivative sigma * d^2L/dmu^2 of the Gaussian
         # average, so that a fit can leave the floor
@@ -285,21 +317,31 @@ def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
 def _chain_jacobian(x, f_p):
     """Complex Jacobian of `_chain_model` in closed form: (len(f_p), 12).
 
-    Columns follow `PARAM_NAMES`.  The Voigt line takes one erfcx call and
-    its derivative from erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); the
-    background and delay columns are elementary.  On the bare-Lorentzian
-    branch (sigma at or below `sigma_floor`) the sigma column is the right
-    derivative of the Gaussian average, not zero.
+    A (B, 12) batch of rows gives (B, len(f_p), 12), each row on its own
+    side of the sigma floor.  Columns follow `PARAM_NAMES`.  The Voigt line
+    takes one erfcx call and its derivative from erfcx'(z) = 2 z erfcx(z)
+    - 2/sqrt(pi); the background and delay columns are elementary.  On the
+    bare-Lorentzian branch (sigma at or below `sigma_floor`) the sigma
+    column is the right derivative of the Gaussian average, not zero.
     """
+    x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
-    delay = _delay(*x[_DELAY], f_p)
-    background, d_background = _background_jacobian(*x[_BACKGROUND], f_p)
-    line, d_line = _line_jacobian(*x[_LINE], f_p)
+    floor = _straddles_floor(x)
+    if floor is not None:
+        return _by_branch(_chain_jacobian, x, f_p, floor)
+    delay = _delay(*_scalars(x, _DELAY), f_p)
+    background, d_background = _background_jacobian(*_scalars(x, _BACKGROUND), f_p)
+    line, d_line = _line_jacobian(*_scalars(x, _LINE), f_p)
     value = delay * background * line
-    jac = np.empty((f_p.size, len(PARAM_NAMES)), dtype=complex)
-    jac[:, _LINE] = np.column_stack(d_line) * (delay * background)[:, None]
-    jac[:, _BACKGROUND] = np.column_stack(d_background) * (delay * line)[:, None]
-    jac[:, _DELAY] = np.column_stack((1j * f_p * value, 1j * value))
+    jac = np.empty(value.shape + (len(PARAM_NAMES),), dtype=complex)
+    # column by column, so no stacked copy of the derivatives is made
+    for part, derivatives, factor in (
+        (_LINE, d_line, delay * background),
+        (_BACKGROUND, d_background, delay * line),
+        (_DELAY, (1j * f_p, 1j), value),
+    ):
+        for i, d in zip(range(part.start, part.stop), derivatives):
+            np.multiply(d, factor, out=jac[..., i])
     return jac
 
 

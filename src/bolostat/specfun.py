@@ -59,10 +59,20 @@ def _rational_coeffs(n):
 _RAT_L, _RAT_COEFFS = _rational_coeffs(_RATIONAL_N)
 
 
+def _horner(coeffs, x):
+    """Polynomial with coefficients ``coeffs`` (highest power first) at the
+    complex array ``x``: the operations of `np.polyval`, done in place."""
+    p = np.zeros_like(x)
+    for c in coeffs:
+        p *= x
+        p += c
+    return p
+
+
 def _w_rational(zeta):
     """Faddeeva function for Im(zeta) >= 0, vectorized over a complex array."""
     mapped = (_RAT_L + 1j * zeta) / (_RAT_L - 1j * zeta)
-    p = np.polyval(_RAT_COEFFS, mapped)
+    p = _horner(_RAT_COEFFS, mapped)
     return 2.0 * p / (_RAT_L - 1j * zeta) ** 2 + (1.0 / np.sqrt(np.pi)) / (
         _RAT_L - 1j * zeta
     )

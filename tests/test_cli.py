@@ -92,12 +92,12 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
 
-    real_fit = pl.fit_measurement
+    real_fit = pl.fit_measurements
 
-    def starved_fit(sweep, calibration, **kwargs):
-        return real_fit(sweep, calibration, max_iter=1, **kwargs)
+    def starved_fit(sweeps, calibration, **kwargs):
+        return real_fit(sweeps, calibration, max_iter=1, **kwargs)
 
-    monkeypatch.setattr(pl, "fit_measurement", starved_fit)
+    monkeypatch.setattr(pl, "fit_measurements", starved_fit)
     rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "did not converge" in capsys.readouterr().err
@@ -139,15 +139,43 @@ def test_fit_error_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys)
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
 
-    def singular_fit(sweep, calibration, **kwargs):
+    def singular_fit(sweep, init, **kwargs):
         raise RankDeficiencyError("normal equations are singular; degenerate directions: mu")
 
-    monkeypatch.setattr(pl, "fit_measurement", singular_fit)
+    monkeypatch.setattr(pl, "fit_base_calibration", singular_fit)
     rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "degenerate directions: mu" in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_singular_trace_is_reported_in_its_row(tmp_path, thermal_config_file, monkeypatch, capsys):
+    # one trace whose normal equations go singular stops alone: the other
+    # row is fitted, the CSV is written and `fit` exits 2
+    import bolostat.fitkit as fk
+
+    dataset = tmp_path / "d.json"
+    cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
+    truth_mu = [p["truth"]["mu_hz"] for p in json.loads(dataset.read_text())["records"]]
+    below = 0.5 * (truth_mu[0] + truth_mu[1])  # the hotter trace sits lower
+    real_jacobian = fk._chain_jacobian
+    gamma_c = fk.PARAM_NAMES.index("gamma_c")
+
+    def flat_gamma_c_below(x, f_p):
+        jac = real_jacobian(x, f_p)
+        if np.ndim(x) == 2:  # the measurement batch, not a calibration stage
+            jac[x[:, fk.PARAM_NAMES.index("mu")] < below, :, gamma_c] = 0.0
+        return jac
+
+    monkeypatch.setattr(fk, "_chain_jacobian", flat_gamma_c_below)
+    rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "1 fit(s) did not converge" in capsys.readouterr().err
+    rows = list(csv.DictReader((tmp_path / "s.csv").read_text().splitlines()))
+    assert [r["converged"] for r in rows] == ["1", "0"]
+    assert rows[1]["n_iter"] == "1"
+    assert abs(float(rows[0]["mu_hz"]) - truth_mu[0]) < 1e3
 
 
 @pytest.mark.parametrize("seed", [1, 9, 2, 6])

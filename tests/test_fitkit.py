@@ -19,6 +19,7 @@ from bolostat import (
     extract_statistics,
     fit_base_calibration,
     fit_measurement,
+    fit_measurements,
     full_chain_response,
     least_squares,
     lorentzian_fit,
@@ -464,13 +465,14 @@ class TestMeasurementFit:
                 assert abs(a / b - 1) < 0.02
 
 
-def test_staged_fits_call_least_squares_through_the_module(monkeypatch):
+def test_calibration_calls_least_squares_and_the_sweep_one_batch(monkeypatch):
     # a tracer that wraps fitkit.least_squares and its first argument must
-    # see every staged fit: two calibration stages plus one fit per trace
+    # see both calibration stages; the measurement fits of the sweep are one
+    # batch of the LM core, which least_squares runs as a batch of one
     import bolostat.fitkit as fk
 
-    real = fk.least_squares
-    calls = []
+    real, real_lm = fk.least_squares, fk._lm
+    calls, batches = [], []
 
     def counting(*args, **kwargs):
         model = args[0]  # positional, as perfbench's wrapper expects
@@ -484,20 +486,26 @@ def test_staged_fits_call_least_squares_through_the_module(monkeypatch):
         calls.append(evals)
         return real(counted_model, *args[1:], **kwargs)
 
+    def counting_lm(resid, jacobian, x0, *args, **kwargs):
+        batches.append(len(x0))
+        return real_lm(resid, jacobian, x0, *args, **kwargs)
+
     monkeypatch.setattr(fk, "least_squares", counting)
+    monkeypatch.setattr(fk, "_lm", counting_lm)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     dataset = simulate_sweep(SweepConfig.from_dict(json.loads(shipped.read_text())))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         extract_statistics(dataset)
     assert len(dataset.records) == 9
-    assert len(calls) == 2 + 9
+    assert len(calls) == 2
     assert all(evals[0] > 0 for evals in calls)
+    assert batches == [1, 1, 9]
     # only the base calibration ends at the sigma floor
     assert sum(issubclass(w.category, DegenerateSigmaWarning) for w in caught) == 1
 
 
-def test_measurement_fit_evaluates_the_model_only_inside_least_squares(monkeypatch):
+def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     # the FitResult describes the point the LM returned: no chain-model
     # evaluation after it may move sigma or the residual
     import bolostat.fitkit as fk
@@ -507,14 +515,14 @@ def test_measurement_fit_evaluates_the_model_only_inside_least_squares(monkeypat
     calibration = run_calibration(dataset)
     sweep = dataset.records[-1].sweep
 
-    real_lsq, real_model = fk.least_squares, fk._chain_model
+    real_lm, real_model = fk._lm, fk._chain_model
     inside = [False]
     calls = []
 
-    def flagged_lsq(*args, **kwargs):
+    def flagged_lm(*args, **kwargs):
         inside[0] = True
         try:
-            return real_lsq(*args, **kwargs)
+            return real_lm(*args, **kwargs)
         finally:
             inside[0] = False
 
@@ -522,10 +530,137 @@ def test_measurement_fit_evaluates_the_model_only_inside_least_squares(monkeypat
         calls.append(inside[0])
         return real_model(x, freqs)
 
-    monkeypatch.setattr(fk, "least_squares", flagged_lsq)
+    monkeypatch.setattr(fk, "_lm", flagged_lm)
     monkeypatch.setattr(fk, "_chain_model", counted_model)
     _, sigma, fit = fit_measurement(sweep, calibration)
     gamma = calibration.fit.params[PARAM_NAMES.index("gamma")]
     lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
     assert sigma > lo[PARAM_NAMES.index("sigma")]
     assert calls and all(calls)
+
+
+class TestSweepFit:
+    """The measurement fits of a sweep run as one batch of the LM core."""
+
+    # iterations per trace of the shipped configs, clean and at noise 0.01
+    # seed 1, as the fits took when each trace was its own least_squares call
+    N_ITER = {
+        ("thermal", 0.0): [5, 5, 5, 5, 5, 5, 6, 6, 6],
+        ("coherent", 0.0): [5, 5, 5, 5, 5, 5, 5, 5, 6, 6],
+        ("mixed", 0.0): [5, 5, 5, 5, 6, 6],
+        ("thermal", 0.01): [6, 6, 6, 6, 6, 6, 6, 6, 7],
+        ("coherent", 0.01): [6, 5, 6, 5, 6, 6, 6, 6, 6, 6],
+        ("mixed", 0.01): [6, 6, 6, 6, 6, 6],
+    }
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("name", ["thermal", "coherent", "mixed"])
+    def test_batch_matches_one_trace_at_a_time(self, name, noise):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        raw = json.loads(shipped.read_text())
+        if noise:
+            raw = dict(raw, noise=noise, seed=1)
+        dataset = simulate_sweep(SweepConfig.from_dict(raw))
+        calibration = run_calibration(dataset)
+        sweeps = [point.sweep for point in dataset.records]
+        with warnings.catch_warnings(record=True) as caught_batch:
+            warnings.simplefilter("always")
+            batch = fit_measurements(sweeps, calibration)
+        with warnings.catch_warnings(record=True) as caught_alone:
+            warnings.simplefilter("always")
+            alone = [fit_measurement(sweep, calibration) for sweep in sweeps]
+        for (mu, sigma, fit), (mu1, sigma1, fit1) in zip(batch, alone, strict=True):
+            assert mu == pytest.approx(mu1, rel=1e-9, abs=0)
+            assert sigma == pytest.approx(sigma1, rel=1e-9, abs=0)
+            assert fit.residual_norm == pytest.approx(fit1.residual_norm, rel=1e-9, abs=0)
+            assert (fit.n_iter, fit.converged) == (fit1.n_iter, fit1.converged)
+        assert [w.category for w in caught_batch] == [w.category for w in caught_alone]
+        assert [fit.n_iter for _, _, fit in batch] == self.N_ITER[name, noise]
+
+    @staticmethod
+    def decay_problem(data, t):
+        """resid/jacobian of y = a exp(-b t) per batch row, stacked as the
+        real and (zero) imaginary parts of a complex trace, and a call log."""
+        log = []
+
+        def resid(X, rows):
+            log.append(("resid", list(rows)))
+            r = X[:, :1] * np.exp(-X[:, 1:] * t) - data[rows]
+            return np.concatenate([r, 0.0 * r], axis=1)
+
+        def jacobian(X, rows):
+            log.append(("jac", list(rows)))
+            e = np.exp(-X[:, 1:] * t)
+            jac = np.stack([e, -X[:, :1] * t * e], axis=-1)
+            return np.concatenate([jac, 0.0 * jac], axis=1)
+
+        return resid, jacobian, log
+
+    def test_rows_finish_at_their_own_iteration(self):
+        # three rows that stop after 3, 9 and 5 iterations, the middle one
+        # after rejected steps that raised its damping: a row that has
+        # stopped is no longer evaluated, and each row ends where a single
+        # least_squares fit of it ends, in as many iterations
+        from bolostat.fitkit import _lm
+
+        t = np.linspace(0.0, 4.0, 30)
+        rng = np.random.default_rng(7)
+        truth = np.array([[2.0, 0.5], [1.0, 1.5], [3.0, 0.2]])
+        data = truth[:, :1] * np.exp(-truth[:, 1:] * t) + rng.normal(0, 1e-3, (3, t.size))
+        x0 = np.array([[2.0, 0.5], [0.1, 8.0], [2.5, 0.3]])
+        lo, hi = np.array([0.0, 0.0]), np.array([10.0, 10.0])
+        resid, jacobian, log = self.decay_problem(data, t)
+        fits, failures = _lm(resid, jacobian, x0, lo, hi, np.ones(2), ("a", "b"), 200)
+        assert failures == [None, None, None]
+        assert [fit.n_iter for fit in fits] == [3, 9, 5]
+        assert all(fit.converged for fit in fits)
+        evaluated = [sum(k in rows for kind, rows in log if kind == "resid") for k in range(3)]
+        assert evaluated[1] > fits[1].n_iter + 2  # rejected steps
+        for k, fit in enumerate(fits):
+            assert sum(k in rows for kind, rows in log if kind == "jac") == fit.n_iter
+            alone = least_squares(
+                lambda p, f: p[0] * np.exp(-p[1] * f) + 0j,
+                ComplexSweep(t, data[k] + 0j),
+                init=x0[k],
+                bounds=(lo, hi),
+                scales=np.ones(2),
+                jac=lambda p, f: np.stack([np.exp(-p[1] * f), -p[0] * f * np.exp(-p[1] * f)], -1) + 0j,
+            )
+            np.testing.assert_array_equal(fit.params, alone.params)
+            assert (fit.n_iter, fit.residual_norm) == (alone.n_iter, alone.residual_norm)
+
+    def test_singular_and_pinned_rows_leave_the_others_alone(self):
+        # row 1's flat column is interior: it stops at its start with the
+        # singularity named; row 2's flat column is pinned at its bound, so
+        # it only leaves that row's solve; row 0 is fitted as alone
+        from bolostat.fitkit import _lm
+
+        t = np.linspace(0.0, 1.0, 20)
+        data = np.array([0.5 + 2.0 * t, 1.0 + t, 3.0 + 0.0 * t])
+
+        def resid(X, rows):
+            return X[:, :1] + X[:, 1:] * t - data[rows]
+
+        def jacobian(X, rows):
+            jac = np.stack([np.ones((len(rows), t.size)), np.broadcast_to(t, (len(rows), t.size))], -1)
+            jac[np.asarray(rows) > 0, :, 1] = 0.0
+            return jac
+
+        x0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        lo, hi = np.array([-10.0, 0.0]), np.array([10.0, 10.0])
+        fits, failures = _lm(resid, jacobian, x0, lo, hi, np.ones(2), ("p0", "p1"), 50)
+        assert failures[0] is None and failures[2] is None
+        assert "degenerate directions: p1" in failures[1]
+        assert not fits[1].converged and fits[1].n_iter == 1
+        np.testing.assert_array_equal(fits[1].params, x0[1])
+        assert fits[0].converged and fits[2].converged
+        np.testing.assert_allclose(fits[0].params, [0.5, 2.0], rtol=1e-10)
+        assert fits[2].params[1] == 0.0
+        assert fits[2].params[0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_traces_must_share_one_grid(self):
+        _, calib = base_calibration()
+        sweep = synth_sweep(522e6, 1e6)
+        coarse = ComplexSweep(sweep.freqs[::2], sweep.values[::2])
+        with pytest.raises(ValueError, match="one probe grid"):
+            fit_measurements([sweep, coarse], calib)

@@ -283,6 +283,27 @@ class TestExtraction:
             recomputed = 1.0 + (r.variance_n - r.mean_n) / r.mean_n**2
             assert abs(r.g2 - recomputed) < 1e-12
 
+    def test_records_on_their_own_grids_are_fitted_apart(self):
+        # a stored dataset may give each record its own probe grid: the
+        # sweep fit runs once per grid, and rows come back in dataset order
+        from bolostat import fit_measurement
+
+        dataset = simulate_sweep(make_config(t_grid_k=[0.5, 1.0, 1.5]))
+        coarse = dataset.records[1].sweep
+        coarse = ComplexSweep(coarse.freqs[::2], coarse.values[::2])
+        records = list(dataset.records)
+        records[1] = TracePoint(records[1].control, records[1].truth, coarse)
+        mixed = SweepDataset(dataset.config, dataset.base, tuple(records))
+        calibration = run_calibration(mixed)
+        stats = extract_statistics(mixed, calibration)
+        assert [r.control for r in stats] == [p.control for p in records]
+        for rec, point in zip(stats, records):
+            mu, sigma, fit = fit_measurement(point.sweep, calibration)
+            assert rec.mu_hz == pytest.approx(mu, rel=1e-9, abs=0)
+            assert rec.sigma_hz == pytest.approx(sigma, rel=1e-9, abs=0)
+            assert (rec.n_iter, rec.converged) == (fit.n_iter, fit.converged)
+        assert stats[1].mean_n == pytest.approx(records[1].truth["mean_n"], rel=0.01)
+
     def test_calibration_starts_sigma_on_its_bound(self, monkeypatch):
         # gamma_c = 0.95*gamma, seed 13: the perturbed start lowers gamma, so
         # the floor of the config's gamma lies just above the fit box's bound

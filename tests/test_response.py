@@ -401,6 +401,27 @@ class TestChainJacobian:
         np.testing.assert_allclose(d_above[1], d_floor[1], rtol=1e-8)
 
 
+class TestBatchedChain:
+    def test_rows_are_bitwise_the_single_vector_calls(self, probe_grid):
+        # a (B, 12) batch with rows below, on and above the sigma floor, and
+        # with |z| both sides of the series switch: each row of the model and
+        # of the Jacobian is the call on that row alone
+        floor = sigma_floor(GAMMA)
+        rows = [
+            CHAIN_TRUE.vector(MU, sigma)
+            for sigma in (0.0, floor, floor * (1 + 1e-9), 1e3, 0.4e6, 2.8e6)
+        ]
+        span = probe_grid[-1] - probe_grid[0]
+        rows.append(perturb_vector(CHAIN_TRUE.vector(515e6, 1.1e6), np.random.default_rng(3), span))
+        x = np.array(rows)
+        model, jac = _chain_model(x, probe_grid), _chain_jacobian(x, probe_grid)
+        assert model.shape == (len(rows), probe_grid.size)
+        assert jac.shape == (len(rows), probe_grid.size, len(PARAM_NAMES))
+        for k, row in enumerate(rows):
+            np.testing.assert_array_equal(model[k], _chain_model(row, probe_grid))
+            np.testing.assert_array_equal(jac[k], _chain_jacobian(row, probe_grid))
+
+
 class TestRlc:
     CIRCUIT = RlcParams(Z=50.0, C_g=0.5e-12, Q_i=176.0, f_r=524e6)
 
