@@ -7,12 +7,10 @@ second-order correlation that separates them.
 """
 
 from bolostat import (
-    BathCorrection,
     CalibrationScale,
     MixedField,
     PhotonMoments,
     RadiatorState,
-    bath_corrected_power,
     beamsplitter_combine,
     coherent_variance,
     flux_to_power,
@@ -58,9 +56,6 @@ print(f"  g2(0):    {g2_zero(closed):.4f} (closed)  {g2_zero(mc):.4f} (MC)")
 print("\npower bookkeeping:")
 p = flux_to_power(0.16, F_IN, FWHM)
 print(f"  0.16 photon/(s*Hz) over the {FWHM / 1e6:.0f} MHz passband = {p * 1e18:.1f} aW")
-corr = BathCorrection(beta=440e-15, bandwidth=FWHM)
-print(f"  net heating at T_b = 0.1 K, T = 1 K: "
-      f"{bath_corrected_power(0.1, 1.0, F_IN, corr) * 1e15:.1f} fW")
 
 scale = CalibrationScale(alpha=1.92e-6)  # 1.92 photon/MHz
 print(f"  a 1 MHz fitted broadening maps to (Delta n)^2 = "

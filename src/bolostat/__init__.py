@@ -13,27 +13,21 @@ from .response import (
     FreqDistribution,
     LineParams,
     ResonatorParams,
-    RlcParams,
-    RlcRates,
     averaged_reflection,
     averaged_reflection_gh,
     averaged_reflection_mc,
     background_transfer,
     bare_reflection,
     full_chain_response,
-    rlc_input_impedance,
-    rlc_rates,
     sigma_floor,
 )
 from .photonstats import (
-    BathCorrection,
     CalibrationScale,
     InsufficientDataError,
     MixedField,
     PhotonMoments,
     RadiatorState,
     UndefinedStatisticError,
-    bath_corrected_power,
     beamsplitter_combine,
     coherent_variance,
     flux_to_power,
@@ -61,7 +55,6 @@ from .fitkit import (
     fit_measurement,
     fit_measurements,
     least_squares,
-    lorentzian_fit,
     polynomial_fit,
 )
 from .dspchain import (

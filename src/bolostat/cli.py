@@ -141,7 +141,11 @@ def _cmd_demod(args):
         sys.stderr.write("error: raw trace needs at least 2 samples\n")
         return 1
     t = np.array([r[0] for r in rows])
-    fs = 1.0 / float(np.median(np.diff(t)))
+    dt = np.diff(t)
+    if not np.all(dt > 0):
+        sys.stderr.write("error: raw trace times must be strictly increasing\n")
+        return 1
+    fs = 1.0 / float(np.median(dt))
     trace = dspchain.RawTrace(samples=np.array([r[1] for r in rows]), fs=fs, t0=t[0])
     stream = dspchain.digital_downconvert(trace, args.f_if)
     spec = dspchain.FirSpec(cutoff=args.cutoff, n_taps=args.taps, window=args.window)

@@ -10,7 +10,6 @@ finite difference.  On top of it sit the resonance extractors used by the
 pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
-* `lorentzian_fit`    -- real-valued Lorentzian peak (filter passband style)
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
 * `fit_base_calibration` / `fit_measurements` -- the staged full-model procedure:
   all twelve chain parameters are fitted once on a reference (base) trace,
@@ -47,7 +46,6 @@ __all__ = [
     "MEASUREMENT_PARAM_NAMES",
     "least_squares",
     "circle_fit",
-    "lorentzian_fit",
     "polynomial_fit",
     "fit_base_calibration",
     "fit_measurement",
@@ -158,7 +156,6 @@ def least_squares(
     max_iter=200,
     scales=None,
     param_names=(),
-    callback=None,
     jac=None,
 ):
     """Damped Gauss-Newton minimizer of sum |model(f_i) - value_i|^2.
@@ -180,9 +177,6 @@ def least_squares(
         where nonzero.
     param_names : tuple of str, optional
         Used in diagnostics, e.g. to name rank-deficient directions.
-    callback : callable(n_iter, residual_norm), optional
-        Invoked after every accepted step (residual norms are
-        non-increasing along this sequence).
     jac : callable(params, freqs) -> complex ndarray, optional
         Jacobian of ``model``, shape (len(freqs), len(params)).  Without it
         the Jacobian is a central finite difference.
@@ -257,7 +251,6 @@ def least_squares(
         scales[None],
         names,
         max_iter,
-        callback,
     )
     if failure is not None:
         raise RankDeficiencyError(failure)
@@ -294,7 +287,7 @@ def _singular(names, which):
     )
 
 
-def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter, callback=None):
+def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
     """Levenberg-Marquardt over a batch of independent fits; the one LM loop.
 
     Row k of the (B, n) start ``x0`` minimizes the sum of squares of its
@@ -395,9 +388,6 @@ def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter, callback=None):
                 b = t[better]
                 rel_change = (cost[b] - cost_new[better]) / np.maximum(cost[b], 1e-300)
                 x[b], r[b], cost[b] = x_new[better], r_new[better], cost_new[better]
-                if callback is not None:
-                    for row in b:
-                        callback(it, math.sqrt(cost[row] / n_points))
                 # a small relative decrease only counts as convergence once
                 # the step is essentially undamped (pure Gauss-Newton)
                 stop[trying[better]] = converged[b] = (rel_change < _FRTOL) & (lam[b] <= 1e-6)
@@ -537,50 +527,6 @@ def circle_fit(sweep):
 
 # ---------------------------------------------------------------------------
 # real-valued helpers
-
-
-def lorentzian_fit(x, y):
-    """Least-squares Lorentzian y = offset + amplitude / (1 + (2(x-c)/fwhm)^2).
-
-    Returns (center, fwhm, amplitude, offset); amplitude is negative for a
-    dip.  Needs >= 8 points spanning the peak, as `least_squares` does.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
-    if x.size < 8:
-        raise FitError(f"lorentzian_fit needs at least 8 points, got {x.size}")
-
-    offset0 = 0.5 * (np.median(y[: max(2, x.size // 8)]) + np.median(y[-max(2, x.size // 8):]))
-    k = int(np.argmax(np.abs(y - offset0)))
-    amp0 = y[k] - offset0
-    half = np.abs(y - offset0) >= 0.5 * abs(amp0)
-    fwhm0 = max(
-        float(x[half].max() - x[half].min()),
-        2.0 * float(np.median(np.diff(x))),
-    )
-
-    def model(p, f):
-        c, fw, a, off = p
-        return off + a / (1.0 + (2.0 * (f - c) / fw) ** 2) + 0j
-
-    order = np.argsort(x)
-    sweep = ComplexSweep(freqs=x[order], values=y[order].astype(complex))
-    span = x.max() - x.min()
-    res = least_squares(
-        model,
-        sweep,
-        init=[x[k], fwhm0, amp0, offset0],
-        bounds=(
-            [x.min() - span, 1e-9 * span, -np.inf, -np.inf],
-            [x.max() + span, 100.0 * span, np.inf, np.inf],
-        ),
-        scales=[span, span, max(abs(amp0), 1e-300), max(abs(offset0), abs(amp0), 1e-300)],
-        param_names=("center", "fwhm", "amplitude", "offset"),
-    )
-    center, fwhm, amplitude, offset = res.params
-    return float(center), float(abs(fwhm)), float(amplitude), float(offset)
 
 
 def polynomial_fit(x, y, degree):

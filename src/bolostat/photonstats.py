@@ -19,7 +19,6 @@ __all__ = [
     "RadiatorState",
     "MixedField",
     "CalibrationScale",
-    "BathCorrection",
     "UndefinedStatisticError",
     "InsufficientDataError",
     "planck_mean_photon",
@@ -31,7 +30,6 @@ __all__ = [
     "sigma_to_variance",
     "beamsplitter_combine",
     "flux_to_power",
-    "bath_corrected_power",
     "resolution_metrics",
 ]
 
@@ -89,20 +87,6 @@ class CalibrationScale:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class BathCorrection:
-    """Phonon-bath heating coefficient beta (W/K) and detection bandwidth (Hz)."""
-
-    beta: float
-    bandwidth: float
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 
 
 def planck_mean_photon(state):
@@ -211,18 +195,6 @@ def flux_to_power(mean, f, bandwidth):
     if mean < 0 or f < 0 or bandwidth < 0:
         raise ValueError("flux_to_power arguments must be non-negative")
     return mean * PLANCK_H * f * bandwidth
-
-
-def bath_corrected_power(T_b, T, f, corr):
-    """Net heating power P = beta*T_b + bandwidth*k_B*T (W).
-
-    The second term is the Rayleigh-Jeans power of the radiation within the
-    detection bandwidth; ``f`` is accepted for interface symmetry with
-    `flux_to_power` but the linear bath model does not depend on it.
-    """
-    if T_b < 0 or T < 0:
-        raise ValueError("temperatures must be non-negative")
-    return corr.beta * T_b + corr.bandwidth * BOLTZMANN_K * T
 
 
 def resolution_metrics(shift_samples):

@@ -15,7 +15,6 @@ conventions should divide by 2*pi.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "FreqDistribution",
     "BackgroundParams",
     "LineParams",
-    "RlcParams",
-    "RlcRates",
     "PARAM_NAMES",
     "sigma_floor",
     "bare_reflection",
@@ -36,8 +33,6 @@ __all__ = [
     "averaged_reflection_mc",
     "background_transfer",
     "full_chain_response",
-    "rlc_input_impedance",
-    "rlc_rates",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -104,37 +99,6 @@ class LineParams:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
-@dataclass(frozen=True)
-class RlcParams:
-    """Parallel RLC thermometer capacitively coupled to a Z0 feedline.
-
-    Z = sqrt(L/C) is the characteristic impedance (Ohm), C_g the coupling
-    capacitance (F), Q_i the internal quality factor.  Construction asserts
-    the small-coupling expansion regime 2*pi*f_r*Z*C_g < 0.1.
-    """
-
-    Z: float
-    C_g: float
-    Q_i: float
-    f_r: float
-    Z0: float = 50.0
-
-    def __post_init__(self):
-        for name in ("Z", "C_g", "Q_i", "f_r", "Z0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        coupling = TWO_PI * self.f_r * self.Z * self.C_g
-        if coupling >= 0.1:
-            raise ValueError(
-                f"small-coupling expansion invalid: 2*pi*f_r*Z*C_g = {coupling:.3g} >= 0.1"
-            )
-
-
-class RlcRates(NamedTuple):
-    gamma_i: float
-    gamma_c_expr: float
-
-
 # The twelve free scalars of the chain model, in the one order every raw
 # vector uses: the averaged line, the background, then the line delay.  Each
 # group lists the leading arguments of the helper that evaluates it, so
@@ -173,12 +137,9 @@ def _line(mu, sigma, gamma_c, phi, gamma, f_p):
     return 1.0 - np.exp(1j * phi) * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma) * erfcx(arg)
 
 
-def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p, n_resonances=1, spacing=80e6):
-    term = 0.0
-    for k in range(n_resonances):
-        delta_b = TWO_PI * (f_b + k * spacing - f_p)
-        term = term + np.exp(1j * phi_b) * gamma_bc / (gamma_b / 2.0 + 1j * delta_b)
-    return s_b + term
+def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
+    delta_b = TWO_PI * (f_b - f_p)
+    return s_b + np.exp(1j * phi_b) * gamma_bc / (gamma_b / 2.0 + 1j * delta_b)
 
 
 def _delay(tau, varphi, f_p):
@@ -301,7 +262,7 @@ def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
 
 
 def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
-    """Value of one-resonance `_background` and its derivatives in `_BACKGROUND_NAMES` order."""
+    """Value of `_background` and its derivatives in `_BACKGROUND_NAMES` order."""
     b = gamma_b / 2.0 + 1j * TWO_PI * (f_b - f_p)
     unit = np.exp(1j * phi_b) / b
     term = gamma_bc * unit
@@ -435,56 +396,27 @@ def averaged_reflection_mc(res, dist, f_p, n_samples, seed, chunk=20000):
     return out if out.size > 1 else complex(out[0])
 
 
-def background_transfer(bg, f_p, n_resonances=1, spacing=80e6):
+def background_transfer(bg, f_p):
     """Output-path transfer function H(f_p) = s_b + e^{i phi_b} gamma_bc / (gamma_b/2 + i Delta_b).
 
-    Delta_b = 2*pi*(f_b - f_p).  With ``n_resonances`` > 1 the Lorentzian term
-    is repeated at f_b + k*spacing (the output path of a real chain shows a
-    comb of such mismatch resonances; the default spacing is 80 MHz).
+    Delta_b = 2*pi*(f_b - f_p).
     """
     return _background(
-        bg.s_b, bg.f_b, bg.gamma_bc, bg.gamma_b, bg.phi_b, np.asarray(f_p, dtype=float),
-        n_resonances, spacing,
+        bg.s_b, bg.f_b, bg.gamma_bc, bg.gamma_b, bg.phi_b, np.asarray(f_p, dtype=float)
     )
 
 
-def full_chain_response(res, dist, bg, line, f_p, n_resonances=1, spacing=80e6):
+def full_chain_response(res, dist, bg, line, f_p):
     """Everything the digitizer sees: delay/phase * background * averaged line.
 
     S11(f_p) = exp(i*(f_p*tau + varphi)) H(f_p) <S11(f_p)>
 
-    Note the delay phase is f_p*tau with no 2*pi (tau in rad/Hz).  With one
-    background resonance this is bitwise `_chain_model`, which the staged
-    fits and the synthesis run on.
+    Note the delay phase is f_p*tau with no 2*pi (tau in rad/Hz).  This is
+    bitwise `_chain_model`, which the staged fits and the synthesis run on.
     """
     f_p = np.asarray(f_p, dtype=float)
     return (
         _delay(line.tau, line.varphi, f_p)
-        * background_transfer(bg, f_p, n_resonances, spacing)
+        * background_transfer(bg, f_p)
         * averaged_reflection(res, dist, f_p)
     )
-
-
-def rlc_input_impedance(circuit, delta_f):
-    """Input impedance near resonance: Z_in = R' - i*2*L'*delta_f (Ohm).
-
-    R' = 1/(8 pi Z C_g^2 Q_i f_r^2), L' = 1/(8 pi Z C_g^2 f_r^3); first-order
-    expansion around f_r, valid for |delta_f| << f_r.
-    """
-    r_eff = 1.0 / (8.0 * math.pi * circuit.Z * circuit.C_g**2 * circuit.Q_i * circuit.f_r**2)
-    l_eff = 1.0 / (8.0 * math.pi * circuit.Z * circuit.C_g**2 * circuit.f_r**3)
-    return r_eff - 1j * 2.0 * l_eff * np.asarray(delta_f, dtype=float)
-
-
-def rlc_rates(circuit):
-    """Damping rates of the RLC picture: (gamma_i, gamma_c_expr).
-
-    gamma_i = 2*pi*f_r/Q_i is an ordinary angular rate.  gamma_c_expr is the
-    textbook small-coupling expression 4*Z*Z0*C_g^2*f_r returned verbatim;
-    note it does not carry rad/s units as written (it is dimensionally a
-    time unless f_r enters with a higher power), so nothing else in this
-    package consumes it -- the fitted gamma_c is always used instead.
-    """
-    gamma_i = TWO_PI * circuit.f_r / circuit.Q_i
-    gamma_c_expr = 4.0 * circuit.Z * circuit.Z0 * circuit.C_g**2 * circuit.f_r
-    return RlcRates(gamma_i=gamma_i, gamma_c_expr=gamma_c_expr)

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,12 @@ from bolostat import (
     FreqDistribution,
     LineParams,
     ResonatorParams,
+    averaged_reflection,
+    background_transfer,
+    full_chain_response,
 )
 from bolostat.fitkit import PARAM_NAMES
+from bolostat.response import _delay
 
 # reference thermometer line used throughout: 524 MHz resonance,
 # external/total rates 4.8/18.7 us^-1 (linewidth gamma/2pi ~ 2.98 MHz)
@@ -71,3 +75,16 @@ def chain_parts(x):
         kind(**{f.name: values[f.name] for f in fields(kind)})
         for kind in (ResonatorParams, FreqDistribution, BackgroundParams, LineParams)
     )
+
+
+def two_resonance_response(x, f_p, spacing=80e6):
+    """`full_chain_response` of a `PARAM_NAMES` vector with a second background
+    resonance ``spacing`` Hz from f_b, which the chain model does not have."""
+    res, dist, bg, line = chain_parts(x)
+    f_p = np.asarray(f_p, dtype=float)
+    second = (
+        _delay(line.tau, line.varphi, f_p)
+        * background_transfer(replace(bg, s_b=0.0, f_b=bg.f_b + spacing), f_p)
+        * averaged_reflection(res, dist, f_p)
+    )
+    return full_chain_response(res, dist, bg, line, f_p) + second

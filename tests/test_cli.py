@@ -273,6 +273,18 @@ def test_demod(tmp_path):
     assert abs(np.angle(iq.mean()) - 0.4) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "times", [[0.0, 0.0, 0.0], [2e-9, 1e-9, 0.0]], ids=["repeated", "decreasing"]
+)
+def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,v\n" + "".join(f"{t!r},0.5\n" for t in times))
+    out = tmp_path / "iq.csv"
+    assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: raw trace times must be strictly increasing\n"
+    assert not out.exists()
+
+
 def test_report_merges_series(tmp_path, thermal_config_file):
     dataset = tmp_path / "d.json"
     s1 = tmp_path / "thermal.csv"

@@ -1,11 +1,21 @@
-"""`import bolostat` stays cheap: scipy is a test-only dependency."""
+"""`import bolostat` stays cheap, and its exports name what exists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+# the package's `from .module import ...` statements
+PACKAGE_IMPORTS = [
+    node
+    for node in ast.parse((ROOT / "src" / "bolostat" / "__init__.py").read_text()).body
+    if isinstance(node, ast.ImportFrom) and node.level == 1
+]
 
 
 def test_import_loads_no_scipy():
@@ -17,3 +27,19 @@ def test_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", [node.module for node in PACKAGE_IMPORTS])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"bolostat.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_only_exported_names():
+    unexported = [
+        f"{node.module}.{alias.name}"
+        for node in PACKAGE_IMPORTS
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"bolostat.{node.module}").__all__
+    ]
+    assert unexported == []

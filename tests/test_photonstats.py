@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from bolostat import (
-    BathCorrection,
     CalibrationScale,
     InsufficientDataError,
     MixedField,
     PhotonMoments,
     RadiatorState,
     UndefinedStatisticError,
-    bath_corrected_power,
     beamsplitter_combine,
     coherent_variance,
     flux_to_power,
@@ -172,17 +170,6 @@ def test_flux_to_power_reference():
     np.testing.assert_allclose(p, 1.18837136909e-16, rtol=1e-9)
     np.testing.assert_allclose(
         flux_to_power(2.0, 8.428e9, 133e6), p * 2 / 0.16, rtol=1e-12
-    )
-
-
-def test_bath_corrected_power():
-    corr = BathCorrection(beta=440e-15, bandwidth=133e6)
-    assert bath_corrected_power(0.0, 0.0, 8.428e9, corr) == 0.0
-    np.testing.assert_allclose(
-        bath_corrected_power(0.1, 0.0, 8.428e9, corr), 44e-15, rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        bath_corrected_power(0.0, 1.0, 8.428e9, corr), 1.83626317e-15, rtol=1e-8
     )
 
 

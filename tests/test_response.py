@@ -12,15 +12,12 @@ from bolostat import (
     FreqDistribution,
     LineParams,
     ResonatorParams,
-    RlcParams,
     averaged_reflection,
     averaged_reflection_gh,
     averaged_reflection_mc,
     background_transfer,
     bare_reflection,
     full_chain_response,
-    rlc_input_impedance,
-    rlc_rates,
     sigma_floor,
 )
 
@@ -201,20 +198,6 @@ class TestBackgroundTransfer:
     def test_on_resonance_value(self):
         val = background_transfer(self.BG, 531e6)
         np.testing.assert_allclose(val, 0.9 + 2 * 2e6 / 40e6, rtol=1e-15)
-
-    def test_comb_of_spaced_resonances(self):
-        # k background resonances sit 80 MHz apart
-        vals = background_transfer(self.BG, np.array([531e6, 611e6]), n_resonances=2)
-        single_at_first = background_transfer(self.BG, 531e6)
-        shifted = BackgroundParams(
-            s_b=0.9, f_b=611e6, gamma_bc=2e6, gamma_b=40e6, phi_b=0.0
-        )
-        # each comb line shows the same on-resonance peak plus the tail of
-        # the other line
-        tail_at_first = background_transfer(shifted, 531e6) - 0.9
-        np.testing.assert_allclose(
-            vals[0], single_at_first + tail_at_first, rtol=1e-12
-        )
 
 
 class TestFullChain:
@@ -420,49 +403,3 @@ class TestBatchedChain:
         for k, row in enumerate(rows):
             np.testing.assert_array_equal(model[k], _chain_model(row, probe_grid))
             np.testing.assert_array_equal(jac[k], _chain_jacobian(row, probe_grid))
-
-
-class TestRlc:
-    CIRCUIT = RlcParams(Z=50.0, C_g=0.5e-12, Q_i=176.0, f_r=524e6)
-
-    def test_zero_detuning_is_real(self):
-        z_in = rlc_input_impedance(self.CIRCUIT, 0.0)
-        assert z_in.imag == 0.0 and z_in.real > 0
-
-    def test_external_quality_factor_identity(self):
-        # Q_e = Q_i R'/Z0 holds by construction of R'
-        z_in = rlc_input_impedance(self.CIRCUIT, 0.0)
-        r_eff = z_in.real
-        q_e = self.CIRCUIT.Q_i * r_eff / self.CIRCUIT.Z0
-        r_expected = 1 / (
-            8 * np.pi * self.CIRCUIT.Z * self.CIRCUIT.C_g**2
-            * self.CIRCUIT.Q_i * self.CIRCUIT.f_r**2
-        )
-        np.testing.assert_allclose(r_eff, r_expected, rtol=1e-15)
-        np.testing.assert_allclose(
-            q_e, self.CIRCUIT.Q_i * r_expected / 50.0, rtol=1e-15
-        )
-
-    def test_doubling_coupling_capacitance_quarters_r_and_l(self):
-        doubled = RlcParams(Z=50.0, C_g=1.0e-12, Q_i=176.0, f_r=100e6)
-        single = RlcParams(Z=50.0, C_g=0.5e-12, Q_i=176.0, f_r=100e6)
-        z2 = rlc_input_impedance(doubled, 1e5)
-        z1 = rlc_input_impedance(single, 1e5)
-        np.testing.assert_allclose(z2.real, z1.real / 4, rtol=1e-15)
-        np.testing.assert_allclose(z2.imag, z1.imag / 4, rtol=1e-15)
-
-    def test_internal_rate_round_trip(self):
-        rates = rlc_rates(self.CIRCUIT)
-        q_i = 2 * np.pi * self.CIRCUIT.f_r / rates.gamma_i
-        np.testing.assert_allclose(q_i, self.CIRCUIT.Q_i, rtol=1e-15)
-        # Q_i = 176 lands on the 18.7 us^-1 total-rate ballpark
-        np.testing.assert_allclose(rates.gamma_i, 18.7e6, rtol=1e-2)
-
-    def test_coupling_expression_scales_with_cg_squared(self):
-        a = rlc_rates(RlcParams(Z=50.0, C_g=0.5e-12, Q_i=176.0, f_r=100e6))
-        b = rlc_rates(RlcParams(Z=50.0, C_g=1.0e-12, Q_i=176.0, f_r=100e6))
-        np.testing.assert_allclose(b.gamma_c_expr / a.gamma_c_expr, 4.0, rtol=1e-15)
-
-    def test_large_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            RlcParams(Z=50.0, C_g=10e-12, Q_i=176.0, f_r=524e6)
