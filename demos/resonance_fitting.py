@@ -19,7 +19,7 @@ from bolostat import (
     bare_reflection,
     circle_fit,
     fit_base_calibration,
-    fit_measurement,
+    fit_measurements,
     full_chain_response,
 )
 from bolostat.fitkit import FROZEN_PARAM_NAMES
@@ -77,7 +77,7 @@ print(f"  frozen for the rest of the run: {', '.join(FROZEN_PARAM_NAMES)}")
 print("\nper-measurement fits (six free parameters), truth vs extracted:")
 print(f"{'mu_true (MHz)':>14} {'sigma_true':>11} {'mu_fit':>12} {'sigma_fit':>11} {'iters':>6}")
 for mu_t, sigma_t in [(523.0e6, 0.4e6), (521.5e6, 1.2e6), (519.0e6, 2.4e6)]:
-    mu, sigma, fit = fit_measurement(synthesize(mu_t, sigma_t), calibration)
+    [(mu, sigma, fit)] = fit_measurements([synthesize(mu_t, sigma_t)], calibration)
     print(
         f"{mu_t / 1e6:14.4f} {sigma_t / 1e6:11.4f} "
         f"{mu / 1e6:12.4f} {sigma / 1e6:11.4f} {fit.n_iter:6d}"

@@ -52,7 +52,6 @@ from .fitkit import (
     RankDeficiencyError,
     circle_fit,
     fit_base_calibration,
-    fit_measurement,
     fit_measurements,
     least_squares,
     polynomial_fit,

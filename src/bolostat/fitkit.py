@@ -3,10 +3,11 @@
 The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine operating
 on stacked real/imaginary residuals.  Its one loop, `_lm`, carries a leading
 batch axis of independent fits, each with its own damping and convergence
-test.  `least_squares` runs it as a batch of one, with the caller's Jacobian
-when one is given -- the calibration stages pass `response`'s closed-form
-`_chain_jacobian`, one erfcx call per iteration -- and otherwise a central
-finite difference.  On top of it sit the resonance extractors used by the
+test.  Two routines enter it: `least_squares` runs a single fit as a batch
+of one, with the caller's Jacobian when one is given and otherwise a central
+finite difference, and `_fit_free` runs the staged fits as batches of the
+chain model with `response`'s closed-form `_chain_jacobian`, one erfcx call
+per iteration.  On top of them sit the resonance extractors used by the
 pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
@@ -14,8 +15,7 @@ pipeline:
 * `fit_base_calibration` / `fit_measurements` -- the staged full-model procedure:
   all twelve chain parameters are fitted once on a reference (base) trace,
   six of them are then frozen, and every subsequent trace refits only
-  {mu, sigma, gamma_c, phi, f_b, phi_b}, all traces of a sweep in one batch
-  (`fit_measurement` is its one-trace call).
+  {mu, sigma, gamma_c, phi, f_b, phi_b}, all traces of a sweep in one batch.
 """
 
 import math
@@ -48,7 +48,6 @@ __all__ = [
     "circle_fit",
     "polynomial_fit",
     "fit_base_calibration",
-    "fit_measurement",
     "fit_measurements",
     "wrap_angle",
 ]
@@ -200,7 +199,7 @@ def least_squares(
     column-scaled gradient falls below 1e-8*max(1, cost), or when an
     essentially undamped step lowers the cost by less than 1e-10 relative.
     Deterministic: identical inputs give identical iterates.  The fit is a
-    batch of one of the LM loop that `fit_measurements` runs over a sweep.
+    batch of one of the LM loop that the staged fits run through `_fit_free`.
     """
     _require_points(sweep, 8, "least_squares")
     freqs, data = sweep.freqs, sweep.values
@@ -618,59 +617,57 @@ def _scales(x0, freqs):
     return s
 
 
-def _partial_chain(base, free):
-    """Chain model and Jacobian over the entries ``free`` of ``base``, the rest
-    held; they take one vector of free entries or a (B, len(free)) batch."""
+def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
+    """The staged fit's one routine: an LM fit of the entries ``free`` of each
+    row of a batch, the other entries held at ``base``.
+
+    Row k of the (B, 12) ``starts`` is fitted against row k of the (B, m)
+    complex ``data`` on the grid ``freqs``, within the box (``lo``, ``hi``);
+    ``scales`` is one 12-vector or a (B, 12) batch.  The rows make one
+    `_lm` call, each step one `_chain_model` and one `_chain_jacobian` call
+    over the rows still iterating.
+
+    Returns (X, fits, failures): the fitted (B, 12) vectors, and `_lm`'s
+    FitResult (over the free entries) and failure per row.  A free sigma
+    that ends on its lower bound raises `DegenerateSigmaWarning`, once per
+    row; the FitResults are returned unedited.
+    """
 
     def full(xf):
-        x = np.empty(np.shape(xf)[:-1] + base.shape)
-        x[...] = base
-        x[..., free] = xf
-        return x
+        X = np.empty((len(xf), base.size))
+        X[:] = base
+        X[:, free] = xf
+        return X
 
-    def model(xf, freqs):
-        return _chain_model(full(xf), freqs)
+    def resid(xf, rows):
+        r = _chain_model(full(xf), freqs) - data[rows]
+        return np.concatenate([r.real, r.imag], axis=1)
 
-    def jac(xf, freqs):
-        return _chain_jacobian(full(xf), freqs)[..., free]
+    def jacobian(xf, rows):
+        Jc = _chain_jacobian(full(xf), freqs)[..., free]
+        return np.concatenate([Jc.real, Jc.imag], axis=1)
 
-    return model, jac
-
-
-def _fit_free(sweep, x, free, lo, hi, scales, max_iter):
-    """One calibration stage: LM fit of the entries ``free`` of ``x``, the
-    rest held; returns (x_fit, FitResult).
-
-    A free sigma that ends on its lower bound raises `DegenerateSigmaWarning`;
-    the FitResult is returned unedited.  `least_squares` is called via the
-    module, model first, so a tracer that wraps it sees both stages.
-    """
-    model, jac = _partial_chain(x, free)
-    fit = least_squares(
-        model,
-        sweep,
-        init=x[free],
-        bounds=(lo[free], hi[free]),
-        max_iter=max_iter,
-        scales=scales[free],
-        param_names=tuple(PARAM_NAMES[i] for i in free),
-        jac=jac,
+    fits, failures = _lm(
+        resid,
+        jacobian,
+        starts[:, free],
+        lo[free],
+        hi[free],
+        scales[..., free],
+        tuple(PARAM_NAMES[i] for i in free),
+        max_iter,
     )
-    x_fit = x.copy()
-    x_fit[free] = fit.params
-    if _AT["sigma"] in free:
-        _warn_if_pinned(x_fit, lo, stacklevel=3)
-    return x_fit, fit
-
-
-def _warn_if_pinned(x_fit, lo, stacklevel):
-    """`DegenerateSigmaWarning` when the fitted sigma lies on its lower bound."""
-    if x_fit[_AT["sigma"]] <= lo[_AT["sigma"]]:
-        warnings.warn(
-            "fitted broadening pinned at its lower bound",
-            DegenerateSigmaWarning,
-            stacklevel=stacklevel + 1,
-        )
+    X = full([fit.params for fit in fits])
+    sigma = _AT["sigma"]
+    if sigma in free:
+        for x in X:
+            if x[sigma] <= lo[sigma]:
+                warnings.warn(
+                    "fitted broadening pinned at its lower bound",
+                    DegenerateSigmaWarning,
+                    stacklevel=3,
+                )
+    return X, fits, failures
 
 
 def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
@@ -679,7 +676,8 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     The fit is staged: first everything except the broadening is fitted
     with sigma held at its initial value (on a base trace the broadening is
     at or near its floor and carries no signal until the rest of the chain
-    is roughly right), then all twelve parameters are released.
+    is roughly right), then all twelve parameters are released.  Each stage
+    is a `_fit_free` batch of one.
 
     Parameters
     ----------
@@ -697,28 +695,28 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     Returns
     -------
     CalibrationResult
+        Singular normal equations in either stage raise
+        `RankDeficiencyError`.
     """
     _require_points(sweep, 8, "fit_base_calibration")
     x0 = _chain_vector(init, "init")
     lo, hi = _default_bounds(sweep.freqs, gamma_scale=x0[_AT["gamma"]])
-    x0 = np.clip(x0, lo, hi)
-    scales = _scales(x0, sweep.freqs)
+    X = np.clip(x0, lo, hi)[None]
+    scales = _scales(X[0], sweep.freqs)
 
     every = list(range(len(PARAM_NAMES)))
     stage_a = [i for i in every if i != _AT["sigma"]]
-    x1, _ = _fit_free(sweep, x0, stage_a, lo, hi, scales, max_iter)
-    _, fit = _fit_free(sweep, x1, every, lo, hi, scales, max_iter)
+    for free in (stage_a, every):
+        X, [fit], [failure] = _fit_free(
+            sweep.freqs, sweep.values[None], X[0], X, free, lo, hi, scales, max_iter
+        )
+        if failure is not None:
+            raise RankDeficiencyError(failure)
     span = float(np.ptp(np.abs(sweep.values)))
-    residual = _chain_model(fit.params, sweep.freqs) - sweep.values
+    residual = _chain_model(X[0], sweep.freqs) - sweep.values
     noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(residual)
     misfit = fit.residual_norm > max(residual_tol * max(span, 1e-300), noise)
     return CalibrationResult(fit=fit, misfit_flag=misfit)
-
-
-def fit_measurement(sweep, calibration, init_hint=None, max_iter=200):
-    """`fit_measurements` of one trace: (mu, sigma, FitResult)."""
-    hints = None if init_hint is None else [init_hint]
-    return fit_measurements([sweep], calibration, hints, max_iter)[0]
 
 
 def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
@@ -731,12 +729,12 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     trace that is None or a twelve-scalar vector in `PARAM_NAMES` order,
     overrides those starting values; frozen entries are ignored.
 
-    The traces must share one probe grid.  They are fitted as one batch of
-    the LM: every step makes one model and one Jacobian call over the traces
-    still iterating, while each trace keeps its own damping and convergence
-    test.  A trace whose normal equations go singular stops there: its
-    FitResult holds its last accepted point with ``converged=False``, and
-    the other traces go on.
+    The traces must share one probe grid.  They are fitted as one
+    `_fit_free` batch: every step makes one model and one Jacobian call
+    over the traces still iterating, while each trace keeps its own damping
+    and convergence test.  A trace whose normal equations go singular stops
+    there: its FitResult holds its last accepted point with
+    ``converged=False``, and the other traces go on.
 
     Returns
     -------
@@ -761,35 +759,11 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     starts = np.array([_measurement_start(s, x, h) for s, h in zip(sweeps, hints)])
     X = np.tile(x, (len(sweeps), 1))
     X[:, free] = np.clip(starts[:, free], lo[free], hi[free])  # held entries stay as calibrated
-
-    model, jac = _partial_chain(x, free)
     data = np.array([sweep.values for sweep in sweeps])
-
-    def resid(xf, rows):
-        r = model(xf, freqs) - data[rows]
-        return np.concatenate([r.real, r.imag], axis=1)
-
-    def jacobian(xf, rows):
-        Jc = jac(xf, freqs)
-        return np.concatenate([Jc.real, Jc.imag], axis=1)
-
-    fits, _ = _lm(
-        resid,
-        jacobian,
-        X[:, free],
-        lo[free],
-        hi[free],
-        _scales(X, freqs)[:, free],
-        tuple(PARAM_NAMES[i] for i in free),
-        max_iter,
-    )
-    out = []
-    for fit in fits:
-        x_fit = x.copy()
-        x_fit[free] = fit.params
-        _warn_if_pinned(x_fit, lo, stacklevel=2)
-        out.append((float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit))
-    return out
+    X, fits, _ = _fit_free(freqs, data, x, X, free, lo, hi, _scales(X, freqs), max_iter)
+    return [
+        (float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit) for x_fit, fit in zip(X, fits)
+    ]
 
 
 def _measurement_start(sweep, x, hint):

@@ -150,11 +150,19 @@ class SweepConfig:
             value = raw[key]
             try:
                 if kind is tuple:
+                    if not isinstance(value, (list, tuple)):
+                        raise TypeError
                     value = tuple(float(v) for v in value)
+                elif kind is int:
+                    # int() would truncate 2.5 and read True as 1
+                    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                        raise ValueError
+                    value = int(value)
                 else:
                     value = kind(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"field '{key}': expected {kind.__name__}") from None
+                expected = {tuple: "a list of numbers", int: "an integer"}.get(kind, kind.__name__)
+                raise ConfigError(f"field '{key}': expected {expected}") from None
             if check is not None and not check(value):
                 raise ConfigError(f"field '{key}': {msg}")
             return value
@@ -338,9 +346,10 @@ def _synthesize(cfg, mean, variance, rng):
 def simulate_sweep(cfg, seed=None):
     """Synthesize the full trace dataset for a sweep configuration.
 
-    Deterministic for a given (config, seed); the seed keys one Philox
-    stream that supplies both the per-trace noise and the calibration init
-    perturbation used later.  A zero-input base trace is always included as
+    Deterministic for a given (config, seed); the seed keys the Philox
+    stream of the per-trace noise (the calibration init perturbation used
+    later draws from its own ``Philox(seed + 1)`` stream, see
+    `_calibration_init`).  A zero-input base trace is always included as
     the fitting reference.  The returned dataset carries the seed actually
     used in its config, so a stored dataset reproduces itself.
     """
@@ -503,8 +512,13 @@ def _require_object(obj, what, keys=()):
     return obj
 
 
-def _point_from_dict(d, what):
+def _point_from_dict(d, what, base=False):
+    """A TracePoint from its JSON object; a record's control must be a number
+    (the base trace's is null)."""
     _require_object(d, what, ("control", "truth", "f_p_hz", "re", "im"))
+    control = d["control"]
+    if not base and (isinstance(control, bool) or not isinstance(control, (int, float))):
+        raise ValueError(f"{what}: 'control' must be a number, got {control!r}")
     freqs, re, im = (_decode_array(d[key], key) for key in ("f_p_hz", "re", "im"))
     if not freqs.shape == re.shape == im.shape:
         raise ValueError(
@@ -512,9 +526,7 @@ def _point_from_dict(d, what):
         )
     values = re.astype(complex)
     values.imag = im  # not re + 1j*im, which turns a -0.0 real part into +0.0
-    return TracePoint(
-        control=d["control"], truth=d["truth"], sweep=ComplexSweep(freqs, values)
-    )
+    return TracePoint(control=control, truth=d["truth"], sweep=ComplexSweep(freqs, values))
 
 
 def dataset_to_json(dataset, fh):
@@ -537,7 +549,7 @@ def dataset_from_json(fh):
         raise ValueError(f"'records': expected a list, got {type(doc['records']).__name__}")
     return SweepDataset(
         config=SweepConfig.from_dict(_require_object(doc["config"], "'config'")),
-        base=_point_from_dict(doc["base"], "'base'"),
+        base=_point_from_dict(doc["base"], "'base'", base=True),
         records=tuple(_point_from_dict(p, f"record {k}") for k, p in enumerate(doc["records"])),
     )
 

@@ -30,7 +30,7 @@ from bolostat import (
     circle_fit,
     cli,
     erfcx,
-    fit_measurement,
+    fit_measurements,
     flux_to_power,
     g2_zero,
     least_squares,
@@ -162,7 +162,7 @@ def test_criterion_3_fit_round_trip_grid():
         for sigma_t in (0.3e6, 0.9e6, 1.8e6, 2.8e6):
             sweep = synth_sweep(mu_t, sigma_t, freqs=freqs)
             hint = perturbed_model(CHAIN_TRUE, mu_t, sigma_t, rng, span)
-            mu, sigma, fit = fit_measurement(sweep, calib, init_hint=hint)
+            mu, sigma, fit = fit_measurements([sweep], calib, [hint])[0]
             worst_mu = max(worst_mu, abs(mu - mu_t))
             worst_sig = max(worst_sig, abs(sigma / sigma_t - 1))
     ok_grid = worst_mu < 1e3 and worst_sig < 0.01
@@ -171,7 +171,7 @@ def test_criterion_3_fit_round_trip_grid():
     hats = []
     for seed in range(100):
         sweep = synth_sweep(523e6, sigma_t, noise=0.01, seed=seed)
-        _, sigma, _ = fit_measurement(sweep, calib)
+        _, sigma, _ = fit_measurements([sweep], calib)[0]
         hats.append(sigma)
     bias = abs(float(np.mean(hats)) / sigma_t - 1)
     elapsed = time.time() - t0

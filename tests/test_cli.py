@@ -210,9 +210,11 @@ def test_malformed_dataset_exits_one(tmp_path, thermal_config_file, capsys, case
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
     dataset.write_text(json.dumps(mutate(json.loads(dataset.read_text()))))
-    assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 1
+    out = tmp_path / "s.csv"
+    assert cli.main(["fit", str(dataset), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
+    assert not out.exists()  # rejected before any fit or output
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

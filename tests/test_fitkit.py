@@ -18,7 +18,6 @@ from bolostat import (
     circle_fit,
     extract_statistics,
     fit_base_calibration,
-    fit_measurement,
     fit_measurements,
     least_squares,
     polynomial_fit,
@@ -307,6 +306,20 @@ class TestBaseCalibration:
         with pytest.raises(ValueError, match="PARAM_NAMES"):
             fit_base_calibration(synth_sweep(MU, 0.1e6), init)
 
+    def test_singular_stage_raises_naming_the_direction(self, monkeypatch):
+        import bolostat.fitkit as fk
+
+        real = fk._chain_jacobian
+
+        def flat_phi(x, freqs):
+            J = real(x, freqs)
+            J[..., PARAM_NAMES.index("phi")] = 0.0
+            return J
+
+        monkeypatch.setattr(fk, "_chain_jacobian", flat_phi)
+        with pytest.raises(RankDeficiencyError, match="degenerate directions: phi$"):
+            fit_base_calibration(synth_sweep(MU, 0.1e6), CHAIN_TRUE.vector(MU, 0.1e6))
+
     def test_frozen_set_is_the_documented_partition(self):
         assert FROZEN_PARAM_NAMES == ("gamma", "s_b", "gamma_bc", "gamma_b", "tau", "varphi")
         assert MEASUREMENT_PARAM_NAMES == ("mu", "sigma", "gamma_c", "phi", "f_b", "phi_b")
@@ -373,7 +386,7 @@ class TestMeasurementFit:
         for mu_t, sigma_t in [(514e6, 0.3e6), (523e6, 1.5e6), (530e6, 2.8e6)]:
             sweep = synth_sweep(mu_t, sigma_t)
             hint = perturbed_model(CHAIN_TRUE, mu_t, sigma_t, rng, span)
-            mu, sigma, fit = fit_measurement(sweep, calib, init_hint=hint)
+            mu, sigma, fit = fit_measurements([sweep], calib, [hint])[0]
             assert fit.converged
             assert abs(mu - mu_t) < 1e3
             assert abs(sigma / sigma_t - 1) < 0.01
@@ -381,7 +394,7 @@ class TestMeasurementFit:
     def test_heuristic_init_also_recovers(self):
         _, calib = base_calibration()
         sweep = synth_sweep(521e6, 1.1e6)
-        mu, sigma, fit = fit_measurement(sweep, calib)
+        mu, sigma, fit = fit_measurements([sweep], calib)[0]
         assert abs(mu - 521e6) < 1e3
         assert abs(sigma / 1.1e6 - 1) < 0.01
 
@@ -394,14 +407,14 @@ class TestMeasurementFit:
             init = perturbed_model(chain, MU, 0.1e6, rng, 30e6)
             calib = fit_base_calibration(sweep_base, init)
             sweep = synth_sweep(522e6, 1.0e6, chain=chain)
-            mu, sigma, fit = fit_measurement(sweep, calib)
+            mu, sigma, fit = fit_measurements([sweep], calib)[0]
             assert abs(mu - 522e6) < 1e3, gamma
             assert abs(sigma / 1.0e6 - 1) < 0.01, gamma
 
     def test_zero_broadening_fits_sigma_near_its_floor(self):
         _, calib = base_calibration()
         sweep = synth_sweep(522e6, 0.0)
-        mu, sigma, fit = fit_measurement(sweep, calib)
+        mu, sigma, fit = fit_measurements([sweep], calib)[0]
         assert sigma <= 1e-5 * GAMMA  # near the floor
         assert abs(mu - 522e6) < 1e3
 
@@ -411,7 +424,7 @@ class TestMeasurementFit:
         hats = []
         for seed in range(25):
             sweep = synth_sweep(523e6, sigma_t, noise=0.01, seed=seed)
-            _, sigma, _ = fit_measurement(sweep, calib)
+            _, sigma, _ = fit_measurements([sweep], calib)[0]
             hats.append(sigma)
         bias = abs(np.mean(hats) / sigma_t - 1)
         assert bias < 0.05, bias
@@ -429,7 +442,7 @@ class TestMeasurementFit:
         }
         fits = {}
         for kind, sweep in sweeps.items():
-            _, _, fit = fit_measurement(sweep, calib)
+            _, _, fit = fit_measurements([sweep], calib)[0]
             fits[kind] = fit.params
         for name in ("gamma_c", "phi", "f_b", "phi_b"):
             i = MEASUREMENT_PARAM_NAMES.index(name)
@@ -440,42 +453,37 @@ class TestMeasurementFit:
                 assert abs(a / b - 1) < 0.02
 
 
-def test_calibration_calls_least_squares_and_the_sweep_one_batch(monkeypatch):
-    # a tracer that wraps fitkit.least_squares and its first argument must
-    # see both calibration stages; the measurement fits of the sweep are one
-    # batch of the LM core, which least_squares runs as a batch of one
+def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
+    # a tracer that wraps fitkit._lm sees every staged fit: the two
+    # calibration stages as batches of one, then the measurement fits of the
+    # sweep as one batch, each evaluating the chain model
     import bolostat.fitkit as fk
 
-    real, real_lm = fk.least_squares, fk._lm
-    calls, batches = [], []
-
-    def counting(*args, **kwargs):
-        model = args[0]  # positional, as perfbench's wrapper expects
-        assert callable(model)
-        evals = [0]
-
-        def counted_model(x, freqs):
-            evals[0] += 1
-            return model(x, freqs)
-
-        calls.append(evals)
-        return real(counted_model, *args[1:], **kwargs)
+    real_lm, real_model = fk._lm, fk._chain_model
+    batches, evals, calls = [], [], [0]
 
     def counting_lm(resid, jacobian, x0, *args, **kwargs):
         batches.append(len(x0))
-        return real_lm(resid, jacobian, x0, *args, **kwargs)
+        before = calls[0]
+        try:
+            return real_lm(resid, jacobian, x0, *args, **kwargs)
+        finally:
+            evals.append(calls[0] - before)  # model calls inside this LM run
 
-    monkeypatch.setattr(fk, "least_squares", counting)
+    def counted_model(x, freqs):
+        calls[0] += 1
+        return real_model(x, freqs)
+
     monkeypatch.setattr(fk, "_lm", counting_lm)
+    monkeypatch.setattr(fk, "_chain_model", counted_model)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     dataset = simulate_sweep(SweepConfig.from_dict(json.loads(shipped.read_text())))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         extract_statistics(dataset)
     assert len(dataset.records) == 9
-    assert len(calls) == 2
-    assert all(evals[0] > 0 for evals in calls)
     assert batches == [1, 1, 9]
+    assert all(n > 0 for n in evals)
     # only the base calibration ends at the sigma floor
     assert sum(issubclass(w.category, DegenerateSigmaWarning) for w in caught) == 1
 
@@ -507,7 +515,7 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
 
     monkeypatch.setattr(fk, "_lm", flagged_lm)
     monkeypatch.setattr(fk, "_chain_model", counted_model)
-    _, sigma, fit = fit_measurement(sweep, calibration)
+    _, sigma, fit = fit_measurements([sweep], calibration)[0]
     gamma = calibration.fit.params[PARAM_NAMES.index("gamma")]
     lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
     assert sigma > lo[PARAM_NAMES.index("sigma")]
@@ -543,7 +551,7 @@ class TestSweepFit:
             batch = fit_measurements(sweeps, calibration)
         with warnings.catch_warnings(record=True) as caught_alone:
             warnings.simplefilter("always")
-            alone = [fit_measurement(sweep, calibration) for sweep in sweeps]
+            alone = [fit_measurements([sweep], calibration)[0] for sweep in sweeps]
         for (mu, sigma, fit), (mu1, sigma1, fit1) in zip(batch, alone, strict=True):
             assert mu == pytest.approx(mu1, rel=1e-9, abs=0)
             assert sigma == pytest.approx(sigma1, rel=1e-9, abs=0)

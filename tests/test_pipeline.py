@@ -107,6 +107,9 @@ MALFORMED_V2 = {
     "records-not-a-list": (lambda doc: dict(doc, records=doc["records"][0]), "'records'"),
     "record-not-an-object": (lambda doc: dict(doc, records=[1.0]), "record 0"),
     "record-without-re": (first_record(lambda p: p.pop("re")), "missing 're'"),
+    "control-null": (first_record(lambda p: p.update(control=None)), "'control'"),
+    "control-string": (first_record(lambda p: p.update(control="abc")), "'control'"),
+    "control-bool": (first_record(lambda p: p.update(control=True)), "'control'"),
 }
 
 
@@ -174,6 +177,13 @@ class TestConfigValidation:
             ({"chain": {"gamma_b": -CHAIN_TRUE.gamma_b}}, "chain.gamma_b"),
             ({"chain": {"mu_base_hz": 0.0}}, "chain.mu_base_hz"),
             ({"chain": {"gamma": float("nan")}}, "chain.gamma_c"),
+            # no silent coercion: 451.7 is not 451, False is not 0, "123"
+            # is not (1.0, 2.0, 3.0)
+            ({"probe_points": 451.7}, "probe_points"),
+            ({"seed": 2.5}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"freq_shift_poly_hz": "123"}, "freq_shift_poly_hz"),
+            ({"t_grid_k": "12"}, "t_grid_k"),
         ],
     )
     def test_named_field_errors(self, mutation, field):
@@ -286,7 +296,7 @@ class TestExtraction:
     def test_records_on_their_own_grids_are_fitted_apart(self):
         # a stored dataset may give each record its own probe grid: the
         # sweep fit runs once per grid, and rows come back in dataset order
-        from bolostat import fit_measurement
+        from bolostat import fit_measurements
 
         dataset = simulate_sweep(make_config(t_grid_k=[0.5, 1.0, 1.5]))
         coarse = dataset.records[1].sweep
@@ -298,7 +308,7 @@ class TestExtraction:
         stats = extract_statistics(mixed, calibration)
         assert [r.control for r in stats] == [p.control for p in records]
         for rec, point in zip(stats, records):
-            mu, sigma, fit = fit_measurement(point.sweep, calibration)
+            mu, sigma, fit = fit_measurements([point.sweep], calibration)[0]
             assert rec.mu_hz == pytest.approx(mu, rel=1e-9, abs=0)
             assert rec.sigma_hz == pytest.approx(sigma, rel=1e-9, abs=0)
             assert (rec.n_iter, rec.converged) == (fit.n_iter, fit.converged)
@@ -315,14 +325,14 @@ class TestExtraction:
         raw["chain"]["gamma_c"] = 0.95 * raw["chain"]["gamma"]
         cfg = SweepConfig.from_dict(raw)
         dataset = simulate_sweep(cfg)
-        real = fk.least_squares
+        real = fk._lm
         starts = []
 
-        def recording(*args, **kwargs):
-            starts.append((kwargs["param_names"], kwargs["init"], kwargs["bounds"][0]))
-            return real(*args, **kwargs)
+        def recording(resid, jacobian, x0, lo, hi, scales, names, max_iter):
+            starts.append((names, x0[0], np.broadcast_to(lo, x0.shape)[0]))
+            return real(resid, jacobian, x0, lo, hi, scales, names, max_iter)
 
-        monkeypatch.setattr(fk, "least_squares", recording)
+        monkeypatch.setattr(fk, "_lm", recording)
         assert run_calibration(dataset).fit.converged
         names, init, lo = starts[1]  # stage B: all twelve free
         assert names == tuple(PARAM_NAMES)
