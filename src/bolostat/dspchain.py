@@ -212,12 +212,12 @@ def decimate(stream, factor):
     return IqStream(iq=stream.iq[:: int(factor)], rate=stream.rate / factor)
 
 
-def average_traces(streams, n_rep=None):
+def average_traces(streams):
     """Pointwise complex mean over repeated traces.
 
     Accepts any iterable of IqStream (a generator works: traces are
-    accumulated one at a time in a fixed order).  ``n_rep`` limits/validates
-    the number of traces consumed; by default every supplied trace is used.
+    accumulated one at a time in a fixed order); every supplied trace is
+    used.
     """
     it = iter(streams)
     try:
@@ -229,8 +229,6 @@ def average_traces(streams, n_rep=None):
     length = len(first)
     count = 1
     for stream in it:
-        if n_rep is not None and count >= n_rep:
-            break
         if len(stream) != length:
             raise ValueError(
                 f"mismatched trace lengths: {len(stream)} vs {length}"
@@ -239,6 +237,4 @@ def average_traces(streams, n_rep=None):
             raise ValueError(f"mismatched rates: {stream.rate} vs {rate}")
         acc += stream.iq
         count += 1
-    if n_rep is not None and count != n_rep:
-        raise ValueError(f"requested {n_rep} traces but only {count} supplied")
     return IqStream(iq=acc / count, rate=rate)

@@ -3,12 +3,11 @@
 The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine operating
 on stacked real/imaginary residuals.  Its one loop, `_lm`, carries a leading
 batch axis of independent fits, each with its own damping and convergence
-test.  Two routines enter it: `least_squares` runs a single fit as a batch
-of one, with the caller's Jacobian when one is given and otherwise a central
-finite difference, and `_fit_free` runs the staged fits as batches of the
-chain model with `response`'s closed-form `_chain_jacobian`, one erfcx call
-per iteration.  On top of them sit the resonance extractors used by the
-pipeline:
+test.  Two routines enter it: `least_squares` runs a single fit, with the
+caller's Jacobian, as a batch of one, and `_fit_free` runs the staged fits
+as batches of the chain model with `response`'s closed-form
+`_chain_jacobian`, one erfcx call per iteration.  On top of them sit the
+resonance extractors used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
@@ -55,12 +54,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # LM tolerances: relative cost decrease and scaled projected gradient that
-# count as converged, and the finite-difference step max(_FD_REL*|p|,
-# _FD_ABS*scale) used when no Jacobian is given
+# count as converged
 _FRTOL = 1e-10
 _GTOL = 1e-8
-_FD_REL = 1e-6
-_FD_ABS = 1e-9
 
 # position of each chain scalar in a raw vector (order: PARAM_NAMES)
 _AT = {name: i for i, name in enumerate(PARAM_NAMES)}
@@ -155,7 +151,8 @@ def least_squares(
     max_iter=200,
     scales=None,
     param_names=(),
-    jac=None,
+    *,
+    jac,
 ):
     """Damped Gauss-Newton minimizer of sum |model(f_i) - value_i|^2.
 
@@ -171,14 +168,12 @@ def least_squares(
         Per-parameter box; steps are projected onto it.  Infinite entries
         leave a side open.
     scales : array_like, optional
-        Natural magnitude of each parameter, used for conditioning and for
-        the absolute floor of the finite-difference step; defaults to |init|
-        where nonzero.
+        Natural magnitude of each parameter, used for conditioning; defaults
+        to |init| where nonzero.
     param_names : tuple of str, optional
         Used in diagnostics, e.g. to name rank-deficient directions.
-    jac : callable(params, freqs) -> complex ndarray, optional
-        Jacobian of ``model``, shape (len(freqs), len(params)).  Without it
-        the Jacobian is a central finite difference.
+    jac : callable(params, freqs) -> complex ndarray
+        Jacobian of ``model``, shape (len(freqs), len(params)); required.
 
     Returns
     -------
@@ -189,11 +184,8 @@ def least_squares(
 
     Notes
     -----
-    With ``jac`` the Jacobian is the caller's, evaluated once per iteration.
-    Otherwise it is a central finite difference with per-parameter step
-    max(1e-6*|p|, 1e-9*scale), switching to a one-sided difference at an
-    active bound.  The iteration is the same either way.  Steps solve the
-    column-scaled damped normal equations; the damping factor is increased
+    The Jacobian is the caller's, evaluated once per iteration.  Steps solve
+    the column-scaled damped normal equations; the damping factor is increased
     until the cost decreases, so the residual norm is non-increasing across
     accepted iterations.  The fit has converged when the projected,
     column-scaled gradient falls below 1e-8*max(1, cost), or when an
@@ -219,31 +211,17 @@ def least_squares(
         scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
     names = tuple(param_names) or tuple(f"p{i}" for i in range(n))
 
-    def resid(xv):
-        r = model(xv, freqs) - data
-        return np.concatenate([r.real, r.imag])
+    def resid(X, rows):
+        r = model(X[0], freqs) - data
+        return np.concatenate([r.real, r.imag])[None]
 
-    def jacobian(xv):
-        if jac is not None:
-            Jc = jac(xv, freqs)
-            return np.concatenate([Jc.real, Jc.imag])
-        J = np.empty((2 * freqs.size, n))
-        for i in range(n):
-            h = max(_FD_REL * abs(xv[i]), _FD_ABS * scales[i])
-            xp, xm = xv.copy(), xv.copy()
-            if xv[i] + h > hi[i]:
-                xm[i] = xv[i] - h
-            elif xv[i] - h < lo[i]:
-                xp[i] = xv[i] + h
-            else:
-                xp[i] = xv[i] + h
-                xm[i] = xv[i] - h
-            J[:, i] = (resid(xp) - resid(xm)) / (xp[i] - xm[i])
-        return J
+    def jacobian(X, rows):
+        Jc = jac(X[0], freqs)
+        return np.concatenate([Jc.real, Jc.imag])[None]
 
     [fit], [failure] = _lm(
-        lambda X, rows: resid(X[0])[None],
-        lambda X, rows: jacobian(X[0])[None],
+        resid,
+        jacobian,
         x[None],
         lo,
         hi,
@@ -481,6 +459,14 @@ def _phase_model(x, freqs):
     return theta0 + 2.0 * np.arctan(2.0 * TWO_PI * (freqs - f_r) / gamma) + 0j
 
 
+def _phase_jacobian(x, freqs):
+    """Jacobian of `_phase_model` in closed form: (len(freqs), 3)."""
+    _, f_r, gamma = x
+    u = 2.0 * TWO_PI * (freqs - f_r) / gamma
+    w = 2.0 / (1.0 + u * u)  # d(2 arctan u)/du
+    return np.column_stack([np.ones_like(u), -w * 2.0 * TWO_PI / gamma, -w * u / gamma]) + 0j
+
+
 def circle_fit(sweep):
     """Extract ResonatorParams from a reflection trace by the circle method.
 
@@ -511,6 +497,7 @@ def circle_fit(sweep):
             [np.inf, sweep.freqs[-1], 1e6 * gamma0],
         ),
         param_names=("theta0", "f_r", "gamma"),
+        jac=_phase_jacobian,
     )
     theta0, f_r, gamma = res.params
     off_resonant = center + radius * np.exp(1j * (theta0 + math.pi))

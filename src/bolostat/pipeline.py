@@ -12,14 +12,12 @@ referenced to the base trace, and reports g2(0).
 
 File formats (all deterministic given the same inputs):
 
-* traces: CSV with header ``f_p_hz,re,im`` (the human-readable export of
-  one trace)
 * datasets: one JSON document (``bolostat-dataset-v2``) with config, truth
   table, and traces.  Config, control and truth are plain sorted JSON; each
   trace stores ``f_p_hz``, ``re`` and ``im`` as one base64 string of
   little-endian float64 bytes, so a read-back is bitwise exact and costs no
-  per-sample text formatting.  ``bolostat-dataset-v1`` documents, which
-  held the same arrays as JSON number lists, are still read.
+  per-sample text formatting.  Every record shares the base trace's probe
+  grid.
 * statistics: CSV with one column per `StatsRecord` field, in field order;
   floats are written as their ``repr``, booleans as 0/1
 """
@@ -62,8 +60,6 @@ __all__ = [
     "run_calibration",
     "extract_statistics",
     "default_seed",
-    "trace_to_csv",
-    "trace_from_csv",
     "dataset_to_json",
     "dataset_from_json",
     "stats_to_csv",
@@ -72,8 +68,6 @@ __all__ = [
 ]
 
 DATASET_FORMAT = "bolostat-dataset-v2"
-# formats `dataset_from_json` reads; v1 stored the arrays as number lists
-_READ_FORMATS = ("bolostat-dataset-v1", DATASET_FORMAT)
 
 MODES = ("thermal", "coherent", "mixed")
 
@@ -144,27 +138,37 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        def need(key, kind, check=None, msg=""):
-            if key not in raw:
-                raise ConfigError(f"field '{key}': missing")
-            value = raw[key]
+        def number(value, kind):
+            # a finite JSON number as int or float: float() and int() would
+            # read True as 1, "5" as 5 and accept Infinity, and int() would
+            # truncate 2.5
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError
+            if isinstance(value, float) and not (
+                math.isfinite(value) and (kind is float or value.is_integer())
+            ):
+                raise ValueError
+            return kind(value)
+
+        def need(key, kind, check=None, msg="", source=raw, prefix=""):
+            field = prefix + key
+            if key not in source:
+                raise ConfigError(f"field '{field}': missing")
+            value = source[key]
             try:
                 if kind is tuple:
                     if not isinstance(value, (list, tuple)):
                         raise TypeError
-                    value = tuple(float(v) for v in value)
-                elif kind is int:
-                    # int() would truncate 2.5 and read True as 1
-                    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                        raise ValueError
-                    value = int(value)
+                    value = tuple(number(v, float) for v in value)
+                elif kind is str:
+                    value = str(value)
                 else:
-                    value = kind(value)
-            except (TypeError, ValueError):
-                expected = {tuple: "a list of numbers", int: "an integer"}.get(kind, kind.__name__)
-                raise ConfigError(f"field '{key}': expected {expected}") from None
+                    value = number(value, kind)
+            except (TypeError, ValueError, OverflowError):
+                expected = {tuple: "a list of finite numbers", int: "an integer"}.get(kind, "a finite number")
+                raise ConfigError(f"field '{field}': expected {expected}") from None
             if check is not None and not check(value):
-                raise ConfigError(f"field '{key}': {msg}")
+                raise ConfigError(f"field '{field}': {msg}")
             return value
 
         mode = need("mode", str, lambda m: m in MODES, f"must be one of {MODES}")
@@ -199,15 +203,12 @@ class SweepConfig:
 
         if "chain" not in raw or not isinstance(raw["chain"], dict):
             raise ConfigError("field 'chain': missing or not an object")
-        chain_fields = {}
-        for name in ChainParams.__dataclass_fields__:
-            if name not in raw["chain"]:
-                raise ConfigError(f"field 'chain.{name}': missing")
-            try:
-                chain_fields[name] = float(raw["chain"][name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"field 'chain.{name}': expected float") from None
-        c = cfg["chain"] = ChainParams(**chain_fields)
+        c = cfg["chain"] = ChainParams(
+            **{
+                name: need(name, float, source=raw["chain"], prefix="chain.")
+                for name in ChainParams.__dataclass_fields__
+            }
+        )
         # the response dataclasses' own physical checks, each named by the
         # chain field it guards; phases stay free, as the fits leave them
         for name, kind, args in (
@@ -405,9 +406,9 @@ def extract_statistics(dataset, calibration=None):
     """Fit every trace of a dataset and convert to photon statistics.
 
     Runs `fit_base_calibration` on the stored base trace (unless a
-    calibration is supplied), then one `fit_measurements` call per distinct
-    probe grid (one for every dataset `simulate_sweep` writes), on the
-    calling thread.  Records come back in dataset order.  Non-converged
+    calibration is supplied), then one `fit_measurements` call over every
+    record, on the calling thread; the records share one probe grid.
+    Records come back in dataset order.  Non-converged
     fits, singular ones included, are reported in their record via
     ``converged``/``n_iter``/``residual_norm`` rather than dropped.
     """
@@ -436,38 +437,12 @@ def extract_statistics(dataset, calibration=None):
             residual_norm=fit.residual_norm,
         )
 
-    by_grid = {}
-    for k, point in enumerate(dataset.records):
-        by_grid.setdefault(point.sweep.freqs.tobytes(), []).append(k)
-    fitted = {}
-    for rows in by_grid.values():
-        sweeps = [dataset.records[k].sweep for k in rows]
-        fitted.update(zip(rows, fit_measurements(sweeps, calibration)))
-    return [one(point, *fitted[k]) for k, point in enumerate(dataset.records)]
+    fitted = fit_measurements([point.sweep for point in dataset.records], calibration)
+    return [one(point, *fit) for point, fit in zip(dataset.records, fitted)]
 
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def trace_to_csv(sweep, fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["f_p_hz", "re", "im"])
-    for f, v in zip(sweep.freqs, sweep.values):
-        writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
-
-
-def trace_from_csv(fh):
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty trace file")
-    if header != ["f_p_hz", "re", "im"]:
-        raise ValueError(f"unexpected trace header: {header}")
-    rows = [(float(f), complex(float(re), float(im))) for f, re, im in reader]
-    return ComplexSweep(
-        freqs=np.array([r[0] for r in rows]), values=np.array([r[1] for r in rows])
-    )
 
 
 def _encode_array(a):
@@ -475,12 +450,7 @@ def _encode_array(a):
 
 
 def _decode_array(raw, key):
-    """A v2 base64 float64 string, or a v1 JSON number list, as a float array."""
-    if isinstance(raw, list):
-        try:
-            return np.array(raw, dtype=float)
-        except TypeError:
-            raise ValueError(f"'{key}': not a list of numbers") from None
+    """A base64 string of little-endian float64 bytes as a float array."""
     if not isinstance(raw, str):
         raise ValueError(f"'{key}': expected a base64 string, got {type(raw).__name__}")
     try:
@@ -542,16 +512,18 @@ def dataset_to_json(dataset, fh):
 
 def dataset_from_json(fh):
     doc = _require_object(json.load(fh), "dataset")
-    if doc.get("format") not in _READ_FORMATS:
+    if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"not a bolostat dataset document (format {doc.get('format')!r})")
     _require_object(doc, "dataset", ("config", "base", "records"))
     if not isinstance(doc["records"], list):
         raise ValueError(f"'records': expected a list, got {type(doc['records']).__name__}")
-    return SweepDataset(
-        config=SweepConfig.from_dict(_require_object(doc["config"], "'config'")),
-        base=_point_from_dict(doc["base"], "'base'", base=True),
-        records=tuple(_point_from_dict(p, f"record {k}") for k, p in enumerate(doc["records"])),
-    )
+    config = SweepConfig.from_dict(_require_object(doc["config"], "'config'"))
+    base = _point_from_dict(doc["base"], "'base'", base=True)
+    records = tuple(_point_from_dict(p, f"record {k}") for k, p in enumerate(doc["records"]))
+    for k, point in enumerate(records):
+        if not np.array_equal(point.sweep.freqs, base.sweep.freqs):
+            raise ValueError(f"record {k}: 'f_p_hz' differs from the base trace's probe grid")
+    return SweepDataset(config=config, base=base, records=records)
 
 
 def stats_to_csv(records, fh):

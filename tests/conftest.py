@@ -41,6 +41,17 @@ CHAIN_TRUE = ChainParams(
 PROBE_GRID = np.linspace(509e6, 539e6, 401)
 
 
+def bare_line_jacobian(p, f):
+    """Closed-form Jacobian of the phi = 0 `bare_reflection` in (f_r, gamma_c, gamma).
+
+    With a = gamma/2 + 2 pi i (f_r - f) the line is S = 1 - gamma_c/a, so
+    dS/df_r = 2 pi i gamma_c/a^2, dS/dgamma_c = -1/a and dS/dgamma = gamma_c/(2 a^2).
+    """
+    f_r, gamma_c, gamma = p
+    a = gamma / 2 + 2j * np.pi * (f_r - f)
+    return np.column_stack([2j * np.pi * gamma_c / a**2, -1 / a, gamma_c / (2 * a**2)])
+
+
 @pytest.fixture
 def probe_grid():
     return PROBE_GRID.copy()

@@ -47,7 +47,7 @@ from bolostat.dspchain import (
     fir_lowpass,
     synth_raw_trace,
 )
-from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, perturbed_model
+from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, bare_line_jacobian, perturbed_model
 from test_fitkit import base_calibration, synth_sweep
 from test_pipeline import make_config, temp_for_mean
 
@@ -284,6 +284,7 @@ def test_criterion_7_circle_fit():
         sweep,
         init=[MU * (1 + 2e-5), GAMMA_C * 1.05, GAMMA * 0.95],
         bounds=([freqs[0], 1e3, 1e3], [freqs[-1], 1e9, 1e9]),
+        jac=bare_line_jacobian,
     )
     rel = np.abs(np.array([geo.f_r, geo.gamma_c, geo.gamma]) / direct.params - 1)
     ok_agree = bool(np.all(rel < 1e-3))

@@ -221,12 +221,12 @@ class TestAverage:
         avg = average_traces([stream] * 7)
         np.testing.assert_allclose(avg.iq, stream.iq, rtol=1e-12)
 
-    def test_accepts_generator_and_respects_n_rep(self):
+    def test_accepts_generator(self):
         def gen():
-            for k in range(10):
+            for k in range(3):
                 yield digital_downconvert(tone(noise=0.1, seed=k), F_IF)
 
-        avg3 = average_traces(gen(), n_rep=3)
+        avg3 = average_traces(gen())
         explicit = [digital_downconvert(tone(noise=0.1, seed=k), F_IF) for k in range(3)]
         np.testing.assert_allclose(avg3.iq, sum(s.iq for s in explicit) / 3, rtol=1e-12)
 
@@ -251,11 +251,6 @@ class TestAverage:
         b = IqStream(iq=np.ones(11, dtype=complex), rate=1e6)
         with pytest.raises(ValueError):
             average_traces([a, b])
-
-    def test_too_few_traces_for_request(self):
-        a = IqStream(iq=np.ones(10, dtype=complex), rate=1e6)
-        with pytest.raises(ValueError):
-            average_traces([a, a], n_rep=5)
 
 
 def test_end_to_end_amplitude_and_phase_fidelity():

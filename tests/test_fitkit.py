@@ -28,8 +28,11 @@ from bolostat.fitkit import (
     FROZEN_PARAM_NAMES,
     MEASUREMENT_PARAM_NAMES,
     PARAM_NAMES,
+    _chain_jacobian,
     _chain_model,
     _default_bounds,
+    _phase_jacobian,
+    _phase_model,
     wrap_angle,
 )
 
@@ -39,6 +42,7 @@ from conftest import (
     GAMMA_C,
     MU,
     PROBE_GRID,
+    bare_line_jacobian,
     perturbed_model,
     two_resonance_response,
 )
@@ -79,11 +83,15 @@ class TestLeastSquares:
     def line_model(p, f):
         return (p[0] * f + p[1]).astype(complex)
 
+    @staticmethod
+    def line_jac(p, f):
+        return np.column_stack([f, np.ones_like(f)]).astype(complex)
+
     def test_zero_residual_fixed_point(self):
         f = np.linspace(0.0, 1.0, 20)
         truth = np.array([2.0, -1.0])
         sweep = ComplexSweep(f, self.line_model(truth, f))
-        res = least_squares(self.line_model, sweep, init=truth)
+        res = least_squares(self.line_model, sweep, init=truth, jac=self.line_jac)
         assert res.converged and res.n_iter <= 2
         assert res.residual_norm < 1e-14
 
@@ -92,7 +100,7 @@ class TestLeastSquares:
         f = np.linspace(0.0, 5.0, 40)
         y = 1.3 * f - 0.7 + rng.normal(0, 0.05, f.size)
         sweep = ComplexSweep(f, y.astype(complex))
-        res = least_squares(self.line_model, sweep, init=[1.0, 0.0])
+        res = least_squares(self.line_model, sweep, init=[1.0, 0.0], jac=self.line_jac)
         design = np.column_stack([f, np.ones_like(f)])
         expected, *_ = np.linalg.lstsq(design, y, rcond=None)
         np.testing.assert_allclose(res.params, expected, rtol=1e-10, atol=1e-12)
@@ -102,7 +110,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(4)
         init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
-        kwargs = dict(init=np.clip(init, lo, hi), bounds=(lo, hi))
+        kwargs = dict(init=np.clip(init, lo, hi), bounds=(lo, hi), jac=_chain_jacobian)
         fit = least_squares(_chain_model, sweep, **kwargs)
         assert fit.n_iter >= 3
         # a fit capped at k iterations returns its k-th accepted point
@@ -118,7 +126,12 @@ class TestLeastSquares:
         init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
         res = least_squares(
-            _chain_model, sweep, init=np.clip(init, lo, hi), bounds=(lo, hi), max_iter=2
+            _chain_model,
+            sweep,
+            init=np.clip(init, lo, hi),
+            bounds=(lo, hi),
+            max_iter=2,
+            jac=_chain_jacobian,
         )
         assert not res.converged and res.n_iter == 2
 
@@ -134,12 +147,15 @@ class TestLeastSquares:
             evals.append(p[0])
             return np.full(f.size, p[0], dtype=complex)
 
-        res = least_squares(model, sweep, init=[2.0], bounds=([2.0], [np.inf]))
+        def jac(p, f):
+            return np.ones((f.size, 1), dtype=complex)
+
+        res = least_squares(model, sweep, init=[2.0], bounds=([2.0], [np.inf]), jac=jac)
         assert res.converged
         assert res.params[0] == 2.0
         assert res.grad_norm < 1e-8
-        # residual, one-sided Jacobian (2) and the final Gauss-Newton polish
-        assert len(evals) <= 4
+        # the residual and the final Gauss-Newton polish
+        assert len(evals) <= 2
 
     def test_uphill_jacobian_stops_without_a_step(self):
         # a wrong-sign Jacobian points every damped step uphill, so no step
@@ -163,7 +179,10 @@ class TestLeastSquares:
         def constant(p, f):
             return np.ones(f.size, dtype=complex)
 
-        res = least_squares(constant, sweep, init=[1.0], bounds=([1.0], [np.inf]))
+        def flat(p, f):
+            return np.zeros((f.size, 1), dtype=complex)
+
+        res = least_squares(constant, sweep, init=[1.0], bounds=([1.0], [np.inf]), jac=flat)
         assert res.converged and res.n_iter == 1
         assert res.params[0] == 1.0
 
@@ -172,14 +191,18 @@ class TestLeastSquares:
         sweep = ComplexSweep(f, self.line_model(np.array([1.0, 0.0]), f))
         with pytest.raises(FitError):
             least_squares(
-                self.line_model, sweep, init=[2.0, 0.0], bounds=([0, 0], [1, 1])
+                self.line_model,
+                sweep,
+                init=[2.0, 0.0],
+                bounds=([0, 0], [1, 1]),
+                jac=self.line_jac,
             )
 
     def test_too_few_points_rejected(self):
         f = np.linspace(0.0, 1.0, 5)
         sweep = ComplexSweep(f, self.line_model(np.array([1.0, 0.0]), f))
         with pytest.raises(FitError):
-            least_squares(self.line_model, sweep, init=[1.0, 0.0])
+            least_squares(self.line_model, sweep, init=[1.0, 0.0], jac=self.line_jac)
 
     def test_noisy_lorentzian_errors_within_covariance(self):
         # |S11| of the bare line with 1% noise: fitted errors should stay
@@ -187,6 +210,12 @@ class TestLeastSquares:
         def mag_model(p, f):
             res = ResonatorParams(f_r=p[0], gamma_c=p[1], gamma=p[2], phi=0.0)
             return np.abs(bare_reflection(res, f)).astype(complex)
+
+        def mag_jac(p, f):
+            # d|S|/dp = Re(conj(S) dS/dp) / |S|
+            s = bare_reflection(ResonatorParams(f_r=p[0], gamma_c=p[1], gamma=p[2], phi=0.0), f)
+            ds = bare_line_jacobian(p, f)
+            return (np.real(np.conj(s)[:, None] * ds) / np.abs(s)[:, None]).astype(complex)
 
         truth = np.array([MU, GAMMA_C, GAMMA])
         f = PROBE_GRID
@@ -200,6 +229,7 @@ class TestLeastSquares:
                 sweep,
                 init=truth * np.array([1.0 + 1e-5, 1.05, 0.95]),
                 bounds=([f[0], 1e3, 1e3], [f[-1], 1e9, 1e9]),
+                jac=mag_jac,
             )
             err = np.abs(res.params - truth)
             sig = np.sqrt(np.diag(res.covariance))
@@ -243,10 +273,27 @@ class TestCircleFit:
             sweep,
             init=[MU * (1 + 2e-5), GAMMA_C * 1.05, GAMMA * 0.95],
             bounds=([PROBE_GRID[0], 1e3, 1e3], [PROBE_GRID[-1], 1e9, 1e9]),
+            jac=bare_line_jacobian,
         )
         np.testing.assert_allclose(
             [geo.f_r, geo.gamma_c, geo.gamma], direct.params, rtol=1e-3
         )
+
+    def test_phase_jacobian_matches_central_difference(self):
+        f = PROBE_GRID
+        x = np.array([0.3, MU + 0.7e6, GAMMA])
+        analytic = _phase_jacobian(x, f)
+        assert analytic.shape == (f.size, 3)
+        for i, h in enumerate((1e-6, 1.0, 10.0)):
+            step = np.zeros(3)
+            step[i] = h
+            numeric = (_phase_model(x + step, f) - _phase_model(x - step, f)) / (2 * h)
+            np.testing.assert_allclose(analytic[:, i], numeric, rtol=1e-6, atol=1e-9 * np.abs(numeric).max())
+
+    def test_least_squares_needs_a_jacobian(self):
+        sweep = ComplexSweep(PROBE_GRID, np.zeros(PROBE_GRID.size, dtype=complex))
+        with pytest.raises(TypeError, match="jac"):
+            least_squares(_phase_model, sweep, init=[0.0, MU, GAMMA])
 
     def test_collinear_data_rejected(self):
         f = np.linspace(509e6, 539e6, 64)
