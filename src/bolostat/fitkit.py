@@ -3,10 +3,13 @@
 The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine operating
 on stacked real/imaginary residuals.  Its one loop, `_lm`, carries a leading
 batch axis of independent fits, each with its own damping and convergence
-test.  Two routines enter it: `least_squares` runs a single fit, with the
+test, and evaluates the residual and the Jacobian together, once per trial
+point.  Two routines enter it: `least_squares` runs a single fit, with the
 caller's Jacobian, as a batch of one, and `_fit_free` runs the staged fits
 as batches of the chain model with `response`'s closed-form
-`_chain_jacobian`, one erfcx call per iteration.  On top of them sit the
+`_chain_jacobian`, one erfcx call per trial point.  `_fit_free` steps a
+free broadening in the variance sigma**2, the coordinate the line moves
+with near zero broadening, and reports it in sigma.  On top of them sit the
 resonance extractors used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
@@ -19,7 +22,7 @@ resonance extractors used by the pipeline:
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,7 +187,9 @@ def least_squares(
 
     Notes
     -----
-    The Jacobian is the caller's, evaluated once per iteration.  Steps solve
+    The Jacobian is the caller's, evaluated with the model at the start, at
+    every trial point and at the polish step, so a point the fit accepts
+    keeps the Jacobian it was evaluated with.  Steps solve
     the column-scaled damped normal equations; the damping factor is increased
     until the cost decreases, so the residual norm is non-increasing across
     accepted iterations.  The fit has converged when the projected,
@@ -211,24 +216,12 @@ def least_squares(
         scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
     names = tuple(param_names) or tuple(f"p{i}" for i in range(n))
 
-    def resid(X, rows):
+    def evaluate(X, rows):
         r = model(X[0], freqs) - data
-        return np.concatenate([r.real, r.imag])[None]
-
-    def jacobian(X, rows):
         Jc = jac(X[0], freqs)
-        return np.concatenate([Jc.real, Jc.imag])[None]
+        return np.concatenate([r.real, r.imag])[None], np.concatenate([Jc.real, Jc.imag])[None]
 
-    [fit], [failure] = _lm(
-        resid,
-        jacobian,
-        x[None],
-        lo,
-        hi,
-        scales[None],
-        names,
-        max_iter,
-    )
+    [fit], [failure] = _lm(evaluate, x[None], lo, hi, scales[None], names, max_iter)
     if failure is not None:
         raise RankDeficiencyError(failure)
     return fit
@@ -264,17 +257,20 @@ def _singular(names, which):
     )
 
 
-def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
+def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     """Levenberg-Marquardt over a batch of independent fits; the one LM loop.
 
     Row k of the (B, n) start ``x0`` minimizes the sum of squares of its
     residual within the box (``lo``, ``hi``, broadcast against ``x0``).
-    ``resid(X, rows)`` returns the real residuals (len(rows), m) of the
-    batch rows ``rows`` at the points X (len(rows), n), and
-    ``jacobian(X, rows)`` their Jacobians (len(rows), m, n).  Every row
-    keeps its own damping, convergence test, polish step and covariance,
-    so it follows the iterates it would follow alone; each step evaluates
-    only the rows still iterating.  A column that is flat and pinned at its
+    ``evaluate(X, rows)`` returns, at the points X (len(rows), n) of the
+    batch rows ``rows``, their real residuals (len(rows), m) and Jacobians
+    (len(rows), m, n).  It is called once at the start, once per trial step
+    over the rows trying one, and once for the polish step: a row keeps the
+    Jacobian of the point it accepts, so no point is evaluated twice, and
+    the covariance is formed at the returned point.  Every row keeps its
+    own damping, convergence test, polish step and covariance, so it
+    follows the iterates it would follow alone; each step evaluates only
+    the rows still iterating.  A column that is flat and pinned at its
     bound leaves its row's solve through an identity row and column.
 
     Returns (fits, failures): a `FitResult` per row, and per row None or the
@@ -286,7 +282,7 @@ def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
     lo, hi, scales = (np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in (lo, hi, scales))
     eye = np.eye(n)
     diag = np.arange(n)
-    r = resid(x, np.arange(n_rows))
+    r, J = evaluate(x, np.arange(n_rows))  # each row's residual and Jacobian at x
     n_points = r.shape[1] / 2  # complex samples
     cost = _sum_squares(r)
     lam = np.full(n_rows, 1e-3)
@@ -294,18 +290,12 @@ def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
     grad_inf = np.full(n_rows, np.nan)
     n_iter = np.zeros(n_rows, dtype=int)
     failures = [None] * n_rows
-    J = None  # each row's last Jacobian
     pending = np.arange(n_rows)
     for it in range(1, max_iter + 1):
         if pending.size == 0:
             break
         n_iter[pending] = it
-        Jp = jacobian(x[pending], pending)
-        if J is None:
-            # the Jacobian's own memory layout, which sets the summation
-            # order of the products formed from it
-            J = np.empty_like(Jp, shape=(n_rows,) + Jp.shape[1:])
-        J[pending] = Jp
+        Jp = J[pending]
         col = np.linalg.norm(Jp, axis=1)
         # degeneracy is judged per natural-scale step, so that columns with
         # wildly different units are comparable
@@ -345,7 +335,7 @@ def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
             failures[pending[go[k]]] = _singular(names, np.nonzero(np.abs(vt[-1]) > 0.3)[0])
         go, A = go[~singular], A[~singular]
         rows, grad_s, ca = pending[go], grad_s[go], ca[go]
-        del Jp, Js  # J holds the Jacobian; the model calls below need the room
+        del Jp, Js  # the trial evaluations below need the room
 
         # each row raises its own damping until its cost decreases
         accepted = np.zeros(rows.size, dtype=bool)
@@ -359,12 +349,12 @@ def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
             trying, t, step_s = trying[solved], t[solved], step_s[solved]
             if trying.size:
                 x_new = np.clip(x[t] + step_s / ca[trying], lo[t], hi[t])
-                r_new = resid(x_new, t)
+                r_new, J_new = evaluate(x_new, t)
                 cost_new = _sum_squares(r_new)
                 better = cost_new < cost[t]
                 b = t[better]
                 rel_change = (cost[b] - cost_new[better]) / np.maximum(cost[b], 1e-300)
-                x[b], r[b], cost[b] = x_new[better], r_new[better], cost_new[better]
+                x[b], r[b], J[b], cost[b] = x_new[better], r_new[better], J_new[better], cost_new[better]
                 # a small relative decrease only counts as convergence once
                 # the step is essentially undamped (pure Gauss-Newton)
                 stop[trying[better]] = converged[b] = (rel_change < _FRTOL) & (lam[b] <= 1e-6)
@@ -392,19 +382,17 @@ def _lm(resid, jacobian, x0, lo, hi, scales, names, max_iter):
         done, step, col = done[solved], step[solved], col[solved]
         if done.size:
             x_new = np.clip(x[done] + step / col, lo[done], hi[done])
-            r_new = resid(x_new, done)
+            r_new, J_new = evaluate(x_new, done)
             cost_new = _sum_squares(r_new)
             keep = cost_new <= cost[done] * (1.0 + 1e-12)
             kept = done[keep]
-            x[kept], r[kept], cost[kept] = x_new[keep], r_new[keep], cost_new[keep]
+            x[kept], r[kept], J[kept], cost[kept] = x_new[keep], r_new[keep], J_new[keep], cost_new[keep]
 
     return [
         FitResult(
             params=x[k].copy(),
             residual_norm=math.sqrt(cost[k] / n_points),
-            covariance=(
-                None if J is None or failures[k] else _covariance(J[k], cost[k], J.shape[1], n)
-            ),
+            covariance=None if failures[k] else _covariance(J[k], cost[k], J.shape[1], n),
             n_iter=int(n_iter[k]),
             converged=bool(converged[k]),
             grad_norm=float(grad_inf[k]),
@@ -601,6 +589,9 @@ def _scales(x0, freqs):
     for name in PHASE_NAMES:
         s[..., _AT[name]] = 1.0
     s[..., _AT["tau"]] = np.maximum(s[..., _AT["tau"]], 1.0 / center)  # one radian of delay phase
+    # `_fit_free` fits sigma's square, with the square of this scale; from a
+    # start on the floor of a few Hz that would make its column look dead
+    s[..., _AT["sigma"]] = np.maximum(s[..., _AT["sigma"]], 1e-3 * span)
     return s
 
 
@@ -611,43 +602,69 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
     Row k of the (B, 12) ``starts`` is fitted against row k of the (B, m)
     complex ``data`` on the grid ``freqs``, within the box (``lo``, ``hi``);
     ``scales`` is one 12-vector or a (B, 12) batch.  The rows make one
-    `_lm` call, each step one `_chain_model` and one `_chain_jacobian` call
-    over the rows still iterating.
+    `_lm` call, and each of its evaluations is one `_chain_jacobian` call
+    (value and Jacobian together) over the rows it evaluates.
+
+    A free sigma enters the LM as the variance v = sigma**2, the coordinate
+    the line moves with near zero broadening: the Voigt line's leading term
+    there is sigma**2/2 * d^2L/dmu^2, so sigma's own column vanishes at the
+    floor while v's does not.  The box, start and scale of v are those of
+    sigma squared, and v's Jacobian column is sigma's over 2*sigma.
 
     Returns (X, fits, failures): the fitted (B, 12) vectors, and `_lm`'s
-    FitResult (over the free entries) and failure per row.  A free sigma
-    that ends on its lower bound raises `DegenerateSigmaWarning`, once per
-    row; the FitResults are returned unedited.
+    FitResult (over the free entries) and failure per row.  The FitResults
+    are in sigma: the fitted sqrt(v), and the covariance's sigma row and
+    column times 1/(2*sigma); the column-scaled ``grad_norm`` is the same in
+    either coordinate.  A free sigma that ends on its lower bound raises
+    `DegenerateSigmaWarning`, once per row.
     """
+    sigma = _AT["sigma"]
+    var = free.index(sigma) if sigma in free else None  # v's place in an LM vector
+
+    def squared(a):
+        # sigma entries of vectors over the free entries -> variance entries
+        a = np.array(a, dtype=float)
+        if var is not None:
+            a[..., var] = a[..., var] ** 2
+        return a
 
     def full(xf):
         X = np.empty((len(xf), base.size))
         X[:] = base
         X[:, free] = xf
+        if var is not None:
+            X[:, sigma] = np.sqrt(X[:, sigma])
         return X
 
-    def resid(xf, rows):
-        r = _chain_model(full(xf), freqs) - data[rows]
-        return np.concatenate([r.real, r.imag], axis=1)
-
-    def jacobian(xf, rows):
-        Jc = _chain_jacobian(full(xf), freqs)[..., free]
-        return np.concatenate([Jc.real, Jc.imag], axis=1)
+    def evaluate(xf, rows):
+        X = full(xf)
+        value, Jc = _chain_jacobian(X, freqs)
+        r = value - data[rows]
+        Jc = Jc[..., free]
+        if var is not None:
+            Jc[..., var] /= 2.0 * X[:, sigma, None]
+        return np.concatenate([r.real, r.imag], axis=1), np.concatenate([Jc.real, Jc.imag], axis=1)
 
     fits, failures = _lm(
-        resid,
-        jacobian,
-        starts[:, free],
-        lo[free],
-        hi[free],
-        scales[..., free],
+        evaluate,
+        squared(starts[:, free]),
+        squared(lo[free]),
+        squared(hi[free]),
+        squared(scales[..., free]),
         tuple(PARAM_NAMES[i] for i in free),
         max_iter,
     )
     X = full([fit.params for fit in fits])
-    sigma = _AT["sigma"]
-    if sigma in free:
-        for x in X:
+    if var is not None:
+        to_sigma = np.ones(len(free))
+        for k, (x, fit) in enumerate(zip(X, fits)):
+            to_sigma[var] = 0.5 / x[sigma]
+            cov = fit.covariance
+            fits[k] = replace(
+                fit,
+                params=x[free],
+                covariance=None if cov is None else cov * np.outer(to_sigma, to_sigma),
+            )
             if x[sigma] <= lo[sigma]:
                 warnings.warn(
                     "fitted broadening pinned at its lower bound",
@@ -717,11 +734,11 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     overrides those starting values; frozen entries are ignored.
 
     The traces must share one probe grid.  They are fitted as one
-    `_fit_free` batch: every step makes one model and one Jacobian call
-    over the traces still iterating, while each trace keeps its own damping
-    and convergence test.  A trace whose normal equations go singular stops
-    there: its FitResult holds its last accepted point with
-    ``converged=False``, and the other traces go on.
+    `_fit_free` batch: every trial step makes one `_chain_jacobian` call,
+    value and Jacobian together, over the traces taking it, while each
+    trace keeps its own damping and convergence test.  A trace whose normal
+    equations go singular stops there: its FitResult holds its last
+    accepted point with ``converged=False``, and the other traces go on.
 
     Returns
     -------

@@ -80,16 +80,26 @@ class ConfigError(ValueError):
 
 
 def default_seed(explicit=None, config_seed=0):
-    """Seed precedence: explicit flag > BOLOSTAT_SEED env var > config."""
+    """Seed precedence: explicit flag > BOLOSTAT_SEED env var > config.
+
+    The flag and the variable must be non-negative integers, as the config's
+    ``seed`` must be: the seed keys Philox streams, which take no negative
+    key.
+    """
     if explicit is not None:
+        if explicit < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {explicit}")
         return int(explicit)
     env = os.environ.get("BOLOSTAT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"BOLOSTAT_SEED must be an integer, got {env!r}") from None
-    return int(config_seed)
+    if env is None:
+        return int(config_seed)
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ConfigError(f"BOLOSTAT_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,7 @@ class SweepConfig:
         mode = need("mode", str, lambda m: m in MODES, f"must be one of {MODES}")
         cfg = dict(
             mode=mode,
-            seed=need("seed", int) if "seed" in raw else 0,
+            seed=need("seed", int, lambda v: v >= 0, "must be non-negative") if "seed" in raw else 0,
             radiator_frequency_hz=need(
                 "radiator_frequency_hz", float, lambda v: v > 0, "must be positive"
             ),

@@ -148,9 +148,19 @@ def _delay(tau, varphi, f_p):
 
 def _scalars(x, part):
     """The entries ``part`` of a raw vector, one per helper argument: floats
-    for a (12,) vector, (B, 1) columns for a (B, 12) batch of rows."""
+    for a (12,) vector or a batch of one row, (B, 1) columns for a (B, 12)
+    batch of more rows.  Each scalar operation on a (1, 1) column is a numpy
+    array operation, so a batch of one takes the float path, and its callers
+    put the row axis back with `_rows`."""
     sub = x[..., part]
-    return sub if sub.ndim == 1 else sub.T[..., None]
+    if sub.ndim == 1:
+        return sub
+    return sub[0] if len(sub) == 1 else sub.T[..., None]
+
+
+def _rows(out, x):
+    # the row axis of a batch of one, which `_scalars` dropped
+    return out[None] if x.ndim == 2 and len(x) == 1 else out
 
 
 def _straddles_floor(x):
@@ -161,11 +171,18 @@ def _straddles_floor(x):
 
 
 def _by_branch(fn, x, f_p, floor):
-    # fn over a batch, the rows on each side of the sigma floor apart
-    below = fn(x[floor], f_p)
-    out = np.empty((len(x),) + below.shape[1:], dtype=below.dtype)
+    # fn over a batch, the rows on each side of the sigma floor apart; fn
+    # returns an array or a tuple of arrays, each led by the row axis
+    below, above = fn(x[floor], f_p), fn(x[~floor], f_p)
+    if isinstance(below, tuple):
+        return tuple(_merge_rows(b, a, floor) for b, a in zip(below, above))
+    return _merge_rows(below, above, floor)
+
+
+def _merge_rows(below, above, floor):
+    out = np.empty((len(floor),) + below.shape[1:], dtype=below.dtype)
     out[floor] = below
-    out[~floor] = fn(x[~floor], f_p)
+    out[~floor] = above
     return out
 
 
@@ -181,11 +198,12 @@ def _chain_model(x, f_p):
     floor = _straddles_floor(x)
     if floor is not None:
         return _by_branch(_chain_model, x, f_p, floor)
-    return (
+    value = (
         _delay(*_scalars(x, _DELAY), f_p)
         * _background(*_scalars(x, _BACKGROUND), f_p)
         * _line(*_scalars(x, _LINE), f_p)
     )
+    return _rows(value, x)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -231,8 +249,13 @@ def _erfcx_derivatives(z, w):
 
 
 def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
-    """Value of `_line` and its derivatives in `_LINE_NAMES` order."""
-    a = gamma / 2.0 + 1j * TWO_PI * (mu - f_p)
+    """Value of `_line` and its derivatives in `_LINE_NAMES` order.
+
+    The value is formed in `_line`'s own operation order, so it is bitwise
+    `_line`'s.
+    """
+    dprime = TWO_PI * (mu - f_p)
+    a = gamma / 2.0 + 1j * dprime
     rot = np.exp(1j * phi)
     if np.all(sigma <= sigma_floor(gamma)):
         q = rot * gamma_c / a
@@ -249,7 +272,7 @@ def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
     z = a / c
     w = erfcx(z)
     unit = rot / (2.0 * math.sqrt(TWO_PI) * sigma)
-    p = unit * gamma_c
+    p = rot * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma)
     pw = p * w
     dw, g = _erfcx_derivatives(z, w)
     return 1.0 - pw, (
@@ -262,28 +285,36 @@ def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
 
 
 def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
-    """Value of `_background` and its derivatives in `_BACKGROUND_NAMES` order."""
-    b = gamma_b / 2.0 + 1j * TWO_PI * (f_b - f_p)
-    unit = np.exp(1j * phi_b) / b
-    term = gamma_bc * unit
+    """Value of `_background` and its derivatives in `_BACKGROUND_NAMES` order.
+
+    The value is formed in `_background`'s own operation order, so it is
+    bitwise `_background`'s.
+    """
+    delta_b = TWO_PI * (f_b - f_p)
+    b = gamma_b / 2.0 + 1j * delta_b
+    rot = np.exp(1j * phi_b)
+    term = rot * gamma_bc / b
     return s_b + term, (
         np.ones_like(term),
         -1j * TWO_PI * term / b,
-        unit,
+        rot / b,
         -term / (2.0 * b),
         1j * term,
     )
 
 
 def _chain_jacobian(x, f_p):
-    """Complex Jacobian of `_chain_model` in closed form: (len(f_p), 12).
+    """`_chain_model` and its complex Jacobian in closed form, in one pass.
 
-    A (B, 12) batch of rows gives (B, len(f_p), 12), each row on its own
-    side of the sigma floor.  Columns follow `PARAM_NAMES`.  The Voigt line
-    takes one erfcx call and its derivative from erfcx'(z) = 2 z erfcx(z)
-    - 2/sqrt(pi); the background and delay columns are elementary.  On the
-    bare-Lorentzian branch (sigma at or below `sigma_floor`) the sigma
-    column is the right derivative of the Gaussian average, not zero.
+    Returns (value, jac), value bitwise ``_chain_model(x, f_p)``: shapes
+    (len(f_p),) and (len(f_p), 12) for one vector, (B, len(f_p)) and
+    (B, len(f_p), 12) for a (B, 12) batch of rows, each row on its own side
+    of the sigma floor.  Columns follow `PARAM_NAMES`.  The Voigt
+    line takes one erfcx call, shared by the value and the derivatives, and
+    its derivative comes from erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); the
+    background and delay columns are elementary.  On the bare-Lorentzian
+    branch (sigma at or below `sigma_floor`) the sigma column is the right
+    derivative of the Gaussian average, not zero.
     """
     x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
@@ -303,7 +334,7 @@ def _chain_jacobian(x, f_p):
     ):
         for i, d in zip(range(part.start, part.stop), derivatives):
             np.multiply(d, factor, out=jac[..., i])
-    return jac
+    return _rows(value, x), _rows(jac, x)
 
 
 def bare_reflection(res, f_p):

@@ -10,21 +10,35 @@ not move any output is checked by running this on both trees and comparing:
     python tests/reference_sweeps.py /tmp/after    # on the changed tree
     diff -r /tmp/before /tmp/after
 
+A change that may move the fitted statistics, but not the synthesis or
+any fit's outcome, compares the two trees with
+
+    python tests/reference_sweeps.py --compare /tmp/before /tmp/after
+
+which prints, for every statistics field, the worst relative and absolute
+drift over the clean and over the noisy sweeps apart, and the number of
+rows whose iteration count moved.  It exits 1 if any exit code,
+``converged`` flag or dataset byte differs, or a file is missing on one
+side.
+
 The file name keeps pytest from collecting it.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from bolostat import cli  # noqa: E402
+from bolostat.pipeline import StatsRecord, stats_from_csv  # noqa: E402
 
 CONFIGS = ("thermal", "coherent", "mixed")
 NOISE = 0.01
@@ -62,7 +76,54 @@ def main(outdir):
         print(f"{label}: simulate {sim}, fit {fit}")
 
 
+def _stats(path):
+    if not path.exists():  # a calibration failure writes no statistics
+        return None
+    with open(path) as fh:
+        return stats_from_csv(fh)
+
+
+def compare(before, after):
+    """Print the drift table of two output trees; 1 if an outcome differs."""
+    before, after = Path(before), Path(after)
+    floats = [f.name for f in fields(StatsRecord) if f.type is float]
+    worst = {group: {name: [0.0, 0.0] for name in floats} for group in ("clean", "noisy")}
+    moved_iters = {"clean": 0, "noisy": 0}
+    problems = []
+    for label, _ in sweeps():
+        group = "clean" if label.endswith("-clean") else "noisy"
+        for ext in (".json", ".exit"):
+            a, b = before / f"{label}{ext}", after / f"{label}{ext}"
+            if not (a.exists() and b.exists()) or a.read_bytes() != b.read_bytes():
+                problems.append(f"{label}{ext} differs")
+        old, new = _stats(before / f"{label}.csv"), _stats(after / f"{label}.csv")
+        if old is None or new is None or len(old) != len(new):
+            if old != new:
+                problems.append(f"{label}.csv: rows differ")
+            continue
+        for row, (o, n) in enumerate(zip(old, new)):
+            if o.converged != n.converged:
+                problems.append(f"{label}.csv row {row}: converged {o.converged} -> {n.converged}")
+            moved_iters[group] += o.n_iter != n.n_iter
+            for name in floats:
+                x, y = getattr(o, name), getattr(n, name)
+                gap = abs(y - x) if not (math.isnan(x) and math.isnan(y)) else 0.0
+                rel = gap / abs(x) if x else (0.0 if gap == 0 else math.inf)
+                w = worst[group][name]
+                w[0], w[1] = max(w[0], rel), max(w[1], gap)
+    print(f"{'field':<14} {'clean rel':>10} {'clean abs':>10} {'noisy rel':>10} {'noisy abs':>10}")
+    for name in floats:
+        cells = [f"{v:10.2e}" for group in ("clean", "noisy") for v in worst[group][name]]
+        print(f"{name:<14} " + " ".join(cells))
+    print(f"rows with a changed n_iter: clean {moved_iters['clean']}, noisy {moved_iters['noisy']}")
+    for line in problems:
+        print(f"DIFFERS: {line}")
+    return 1 if problems else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR | --compare BEFORE AFTER")
     main(sys.argv[1])

@@ -86,6 +86,28 @@ def test_env_seed_override(tmp_path, thermal_config_file, monkeypatch):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "where,field",
+    [("config", "field 'seed'"), ("flag", "--seed"), ("env", "BOLOSTAT_SEED")],
+    ids=["config", "flag", "env"],
+)
+def test_negative_seed_exits_one_naming_it(tmp_path, thermal_config_file, monkeypatch, capsys, where, field):
+    # each way to set a negative seed is refused before any Philox stream
+    # is keyed with it, and the error names where the seed came from
+    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
+    argv = ["simulate", "--config", str(thermal_config_file), "--out", str(tmp_path / "d.json")]
+    if where == "config":
+        thermal_config_file.write_text(json.dumps(dict(json.loads(thermal_config_file.read_text()), seed=-3)))
+    elif where == "flag":
+        argv += ["--seed", "-3"]
+    else:
+        monkeypatch.setenv("BOLOSTAT_SEED", "-2")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
     import bolostat.pipeline as pl
 
@@ -163,10 +185,9 @@ def test_singular_trace_is_reported_in_its_row(tmp_path, thermal_config_file, mo
     gamma_c = fk.PARAM_NAMES.index("gamma_c")
 
     def flat_gamma_c_below(x, f_p):
-        jac = real_jacobian(x, f_p)
-        if np.ndim(x) == 2:  # the measurement batch, not a calibration stage
-            jac[x[:, fk.PARAM_NAMES.index("mu")] < below, :, gamma_c] = 0.0
-        return jac
+        value, jac = real_jacobian(x, f_p)
+        jac[x[:, fk.PARAM_NAMES.index("mu")] < below, :, gamma_c] = 0.0
+        return value, jac
 
     monkeypatch.setattr(fk, "_chain_jacobian", flat_gamma_c_below)
     rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])

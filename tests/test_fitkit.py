@@ -48,6 +48,11 @@ from conftest import (
 )
 
 
+def chain_jac(x, freqs):
+    """The Jacobian alone of `_chain_jacobian`, as `least_squares` takes it."""
+    return _chain_jacobian(x, freqs)[1]
+
+
 def add_noise(values, noise, seed):
     """White complex noise of RMS ``noise`` times the |values| span."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -110,7 +115,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(4)
         init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
         lo, hi = _default_bounds(PROBE_GRID, gamma_scale=GAMMA)
-        kwargs = dict(init=np.clip(init, lo, hi), bounds=(lo, hi), jac=_chain_jacobian)
+        kwargs = dict(init=np.clip(init, lo, hi), bounds=(lo, hi), jac=chain_jac)
         fit = least_squares(_chain_model, sweep, **kwargs)
         assert fit.n_iter >= 3
         # a fit capped at k iterations returns its k-th accepted point
@@ -131,7 +136,7 @@ class TestLeastSquares:
             init=np.clip(init, lo, hi),
             bounds=(lo, hi),
             max_iter=2,
-            jac=_chain_jacobian,
+            jac=chain_jac,
         )
         assert not res.converged and res.n_iter == 2
 
@@ -359,9 +364,9 @@ class TestBaseCalibration:
         real = fk._chain_jacobian
 
         def flat_phi(x, freqs):
-            J = real(x, freqs)
+            value, J = real(x, freqs)
             J[..., PARAM_NAMES.index("phi")] = 0.0
-            return J
+            return value, J
 
         monkeypatch.setattr(fk, "_chain_jacobian", flat_phi)
         with pytest.raises(RankDeficiencyError, match="degenerate directions: phi$"):
@@ -503,26 +508,26 @@ class TestMeasurementFit:
 def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
     # a tracer that wraps fitkit._lm sees every staged fit: the two
     # calibration stages as batches of one, then the measurement fits of the
-    # sweep as one batch, each evaluating the chain model
+    # sweep as one batch, each evaluating the chain model with its Jacobian
     import bolostat.fitkit as fk
 
-    real_lm, real_model = fk._lm, fk._chain_model
+    real_lm, real_chain = fk._lm, fk._chain_jacobian
     batches, evals, calls = [], [], [0]
 
-    def counting_lm(resid, jacobian, x0, *args, **kwargs):
+    def counting_lm(evaluate, x0, *args, **kwargs):
         batches.append(len(x0))
         before = calls[0]
         try:
-            return real_lm(resid, jacobian, x0, *args, **kwargs)
+            return real_lm(evaluate, x0, *args, **kwargs)
         finally:
-            evals.append(calls[0] - before)  # model calls inside this LM run
+            evals.append(calls[0] - before)  # chain evaluations inside this LM run
 
-    def counted_model(x, freqs):
+    def counted_chain(x, freqs):
         calls[0] += 1
-        return real_model(x, freqs)
+        return real_chain(x, freqs)
 
     monkeypatch.setattr(fk, "_lm", counting_lm)
-    monkeypatch.setattr(fk, "_chain_model", counted_model)
+    monkeypatch.setattr(fk, "_chain_jacobian", counted_chain)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     dataset = simulate_sweep(SweepConfig.from_dict(json.loads(shipped.read_text())))
     with warnings.catch_warnings(record=True) as caught:
@@ -545,7 +550,7 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     calibration = run_calibration(dataset)
     sweep = dataset.records[-1].sweep
 
-    real_lm, real_model = fk._lm, fk._chain_model
+    real_lm = fk._lm
     inside = [False]
     calls = []
 
@@ -556,12 +561,16 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
         finally:
             inside[0] = False
 
-    def counted_model(x, freqs):
-        calls.append(inside[0])
-        return real_model(x, freqs)
+    def counted(real):
+        def call(x, freqs):
+            calls.append(inside[0])
+            return real(x, freqs)
+
+        return call
 
     monkeypatch.setattr(fk, "_lm", flagged_lm)
-    monkeypatch.setattr(fk, "_chain_model", counted_model)
+    monkeypatch.setattr(fk, "_chain_model", counted(fk._chain_model))
+    monkeypatch.setattr(fk, "_chain_jacobian", counted(fk._chain_jacobian))
     _, sigma, fit = fit_measurements([sweep], calibration)[0]
     gamma = calibration.fit.params[PARAM_NAMES.index("gamma")]
     lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
@@ -569,18 +578,82 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     assert calls and all(calls)
 
 
+def noisy_base_dataset(seed):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    raw = dict(json.loads(shipped.read_text()), noise=0.01, seed=seed)
+    return simulate_sweep(SweepConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("seed", [101, 303])
+def test_noisy_calibration_leaves_the_sigma_floor_in_few_steps(monkeypatch, seed):
+    # thermal base traces at noise 0.01 whose stage B, stepping in sigma,
+    # took 17 iterations after rejected trials.  In the variance coordinate
+    # sigma's column at the floor is L''/2 instead of sigma*L'', so it is
+    # far from the dead-column threshold and the first steps are accepted.
+    import bolostat.fitkit as fk
+
+    real_lm = fk._lm
+    stages = []
+
+    def recording(evaluate, x0, lo, hi, scales, names, max_iter):
+        costs = []
+
+        def logged(X, rows):
+            r, J = evaluate(X, rows)
+            costs.append(float(np.sum(r * r)))
+            return r, J
+
+        fits, failures = real_lm(logged, x0, lo, hi, scales, names, max_iter)
+        stages.append((names, x0, np.broadcast_to(scales, x0.shape), costs, fits, evaluate))
+        return fits, failures
+
+    monkeypatch.setattr(fk, "_lm", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSigmaWarning)
+        assert run_calibration(noisy_base_dataset(seed)).fit.converged
+    names, x0, scales, costs, [fit], evaluate = stages[1]  # stage B
+    assert names == tuple(PARAM_NAMES)
+    assert fit.n_iter <= 8
+    # the start, then every trial lowered the cost; the last call is the polish
+    assert all(b < a for a, b in zip(costs[:-2], costs[1:-1]))
+    # sigma's natural-scale column at the start is not near-dead
+    _, J = evaluate(x0, [0])
+    col_nat = np.linalg.norm(J[0], axis=0) * scales[0]
+    assert col_nat[PARAM_NAMES.index("sigma")] >= 1e-8 * col_nat.max()
+
+
+def test_sigma_covariance_is_the_sigma_coordinate_one():
+    # the fits step in sigma**2 but report sigma: the covariance they return
+    # is the one formed from sigma's own Jacobian at the returned point
+    dataset = noisy_base_dataset(1)
+    calibration = run_calibration(dataset)
+    sweeps = [point.sweep for point in dataset.records]
+    freqs = sweeps[0].freqs
+    free = [PARAM_NAMES.index(name) for name in MEASUREMENT_PARAM_NAMES]
+    for sweep, (mu, sigma, fit) in zip(sweeps, fit_measurements(sweeps, calibration)):
+        x = calibration.fit.params.copy()
+        x[free] = fit.params
+        assert (x[PARAM_NAMES.index("mu")], x[PARAM_NAMES.index("sigma")]) == (mu, sigma)
+        jc = chain_jac(x, freqs)[:, free]
+        J = np.concatenate([jc.real, jc.imag])
+        m, n = J.shape
+        cost = fit.residual_norm**2 * freqs.size
+        expected = np.linalg.inv(J.T @ J) * cost / (m - n)
+        np.testing.assert_allclose(fit.covariance, expected, rtol=1e-9, atol=0)
+
+
 class TestSweepFit:
     """The measurement fits of a sweep run as one batch of the LM core."""
 
     # iterations per trace of the shipped configs, clean and at noise 0.01
-    # seed 1, as the fits took when each trace was its own least_squares call
+    # seed 1, each the same as when the trace is a batch of its own
     N_ITER = {
-        ("thermal", 0.0): [5, 5, 5, 5, 5, 5, 6, 6, 6],
-        ("coherent", 0.0): [5, 5, 5, 5, 5, 5, 5, 5, 6, 6],
-        ("mixed", 0.0): [5, 5, 5, 5, 6, 6],
-        ("thermal", 0.01): [6, 6, 6, 6, 6, 6, 6, 6, 7],
-        ("coherent", 0.01): [6, 5, 6, 5, 6, 6, 6, 6, 6, 6],
-        ("mixed", 0.01): [6, 6, 6, 6, 6, 6],
+        ("thermal", 0.0): [4, 4, 4, 5, 5, 6, 6, 6, 7],
+        ("coherent", 0.0): [4, 4, 4, 5, 5, 6, 6, 6, 6, 6],
+        ("mixed", 0.0): [5, 5, 5, 6, 6, 6],
+        ("thermal", 0.01): [5, 5, 6, 6, 6, 6, 6, 6, 7],
+        ("coherent", 0.01): [5, 5, 6, 6, 6, 6, 6, 6, 6, 7],
+        ("mixed", 0.01): [6, 6, 6, 6, 6, 7],
     }
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])
@@ -609,45 +682,51 @@ class TestSweepFit:
 
     @staticmethod
     def decay_problem(data, t):
-        """resid/jacobian of y = a exp(-b t) per batch row, stacked as the
-        real and (zero) imaginary parts of a complex trace, and a call log."""
+        """evaluate of y = a exp(-b t) per batch row, the residual and the
+        Jacobian stacked as the real and (zero) imaginary parts of a complex
+        trace, and a log of the rows and points of every call."""
         log = []
 
-        def resid(X, rows):
-            log.append(("resid", list(rows)))
-            r = X[:, :1] * np.exp(-X[:, 1:] * t) - data[rows]
-            return np.concatenate([r, 0.0 * r], axis=1)
-
-        def jacobian(X, rows):
-            log.append(("jac", list(rows)))
+        def evaluate(X, rows):
+            log.append((list(rows), X.copy()))
             e = np.exp(-X[:, 1:] * t)
+            r = X[:, :1] * e - data[rows]
             jac = np.stack([e, -X[:, :1] * t * e], axis=-1)
-            return np.concatenate([jac, 0.0 * jac], axis=1)
+            return np.concatenate([r, 0.0 * r], axis=1), np.concatenate([jac, 0.0 * jac], axis=1)
 
-        return resid, jacobian, log
+        return evaluate, log
+
+    DECAY_T = np.linspace(0.0, 4.0, 30)
+    DECAY_TRUTH = np.array([[2.0, 0.5], [1.0, 1.5], [3.0, 0.2]])
+    DECAY_START = np.array([[2.0, 0.5], [0.1, 8.0], [2.5, 0.3]])
+
+    def decay_data(self):
+        rng = np.random.default_rng(7)
+        t, truth = self.DECAY_T, self.DECAY_TRUTH
+        return truth[:, :1] * np.exp(-truth[:, 1:] * t) + rng.normal(0, 1e-3, (3, t.size))
 
     def test_rows_finish_at_their_own_iteration(self):
         # three rows that stop after 3, 9 and 5 iterations, the middle one
         # after rejected steps that raised its damping: a row that has
-        # stopped is no longer evaluated, and each row ends where a single
-        # least_squares fit of it ends, in as many iterations
+        # stopped is no longer evaluated until the polish, and each row ends
+        # where a single least_squares fit of it ends, in as many iterations
         from bolostat.fitkit import _lm
 
-        t = np.linspace(0.0, 4.0, 30)
-        rng = np.random.default_rng(7)
-        truth = np.array([[2.0, 0.5], [1.0, 1.5], [3.0, 0.2]])
-        data = truth[:, :1] * np.exp(-truth[:, 1:] * t) + rng.normal(0, 1e-3, (3, t.size))
-        x0 = np.array([[2.0, 0.5], [0.1, 8.0], [2.5, 0.3]])
+        t, x0, data = self.DECAY_T, self.DECAY_START, self.decay_data()
         lo, hi = np.array([0.0, 0.0]), np.array([10.0, 10.0])
-        resid, jacobian, log = self.decay_problem(data, t)
-        fits, failures = _lm(resid, jacobian, x0, lo, hi, np.ones(2), ("a", "b"), 200)
+        evaluate, log = self.decay_problem(data, t)
+        fits, failures = _lm(evaluate, x0, lo, hi, np.ones(2), ("a", "b"), 200)
         assert failures == [None, None, None]
         assert [fit.n_iter for fit in fits] == [3, 9, 5]
         assert all(fit.converged for fit in fits)
-        evaluated = [sum(k in rows for kind, rows in log if kind == "resid") for k in range(3)]
+        *steps, (polished, _) = log
+        assert polished == [0, 1, 2]
+        evaluated = [sum(k in rows for rows, _ in steps) for k in range(3)]
         assert evaluated[1] > fits[1].n_iter + 2  # rejected steps
+        # the start and at most one trial per iteration: rows 0 and 2 are
+        # not evaluated in the iterations after they stopped
+        assert evaluated[0] <= fits[0].n_iter + 1 and evaluated[2] <= fits[2].n_iter + 1
         for k, fit in enumerate(fits):
-            assert sum(k in rows for kind, rows in log if kind == "jac") == fit.n_iter
             alone = least_squares(
                 lambda p, f: p[0] * np.exp(-p[1] * f) + 0j,
                 ComplexSweep(t, data[k] + 0j),
@@ -659,6 +738,33 @@ class TestSweepFit:
             np.testing.assert_array_equal(fit.params, alone.params)
             assert (fit.n_iter, fit.residual_norm) == (alone.n_iter, alone.residual_norm)
 
+    def test_one_evaluation_per_trial_point(self, monkeypatch):
+        # the start, every trial step and the polish step each make one
+        # evaluate call, which returns the residual and the Jacobian
+        # together; a row keeps the Jacobian of the point it accepts, so no
+        # row is evaluated twice at the same point
+        import bolostat.fitkit as fk
+
+        real_solve, solves = fk._solve_rows, []
+
+        def counted_solve(M, b):
+            x = real_solve(M, b)
+            solves.append(bool(np.isfinite(x).all(axis=1).any()))
+            return x
+
+        monkeypatch.setattr(fk, "_solve_rows", counted_solve)
+        x0 = self.DECAY_START
+        evaluate, log = self.decay_problem(self.decay_data(), self.DECAY_T)
+        fits, _ = fk._lm(evaluate, x0, [0.0, 0.0], [10.0, 10.0], np.ones(2), ("a", "b"), 200)
+        assert all(solves)  # each trial (and the polish) solved, then evaluated once
+        assert len(log) == 1 + len(solves)
+        rows, X = log[0]
+        assert rows == [0, 1, 2]
+        np.testing.assert_array_equal(X, x0)
+        for k in range(3):
+            points = [tuple(X[list(rows).index(k)]) for rows, X in log if k in rows]
+            assert len(points) == len(set(points))
+
     def test_singular_and_pinned_rows_leave_the_others_alone(self):
         # row 1's flat column is interior: it stops at its start with the
         # singularity named; row 2's flat column is pinned at its bound, so
@@ -668,17 +774,14 @@ class TestSweepFit:
         t = np.linspace(0.0, 1.0, 20)
         data = np.array([0.5 + 2.0 * t, 1.0 + t, 3.0 + 0.0 * t])
 
-        def resid(X, rows):
-            return X[:, :1] + X[:, 1:] * t - data[rows]
-
-        def jacobian(X, rows):
+        def evaluate(X, rows):
             jac = np.stack([np.ones((len(rows), t.size)), np.broadcast_to(t, (len(rows), t.size))], -1)
             jac[np.asarray(rows) > 0, :, 1] = 0.0
-            return jac
+            return X[:, :1] + X[:, 1:] * t - data[rows], jac
 
         x0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         lo, hi = np.array([-10.0, 0.0]), np.array([10.0, 10.0])
-        fits, failures = _lm(resid, jacobian, x0, lo, hi, np.ones(2), ("p0", "p1"), 50)
+        fits, failures = _lm(evaluate, x0, lo, hi, np.ones(2), ("p0", "p1"), 50)
         assert failures[0] is None and failures[2] is None
         assert "degenerate directions: p1" in failures[1]
         assert not fits[1].converged and fits[1].n_iter == 1

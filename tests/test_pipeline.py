@@ -190,6 +190,8 @@ class TestConfigValidation:
             ({"chain": {"tau": False}}, "chain.tau"),
             ({"alpha_photon_per_hz": float("inf")}, "alpha_photon_per_hz"),
             ({"radiator_frequency_hz": float("inf")}, "radiator_frequency_hz"),
+            # Philox takes no negative key
+            ({"seed": -3}, "seed"),
         ],
     )
     def test_named_field_errors(self, mutation, field):
@@ -222,6 +224,11 @@ class TestConfigValidation:
         monkeypatch.setenv("BOLOSTAT_SEED", "not-a-seed")
         with pytest.raises(ConfigError):
             default_seed(None, 3)
+        monkeypatch.setenv("BOLOSTAT_SEED", "-2")
+        with pytest.raises(ConfigError, match="BOLOSTAT_SEED"):
+            default_seed(None, 3)
+        with pytest.raises(ConfigError, match="--seed"):
+            default_seed(-1, 3)
 
 
 class TestSimulate:
@@ -303,7 +310,8 @@ class TestExtraction:
         # gamma_c = 0.95*gamma, seed 13: the perturbed start lowers gamma, so
         # the floor of the config's gamma lies just above the fit box's bound
         # (the floor of the start's gamma).  A sigma started there had a dead
-        # column, and stage B raised RankDeficiencyError.
+        # column, and stage B raised RankDeficiencyError.  Stage B steps in
+        # sigma**2, so its start and bound are the squares.
         import bolostat.fitkit as fk
 
         raw = make_config(seed=13).to_dict()
@@ -313,16 +321,16 @@ class TestExtraction:
         real = fk._lm
         starts = []
 
-        def recording(resid, jacobian, x0, lo, hi, scales, names, max_iter):
+        def recording(evaluate, x0, lo, hi, scales, names, max_iter):
             starts.append((names, x0[0], np.broadcast_to(lo, x0.shape)[0]))
-            return real(resid, jacobian, x0, lo, hi, scales, names, max_iter)
+            return real(evaluate, x0, lo, hi, scales, names, max_iter)
 
         monkeypatch.setattr(fk, "_lm", recording)
         assert run_calibration(dataset).fit.converged
         names, init, lo = starts[1]  # stage B: all twelve free
         assert names == tuple(PARAM_NAMES)
         sigma = PARAM_NAMES.index("sigma")
-        assert init[sigma] == lo[sigma] < sigma_floor(cfg.chain.gamma)
+        assert init[sigma] == lo[sigma] < sigma_floor(cfg.chain.gamma) ** 2
 
     def test_retired_keys_in_old_files_are_ignored(self):
         # configs and datasets written while `workers`, `init_perturbation`
