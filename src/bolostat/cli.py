@@ -11,6 +11,7 @@ environment variable.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -36,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser():
+    # built on the first call and then reused: parsing keeps no state in
+    # the parser, each call gets a fresh namespace
     parser = _Parser(prog="bolostat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,12 +12,13 @@ referenced to the base trace, and reports g2(0).
 
 File formats (all deterministic given the same inputs):
 
-* datasets: one JSON document (``bolostat-dataset-v2``) with config, truth
-  table, and traces.  Config, control and truth are plain sorted JSON; each
-  trace stores ``f_p_hz``, ``re`` and ``im`` as one base64 string of
+* datasets: one JSON document (``bolostat-dataset-v3``) with config, truth
+  table, and traces.  Config, control and truth are plain sorted JSON.  The
+  probe grid ``f_p_hz`` is stored once, at the top level, and each trace
+  stores only ``re`` and ``im``; every array is one base64 string of
   little-endian float64 bytes, so a read-back is bitwise exact and costs no
-  per-sample text formatting.  Every record shares the base trace's probe
-  grid.
+  per-sample text formatting.  The reader hands every trace the same
+  read-only grid array.
 * statistics: CSV with one column per `StatsRecord` field, in field order;
   floats are written as their ``repr``, booleans as 0/1
 """
@@ -46,7 +47,7 @@ from .photonstats import (
     sigma_to_variance,
     thermal_variance,
 )
-from .response import PARAM_NAMES, PHASE_NAMES, _chain_model
+from .response import _LINE, PARAM_NAMES, PHASE_NAMES, _frame, _line, _scalars
 from .response import BackgroundParams, FreqDistribution, LineParams, ResonatorParams
 
 __all__ = [
@@ -67,7 +68,7 @@ __all__ = [
     "DATASET_FORMAT",
 ]
 
-DATASET_FORMAT = "bolostat-dataset-v2"
+DATASET_FORMAT = "bolostat-dataset-v3"
 
 MODES = ("thermal", "coherent", "mixed")
 
@@ -334,11 +335,12 @@ def _invert_shift(coeffs, shift):
     return float(max(valid.min(), 0.0)) if valid.size else 0.0
 
 
-def _synthesize(cfg, mean, variance, rng):
-    freqs = cfg.probe_grid()
+def _synthesize(cfg, freqs, frame, mean, variance, rng):
+    # frame is the sweep's `_frame` on freqs, so values is bitwise
+    # _chain_model(cfg.chain.vector(mu, sigma), freqs)
     sigma = math.sqrt(variance) / cfg.alpha_photon_per_hz
     mu = cfg.chain.mu_base_hz + _shift_hz(cfg.freq_shift_poly_hz, mean)
-    values = _chain_model(cfg.chain.vector(mu, sigma), freqs)
+    values = frame * _line(*_scalars(cfg.chain.vector(mu, sigma), _LINE), freqs)
     if cfg.noise > 0:
         span = float(np.ptp(np.abs(values)))
         s = cfg.noise * span / math.sqrt(2.0)
@@ -362,17 +364,22 @@ def simulate_sweep(cfg, seed=None):
     later draws from its own ``Philox(seed + 1)`` stream, see
     `_calibration_init`).  A zero-input base trace is always included as
     the fitting reference.  The returned dataset carries the seed actually
-    used in its config, so a stored dataset reproduces itself.
+    used in its config, so a stored dataset reproduces itself.  Every trace
+    shares one read-only probe grid, and the delay and background, which no
+    trace changes, are evaluated on it once.
     """
     seed = cfg.seed if seed is None else seed
     cfg = dataclasses.replace(cfg, seed=int(seed))
     rng = np.random.Generator(np.random.Philox(seed))
-    truth, sweep = _synthesize(cfg, 0.0, 0.0, rng)
+    freqs = cfg.probe_grid()
+    freqs.flags.writeable = False
+    frame = _frame(cfg.chain.vector(cfg.chain.mu_base_hz, 0.0), freqs)
+    truth, sweep = _synthesize(cfg, freqs, frame, 0.0, 0.0, rng)
     base = TracePoint(control=None, truth=truth, sweep=sweep)
     records = []
     for control in cfg.control_values():
         mean, variance = cfg.truth_moments(control)
-        truth, sweep = _synthesize(cfg, mean, variance, rng)
+        truth, sweep = _synthesize(cfg, freqs, frame, mean, variance, rng)
         records.append(TracePoint(control=float(control), truth=truth, sweep=sweep))
     return SweepDataset(config=cfg, base=base, records=tuple(records))
 
@@ -460,7 +467,7 @@ def _encode_array(a):
 
 
 def _decode_array(raw, key):
-    """A base64 string of little-endian float64 bytes as a float array."""
+    """A base64 string of little-endian float64 bytes as a read-only float array."""
     if not isinstance(raw, str):
         raise ValueError(f"'{key}': expected a base64 string, got {type(raw).__name__}")
     try:
@@ -469,17 +476,17 @@ def _decode_array(raw, key):
         raise ValueError(f"'{key}': not valid base64 ({exc})") from None
     if len(data) % 8:
         raise ValueError(f"'{key}': {len(data)} bytes is not a whole number of float64 samples")
-    return np.frombuffer(data, "<f8").astype(float)  # a writable native-order copy
+    return np.frombuffer(data, "<f8")
 
 
-def _point_to_dict(point):
-    return {
-        "control": point.control,
-        "truth": point.truth,
-        "f_p_hz": _encode_array(point.sweep.freqs),
-        "re": _encode_array(point.sweep.values.real),
-        "im": _encode_array(point.sweep.values.imag),
-    }
+def _point_text(point):
+    """One trace as JSON text.  The base64 strings go between quotes as they
+    are: their alphabet needs no escaping, so they skip the JSON encoder."""
+    re, im = (_encode_array(part) for part in (point.sweep.values.real, point.sweep.values.imag))
+    return (
+        f'{{"control": {json.dumps(point.control)}, "im": "{im}", "re": "{re}", '
+        f'"truth": {json.dumps(point.truth, sort_keys=True)}}}'
+    )
 
 
 def _require_object(obj, what, keys=()):
@@ -492,47 +499,60 @@ def _require_object(obj, what, keys=()):
     return obj
 
 
-def _point_from_dict(d, what, base=False):
-    """A TracePoint from its JSON object; a record's control must be a number
-    (the base trace's is null)."""
-    _require_object(d, what, ("control", "truth", "f_p_hz", "re", "im"))
+def _point_from_dict(d, what, grid, base=False):
+    """A TracePoint on the dataset's probe grid from its JSON object; a
+    record's control must be a number (the base trace's is null)."""
+    _require_object(d, what, ("control", "truth", "re", "im"))
     control = d["control"]
     if not base and (isinstance(control, bool) or not isinstance(control, (int, float))):
         raise ValueError(f"{what}: 'control' must be a number, got {control!r}")
-    freqs, re, im = (_decode_array(d[key], key) for key in ("f_p_hz", "re", "im"))
-    if not freqs.shape == re.shape == im.shape:
+    re, im = (_decode_array(d[key], key) for key in ("re", "im"))
+    if not grid.shape == re.shape == im.shape:
         raise ValueError(
-            f"trace arrays differ in length: f_p_hz {freqs.size}, re {re.size}, im {im.size}"
+            f"{what}: trace length differs from the probe grid: "
+            f"f_p_hz {grid.size}, re {re.size}, im {im.size}"
         )
-    values = re.astype(complex)
-    values.imag = im  # not re + 1j*im, which turns a -0.0 real part into +0.0
-    return TracePoint(control=control, truth=d["truth"], sweep=ComplexSweep(freqs, values))
+    values = np.empty(grid.shape, dtype=complex)
+    values.real = re  # not re + 1j*im, which turns a -0.0 real part into +0.0
+    values.imag = im
+    return TracePoint(control=control, truth=d["truth"], sweep=ComplexSweep(grid, values))
 
 
 def dataset_to_json(dataset, fh):
-    doc = {
-        "format": DATASET_FORMAT,
-        "config": dataset.config.to_dict(),
-        "base": _point_to_dict(dataset.base),
-        "records": [_point_to_dict(p) for p in dataset.records],
-    }
-    json.dump(doc, fh, indent=1, sort_keys=True)
-    fh.write("\n")
+    """Write a dataset as one ``bolostat-dataset-v3`` document.
+
+    The document stores one probe grid, so a record on any other grid is
+    refused (ValueError naming it) before anything is written.
+    """
+    grid_bits = dataset.base.sweep.freqs.tobytes()
+    for k, point in enumerate(dataset.records):
+        if point.sweep.freqs.tobytes() != grid_bits:
+            raise ValueError(f"record {k}: probe grid differs from the base trace's")
+    config = json.dumps(dataset.config.to_dict(), indent=1, sort_keys=True).replace("\n", "\n ")
+    fh.write(
+        f'{{\n "format": "{DATASET_FORMAT}",\n "config": {config},\n'
+        f' "f_p_hz": "{_encode_array(dataset.base.sweep.freqs)}",\n'
+        f' "base": {_point_text(dataset.base)},\n "records": ['
+    )
+    for k, point in enumerate(dataset.records):
+        fh.write(("\n  " if k == 0 else ",\n  ") + _point_text(point))
+    fh.write("\n ]\n}\n")
 
 
 def dataset_from_json(fh):
     doc = _require_object(json.load(fh), "dataset")
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"not a bolostat dataset document (format {doc.get('format')!r})")
-    _require_object(doc, "dataset", ("config", "base", "records"))
+    _require_object(doc, "dataset", ("config", "f_p_hz", "base", "records"))
     if not isinstance(doc["records"], list):
         raise ValueError(f"'records': expected a list, got {type(doc['records']).__name__}")
     config = SweepConfig.from_dict(_require_object(doc["config"], "'config'"))
-    base = _point_from_dict(doc["base"], "'base'", base=True)
-    records = tuple(_point_from_dict(p, f"record {k}") for k, p in enumerate(doc["records"]))
-    for k, point in enumerate(records):
-        if not np.array_equal(point.sweep.freqs, base.sweep.freqs):
-            raise ValueError(f"record {k}: 'f_p_hz' differs from the base trace's probe grid")
+    grid = _decode_array(doc["f_p_hz"], "f_p_hz").astype(float)  # native order
+    grid.flags.writeable = False  # one array, shared by every trace
+    base = _point_from_dict(doc["base"], "'base'", grid, base=True)
+    records = tuple(
+        _point_from_dict(p, f"record {k}", grid) for k, p in enumerate(doc["records"])
+    )
     return SweepDataset(config=config, base=base, records=records)
 
 

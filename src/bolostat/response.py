@@ -198,12 +198,16 @@ def _chain_model(x, f_p):
     floor = _straddles_floor(x)
     if floor is not None:
         return _by_branch(_chain_model, x, f_p, floor)
-    value = (
-        _delay(*_scalars(x, _DELAY), f_p)
-        * _background(*_scalars(x, _BACKGROUND), f_p)
-        * _line(*_scalars(x, _LINE), f_p)
-    )
+    value = _frame(x, f_p) * _line(*_scalars(x, _LINE), f_p)
     return _rows(value, x)
+
+
+def _frame(x, f_p):
+    """Delay times background: the factor of `_chain_model` that the line
+    scalars leave alone, so one sweep's traces share it.  ``x`` is a (12,)
+    vector, a batch of one row or a (B, 12) batch, as `_chain_model` takes
+    it; ``frame * _line(...)`` is bitwise `_chain_model`'s value."""
+    return _delay(*_scalars(x, _DELAY), f_p) * _background(*_scalars(x, _BACKGROUND), f_p)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -324,11 +328,12 @@ def _chain_jacobian(x, f_p):
     delay = _delay(*_scalars(x, _DELAY), f_p)
     background, d_background = _background_jacobian(*_scalars(x, _BACKGROUND), f_p)
     line, d_line = _line_jacobian(*_scalars(x, _LINE), f_p)
-    value = delay * background * line
+    frame = delay * background
+    value = frame * line
     jac = np.empty(value.shape + (len(PARAM_NAMES),), dtype=complex)
     # column by column, so no stacked copy of the derivatives is made
     for part, derivatives, factor in (
-        (_LINE, d_line, delay * background),
+        (_LINE, d_line, frame),
         (_BACKGROUND, d_background, delay * line),
         (_DELAY, (1j * f_p, 1j), value),
     ):

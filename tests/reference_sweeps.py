@@ -10,20 +10,24 @@ not move any output is checked by running this on both trees and comparing:
     python tests/reference_sweeps.py /tmp/after    # on the changed tree
     diff -r /tmp/before /tmp/after
 
-A change that may move the fitted statistics, but not the synthesis or
-any fit's outcome, compares the two trees with
+A change that may move the fitted statistics or the dataset file format,
+but not the synthesis or any fit's outcome, compares the two trees with
 
     python tests/reference_sweeps.py --compare /tmp/before /tmp/after
 
 which prints, for every statistics field, the worst relative and absolute
-drift over the clean and over the noisy sweeps apart, and the number of
-rows whose iteration count moved.  It exits 1 if any exit code,
-``converged`` flag or dataset byte differs, or a file is missing on one
-side.
+drift over the clean and over the noisy sweeps apart, the number of rows
+whose iteration count moved, and each side's total dataset bytes.  Datasets
+are compared by content, not by bytes: config, every control and truth,
+and every trace array bitwise, read from either ``bolostat-dataset-v2``
+(a probe grid per trace) or ``bolostat-dataset-v3`` (one top-level grid).
+It exits 1 if any exit code, ``converged`` flag or dataset value differs,
+or a file is missing on one side.
 
 The file name keeps pytest from collecting it.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -83,6 +87,22 @@ def _stats(path):
         return stats_from_csv(fh)
 
 
+def _dataset(path):
+    """A dataset file's content as {name: value}, arrays as their raw bytes;
+    None if the file is missing.  Reads v2 and v3 without the package, so a
+    format change can be checked with it."""
+    if not path.exists():
+        return None
+    doc = json.loads(path.read_text())
+    content = {"config": doc["config"]}
+    for name, point in [("base", doc["base"])] + [(f"record {k}", p) for k, p in enumerate(doc["records"])]:
+        content[f"{name} control"] = point["control"]
+        content[f"{name} truth"] = point["truth"]
+        for key in ("f_p_hz", "re", "im"):
+            content[f"{name} {key}"] = base64.b64decode(point[key] if key in point else doc[key])
+    return content
+
+
 def compare(before, after):
     """Print the drift table of two output trees; 1 if an outcome differs."""
     before, after = Path(before), Path(after)
@@ -90,12 +110,21 @@ def compare(before, after):
     worst = {group: {name: [0.0, 0.0] for name in floats} for group in ("clean", "noisy")}
     moved_iters = {"clean": 0, "noisy": 0}
     problems = []
+    dataset_bytes = [0, 0]
     for label, _ in sweeps():
         group = "clean" if label.endswith("-clean") else "noisy"
-        for ext in (".json", ".exit"):
-            a, b = before / f"{label}{ext}", after / f"{label}{ext}"
-            if not (a.exists() and b.exists()) or a.read_bytes() != b.read_bytes():
-                problems.append(f"{label}{ext} differs")
+        a, b = before / f"{label}.exit", after / f"{label}.exit"
+        if not (a.exists() and b.exists()) or a.read_bytes() != b.read_bytes():
+            problems.append(f"{label}.exit differs")
+        paths = before / f"{label}.json", after / f"{label}.json"
+        old, new = (_dataset(path) for path in paths)
+        if old is None or new is None:
+            problems.append(f"{label}.json missing")
+        elif old != new:
+            changed = [name for name in old.keys() | new.keys() if old.get(name) != new.get(name)]
+            problems.append(f"{label}.json: {', '.join(sorted(changed)[:4])} differ")
+        for side, path in enumerate(paths):
+            dataset_bytes[side] += path.stat().st_size if path.exists() else 0
         old, new = _stats(before / f"{label}.csv"), _stats(after / f"{label}.csv")
         if old is None or new is None or len(old) != len(new):
             if old != new:
@@ -116,6 +145,7 @@ def compare(before, after):
         cells = [f"{v:10.2e}" for group in ("clean", "noisy") for v in worst[group][name]]
         print(f"{name:<14} " + " ".join(cells))
     print(f"rows with a changed n_iter: clean {moved_iters['clean']}, noisy {moved_iters['noisy']}")
+    print(f"dataset bytes: before {dataset_bytes[0]}, after {dataset_bytes[1]}")
     for line in problems:
         print(f"DIFFERS: {line}")
     return 1 if problems else 0

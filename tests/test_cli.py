@@ -7,7 +7,7 @@ import pytest
 
 from bolostat import cli
 
-from test_pipeline import MALFORMED_V2, decode_f8, encode_f8, make_config
+from test_pipeline import MALFORMED, decode_f8, encode_f8, make_config
 
 
 @pytest.fixture
@@ -48,6 +48,22 @@ def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_fit", lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(["fit", "a.json", "--out", "a.csv", "--seed", "5"]) == 0
+    with pytest.raises(SystemExit) as exc:  # a usage error between two calls
+        cli.main(["fit", "--bogus"])
+    assert exc.value.code == 1
+    assert cli.main(["fit", "b.json", "--out", "b.csv"]) == 0
+    assert seen == [
+        {"command": "fit", "dataset": "a.json", "out": "a.csv", "seed": 5},
+        {"command": "fit", "dataset": "b.json", "out": "b.csv", "seed": None},
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    assert "usage: bolostat fit" in capsys.readouterr().err
 
 
 def test_simulate_then_fit(tmp_path, thermal_config_file):
@@ -225,9 +241,9 @@ def test_non_finite_sample_exits_one(tmp_path, thermal_config_file, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_dataset_exits_one(tmp_path, thermal_config_file, capsys, case):
-    mutate, match = MALFORMED_V2[case]
+    mutate, match = MALFORMED[case]
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
     dataset.write_text(json.dumps(mutate(json.loads(dataset.read_text()))))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bolostat import (
     PARAM_NAMES,
@@ -29,6 +31,7 @@ from bolostat.pipeline import (
     default_seed,
     run_calibration,
 )
+from bolostat.response import _chain_model
 
 from conftest import CHAIN_TRUE
 
@@ -47,13 +50,13 @@ def decode_f8(s):
     return np.frombuffer(base64.b64decode(s), "<f8").copy()
 
 
-def as_v1(doc):
-    """The document as the retired v1 writer stored it: JSON number lists
-    for the trace arrays."""
+def as_v2(doc):
+    """The document as the retired v2 writer stored it: the probe grid in
+    every trace."""
+    grid = doc.pop("f_p_hz")
     for point in (doc["base"], *doc["records"]):
-        for key in ("f_p_hz", "re", "im"):
-            point[key] = decode_f8(point[key]).tolist()
-    return dict(doc, format="bolostat-dataset-v1")
+        point["f_p_hz"] = grid
+    return dict(doc, format="bolostat-dataset-v2")
 
 
 def first_record(change):
@@ -70,9 +73,9 @@ def without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-# ways to damage a v2 document (each maps the parsed document to the damaged
-# one), with the message each gives
-MALFORMED_V2 = {
+# ways to damage a dataset document (each maps the parsed document to the
+# damaged one), with the message each gives
+MALFORMED = {
     "bad-base64": (first_record(lambda p: p.update(re="not*base64")), "base64"),
     "ragged-bytes": (
         first_record(
@@ -96,12 +99,11 @@ MALFORMED_V2 = {
     "control-null": (first_record(lambda p: p.update(control=None)), "'control'"),
     "control-string": (first_record(lambda p: p.update(control="abc")), "'control'"),
     "control-bool": (first_record(lambda p: p.update(control=True)), "'control'"),
-    "v1-format": (as_v1, "format 'bolostat-dataset-v1'"),
-    "record-grid": (
-        first_record(
-            lambda p: p.update({key: encode_f8(decode_f8(p[key])[::2]) for key in ("f_p_hz", "re", "im")})
-        ),
-        "record 0: 'f_p_hz' differs from the base trace's probe grid",
+    "v2-format": (as_v2, "format 'bolostat-dataset-v2'"),
+    "no-grid": (without("f_p_hz"), "missing 'f_p_hz'"),
+    "trace-length": (
+        first_record(lambda p: p.update({key: encode_f8(decode_f8(p[key])[::2]) for key in ("re", "im")})),
+        "record 0: trace length differs from the probe grid",
     ),
 }
 
@@ -260,6 +262,19 @@ class TestSimulate:
         assert dataset.base.truth["sigma_hz"] == 0.0
         assert dataset.base.control is None
 
+    @pytest.mark.parametrize("mode", ["thermal", "coherent", "mixed"])
+    def test_traces_are_the_chain_model(self, mode):
+        # the delay and background are evaluated once per sweep; every
+        # noiseless trace is still the chain model at its truth
+        cfg = make_config(mode=mode)
+        dataset = simulate_sweep(cfg)
+        grid = cfg.probe_grid()
+        for point in (dataset.base, *dataset.records):
+            x = cfg.chain.vector(point.truth["mu_hz"], point.truth["sigma_hz"])
+            assert np.array_equal(point.sweep.values, _chain_model(x, grid))
+            assert point.sweep.freqs is dataset.base.sweep.freqs
+        assert not dataset.base.sweep.freqs.flags.writeable
+
     def test_mixed_mode_truth_uses_beamsplitter(self):
         cfg = make_config(mode="mixed")
         dataset = simulate_sweep(cfg)
@@ -361,7 +376,7 @@ class TestPersistence:
         assert again.records[1].truth == dataset.records[1].truth
         assert again.records[1].sweep.values.flags.writeable
 
-    def test_dataset_json_v2_encoding_is_pinned(self):
+    def test_dataset_json_v3_encoding_is_pinned(self):
         # -0.0, the smallest subnormal, 1e308 and 0.1 as little-endian float64
         values = np.array([0.1, -0.0, 1e308, 5e-324], dtype=complex)
         values.imag = [5e-324, 1e308, -0.0, 0.1]
@@ -373,19 +388,65 @@ class TestPersistence:
         )
         buf = io.StringIO()
         dataset_to_json(dataset, buf)
-        doc = json.loads(buf.getvalue())
-        assert doc["format"] == "bolostat-dataset-v2"
-        for point in (doc["base"], *doc["records"]):
-            assert point["f_p_hz"] == "AAAAAAAAAIABAAAAAAAAAJqZmZmZmbk/oMjrhfPM4X8="
-            assert point["re"] == "mpmZmZmZuT8AAAAAAAAAgKDI64XzzOF/AQAAAAAAAAA="
-            assert point["im"] == "AQAAAAAAAACgyOuF88zhfwAAAAAAAACAmpmZmZmZuT8="
+        re = "mpmZmZmZuT8AAAAAAAAAgKDI64XzzOF/AQAAAAAAAAA="
+        im = "AQAAAAAAAACgyOuF88zhfwAAAAAAAACAmpmZmZmZuT8="
+        # the whole document, as the writer means it: one grid, at the top
+        assert json.loads(buf.getvalue()) == {
+            "format": "bolostat-dataset-v3",
+            "config": make_config().to_dict(),
+            "f_p_hz": "AAAAAAAAAIABAAAAAAAAAJqZmZmZmbk/oMjrhfPM4X8=",
+            "base": {"control": None, "truth": {"mean_n": 0.0}, "re": re, "im": im},
+            "records": [{"control": 1.0, "truth": {"mean_n": 0.5}, "re": re, "im": im}],
+        }
         again = dataset_from_json(io.StringIO(buf.getvalue()))
         assert_same_arrays(again, dataset)
         assert np.signbit(again.base.sweep.values.real[1])
+        assert np.signbit(again.base.sweep.freqs[0])
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dataset_json_round_trip_is_bitwise(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+        grid = data.draw(st.lists(finite, min_size=1, max_size=12, unique=True).map(sorted))
+        n = len(grid)
+        samples = st.lists(st.one_of(finite, st.sampled_from([-0.0, 5e-324, -5e-324])), min_size=n, max_size=n)
+
+        def point(control):
+            values = np.array(data.draw(samples), dtype=complex)
+            values.imag = data.draw(samples)
+            return TracePoint(control=control, truth={}, sweep=ComplexSweep(grid, values))
+
+        dataset = SweepDataset(make_config(), point(None), (point(0.5), point(2.0)))
+        buf = io.StringIO()
+        dataset_to_json(dataset, buf)
+        again = dataset_from_json(io.StringIO(buf.getvalue()))
+        assert_same_arrays(again, dataset)
+        assert [p.control for p in again.records] == [0.5, 2.0]
+
+    def test_read_back_traces_share_one_read_only_grid(self):
+        buf = io.StringIO()
+        dataset_to_json(simulate_sweep(make_config()), buf)
+        again = dataset_from_json(io.StringIO(buf.getvalue()))
+        grid = again.base.sweep.freqs
+        assert all(p.sweep.freqs is grid for p in again.records)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+    def test_writer_refuses_a_second_grid(self):
+        dataset = simulate_sweep(make_config())
+        other = dataset.records[1].sweep
+        moved = ComplexSweep(other.freqs + 1.0, other.values)
+        records = list(dataset.records)
+        records[1] = TracePoint(control=records[1].control, truth=records[1].truth, sweep=moved)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="record 1: probe grid differs"):
+            dataset_to_json(SweepDataset(dataset.config, dataset.base, tuple(records)), buf)
+        assert buf.getvalue() == ""  # refused before anything is written
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_dataset_json_malformed_arrays_raise(self, case):
-        mutate, match = MALFORMED_V2[case]
+        mutate, match = MALFORMED[case]
         buf = io.StringIO()
         dataset_to_json(simulate_sweep(make_config(t_grid_k=[1.0])), buf)
         doc = mutate(json.loads(buf.getvalue()))
