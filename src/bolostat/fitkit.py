@@ -603,13 +603,17 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
     complex ``data`` on the grid ``freqs``, within the box (``lo``, ``hi``);
     ``scales`` is one 12-vector or a (B, 12) batch.  The rows make one
     `_lm` call, and each of its evaluations is one `_chain_jacobian` call
-    (value and Jacobian together) over the rows it evaluates.
+    (value and Jacobian together) over the rows it evaluates.  That call
+    writes only the free columns, each once, straight into the real
+    (B, 2m, n) array `_lm` takes (real parts over imaginary parts, each
+    column contiguous), so no complex Jacobian is copied or stacked.
 
     A free sigma enters the LM as the variance v = sigma**2, the coordinate
     the line moves with near zero broadening: the Voigt line's leading term
     there is sigma**2/2 * d^2L/dmu^2, so sigma's own column vanishes at the
     floor while v's does not.  The box, start and scale of v are those of
-    sigma squared, and v's Jacobian column is sigma's over 2*sigma.
+    sigma squared, and v's Jacobian column is sigma's times 1/(2*sigma),
+    bitwise the complex column divided by 2*sigma.
 
     Returns (X, fits, failures): the fitted (B, 12) vectors, and `_lm`'s
     FitResult (over the free entries) and failure per row.  The FitResults
@@ -638,12 +642,11 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
 
     def evaluate(xf, rows):
         X = full(xf)
-        value, Jc = _chain_jacobian(X, freqs)
+        value, J = _chain_jacobian(X, freqs, free)
         r = value - data[rows]
-        Jc = Jc[..., free]
         if var is not None:
-            Jc[..., var] /= 2.0 * X[:, sigma, None]
-        return np.concatenate([r.real, r.imag], axis=1), np.concatenate([Jc.real, Jc.imag], axis=1)
+            J[..., var] *= 1.0 / (2.0 * X[:, sigma, None])
+        return np.concatenate([r.real, r.imag], axis=1), J
 
     fits, failures = _lm(
         evaluate,

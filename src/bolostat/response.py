@@ -170,17 +170,18 @@ def _straddles_floor(x):
     return floor if floor.ndim and floor.any() and not floor.all() else None
 
 
-def _by_branch(fn, x, f_p, floor):
-    # fn over a batch, the rows on each side of the sigma floor apart; fn
-    # returns an array or a tuple of arrays, each led by the row axis
-    below, above = fn(x[floor], f_p), fn(x[~floor], f_p)
+def _by_branch(fn, x, floor, *args):
+    # fn(rows, *args) over a batch, the rows on each side of the sigma floor
+    # apart; fn returns an array or a tuple of arrays, each led by the row axis
+    below, above = fn(x[floor], *args), fn(x[~floor], *args)
     if isinstance(below, tuple):
         return tuple(_merge_rows(b, a, floor) for b, a in zip(below, above))
     return _merge_rows(below, above, floor)
 
 
 def _merge_rows(below, above, floor):
-    out = np.empty((len(floor),) + below.shape[1:], dtype=below.dtype)
+    # in the memory order of the parts, so a Jacobian keeps its layout
+    out = np.empty_like(below, shape=(len(floor),) + below.shape[1:])
     out[floor] = below
     out[~floor] = above
     return out
@@ -197,7 +198,7 @@ def _chain_model(x, f_p):
     x = np.asarray(x, dtype=float)
     floor = _straddles_floor(x)
     if floor is not None:
-        return _by_branch(_chain_model, x, f_p, floor)
+        return _by_branch(_chain_model, x, floor, f_p)
     value = _frame(x, f_p) * _line(*_scalars(x, _LINE), f_p)
     return _rows(value, x)
 
@@ -307,39 +308,46 @@ def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
     )
 
 
-def _chain_jacobian(x, f_p):
-    """`_chain_model` and its complex Jacobian in closed form, in one pass.
+def _chain_jacobian(x, f_p, free):
+    """`_chain_model` and the real Jacobian of its columns ``free``, in one pass.
 
-    Returns (value, jac), value bitwise ``_chain_model(x, f_p)``: shapes
-    (len(f_p),) and (len(f_p), 12) for one vector, (B, len(f_p)) and
-    (B, len(f_p), 12) for a (B, 12) batch of rows, each row on its own side
-    of the sigma floor.  Columns follow `PARAM_NAMES`.  The Voigt
-    line takes one erfcx call, shared by the value and the derivatives, and
-    its derivative comes from erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); the
-    background and delay columns are elementary.  On the bare-Lorentzian
-    branch (sigma at or below `sigma_floor`) the sigma column is the right
-    derivative of the Gaussian average, not zero.
+    ``free`` lists column indices in `PARAM_NAMES`.  Returns (value, jac),
+    value bitwise ``_chain_model(x, f_p)``.  jac stacks the real parts of
+    the complex derivatives over their imaginary parts: (2 len(f_p),
+    len(free)) for one vector, (B, 2 len(f_p), len(free)) for a (B, 12)
+    batch of rows, each row on its own side of the sigma floor.  It is the
+    transposed view of a (..., len(free), 2 len(f_p)) array, so each column
+    is contiguous, and each is written once.  The Voigt line takes one erfcx
+    call, shared by the value and the derivatives, and its derivative comes
+    from erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); the background and delay
+    columns are elementary.  On the bare-Lorentzian branch (sigma at or
+    below `sigma_floor`) the sigma column is the right derivative of the
+    Gaussian average, not zero.
     """
     x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
     floor = _straddles_floor(x)
     if floor is not None:
-        return _by_branch(_chain_jacobian, x, f_p, floor)
+        return _by_branch(_chain_jacobian, x, floor, f_p, free)
     delay = _delay(*_scalars(x, _DELAY), f_p)
     background, d_background = _background_jacobian(*_scalars(x, _BACKGROUND), f_p)
     line, d_line = _line_jacobian(*_scalars(x, _LINE), f_p)
     frame = delay * background
     value = frame * line
-    jac = np.empty(value.shape + (len(PARAM_NAMES),), dtype=complex)
-    # column by column, so no stacked copy of the derivatives is made
-    for part, derivatives, factor in (
-        (_LINE, d_line, frame),
-        (_BACKGROUND, d_background, delay * line),
-        (_DELAY, (1j * f_p, 1j), value),
-    ):
-        for i, d in zip(range(part.start, part.stop), derivatives):
-            np.multiply(d, factor, out=jac[..., i])
-    return _rows(value, x), _rows(jac, x)
+    line_delay = delay * line
+    columns = (
+        [(d, frame) for d in d_line]
+        + [(d, line_delay) for d in d_background]
+        + [(d, value) for d in (1j * f_p, 1j)]
+    )
+    m = f_p.size
+    jac = np.empty(x.shape[:-1] + (len(free), 2 * m))
+    for j, i in enumerate(free):
+        d, factor = columns[i]
+        column = d * factor
+        jac[..., j, :m] = column.real
+        jac[..., j, m:] = column.imag
+    return _rows(value, x), np.swapaxes(jac, -1, -2)
 
 
 def bare_reflection(res, f_p):

@@ -14,7 +14,7 @@ from bolostat import (
     full_chain_response,
 )
 from bolostat.fitkit import PARAM_NAMES
-from bolostat.response import _delay
+from bolostat.response import _chain_jacobian, _delay
 
 # reference thermometer line used throughout: 524 MHz resonance,
 # external/total rates 4.8/18.7 us^-1 (linewidth gamma/2pi ~ 2.98 MHz)
@@ -50,6 +50,13 @@ def bare_line_jacobian(p, f):
     f_r, gamma_c, gamma = p
     a = gamma / 2 + 2j * np.pi * (f_r - f)
     return np.column_stack([2j * np.pi * gamma_c / a**2, -1 / a, gamma_c / (2 * a**2)])
+
+
+def complex_jacobian(x, f_p):
+    """All twelve columns of `_chain_jacobian` as one complex (..., len(f_p), 12) array."""
+    _, jac = _chain_jacobian(x, f_p, range(len(PARAM_NAMES)))
+    m = jac.shape[-2] // 2
+    return jac[..., :m, :] + 1j * jac[..., m:, :]
 
 
 @pytest.fixture

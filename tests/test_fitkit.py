@@ -24,11 +24,19 @@ from bolostat import (
     run_calibration,
     simulate_sweep,
 )
+from bolostat.response import (
+    _BACKGROUND,
+    _DELAY,
+    _LINE,
+    _background_jacobian,
+    _delay,
+    _line_jacobian,
+    sigma_floor,
+)
 from bolostat.fitkit import (
     FROZEN_PARAM_NAMES,
     MEASUREMENT_PARAM_NAMES,
     PARAM_NAMES,
-    _chain_jacobian,
     _chain_model,
     _default_bounds,
     _phase_jacobian,
@@ -43,14 +51,15 @@ from conftest import (
     MU,
     PROBE_GRID,
     bare_line_jacobian,
+    complex_jacobian,
     perturbed_model,
     two_resonance_response,
 )
 
 
 def chain_jac(x, freqs):
-    """The Jacobian alone of `_chain_jacobian`, as `least_squares` takes it."""
-    return _chain_jacobian(x, freqs)[1]
+    """The complex Jacobian of `_chain_jacobian`, as `least_squares` takes it."""
+    return complex_jacobian(x, freqs)
 
 
 def add_noise(values, noise, seed):
@@ -363,9 +372,9 @@ class TestBaseCalibration:
 
         real = fk._chain_jacobian
 
-        def flat_phi(x, freqs):
-            value, J = real(x, freqs)
-            J[..., PARAM_NAMES.index("phi")] = 0.0
+        def flat_phi(x, freqs, free):
+            value, J = real(x, freqs, free)
+            J[..., free.index(PARAM_NAMES.index("phi"))] = 0.0
             return value, J
 
         monkeypatch.setattr(fk, "_chain_jacobian", flat_phi)
@@ -522,9 +531,9 @@ def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
         finally:
             evals.append(calls[0] - before)  # chain evaluations inside this LM run
 
-    def counted_chain(x, freqs):
+    def counted_chain(x, freqs, *free):
         calls[0] += 1
-        return real_chain(x, freqs)
+        return real_chain(x, freqs, *free)
 
     monkeypatch.setattr(fk, "_lm", counting_lm)
     monkeypatch.setattr(fk, "_chain_jacobian", counted_chain)
@@ -562,9 +571,9 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
             inside[0] = False
 
     def counted(real):
-        def call(x, freqs):
+        def call(x, freqs, *free):
             calls.append(inside[0])
-            return real(x, freqs)
+            return real(x, freqs, *free)
 
         return call
 
@@ -576,6 +585,69 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
     assert sigma > lo[PARAM_NAMES.index("sigma")]
     assert calls and all(calls)
+
+
+def stacked_free_columns(x, freqs, free):
+    """The real Jacobian `_fit_free` hands `_lm` for one vector, built as the
+    stacked complex columns: each column of the line, background and delay
+    parts times its factor, the free ones taken out, a free sigma's over
+    2*sigma, real parts over imaginary parts."""
+    x = np.asarray(x, dtype=float)
+    delay = _delay(*x[_DELAY], freqs)
+    background, d_background = _background_jacobian(*x[_BACKGROUND], freqs)
+    line, d_line = _line_jacobian(*x[_LINE], freqs)
+    frame = delay * background
+    value = frame * line
+    columns = (
+        [d * frame for d in d_line]
+        + [d * (delay * line) for d in d_background]
+        + [d * value for d in (1j * freqs, 1j)]
+    )
+    Jc = np.stack(np.broadcast_arrays(*columns), axis=-1)[:, free]
+    sigma = PARAM_NAMES.index("sigma")
+    if sigma in free:
+        Jc[:, free.index(sigma)] /= 2.0 * x[sigma]
+    return np.concatenate([Jc.real, Jc.imag], axis=0)
+
+
+@pytest.mark.parametrize("stage", ["calibration", "measurement"])
+def test_lm_gets_the_stacked_free_columns_column_contiguous(monkeypatch, stage):
+    # the Jacobian of every row of a batch straddling the sigma floor is
+    # bitwise the stacked complex free columns, and each of its columns is
+    # contiguous: the memory order the LM's BLAS calls were pinned with
+    import bolostat.fitkit as fk
+
+    floor = sigma_floor(GAMMA)
+    starts = np.array(
+        [
+            CHAIN_TRUE.vector(mu, sigma)
+            for mu, sigma in ((MU, 0.5 * floor), (MU + 1e6, 0.3e6), (MU - 2e6, 0.5 * floor), (MU, 1.1e6))
+        ]
+    )
+    every = list(range(len(PARAM_NAMES)))
+    free = every if stage == "calibration" else [PARAM_NAMES.index(n) for n in MEASUREMENT_PARAM_NAMES]
+    data = np.repeat(_chain_model(CHAIN_TRUE.vector(MU, 0.4e6), PROBE_GRID)[None], len(starts), axis=0)
+    lo, hi = _default_bounds(PROBE_GRID, GAMMA)
+    seen = []
+
+    def first_evaluation(evaluate, x0, *args):
+        seen.append((x0, evaluate(x0, np.arange(len(x0)))[1]))
+        raise RuntimeError("stop after the first evaluation")
+
+    monkeypatch.setattr(fk, "_lm", first_evaluation)
+    with pytest.raises(RuntimeError, match="first evaluation"):
+        fk._fit_free(PROBE_GRID, data, starts[0], starts, free, lo, hi, np.ones(12), 10)
+    [(x0, J)] = seen
+    assert J.shape == (len(starts), 2 * PROBE_GRID.size, len(free))
+    assert np.swapaxes(J, 1, 2).flags.c_contiguous
+    X = np.empty_like(starts)
+    X[:] = starts[0]
+    X[:, free] = x0
+    X[:, PARAM_NAMES.index("sigma")] = np.sqrt(X[:, PARAM_NAMES.index("sigma")])
+    assert (X[:, PARAM_NAMES.index("sigma")] <= floor).any()
+    assert (X[:, PARAM_NAMES.index("sigma")] > floor).any()
+    for k, x in enumerate(X):
+        np.testing.assert_array_equal(J[k], stacked_free_columns(x, PROBE_GRID, free))
 
 
 def noisy_base_dataset(seed):

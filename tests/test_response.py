@@ -33,7 +33,16 @@ from bolostat.response import (
 )
 from bolostat.specfun import erfcx
 
-from conftest import CHAIN_TRUE, GAMMA, GAMMA_C, MU, PROBE_GRID, chain_parts, perturb_vector
+from conftest import (
+    CHAIN_TRUE,
+    GAMMA,
+    GAMMA_C,
+    MU,
+    PROBE_GRID,
+    chain_parts,
+    complex_jacobian,
+    perturb_vector,
+)
 
 RES = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
 
@@ -313,7 +322,7 @@ class TestChainJacobian:
     def test_columns_match_central_differences_on_criterion_3_grid(self, sigma):
         for mu in np.linspace(510e6, 530e6, 5):
             x = CHAIN_TRUE.vector(mu, sigma)
-            _, jac = _chain_jacobian(x, self.FREQS)
+            jac = complex_jacobian(x, self.FREQS)
             ref, _ = central_differences(x, self.FREQS)
             err = np.max(np.abs(jac - ref), axis=0)
             scale = np.max(np.abs(jac), axis=0)
@@ -344,7 +353,7 @@ class TestChainJacobian:
         u = unit[AT["sigma"]]
         x[AT["sigma"]] = floor * (20e6 / floor) ** u if above_floor else floor * 1e-3**u
         f_p = PROBE_GRID[::10]
-        _, jac = _chain_jacobian(x, f_p)
+        jac = complex_jacobian(x, f_p)
         ref, slack = central_differences(x, f_p)
         ref[:, AT["sigma"]], slack[AT["sigma"]] = sigma_by_heat_equation(x, f_p)
         for i, name in enumerate(PARAM_NAMES):
@@ -398,15 +407,16 @@ class TestBatchedChain:
         span = probe_grid[-1] - probe_grid[0]
         rows.append(perturb_vector(CHAIN_TRUE.vector(515e6, 1.1e6), np.random.default_rng(3), span))
         x = np.array(rows)
-        model, (value, jac) = _chain_model(x, probe_grid), _chain_jacobian(x, probe_grid)
+        every = range(len(PARAM_NAMES))
+        model, (value, jac) = _chain_model(x, probe_grid), _chain_jacobian(x, probe_grid, every)
         assert model.shape == (len(rows), probe_grid.size)
-        assert jac.shape == (len(rows), probe_grid.size, len(PARAM_NAMES))
+        assert jac.shape == (len(rows), 2 * probe_grid.size, len(PARAM_NAMES))
         np.testing.assert_array_equal(value, model)
         for k, row in enumerate(rows):
             np.testing.assert_array_equal(model[k], _chain_model(row, probe_grid))
-            np.testing.assert_array_equal(jac[k], _chain_jacobian(row, probe_grid)[1])
+            np.testing.assert_array_equal(jac[k], _chain_jacobian(row, probe_grid, every)[1])
             # a batch of one row is the row, with the batch axis kept
-            one_value, one_jac = _chain_jacobian(x[k : k + 1], probe_grid)
+            one_value, one_jac = _chain_jacobian(x[k : k + 1], probe_grid, every)
             np.testing.assert_array_equal(_chain_model(x[k : k + 1], probe_grid), model[k : k + 1])
             np.testing.assert_array_equal(one_value, model[k : k + 1])
             np.testing.assert_array_equal(one_jac, jac[k : k + 1])
