@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _horner, erfcx
+from .specfun import _erfcx_jet, erfcx
 
 __all__ = [
     "ResonatorParams",
@@ -211,53 +211,12 @@ def _frame(x, f_p):
     return _delay(*_scalars(x, _DELAY), f_p) * _background(*_scalars(x, _BACKGROUND), f_p)
 
 
-_SQRT_PI = math.sqrt(math.pi)
-
-# Beyond this |z| the closed forms of erfcx'(z) and of the sigma factor g(z)
-# cancel more than 2*log10|z| and 4*log10|z| digits (about 2 and 4 here),
-# and their asymptotic series take over; 24 terms reach below 1e-17 there.
-_SERIES_FROM = 8.0
-
-
-def _series_coeffs(ratio, n_terms=24):
-    # c_0 = 1, c_{k+1} = c_k * ratio(k); highest power first for _horner
-    c = [1.0]
-    for k in range(n_terms - 1):
-        c.append(c[-1] * ratio(k))
-    return np.array(c[::-1])
-
-
-# erfcx'(z) ~ -(1/(sqrt(pi) z^2)) * sum_k c_k z^(-2k)
-_DW_SERIES = _series_coeffs(lambda k: -(2 * k + 3) / 2.0)
-# g(z) ~ (1/(sqrt(pi) z^3)) * sum_k c_k z^(-2k)
-_G_SERIES = _series_coeffs(lambda k: -(2 * k + 3) * (k + 2) / (2.0 * (k + 1)))
-
-
-def _erfcx_derivatives(z, w):
-    """erfcx'(z) and g(z) = (1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi), given w = erfcx(z).
-
-    erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); g is the sigma factor of the
-    Voigt line, d<S11>/dsigma = (P/sigma) g(z).  Both closed forms are
-    differences of nearly equal terms at large |z|, so there the
-    asymptotic series are used instead.
-    """
-    z = np.asarray(z, dtype=complex)
-    dw = 2.0 * z * w - 2.0 / _SQRT_PI
-    g = (1.0 + 2.0 * z * z) * w - 2.0 * z / _SQRT_PI
-    far = np.abs(z) > _SERIES_FROM
-    if far.any():
-        zf = z[far]
-        v = 1.0 / (zf * zf)
-        dw[far] = -_horner(_DW_SERIES, v) * v / _SQRT_PI
-        g[far] = _horner(_G_SERIES, v) * v / (_SQRT_PI * zf)
-    return dw, g
-
-
 def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
     """Value of `_line` and its derivatives in `_LINE_NAMES` order.
 
     The value is formed in `_line`'s own operation order, so it is bitwise
-    `_line`'s.
+    `_line`'s.  Above the floor, erfcx, erfcx' and the sigma factor g come
+    from one `_erfcx_jet` call, whose erfcx is bitwise `erfcx`'s.
     """
     dprime = TWO_PI * (mu - f_p)
     a = gamma / 2.0 + 1j * dprime
@@ -275,11 +234,10 @@ def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
         )
     c = 2.0 * math.sqrt(2.0) * math.pi * sigma
     z = a / c
-    w = erfcx(z)
+    w, dw, g = _erfcx_jet(z)
     unit = rot / (2.0 * math.sqrt(TWO_PI) * sigma)
     p = rot * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma)
     pw = p * w
-    dw, g = _erfcx_derivatives(z, w)
     return 1.0 - pw, (
         -1j * TWO_PI * p * dw / c,
         p / sigma * g,
@@ -318,9 +276,8 @@ def _chain_jacobian(x, f_p, free):
     batch of rows, each row on its own side of the sigma floor.  It is the
     transposed view of a (..., len(free), 2 len(f_p)) array, so each column
     is contiguous, and each is written once.  The Voigt line takes one erfcx
-    call, shared by the value and the derivatives, and its derivative comes
-    from erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi); the background and delay
-    columns are elementary.  On the bare-Lorentzian branch (sigma at or
+    jet call, shared by the value and the derivatives; the background and
+    delay columns are elementary.  On the bare-Lorentzian branch (sigma at or
     below `sigma_floor`) the sigma column is the right derivative of the
     Gaussian average, not zero.
     """

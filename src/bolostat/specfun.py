@@ -7,14 +7,19 @@ function thousands of times per trace.  Target relative accuracy is 1e-10
 on the square |Re z| <= 30, |Im z| <= 30, comfortably below the noise floor
 of any trace we fit.
 
-One method covers the whole right half-plane: Weideman's rational
-approximation (SIAM J. Numer. Anal. 31, 1994) of the Faddeeva function
-w(zeta), zeta = i z, as a 48-term polynomial on a Moebius-mapped unit
-circle whose coefficients are Fourier coefficients of the sampled Gaussian,
-computed once at import.  It stays within ~3e-13 relative error of a
-30-digit reference on the target square and far beyond it (|z| up to
-1e15), where it reduces to the 1/(sqrt(pi) z) asymptote.  z = 0 is returned
-as exactly 1.
+Two methods cover the right half-plane, split on the circle |z| = 8.
+Inside it, Weideman's rational approximation (SIAM J. Numer. Anal. 31,
+1994) of the Faddeeva function w(zeta), zeta = i z, as a 48-term polynomial
+on a Moebius-mapped unit circle whose coefficients are Fourier coefficients
+of the sampled Gaussian, computed once at import; it stays within ~3e-13
+relative error of a 30-digit reference there.  Beyond it, the classical
+asymptotic expansion erfcx(z) ~ (1/(sqrt(pi) z)) sum_k a_k z^(-2k),
+a_k = (-1)^k (2k-1)!!/2^k (Abramowitz & Stegun 7.1.23), truncated after
+a_25, whose first omitted term is 5e-22 relative at |z| = 8 and
+shrinks further out (|z| up to 1e15 is tested).  The same series gives
+erfcx'(z) and the sigma factor g(z) of the Voigt line without the
+cancellation of their closed forms, so the Jacobian takes all three from
+one call (`_erfcx_jet`).  z = 0 is returned as exactly 1.
 
 Negative real parts are handled through the reflection formula
 erfcx(z) = 2 exp(z^2) - erfcx(-z); when exp(z^2) is not representable in
@@ -62,8 +67,8 @@ _RAT_L, _RAT_COEFFS = _rational_coeffs(_RATIONAL_N)
 def _horner(coeffs, x):
     """Polynomial with coefficients ``coeffs`` (highest power first) at the
     complex array ``x``: the operations of `np.polyval`, done in place."""
-    p = np.zeros_like(x)
-    for c in coeffs:
+    p = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
         p *= x
         p += c
     return p
@@ -76,6 +81,109 @@ def _w_rational(zeta):
     return 2.0 * p / (_RAT_L - 1j * zeta) ** 2 + (1.0 / np.sqrt(np.pi)) / (
         _RAT_L - 1j * zeta
     )
+
+
+_SQRT_PI = math.sqrt(math.pi)
+
+# Beyond this |z| the asymptotic series takes over from the rational form.
+# There the closed forms of erfcx'(z) and of the sigma factor g(z) would
+# cancel about 2 and 4 digits, while the series gives all three without
+# cancellation; through a_25 its first omitted term is 5e-22 there.
+_SERIES_FROM = 8.0
+
+
+def _asymptotic_coeffs(n_terms=24):
+    # a_k = (-1)^k (2k-1)!!/2^k of erfcx(z) ~ (1/(sqrt(pi) z)) sum_k a_k z^(-2k):
+    # a_1, and a_2 ... a_(n_terms+1) highest power first for _horner
+    a = [-0.5]
+    for k in range(2, n_terms + 2):
+        a.append(a[-1] * -(2 * k - 1) / 2.0)
+    return a[0], np.array(a[:0:-1])
+
+
+_A1, _U_SERIES = _asymptotic_coeffs()
+
+
+def _series(y, jet):
+    """erfcx(y) for |y| > _SERIES_FROM, Re y >= 0, by its asymptotic series;
+    with ``jet`` also erfcx'(y) and g(y), from the same series.
+
+    With u = 1/y, v = u^2, U(v) = sum_(k>=2) a_k v^(k-2) and T = a_1 + v U:
+    erfcx = (1 + v T) u/sqrt(pi), erfcx' = 2 v T/sqrt(pi) and
+    g = v u (T + 2 U)/sqrt(pi), none a difference of nearly equal terms.
+    """
+    u = 1.0 / y
+    v = u * u
+    U = _horner(_U_SERIES, v)
+    T = v * U
+    T += _A1
+    w = (1.0 + v * T) * u / _SQRT_PI
+    if not jet:
+        return (w,)
+    return w, 2.0 * v * T / _SQRT_PI, v * u * (T + 2.0 * U) / _SQRT_PI
+
+
+def _near(y, jet):
+    """erfcx(y) for Re y >= 0 by the rational form, with ``jet`` erfcx'(y)
+    and g(y) by their closed forms."""
+    w = _w_rational(1j * y)
+    # the rational form gives 1 - 2.2e-16 at the origin
+    w[y == 0.0] = 1.0
+    if not jet:
+        return (w,)
+    return w, 2.0 * y * w - 2.0 / _SQRT_PI, (1.0 + 2.0 * y * y) * w - 2.0 * y / _SQRT_PI
+
+
+def _kernel(flat, jet):
+    """erfcx over a flat array of finite complex points, as a tuple: (w,),
+    or with ``jet`` (w, erfcx', g), where g(z) = (1 + 2 z^2) erfcx(z) -
+    2 z/sqrt(pi) is the sigma factor of the Voigt line.  A point left of
+    the imaginary axis is the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z)."""
+    right = flat.real >= 0.0
+    y = flat
+    if not right.all():
+        left = ~right
+        zl = flat[left]
+        z2 = zl * zl
+        if np.any(z2.real > _LOG_MAX):
+            bad = zl[z2.real > _LOG_MAX][0]
+            raise RangeOverflowError(
+                f"erfcx({bad}) is not representable in double precision "
+                "(reflection formula would overflow)"
+            )
+        y = flat.copy()
+        y[left] = -zl
+
+    far = np.abs(y) > _SERIES_FROM
+    if far.all():
+        parts = _series(y, jet)
+    elif not far.any():
+        parts = _near(y, jet)
+    else:
+        near = ~far
+        parts = tuple(np.empty_like(y) for _ in range(3 if jet else 1))
+        for out, a, b in zip(parts, _near(y[near], jet), _series(y[far], jet)):
+            out[near] = a
+            out[far] = b
+
+    if y is not flat:
+        # erfcx(z) = 2 e - erfcx(-z), erfcx'(z) = 2 z (2 e) + erfcx'(-z) and
+        # g(z) = (1 + 2 z^2)(2 e) - g(-z), with e = exp(z^2)
+        e2 = 2.0 * np.exp(z2)
+        w = parts[0]
+        w[left] = e2 - w[left]
+        if jet:
+            dw, g = parts[1:]
+            dw[left] = 2.0 * zl * e2 + dw[left]
+            g[left] = (1.0 + 2.0 * z2) * e2 - g[left]
+    return parts
+
+
+def _checked(z, name):
+    z_arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z_arr)):
+        raise DomainError(f"{name} requires finite arguments")
+    return z_arr
 
 
 def erfcx(z):
@@ -98,34 +206,22 @@ def erfcx(z):
         If Re(z) < 0 and exp(z^2) exceeds the double-precision range, i.e.
         the reflection formula cannot represent the result.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z_arr)):
-        raise DomainError("erfcx requires finite arguments")
-
-    flat = np.atleast_1d(z_arr).ravel()
-    out = np.empty_like(flat)
-
-    right = flat.real >= 0.0
-    if right.any():
-        out[right] = _w_rational(1j * flat[right])
-    left = ~right
-    if left.any():
-        zl = flat[left]
-        z2 = zl * zl
-        if np.any(z2.real > _LOG_MAX):
-            bad = zl[z2.real > _LOG_MAX][0]
-            raise RangeOverflowError(
-                f"erfcx({bad}) is not representable in double precision "
-                "(reflection formula would overflow)"
-            )
-        out[left] = 2.0 * np.exp(z2) - _w_rational(-1j * zl)
-    # the rational form gives 1 - 2.2e-16 at the origin
-    out[flat == 0.0] = 1.0
-
+    z_arr = _checked(z, "erfcx")
+    [out] = _kernel(np.atleast_1d(z_arr).ravel(), jet=False)
     out = out.reshape(z_arr.shape)
     if np.isscalar(z) or z_arr.ndim == 0:
         return complex(out)
     return out
+
+
+def _erfcx_jet(z):
+    """(erfcx(z), erfcx'(z), g(z)) over an array, g(z) = (1 + 2 z^2)
+    erfcx(z) - 2 z/sqrt(pi) the sigma factor of the Voigt line,
+    d<S11>/dsigma = (P/sigma) g(z).  The first is bitwise ``erfcx(z)``: the
+    same operations, with the derivatives taken from the same series
+    beyond |z| = 8.  Raises as `erfcx` does."""
+    z_arr = _checked(z, "erfcx")
+    return tuple(p.reshape(z_arr.shape) for p in _kernel(np.atleast_1d(z_arr).ravel(), jet=True))
 
 
 def faddeeva_w(z):
@@ -136,7 +232,4 @@ def faddeeva_w(z):
     deep in the lower half-plane w grows like 2 exp(-z^2) and the call is
     refused once that factor overflows.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z_arr)):
-        raise DomainError("faddeeva_w requires finite arguments")
-    return erfcx(-1j * z_arr)
+    return erfcx(-1j * _checked(z, "faddeeva_w"))

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bolostat.specfun import DomainError, RangeOverflowError, erfcx, faddeeva_w
+from bolostat.specfun import DomainError, RangeOverflowError, _erfcx_jet, erfcx, faddeeva_w
 
 mp.mp.dps = 30
 
@@ -105,16 +105,20 @@ def test_accuracy_over_full_target_square():
 
 
 def test_region_seams_are_smooth():
-    # one method covers the plane, so no circle may show a jump; |iz| = 2.5
-    # and 6.0 are where series / continued-fraction kernels switch method.
-    # Both sides of each stay on the reference to 1e-10, so any jump < 2e-10
-    for radius in (2.5, 6.0):
-        for angle in np.linspace(-math.pi, math.pi, 17):
-            z = radius * np.exp(1j * angle)
-            for side in (1 - 1e-9, 1 + 1e-9):
-                val = erfcx(z * side)
-                ref = erfcx_ref(complex(z * side))
-                assert abs(val - ref) / abs(ref) < 1e-10
+    # the rational form hands over to the asymptotic series on the circle
+    # |z| = 8, and the left half-plane goes through the reflection on -z.
+    # Both sides of each seam stay on the reference to 1e-10, so any jump
+    # across it is < 2e-10
+    for angle in np.linspace(-math.pi, math.pi, 65):
+        z = 8.0 * np.exp(1j * angle)
+        for side in (1 - 1e-9, 1 + 1e-9):
+            val = erfcx(z * side)
+            ref = erfcx_ref(complex(z * side))
+            assert abs(val - ref) / abs(ref) < 1e-10, z * side
+    for y in np.linspace(-20, 20, 41):
+        for x in (-1e-9, 1e-9):
+            ref = erfcx_ref(complex(x, y))
+            assert abs(erfcx(complex(x, y)) - ref) / abs(ref) < 1e-10, (x, y)
 
 
 def test_derivative_identity():
@@ -126,6 +130,44 @@ def test_derivative_identity():
         analytic = 2 * z * erfcx(z) - 2 / math.sqrt(math.pi)
         numeric = (erfcx(z + h) - erfcx(z - h)) / (2 * h)
         assert abs(numeric - analytic) / abs(analytic) < 1e-6
+
+
+JET_CASES = {
+    # |z| on one side of 8 only, on both sides, and each with points left
+    # of the imaginary axis
+    "near": np.array([0.0, 0.3 + 0.1j, 2 - 7j, 5.5 + 5.5j, 7.9j]),
+    "far": np.array([8.01, 9 - 3j, 30j, 1e3 + 1e4j, 3e5 - 1e2j]),
+    "near-left": np.array([-0.3 + 0.1j, -2 - 7j, 0.5, 4 + 6j]),
+    "far-left": np.array([-8.5 + 1j, -3 + 20j, -25 - 30j, 9j, 12.0]),
+    "mixed": np.array([-6 + 6j, 0.2j, 11 - 2j, -0.5 - 12j, 4.0, 2e3j, -1.5 + 7.5j]),
+}
+
+
+@pytest.mark.parametrize("case", JET_CASES)
+def test_jet_value_is_bitwise_erfcx(case):
+    z = JET_CASES[case]
+    w, _, _ = _erfcx_jet(z)
+    np.testing.assert_array_equal(w, erfcx(z))
+    # and on a 2-d batch, as the Voigt line calls it
+    w2, _, _ = _erfcx_jet(np.stack([z, z[::-1]]))
+    np.testing.assert_array_equal(w2, erfcx(np.stack([z, z[::-1]])))
+
+
+@pytest.mark.parametrize("case", JET_CASES)
+def test_jet_derivatives_match_mpmath_on_both_half_planes(case):
+    # erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi) and g(z) = (1 + 2 z^2) erfcx(z)
+    # - 2 z/sqrt(pi) cancel up to four digits per decade of |z|, so the
+    # reference carries six more digits per decade
+    z = JET_CASES[case]
+    _, dw, g = _erfcx_jet(z)
+    for k, zk in enumerate(z):
+        with mp.workdps(30 + math.ceil(6 * math.log10(max(abs(zk), 1.0)))):
+            zm = mp.mpc(complex(zk))
+            w = mp.exp(zm * zm) * mp.erfc(zm)
+            ref_dw = complex(2 * zm * w - 2 / mp.sqrt(mp.pi))
+            ref_g = complex((1 + 2 * zm * zm) * w - 2 * zm / mp.sqrt(mp.pi))
+        assert abs(dw[k] - ref_dw) <= 1e-10 * abs(ref_dw), zk
+        assert abs(g[k] - ref_g) <= 1e-10 * abs(ref_g), zk
 
 
 def test_reflection_formula():
