@@ -7,7 +7,10 @@ test, and evaluates the residual and the Jacobian together, once per trial
 point.  Two routines enter it: `least_squares` runs a single fit, with the
 caller's Jacobian, as a batch of one, and `_fit_free` runs the staged fits
 as batches of the chain model with `response`'s closed-form
-`_chain_jacobian`, one erfcx call per trial point.  `_fit_free` steps a
+`_chain_jacobian`, one erfcx jet call per trial point.  The loop takes a
+real Jacobian, the real parts of the complex columns over their imaginary
+parts, (B, 2m, n) with each column contiguous; `_chain_jacobian` writes
+only the free columns, straight into that layout.  `_fit_free` steps a
 free broadening in the variance sigma**2, the coordinate the line moves
 with near zero broadening, and reports it in sigma.  On top of them sit the
 resonance extractors used by the pipeline:

@@ -90,18 +90,19 @@ _SQRT_PI = math.sqrt(math.pi)
 # cancel about 2 and 4 digits, while the series gives all three without
 # cancellation; through a_25 its first omitted term is 5e-22 there.
 _SERIES_FROM = 8.0
+_SERIES_N = 24
 
 
-def _asymptotic_coeffs(n_terms=24):
+def _asymptotic_coeffs(n):
     # a_k = (-1)^k (2k-1)!!/2^k of erfcx(z) ~ (1/(sqrt(pi) z)) sum_k a_k z^(-2k):
-    # a_1, and a_2 ... a_(n_terms+1) highest power first for _horner
+    # a_1, and the n coefficients a_2 ... a_(n+1) of U, highest power first
     a = [-0.5]
-    for k in range(2, n_terms + 2):
+    for k in range(2, n + 2):
         a.append(a[-1] * -(2 * k - 1) / 2.0)
     return a[0], np.array(a[:0:-1])
 
 
-_A1, _U_SERIES = _asymptotic_coeffs()
+_A1, _U_SERIES = _asymptotic_coeffs(_SERIES_N)
 
 
 def _series(y, jet):

@@ -15,14 +15,16 @@ but not the synthesis or any fit's outcome, compares the two trees with
 
     python tests/reference_sweeps.py --compare /tmp/before /tmp/after
 
-which prints, for every statistics field, the worst relative and absolute
-drift over the clean and over the noisy sweeps apart, the number of rows
-whose iteration count moved, and each side's total dataset bytes.  Datasets
-are compared by content, not by bytes: config, every control and truth,
-and every trace array bitwise, read from either ``bolostat-dataset-v2``
-(a probe grid per trace) or ``bolostat-dataset-v3`` (one top-level grid).
-It exits 1 if any exit code, ``converged`` flag or dataset value differs,
-or a file is missing on one side.
+which prints, for every statistics field and for the trace arrays, the
+worst relative and absolute drift over the clean and over the noisy sweeps
+apart, the number of rows whose iteration count moved, and each side's
+total dataset bytes.  A trace's drift is taken over its complex samples,
+|new - old| and |new - old| / |old|.  Datasets are compared by content,
+not by bytes: config, every control and truth, and every trace array
+bitwise, read from either ``bolostat-dataset-v2`` (a probe grid per trace)
+or ``bolostat-dataset-v3`` (one top-level grid).  It exits 1 if any exit
+code, ``converged`` flag or dataset value differs, or a file is missing on
+one side.
 
 The file name keeps pytest from collecting it.
 """
@@ -37,6 +39,8 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -103,11 +107,27 @@ def _dataset(path):
     return content
 
 
+def _trace_drift(old, new, worst):
+    """Raise ``worst`` = [rel, abs] to the drift of every trace two dataset
+    contents share on the same number of samples."""
+    for key in old.keys() & new.keys():
+        if not key.endswith(" re"):
+            continue
+        trace = key[: -len(" re")]
+        a, b = (np.frombuffer(c[f"{trace} re"]) + 1j * np.frombuffer(c[f"{trace} im"]) for c in (old, new))
+        if a.shape != b.shape:
+            continue
+        gap = np.abs(b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(gap == 0, 0.0, gap / np.abs(a))
+        worst[0], worst[1] = max(worst[0], float(rel.max(initial=0))), max(worst[1], float(gap.max(initial=0)))
+
+
 def compare(before, after):
     """Print the drift table of two output trees; 1 if an outcome differs."""
     before, after = Path(before), Path(after)
     floats = [f.name for f in fields(StatsRecord) if f.type is float]
-    worst = {group: {name: [0.0, 0.0] for name in floats} for group in ("clean", "noisy")}
+    worst = {group: {name: [0.0, 0.0] for name in floats + ["traces"]} for group in ("clean", "noisy")}
     moved_iters = {"clean": 0, "noisy": 0}
     problems = []
     dataset_bytes = [0, 0]
@@ -123,6 +143,7 @@ def compare(before, after):
         elif old != new:
             changed = [name for name in old.keys() | new.keys() if old.get(name) != new.get(name)]
             problems.append(f"{label}.json: {', '.join(sorted(changed)[:4])} differ")
+            _trace_drift(old, new, worst[group]["traces"])
         for side, path in enumerate(paths):
             dataset_bytes[side] += path.stat().st_size if path.exists() else 0
         old, new = _stats(before / f"{label}.csv"), _stats(after / f"{label}.csv")
@@ -141,7 +162,7 @@ def compare(before, after):
                 w = worst[group][name]
                 w[0], w[1] = max(w[0], rel), max(w[1], gap)
     print(f"{'field':<14} {'clean rel':>10} {'clean abs':>10} {'noisy rel':>10} {'noisy abs':>10}")
-    for name in floats:
+    for name in floats + ["traces"]:
         cells = [f"{v:10.2e}" for group in ("clean", "noisy") for v in worst[group][name]]
         print(f"{name:<14} " + " ".join(cells))
     print(f"rows with a changed n_iter: clean {moved_iters['clean']}, noisy {moved_iters['noisy']}")

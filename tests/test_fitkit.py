@@ -24,15 +24,6 @@ from bolostat import (
     run_calibration,
     simulate_sweep,
 )
-from bolostat.response import (
-    _BACKGROUND,
-    _DELAY,
-    _LINE,
-    _background_jacobian,
-    _delay,
-    _line_jacobian,
-    sigma_floor,
-)
 from bolostat.fitkit import (
     FROZEN_PARAM_NAMES,
     MEASUREMENT_PARAM_NAMES,
@@ -42,6 +33,15 @@ from bolostat.fitkit import (
     _phase_jacobian,
     _phase_model,
     wrap_angle,
+)
+from bolostat.response import (
+    _BACKGROUND,
+    _DELAY,
+    _LINE,
+    _background_jacobian,
+    _delay,
+    _line_jacobian,
+    sigma_floor,
 )
 
 from conftest import (
