@@ -220,7 +220,9 @@ def _erfcx_jet(z):
     erfcx(z) - 2 z/sqrt(pi) the sigma factor of the Voigt line,
     d<S11>/dsigma = (P/sigma) g(z).  The first is bitwise ``erfcx(z)``: the
     same operations, with the derivatives taken from the same series
-    beyond |z| = 8.  Raises as `erfcx` does."""
+    beyond |z| = 8.  The Voigt line only calls it with Re z > 0; the
+    derivatives are reflected with the value all the same, so the jet is
+    right on the whole plane that `erfcx` covers.  Raises as `erfcx` does."""
     z_arr = _checked(z, "erfcx")
     return tuple(p.reshape(z_arr.shape) for p in _kernel(np.atleast_1d(z_arr).ravel(), jet=True))
 

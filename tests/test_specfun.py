@@ -107,14 +107,16 @@ def test_accuracy_over_full_target_square():
 def test_region_seams_are_smooth():
     # the rational form hands over to the asymptotic series on the circle
     # |z| = 8, and the left half-plane goes through the reflection on -z.
-    # Both sides of each seam stay on the reference to 1e-10, so any jump
-    # across it is < 2e-10
-    for angle in np.linspace(-math.pi, math.pi, 65):
-        z = 8.0 * np.exp(1j * angle)
-        for side in (1 - 1e-9, 1 + 1e-9):
-            val = erfcx(z * side)
-            ref = erfcx_ref(complex(z * side))
-            assert abs(val - ref) / abs(ref) < 1e-10, z * side
+    # The circles |z| = 2.5 and 6.0 are no seam of this kernel and stay as
+    # plain accuracy checks.  Both sides of each circle stay on the reference
+    # to 1e-10, so any jump across it is < 2e-10
+    for radius, n_angles in ((2.5, 17), (6.0, 17), (8.0, 65)):
+        for angle in np.linspace(-math.pi, math.pi, n_angles):
+            z = radius * np.exp(1j * angle)
+            for side in (1 - 1e-9, 1 + 1e-9):
+                val = erfcx(z * side)
+                ref = erfcx_ref(complex(z * side))
+                assert abs(val - ref) / abs(ref) < 1e-10, z * side
     for y in np.linspace(-20, 20, 41):
         for x in (-1e-9, 1e-9):
             ref = erfcx_ref(complex(x, y))
