@@ -324,6 +324,20 @@ def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times):
     assert not out.exists()
 
 
+def test_demod_rejects_a_non_finite_sample(tmp_path, capsys):
+    t = np.arange(400) / 250e6
+    v = [repr(float(x)) for x in 0.6 * np.cos(2 * np.pi * 62.5e6 * t)]
+    v[200] = "nan"
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,v\n" + "".join(f"{float(ti)!r},{vi}\n" for ti, vi in zip(t, v)))
+    out = tmp_path / "iq.csv"
+    assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "non-finite sample at index 200" in err
+    assert not out.exists()
+
+
 def test_report_merges_series(tmp_path, thermal_config_file):
     dataset = tmp_path / "d.json"
     s1 = tmp_path / "thermal.csv"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,7 @@ from bolostat import (
     fir_lowpass,
     synth_raw_trace,
 )
-from bolostat.dspchain import design_taps, group_delay_samples
+from bolostat.dspchain import _FIR_BLOCK, _WINDOWS, _tap_blocks, design_taps, group_delay_samples
 
 # chain constants: 250 Msps digitizer, 62.5 MHz intermediate frequency,
 # 32 us traces, 500 kHz low-pass, decimate by 4 to one IQ point per 16 ns
@@ -48,6 +53,11 @@ class TestSynth:
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError):
             synth_raw_trace(1.0, 0.0, 130e6, 0.0, DURATION, FS, 0)
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, -np.inf])
+    def test_bad_noise_rms_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_rms"):
+            tone(noise=noise)
 
 
 class TestDownconversion:
@@ -125,6 +135,11 @@ class TestFir:
         assert len(out) == 100 - (spec.n_taps - 1)
         assert group_delay_samples(spec) == 15
 
+    @pytest.mark.parametrize("n_taps", [31.0, np.float64(31), "31", True])
+    def test_non_int_tap_count_rejected(self, n_taps):
+        with pytest.raises(ValueError, match="n_taps"):
+            FirSpec(1e6, n_taps=n_taps)
+
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):
             fir_lowpass(IqStream(iq=np.ones(10, dtype=complex), rate=1e6), DEFAULT_FIR)
@@ -200,6 +215,90 @@ class TestCaches:
             out = fir_lowpass(stream, DEFAULT_FIR).iq
             assert out.shape == expected.shape
             assert np.max(np.abs(out - expected)) <= 1e-15
+
+
+class TestBlockedFir:
+    # fir_lowpass multiplies rows of _FIR_BLOCK samples by cached Toeplitz
+    # blocks; every output must stay that of the complex convolution.  The
+    # streams are shaped like the chain's: a tone of amplitude 0.5-1.5 with
+    # noise 0.02, down-converted at the source rate
+
+    @staticmethod
+    def noisy_stream(n, seed):
+        rng = np.random.default_rng(seed)
+        trace = RawTrace(
+            rng.uniform(0.5, 1.5) * np.cos(np.pi / 2 * np.arange(n) + rng.uniform(-np.pi, np.pi))
+            + 0.02 * rng.standard_normal(n),
+            FS,
+        )
+        return digital_downconvert(trace, F_IF)
+
+    @staticmethod
+    def assert_matches_convolution(stream, spec):
+        expected = np.convolve(stream.iq, design_taps(spec, stream.rate), mode="valid")
+        out = fir_lowpass(stream, spec).iq
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("window", sorted(_WINDOWS))
+    @pytest.mark.parametrize("n_taps", [3, 11, 31, 129])
+    def test_matches_complex_convolution(self, n_taps, window):
+        spec = FirSpec(DEFAULT_FIR.cutoff, n_taps, window)
+        self.assert_matches_convolution(self.noisy_stream(2000, n_taps), spec)
+
+    @pytest.mark.parametrize("n_taps", [3, 11, 31, 129])
+    def test_matches_at_block_edges(self, n_taps):
+        spec = FirSpec(DEFAULT_FIR.cutoff, n_taps)
+        lengths = [n_taps, n_taps + 1]
+        for rows in (1, 2, 7):
+            # rows * _FIR_BLOCK outputs, then one fewer and one more
+            lengths += [n_taps - 1 + rows * _FIR_BLOCK + d for d in (-1, 0, 1)]
+        for n in lengths:
+            self.assert_matches_convolution(self.noisy_stream(n, n), spec)
+
+    def test_matches_on_demod_shaped_traces(self):
+        rng = np.random.default_rng(17)
+        for seed in range(100):
+            amp, theta = rng.uniform(0.5, 1.5), rng.uniform(-np.pi, np.pi)
+            stream = digital_downconvert(tone(amp=amp, phase=theta, noise=0.02, seed=seed), F_IF)
+            self.assert_matches_convolution(stream, DEFAULT_FIR)
+
+    def test_cached_blocks_are_read_only(self):
+        fir_lowpass(digital_downconvert(tone(), F_IF), DEFAULT_FIR)
+        blocks = _tap_blocks(DEFAULT_FIR, FS)
+        assert blocks.shape == (5, _FIR_BLOCK, _FIR_BLOCK)
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+    def test_non_finite_sample_named_by_index(self, bad):
+        stream = self.noisy_stream(500, 0)
+        iq = stream.iq.copy()
+        iq[[137, 300]] = bad
+        with pytest.raises(ValueError, match="non-finite sample at index 137 "):
+            fir_lowpass(IqStream(iq=iq, rate=stream.rate), FirSpec(DEFAULT_FIR.cutoff, 31))
+
+    def test_same_bytes_under_one_and_two_blas_threads(self):
+        # 2**15 samples: 1020 rows per product, a GEMM large enough for
+        # OpenBLAS to split across threads when it is given two
+        script = (
+            "import sys, numpy as np; from bolostat import DEFAULT_FIR, IqStream, fir_lowpass; "
+            "rng = np.random.default_rng(5); "
+            "iq = rng.standard_normal(2**15) + 1j * rng.standard_normal(2**15); "
+            "sys.stdout.buffer.write(fir_lowpass(IqStream(iq=iq, rate=250e6), DEFAULT_FIR).iq.tobytes())"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append(done.stdout)
+        assert len(outputs[0]) == 16 * (2**15 - DEFAULT_FIR.n_taps + 1)
+        assert outputs[0] == outputs[1]
 
 
 class TestDecimate:
