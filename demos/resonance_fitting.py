@@ -62,9 +62,10 @@ def synthesize(mu, sigma):
 
 # reference trace in the zero-broadening regime, fitted from a deliberately
 # wrong starting point (5% off in every parameter class); the fits take the
-# twelve chain scalars as one vector in PARAM_NAMES order
+# twelve chain scalars as one vector in PARAM_NAMES order, the broadening
+# as v = sigma**2
 rng = np.random.default_rng(42)
-init = chain.vector(524e6, 0.1e6)
+init = chain.vector(524e6, 0.1e6**2)
 init[0] += 1.5e6
 init[2:] *= 1 + 0.05 * rng.uniform(-1, 1, 10)
 calibration = fit_base_calibration(synthesize(524e6, 0.1e6), init)

@@ -19,7 +19,6 @@ from .response import (
     background_transfer,
     bare_reflection,
     full_chain_response,
-    sigma_floor,
 )
 from .photonstats import (
     CalibrationScale,

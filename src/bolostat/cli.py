@@ -140,7 +140,10 @@ def _cmd_demod(args):
         if header != ["t_s", "v"]:
             sys.stderr.write(f"error: expected raw trace header t_s,v, got {header}\n")
             return 1
-        rows = [(float(t), float(v)) for t, v in reader]
+        try:
+            rows = list(pipeline._csv_rows(reader, [(name, float) for name in header]))
+        except ValueError as exc:
+            raise ValueError(f"{args.trace}: {exc}") from None
     if len(rows) < 2:
         sys.stderr.write("error: raw trace needs at least 2 samples\n")
         return 1
@@ -180,10 +183,14 @@ def _cmd_report(args):
     rows = []
     for label, path in zip(labels, args.stats):
         with open(path) as fh:
-            rows += [
-                [label, *(repr(float(v)) for v in (rec.mean_n, rec.variance_n, rec.g2))]
-                for rec in pipeline.stats_from_csv(fh)
-            ]
+            try:
+                records = pipeline.stats_from_csv(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        rows += [
+            [label, *(repr(float(v)) for v in (rec.mean_n, rec.variance_n, rec.g2))]
+            for rec in records
+        ]
     # every input is read first, so a bad one leaves no partial output
     with open(args.out, "w") as out:
         writer = csv.writer(out, lineterminator="\n")

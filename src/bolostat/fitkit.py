@@ -7,25 +7,26 @@ test, and evaluates the residual and the Jacobian together, once per trial
 point.  Two routines enter it: `least_squares` runs a single fit, with the
 caller's Jacobian, as a batch of one, and `_fit_free` runs the staged fits
 as batches of the chain model with `response`'s closed-form
-`_chain_jacobian`, one erfcx jet call per trial point.  The loop takes a
+`_chain_jacobian`, one call of the line's jet per trial point.  The loop takes a
 real Jacobian, the real parts of the complex columns over their imaginary
 parts, (B, 2m, n) with each column contiguous; `_chain_jacobian` writes
-only the free columns, straight into that layout.  `_fit_free` steps a
-free broadening in the variance sigma**2, the coordinate the line moves
-with near zero broadening, and reports it in sigma.  On top of them sit the
-resonance extractors used by the pipeline:
+only the free columns, straight into that layout.  The broadening is the
+variance v = sigma**2 everywhere in the staged fits: the box, the steps,
+the FitResults and their covariances; the line is analytic in v down to
+v = 0, the zero-input answer.  On top of them sit the resonance extractors
+used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
 * `fit_base_calibration` / `fit_measurements` -- the staged full-model procedure:
   all twelve chain parameters are fitted once on a reference (base) trace,
   six of them are then frozen, and every subsequent trace refits only
-  {mu, sigma, gamma_c, phi, f_b, phi_b}, all traces of a sweep in one batch.
+  {mu, v, gamma_c, phi, f_b, phi_b}, all traces of a sweep in one batch.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .response import (
     ResonatorParams,
     _chain_jacobian,
     _chain_model,
-    sigma_floor,
 )
 
 __all__ = [
@@ -87,7 +87,7 @@ class DegenerateCircleError(FitError):
 
 
 class DegenerateSigmaWarning(UserWarning):
-    """The fitted broadening is pinned at its lower bound."""
+    """A measurement trace's fitted broadening ended at v = 0, its lower bound."""
 
 
 def wrap_angle(angle):
@@ -565,12 +565,12 @@ _NOISE_MARGIN = 4.0
 
 
 def _default_bounds(freqs, gamma_scale):
-    """(lo, hi) box of the twelve chain scalars; sigma starts at its floor."""
+    """(lo, hi) box of the twelve chain scalars; v's lower bound is 0."""
     span = freqs[-1] - freqs[0]
     box = {name: (-np.inf, np.inf) for name in PHASE_NAMES}
     box.update(
         mu=(freqs[0], freqs[-1]),
-        sigma=(sigma_floor(gamma_scale), 20e6),
+        v=(0.0, 20e6**2),
         gamma_c=(1e-6 * gamma_scale, 1e3 * gamma_scale),
         gamma=(1e-3 * gamma_scale, 1e3 * gamma_scale),
         s_b=(1e-6, 1e6),
@@ -592,9 +592,9 @@ def _scales(x0, freqs):
     for name in PHASE_NAMES:
         s[..., _AT[name]] = 1.0
     s[..., _AT["tau"]] = np.maximum(s[..., _AT["tau"]], 1.0 / center)  # one radian of delay phase
-    # `_fit_free` fits sigma's square, with the square of this scale; from a
-    # start on the floor of a few Hz that would make its column look dead
-    s[..., _AT["sigma"]] = np.maximum(s[..., _AT["sigma"]], 1e-3 * span)
+    # a broadening of 1e-3 of the span at least: from a start at v = 0 a
+    # scale of |v| would make its column look dead
+    s[..., _AT["v"]] = np.maximum(s[..., _AT["v"]], (1e-3 * span) ** 2)
     return s
 
 
@@ -611,83 +611,42 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
     (B, 2m, n) array `_lm` takes (real parts over imaginary parts, each
     column contiguous), so no complex Jacobian is copied or stacked.
 
-    A free sigma enters the LM as the variance v = sigma**2, the coordinate
-    the line moves with near zero broadening: the Voigt line's leading term
-    there is sigma**2/2 * d^2L/dmu^2, so sigma's own column vanishes at the
-    floor while v's does not.  The box, start and scale of v are those of
-    sigma squared, and v's Jacobian column is sigma's times 1/(2*sigma),
-    bitwise the complex column divided by 2*sigma.
-
     Returns (X, fits, failures): the fitted (B, 12) vectors, and `_lm`'s
-    FitResult (over the free entries) and failure per row.  The FitResults
-    are in sigma: the fitted sqrt(v), and the covariance's sigma row and
-    column times 1/(2*sigma); the column-scaled ``grad_norm`` is the same in
-    either coordinate.  A free sigma that ends on its lower bound raises
-    `DegenerateSigmaWarning`, once per row.
+    FitResult (over the free entries) and failure per row.
     """
-    sigma = _AT["sigma"]
-    var = free.index(sigma) if sigma in free else None  # v's place in an LM vector
-
-    def squared(a):
-        # sigma entries of vectors over the free entries -> variance entries
-        a = np.array(a, dtype=float)
-        if var is not None:
-            a[..., var] = a[..., var] ** 2
-        return a
 
     def full(xf):
         X = np.empty((len(xf), base.size))
         X[:] = base
         X[:, free] = xf
-        if var is not None:
-            X[:, sigma] = np.sqrt(X[:, sigma])
         return X
 
     def evaluate(xf, rows):
-        X = full(xf)
-        value, J = _chain_jacobian(X, freqs, free)
+        value, J = _chain_jacobian(full(xf), freqs, free)
         r = value - data[rows]
-        if var is not None:
-            J[..., var] *= 1.0 / (2.0 * X[:, sigma, None])
         return np.concatenate([r.real, r.imag], axis=1), J
 
     fits, failures = _lm(
         evaluate,
-        squared(starts[:, free]),
-        squared(lo[free]),
-        squared(hi[free]),
-        squared(scales[..., free]),
+        starts[:, free],
+        lo[free],
+        hi[free],
+        scales[..., free],
         tuple(PARAM_NAMES[i] for i in free),
         max_iter,
     )
-    X = full([fit.params for fit in fits])
-    if var is not None:
-        to_sigma = np.ones(len(free))
-        for k, (x, fit) in enumerate(zip(X, fits)):
-            to_sigma[var] = 0.5 / x[sigma]
-            cov = fit.covariance
-            fits[k] = replace(
-                fit,
-                params=x[free],
-                covariance=None if cov is None else cov * np.outer(to_sigma, to_sigma),
-            )
-            if x[sigma] <= lo[sigma]:
-                warnings.warn(
-                    "fitted broadening pinned at its lower bound",
-                    DegenerateSigmaWarning,
-                    stacklevel=3,
-                )
-    return X, fits, failures
+    return full([fit.params for fit in fits]), fits, failures
 
 
 def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     """Fit all twelve chain parameters on a reference (base) trace.
 
     The fit is staged: first everything except the broadening is fitted
-    with sigma held at its initial value (on a base trace the broadening is
-    at or near its floor and carries no signal until the rest of the chain
-    is roughly right), then all twelve parameters are released.  Each stage
-    is a `_fit_free` batch of one.
+    with v held at its initial value (on a base trace the broadening is at
+    or near 0 and carries no signal until the rest of the chain is roughly
+    right), then all twelve parameters are released.  Each stage is a
+    `_fit_free` batch of one.  A base trace fitted at v = 0 is the
+    zero-input answer, so it raises no warning.
 
     Parameters
     ----------
@@ -715,7 +674,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     scales = _scales(X[0], sweep.freqs)
 
     every = list(range(len(PARAM_NAMES)))
-    stage_a = [i for i in every if i != _AT["sigma"]]
+    stage_a = [i for i in every if i != _AT["v"]]
     for free in (stage_a, every):
         X, [fit], [failure] = _fit_free(
             sweep.freqs, sweep.values[None], X[0], X, free, lo, hi, scales, max_iter
@@ -730,11 +689,11 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
 
 
 def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
-    """Fit {mu, sigma, gamma_c, phi, f_b, phi_b} to every trace of a sweep.
+    """Fit {mu, v, gamma_c, phi, f_b, phi_b} to every trace of a sweep.
 
     The six parameters named in `FROZEN_PARAM_NAMES` are held at their
     calibrated values.  For each trace, mu is initialized at the magnitude
-    minimum and sigma at 10% of the apparent linewidth; the nuisance
+    minimum and sigma = sqrt(v) at 10% of the apparent linewidth; the nuisance
     parameters start from the calibration.  ``init_hints``, one entry per
     trace that is None or a twelve-scalar vector in `PARAM_NAMES` order,
     overrides those starting values; frozen entries are ignored.
@@ -749,8 +708,8 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     Returns
     -------
     list of (mu, sigma, FitResult), in the order of ``sweeps``
-        A `DegenerateSigmaWarning` is emitted for each trace whose sigma
-        ends on its lower bound.
+        sigma is sqrt(v); the FitResult is in v.  A `DegenerateSigmaWarning`
+        is emitted for each trace whose v ends at 0.
     """
     sweeps = list(sweeps)
     hints = [None] * len(sweeps) if init_hints is None else list(init_hints)
@@ -771,19 +730,22 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     X[:, free] = np.clip(starts[:, free], lo[free], hi[free])  # held entries stay as calibrated
     data = np.array([sweep.values for sweep in sweeps])
     X, fits, _ = _fit_free(freqs, data, x, X, free, lo, hi, _scales(X, freqs), max_iter)
+    for v in X[:, _AT["v"]]:
+        if v <= lo[_AT["v"]]:
+            warnings.warn("fitted broadening ended at v = 0", DegenerateSigmaWarning, stacklevel=2)
     return [
-        (float(x_fit[_AT["mu"]]), float(x_fit[_AT["sigma"]]), fit) for x_fit, fit in zip(X, fits)
+        (float(x_fit[_AT["mu"]]), math.sqrt(x_fit[_AT["v"]]), fit) for x_fit, fit in zip(X, fits)
     ]
 
 
 def _measurement_start(sweep, x, hint):
     """Starting vector of one trace's fit: ``hint``, or ``x`` with mu and
-    sigma read off the trace."""
+    v read off the trace."""
     if hint is not None:
         return _chain_vector(hint, "init_hint")
     start = x.copy()
     start[_AT["mu"]] = sweep.freqs[int(np.argmin(np.abs(sweep.values)))]
-    start[_AT["sigma"]] = 0.1 * _apparent_linewidth(sweep)
+    start[_AT["v"]] = (0.1 * _apparent_linewidth(sweep)) ** 2
     return start
 
 

@@ -7,8 +7,9 @@ statistics at each point, and stores the truth alongside for round-trip
 scoring.  Extraction runs the staged fit (one base calibration, one
 six-parameter fit per trace), converts the fitted resonance shift into a
 mean photon flux through the configured calibration polynomial, converts
-the fitted broadening into a variance through Delta_n = alpha*sigma
-referenced to the base trace, and reports g2(0).
+the fitted broadening v = sigma**2 into a variance through
+(Delta n)^2 = alpha^2 (v - v_base) referenced to the base trace, and
+reports g2(0).
 
 File formats (all deterministic given the same inputs):
 
@@ -107,8 +108,9 @@ def default_seed(explicit=None, config_seed=0):
 class ChainParams:
     """True measurement-chain scalars used for synthesis.
 
-    Every `PARAM_NAMES` scalar except the line center and broadening, which
-    `vector` takes per trace; ``mu_base_hz`` is the center at zero input.
+    Every `PARAM_NAMES` scalar except the line center and broadening v,
+    which `vector` takes per trace; ``mu_base_hz`` is the center at zero
+    input.
     """
 
     mu_base_hz: float
@@ -123,9 +125,10 @@ class ChainParams:
     tau: float
     varphi: float
 
-    def vector(self, mu, sigma):
-        """Raw `PARAM_NAMES` vector with the given line center/broadening."""
-        values = dict(vars(self), mu=mu, sigma=sigma)
+    def vector(self, mu, v):
+        """Raw `PARAM_NAMES` vector with the given line center (Hz) and
+        broadening v = sigma**2 (Hz^2)."""
+        values = dict(vars(self), mu=mu, v=v)
         return np.array([values[name] for name in PARAM_NAMES])
 
 
@@ -337,10 +340,10 @@ def _invert_shift(coeffs, shift):
 
 def _synthesize(cfg, freqs, frame, mean, variance, rng):
     # frame is the sweep's `_frame` on freqs, so values is bitwise
-    # _chain_model(cfg.chain.vector(mu, sigma), freqs)
-    sigma = math.sqrt(variance) / cfg.alpha_photon_per_hz
+    # _chain_model(cfg.chain.vector(mu, v), freqs)
+    v = variance / cfg.alpha_photon_per_hz**2
     mu = cfg.chain.mu_base_hz + _shift_hz(cfg.freq_shift_poly_hz, mean)
-    values = frame * _line(*_scalars(cfg.chain.vector(mu, sigma), _LINE), freqs)
+    values = frame * _line(*_scalars(cfg.chain.vector(mu, v), _LINE), freqs)
     if cfg.noise > 0:
         span = float(np.ptp(np.abs(values)))
         s = cfg.noise * span / math.sqrt(2.0)
@@ -351,7 +354,7 @@ def _synthesize(cfg, freqs, frame, mean, variance, rng):
         "mean_n": mean,
         "variance_n": variance,
         "mu_hz": mu,
-        "sigma_hz": sigma,
+        "sigma_hz": math.sqrt(v),
     }
     return truth, ComplexSweep(freqs=freqs, values=values)
 
@@ -362,11 +365,13 @@ def simulate_sweep(cfg, seed=None):
     Deterministic for a given (config, seed); the seed keys the Philox
     stream of the per-trace noise (the calibration init perturbation used
     later draws from its own ``Philox(seed + 1)`` stream, see
-    `_calibration_init`).  A zero-input base trace is always included as
-    the fitting reference.  The returned dataset carries the seed actually
-    used in its config, so a stored dataset reproduces itself.  Every trace
-    shares one read-only probe grid, and the delay and background, which no
-    trace changes, are evaluated on it once.
+    `_calibration_init`).  A zero-input base trace, at v = 0, is always
+    included as the fitting reference.  The returned dataset carries the
+    seed actually used in its config, so a stored dataset reproduces
+    itself.  Every trace shares one read-only probe grid, and the delay and
+    background, which no trace changes, are evaluated on it once.  Each
+    trace's line is its own `_line` call: one call over the whole sweep
+    would hold several sweep-sized temporaries at once.
     """
     seed = cfg.seed if seed is None else seed
     cfg = dataclasses.replace(cfg, seed=int(seed))
@@ -389,10 +394,9 @@ def _calibration_init(cfg, base_sweep, seed):
 
     Scale parameters move by +-INIT_PERTURBATION relative, frequencies by
     +-INIT_PERTURBATION of the probe span, phases by +-INIT_PERTURBATION rad;
-    mu additionally snaps to the trace magnitude minimum, and sigma stays 0.
-    The start need not be a physical chain (gamma_c may cross gamma); the fit
-    clips it into its box, which puts sigma on the floor of the perturbed
-    gamma.
+    mu additionally snaps to the trace magnitude minimum, and v stays 0, on
+    its bound.  The start need not be a physical chain (gamma_c may cross
+    gamma); the fit clips it into its box.
     """
     rng = np.random.Generator(np.random.Philox(seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
@@ -404,7 +408,7 @@ def _calibration_init(cfg, base_sweep, seed):
             x[i] += frac * span * u
         elif name in PHASE_NAMES:
             x[i] += frac * u
-        elif name != "sigma":
+        elif name != "v":
             x[i] *= 1.0 + frac * u
     x[PARAM_NAMES.index("mu")] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
     return x
@@ -432,7 +436,7 @@ def extract_statistics(dataset, calibration=None):
     cfg = dataset.config
     if calibration is None:
         calibration = run_calibration(dataset)
-    sigma_base = float(calibration.fit.params[PARAM_NAMES.index("sigma")])
+    sigma_base = math.sqrt(calibration.fit.params[PARAM_NAMES.index("v")])
     mu_base = float(calibration.fit.params[PARAM_NAMES.index("mu")])
     scale = CalibrationScale(cfg.alpha_photon_per_hz)
 
@@ -563,6 +567,23 @@ def stats_to_csv(records, fh):
         writer.writerow([_WRITE_CELL[f.type](getattr(r, f.name)) for f in _STATS_FIELDS])
 
 
+def _csv_rows(reader, columns):
+    """The data rows of a CSV reader, each parsed by ``columns``, one (name,
+    parse) pair per cell.  A row with the wrong number of cells, or a cell
+    that does not parse, raises a ValueError naming the row (1 = the first
+    after the header) and the cell's column."""
+    for k, row in enumerate(reader, start=1):
+        if len(row) != len(columns):
+            raise ValueError(f"row {k}: expected {len(columns)} fields, got {len(row)}")
+        cells = []
+        for (name, parse), text in zip(columns, row):
+            try:
+                cells.append(parse(text))
+            except ValueError:
+                raise ValueError(f"row {k}, column '{name}': cannot read {text!r}") from None
+        yield cells
+
+
 def stats_from_csv(fh):
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -570,7 +591,5 @@ def stats_from_csv(fh):
         raise ValueError("empty statistics file")
     if header != STATS_HEADER:
         raise ValueError(f"unexpected statistics header: {header}")
-    return [
-        StatsRecord(*(_READ_CELL[f.type](text) for f, text in zip(_STATS_FIELDS, row, strict=True)))
-        for row in reader
-    ]
+    columns = [(f.name, _READ_CELL[f.type]) for f in _STATS_FIELDS]
+    return [StatsRecord(*cells) for cells in _csv_rows(reader, columns)]

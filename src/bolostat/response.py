@@ -3,7 +3,8 @@
 Conventions used throughout (and by everything downstream):
 
 * probe/resonance frequencies ``f_p``, ``f_r``, ``mu``, ``sigma``, ``f_b``
-  are ordinary frequencies in Hz;
+  are ordinary frequencies in Hz, and the broadening ``v = sigma**2`` of
+  the raw parameter vector is in Hz^2;
 * energy decay rates ``gamma``, ``gamma_c``, ``gamma_b``, ``gamma_bc`` are
   angular rates in rad/s;
 * detunings carry the explicit 2*pi, e.g. Delta = 2*pi*(f_r - f_p).
@@ -11,6 +12,11 @@ Conventions used throughout (and by everything downstream):
 The line delay enters the chain as exp(i*(f_p*tau + varphi)) with no 2*pi,
 so ``tau`` is in rad/Hz rather than seconds; anyone comparing against lab
 conventions should divide by 2*pi.
+
+The averaged line is analytic in v down to v = 0, the bare line, so the
+raw vector and the fits carry v, not sigma.  Each probe point takes one of
+two forms of it, split on the circle |z| = 8 of `specfun`: the asymptotic
+series in q = 1/z^2, finite at v = 0, or the rational erfcx (`_mean_inverse`).
 """
 
 import math
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _erfcx_jet, erfcx
+from .specfun import _SERIES_FROM, _SQRT_PI, _asymptotic, _erfcx_jet, _per_point, erfcx
 
 __all__ = [
     "ResonatorParams",
@@ -26,7 +32,6 @@ __all__ = [
     "BackgroundParams",
     "LineParams",
     "PARAM_NAMES",
-    "sigma_floor",
     "bare_reflection",
     "averaged_reflection",
     "averaged_reflection_gh",
@@ -102,8 +107,9 @@ class LineParams:
 # The twelve free scalars of the chain model, in the one order every raw
 # vector uses: the averaged line, the background, then the line delay.  Each
 # group lists the leading arguments of the helper that evaluates it, so
-# `_chain_model` hands each helper its slice of the vector.
-_LINE_NAMES = ("mu", "sigma", "gamma_c", "phi", "gamma")
+# `_chain_model` hands each helper its slice of the vector.  The line's
+# broadening is the variance v = sigma**2 of its center frequency, in Hz^2.
+_LINE_NAMES = ("mu", "v", "gamma_c", "phi", "gamma")
 _BACKGROUND_NAMES = ("s_b", "f_b", "gamma_bc", "gamma_b", "phi_b")
 _DELAY_NAMES = ("tau", "varphi")
 PARAM_NAMES = _LINE_NAMES + _BACKGROUND_NAMES + _DELAY_NAMES
@@ -112,29 +118,51 @@ PHASE_NAMES = ("phi", "phi_b", "varphi")
 _LINE = slice(0, len(_LINE_NAMES))
 _BACKGROUND = slice(_LINE.stop, _LINE.stop + len(_BACKGROUND_NAMES))
 _DELAY = slice(_BACKGROUND.stop, len(PARAM_NAMES))
-_SIGMA = PARAM_NAMES.index("sigma")
-_GAMMA = PARAM_NAMES.index("gamma")
+
+_C = 2.0 * math.sqrt(2.0) * math.pi  # c = _C sqrt(v), z = a/c
 
 
-def sigma_floor(gamma):
-    """Smallest broadening (Hz) handled by the closed-form Gaussian average.
+def _mean_inverse(a, c, jet):
+    """The mean M of 1/(a + 2 pi i (f_r - mu)) over f_r ~ N(mu, v), with
+    a = gamma/2 + 2 pi i (mu - f_p) and c = _C sqrt(v), per point: (M,), or
+    with ``jet`` (M, dM/da, dM/dv).  The line is 1 - e^{i phi} gamma_c M.
 
-    Below 1e-6 of the linewidth gamma/(2*pi) the erfcx argument leaves any
-    usefully representable range, so `averaged_reflection` falls back to the
-    bare Lorentzian there; the seam is continuous to well below 1e-6.
+    Beyond |a| = 8c (|z| = 8), M = S/a, dM/da = 2T/a^2 and dM/dv = -4 pi^2 (T + 2U)/a^3
+    from the series of `specfun._asymptotic` in q = (c/a)^2, finite at
+    c = 0.  Inside it, with z = a/c, M = sqrt(pi) w/c, dM/da = sqrt(pi)
+    w'/c^2 and dM/dv = -4 pi^2 sqrt(pi) g/c^3 from the erfcx jet (w, w', g).
+    M is the same operations with or without ``jet``.
     """
-    return 1e-6 * gamma / TWO_PI
+    far = np.abs(a) > _SERIES_FROM * c
+    return _per_point(far, (_mean_inverse_far, _mean_inverse_near), (a, c), jet)
 
 
-def _line(mu, sigma, gamma_c, phi, gamma, f_p):
-    # averaged line: the bare Lorentzian at f_r = mu up to the sigma floor,
-    # the erfcx (Voigt) closed form above it; scalars or broadcastable
-    # arrays, all on one side of the floor (`_chain_model` splits a batch)
+def _mean_inverse_far(a, c, jet):
+    inv = 1.0 / a
+    u = c * inv
+    parts = _asymptotic(u * u, jet)
+    if not jet:
+        return (parts[0] * inv,)
+    S, T, T2U = parts
+    inv2 = inv * inv
+    return S * inv, 2.0 * T * inv2, -4.0 * math.pi**2 * T2U * inv2 * inv
+
+
+def _mean_inverse_near(a, c, jet):
+    z = a / c
+    s = _SQRT_PI / c
+    if not jet:
+        return (s * erfcx(z),)
+    w, dw, g = _erfcx_jet(z)
+    return s * w, s * dw / c, -4.0 * math.pi**2 * s * g / (c * c)
+
+
+def _line(mu, v, gamma_c, phi, gamma, f_p):
+    # averaged line, scalars or broadcastable arrays; each probe point takes
+    # its own side of |a| = 8c (see `_mean_inverse`)
     dprime = TWO_PI * (mu - f_p)
-    if np.all(sigma <= sigma_floor(gamma)):
-        return 1.0 - np.exp(1j * phi) * gamma_c / (gamma / 2.0 + 1j * dprime)
-    arg = (gamma / 2.0 + 1j * dprime) / (2.0 * math.sqrt(2.0) * math.pi * sigma)
-    return 1.0 - np.exp(1j * phi) * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma) * erfcx(arg)
+    [m] = _mean_inverse(gamma / 2.0 + 1j * dprime, _C * np.sqrt(v), jet=False)
+    return 1.0 - np.exp(1j * phi) * gamma_c * m
 
 
 def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
@@ -163,42 +191,15 @@ def _rows(out, x):
     return out[None] if x.ndim == 2 and len(x) == 1 else out
 
 
-def _straddles_floor(x):
-    """Row mask of a (B, 12) batch at or below the sigma floor, when the
-    batch has rows on both sides of it; None otherwise."""
-    floor = x[..., _SIGMA] <= sigma_floor(x[..., _GAMMA])
-    return floor if floor.ndim and floor.any() and not floor.all() else None
-
-
-def _by_branch(fn, x, floor, *args):
-    # fn(rows, *args) over a batch, the rows on each side of the sigma floor
-    # apart; fn returns an array or a tuple of arrays, each led by the row axis
-    below, above = fn(x[floor], *args), fn(x[~floor], *args)
-    if isinstance(below, tuple):
-        return tuple(_merge_rows(b, a, floor) for b, a in zip(below, above))
-    return _merge_rows(below, above, floor)
-
-
-def _merge_rows(below, above, floor):
-    # in the memory order of the parts, so a Jacobian keeps its layout
-    out = np.empty_like(below, shape=(len(floor),) + below.shape[1:])
-    out[floor] = below
-    out[~floor] = above
-    return out
-
-
 def _chain_model(x, f_p):
     """Full chain response at a raw twelve-scalar vector in `PARAM_NAMES` order.
 
     ``x`` is one vector, giving shape f_p.shape, or a (B, 12) batch of rows,
-    giving (B, len(f_p)); each row takes its own side of the sigma floor.
-    No validation and no phase wrapping, so a fitter may move every scalar
-    freely; `full_chain_response` is the same expression on the dataclasses.
+    giving (B, len(f_p)).  No validation and no phase wrapping, so a fitter
+    may move every scalar freely; `full_chain_response` is the same
+    expression on the dataclasses.
     """
     x = np.asarray(x, dtype=float)
-    floor = _straddles_floor(x)
-    if floor is not None:
-        return _by_branch(_chain_model, x, floor, f_p)
     value = _frame(x, f_p) * _line(*_scalars(x, _LINE), f_p)
     return _rows(value, x)
 
@@ -211,39 +212,25 @@ def _frame(x, f_p):
     return _delay(*_scalars(x, _DELAY), f_p) * _background(*_scalars(x, _BACKGROUND), f_p)
 
 
-def _line_jacobian(mu, sigma, gamma_c, phi, gamma, f_p):
+def _line_jacobian(mu, v, gamma_c, phi, gamma, f_p):
     """Value of `_line` and its derivatives in `_LINE_NAMES` order.
 
     The value is formed in `_line`'s own operation order, so it is bitwise
-    `_line`'s.  Above the floor, erfcx, erfcx' and the sigma factor g come
-    from one `_erfcx_jet` call, whose erfcx is bitwise `erfcx`'s.
+    `_line`'s; the derivatives come from the same `_mean_inverse` call.
+    v's column is the derivative in v itself, finite at v = 0, where it is
+    half the second derivative of the bare line in mu.
     """
     dprime = TWO_PI * (mu - f_p)
-    a = gamma / 2.0 + 1j * dprime
+    m, dm_da, dm_dv = _mean_inverse(gamma / 2.0 + 1j * dprime, _C * np.sqrt(v), jet=True)
     rot = np.exp(1j * phi)
-    if np.all(sigma <= sigma_floor(gamma)):
-        q = rot * gamma_c / a
-        # sigma: the right derivative sigma * d^2L/dmu^2 of the Gaussian
-        # average, so that a fit can leave the floor
-        return 1.0 - q, (
-            1j * TWO_PI * q / a,
-            8.0 * math.pi**2 * sigma * q / (a * a),
-            -rot / a,
-            -1j * q,
-            q / (2.0 * a),
-        )
-    c = 2.0 * math.sqrt(2.0) * math.pi * sigma
-    z = a / c
-    w, dw, g = _erfcx_jet(z)
-    unit = rot / (2.0 * math.sqrt(TWO_PI) * sigma)
-    p = rot * gamma_c / (2.0 * math.sqrt(TWO_PI) * sigma)
-    pw = p * w
-    return 1.0 - pw, (
-        -1j * TWO_PI * p * dw / c,
-        p / sigma * g,
-        -unit * w,
-        -1j * pw,
-        -p * dw / (2.0 * c),
+    p = rot * gamma_c
+    pm = p * m
+    return 1.0 - pm, (
+        -1j * TWO_PI * p * dm_da,
+        -p * dm_dv,
+        -rot * m,
+        -1j * pm,
+        -0.5 * p * dm_da,
     )
 
 
@@ -273,19 +260,14 @@ def _chain_jacobian(x, f_p, free):
     value bitwise ``_chain_model(x, f_p)``.  jac stacks the real parts of
     the complex derivatives over their imaginary parts: (2 len(f_p),
     len(free)) for one vector, (B, 2 len(f_p), len(free)) for a (B, 12)
-    batch of rows, each row on its own side of the sigma floor.  It is the
-    transposed view of a (..., len(free), 2 len(f_p)) array, so each column
-    is contiguous, and each is written once.  The Voigt line takes one erfcx
-    jet call, shared by the value and the derivatives; the background and
-    delay columns are elementary.  On the bare-Lorentzian branch (sigma at or
-    below `sigma_floor`) the sigma column is the right derivative of the
-    Gaussian average, not zero.
+    batch of rows.  It is the transposed view of a (..., len(free),
+    2 len(f_p)) array, so each column is contiguous, and each is written
+    once.  The Voigt line takes one `_mean_inverse` jet call, shared by the
+    value and the derivatives; the background and delay columns are
+    elementary.
     """
     x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
-    floor = _straddles_floor(x)
-    if floor is not None:
-        return _by_branch(_chain_jacobian, x, floor, f_p, free)
     delay = _delay(*_scalars(x, _DELAY), f_p)
     background, d_background = _background_jacobian(*_scalars(x, _BACKGROUND), f_p)
     line, d_line = _line_jacobian(*_scalars(x, _LINE), f_p)
@@ -322,11 +304,11 @@ def averaged_reflection(res, dist, f_p):
                 * erfcx( (gamma/2 + i Delta') / (2 sqrt(2) pi sigma) )
 
     with Delta' = 2*pi*(mu - f_p).  The magnitude of the result is the Voigt
-    profile of the line.  For sigma below `sigma_floor(gamma)` the Gaussian is
-    effectively a delta distribution and the bare line at f_r = mu is returned.
+    profile of the line.  Evaluated in v = sigma^2 (see the module
+    docstring), so sigma = 0 gives the bare line at f_r = mu.
     """
     return _line(
-        dist.mu, dist.sigma, res.gamma_c, res.phi, res.gamma, np.asarray(f_p, dtype=float)
+        dist.mu, dist.sigma**2, res.gamma_c, res.phi, res.gamma, np.asarray(f_p, dtype=float)
     )
 
 

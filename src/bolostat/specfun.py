@@ -17,9 +17,14 @@ asymptotic expansion erfcx(z) ~ (1/(sqrt(pi) z)) sum_k a_k z^(-2k),
 a_k = (-1)^k (2k-1)!!/2^k (Abramowitz & Stegun 7.1.23), truncated after
 a_25, whose first omitted term is 5e-22 relative at |z| = 8 and
 shrinks further out (|z| up to 1e15 is tested).  The same series gives
-erfcx'(z) and the sigma factor g(z) of the Voigt line without the
-cancellation of their closed forms, so the Jacobian takes all three from
-one call (`_erfcx_jet`).  z = 0 is returned as exactly 1.
+erfcx'(z) and the sigma factor g(z) without the cancellation of their
+closed forms (`_erfcx_jet` returns all three from one call).  z = 0 is
+returned as exactly 1.
+
+The Voigt line of `response` splits its probe points on the same circle
+(`_per_point`): beyond it, it calls the series S(q) in q = 1/z^2
+(`_asymptotic`), finite at zero broadening, where z is infinite; inside
+it, `_erfcx_jet`, one call per Jacobian.
 
 Negative real parts are handled through the reflection formula
 erfcx(z) = 2 exp(z^2) - erfcx(-z); when exp(z^2) is not representable in
@@ -105,23 +110,36 @@ def _asymptotic_coeffs(n):
 _A1, _U_SERIES = _asymptotic_coeffs(_SERIES_N)
 
 
+def _asymptotic(q, jet):
+    """The series S(q) = 1 + sum_k a_k q^k, erfcx(y) = S(1/y^2)/(sqrt(pi) y),
+    and with ``jet`` T and T + 2U: with U(q) = sum_(k>=2) a_k q^(k-2) and
+    T = a_1 + q U, S = 1 + q T, S + 2 q S' = -2 T and S' = -(T + 2 U)/2,
+    none a difference of nearly equal terms.  S(0) is exactly 1.
+    """
+    U = _horner(_U_SERIES, q)
+    T = q * U
+    T += _A1
+    S = 1.0 + q * T
+    if not jet:
+        return (S,)
+    return S, T, T + 2.0 * U
+
+
 def _series(y, jet):
     """erfcx(y) for |y| > _SERIES_FROM, Re y >= 0, by its asymptotic series;
     with ``jet`` also erfcx'(y) and g(y), from the same series.
 
-    With u = 1/y, v = u^2, U(v) = sum_(k>=2) a_k v^(k-2) and T = a_1 + v U:
-    erfcx = (1 + v T) u/sqrt(pi), erfcx' = 2 v T/sqrt(pi) and
-    g = v u (T + 2 U)/sqrt(pi), none a difference of nearly equal terms.
+    With u = 1/y and q = u^2: erfcx = S u/sqrt(pi), erfcx' = 2 q T/sqrt(pi)
+    and g = q u (T + 2 U)/sqrt(pi) (see `_asymptotic`).
     """
     u = 1.0 / y
-    v = u * u
-    U = _horner(_U_SERIES, v)
-    T = v * U
-    T += _A1
-    w = (1.0 + v * T) * u / _SQRT_PI
+    q = u * u
+    parts = _asymptotic(q, jet)
+    w = parts[0] * u / _SQRT_PI
     if not jet:
         return (w,)
-    return w, 2.0 * v * T / _SQRT_PI, v * u * (T + 2.0 * U) / _SQRT_PI
+    _, T, T2U = parts
+    return w, 2.0 * q * T / _SQRT_PI, q * u * T2U / _SQRT_PI
 
 
 def _near(y, jet):
@@ -133,6 +151,26 @@ def _near(y, jet):
     if not jet:
         return (w,)
     return w, 2.0 * y * w - 2.0 / _SQRT_PI, (1.0 + 2.0 * y * y) * w - 2.0 * y / _SQRT_PI
+
+
+def _per_point(far, sides, arrays, *args):
+    """``sides[0](*arrays, *args)`` at the points ``far`` and ``sides[1]`` at
+    the others, each a tuple of complex arrays, merged point by point; the
+    arrays broadcast against ``far``."""
+    far_side, near_side = sides
+    if far.all():
+        return far_side(*arrays, *args)
+    if not far.any():
+        return near_side(*arrays, *args)
+    near = ~far
+    arrays = [np.broadcast_to(x, far.shape) for x in arrays]
+    on_far = far_side(*(x[far] for x in arrays), *args)
+    on_near = near_side(*(x[near] for x in arrays), *args)
+    parts = tuple(np.empty(far.shape, dtype=complex) for _ in on_far)
+    for out, f, n in zip(parts, on_far, on_near):
+        out[far] = f
+        out[near] = n
+    return parts
 
 
 def _kernel(flat, jet):
@@ -155,17 +193,7 @@ def _kernel(flat, jet):
         y = flat.copy()
         y[left] = -zl
 
-    far = np.abs(y) > _SERIES_FROM
-    if far.all():
-        parts = _series(y, jet)
-    elif not far.any():
-        parts = _near(y, jet)
-    else:
-        near = ~far
-        parts = tuple(np.empty_like(y) for _ in range(3 if jet else 1))
-        for out, a, b in zip(parts, _near(y[near], jet), _series(y[far], jet)):
-            out[near] = a
-            out[far] = b
+    parts = _per_point(np.abs(y) > _SERIES_FROM, (_series, _near), (y,), jet)
 
     if y is not flat:
         # erfcx(z) = 2 e - erfcx(-z), erfcx'(z) = 2 z (2 e) + erfcx'(-z) and
@@ -220,9 +248,10 @@ def _erfcx_jet(z):
     erfcx(z) - 2 z/sqrt(pi) the sigma factor of the Voigt line,
     d<S11>/dsigma = (P/sigma) g(z).  The first is bitwise ``erfcx(z)``: the
     same operations, with the derivatives taken from the same series
-    beyond |z| = 8.  The Voigt line only calls it with Re z > 0; the
-    derivatives are reflected with the value all the same, so the jet is
-    right on the whole plane that `erfcx` covers.  Raises as `erfcx` does."""
+    beyond |z| = 8.  The Voigt line only calls it inside |z| = 8, with
+    Re z > 0; the derivatives are reflected with the value all the same, so
+    the jet is right on the whole plane that `erfcx` covers.  Raises as
+    `erfcx` does."""
     z_arr = _checked(z, "erfcx")
     return tuple(p.reshape(z_arr.shape) for p in _kernel(np.atleast_1d(z_arr).ravel(), jet=True))
 

@@ -83,12 +83,14 @@ def perturb_vector(x, rng, span, frac=0.05):
 
 
 def perturbed_model(chain, mu, sigma, rng, span, frac=0.05):
-    return perturb_vector(chain.vector(mu, sigma), rng, span, frac)
+    return perturb_vector(chain.vector(mu, sigma**2), rng, span, frac)
 
 
 def chain_parts(x):
-    """(res, dist, bg, line) of a `PARAM_NAMES` vector, as `full_chain_response` takes them."""
+    """(res, dist, bg, line) of a `PARAM_NAMES` vector, as `full_chain_response`
+    takes them; sigma = sqrt(v), so sigma**2 is v again when v is a square."""
     values = dict(zip(PARAM_NAMES, x), f_r=x[PARAM_NAMES.index("mu")])
+    values["sigma"] = np.sqrt(values["v"])
     return tuple(
         kind(**{f.name: values[f.name] for f in fields(kind)})
         for kind in (ResonatorParams, FreqDistribution, BackgroundParams, LineParams)

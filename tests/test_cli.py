@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bolostat import cli
+from bolostat import cli, pipeline
 
 from test_pipeline import MALFORMED, decode_f8, encode_f8, make_config
 
@@ -324,6 +324,25 @@ def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("1e-9,0.5,0.1", "row 2: expected 2 fields, got 3"),
+        ("1e-9", "row 2: expected 2 fields, got 1"),
+        ("1e-9,x", "row 2, column 'v': cannot read 'x'"),
+        ("t,0.5", "row 2, column 't_s': cannot read 't'"),
+    ],
+    ids=["three-fields", "one-field", "bad-sample", "bad-time"],
+)
+def test_demod_names_the_row_of_a_malformed_line(tmp_path, capsys, row, message):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"t_s,v\n0.0,0.5\n{row}\n2e-9,0.5\n")
+    out = tmp_path / "iq.csv"
+    assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}: {message}\n"
+    assert not out.exists()
+
+
 def test_demod_rejects_a_non_finite_sample(tmp_path, capsys):
     t = np.arange(400) / 250e6
     v = [repr(float(x)) for x in 0.6 * np.cos(2 * np.pi * 62.5e6 * t)]
@@ -350,6 +369,25 @@ def test_report_merges_series(tmp_path, thermal_config_file):
     rows = list(csv.DictReader(merged.read_text().splitlines()))
     assert {r["series"] for r in rows} == {"thermal", "coherent"}
     assert set(rows[0]) == {"series", "mean_n", "variance_n", "g2"}
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("0.5,523000000.0", "row 2: expected 10 fields, got 2"),
+        ("0.5,abc,1.0,1.0,1.0,2.0,1e-20,1,7,1e-16", "row 2, column 'mu_hz': cannot read 'abc'"),
+        ("0.5,5e8,1.0,1.0,1.0,2.0,1e-20,yes,7,1e-16", "row 2, column 'converged': cannot read 'yes'"),
+    ],
+    ids=["short-row", "bad-float", "bad-flag"],
+)
+def test_report_names_the_file_row_and_column(tmp_path, capsys, row, message):
+    good = "0.5,5e8,1.0,1.0,1.0,2.0,1e-20,1,7,1e-16"
+    src = tmp_path / "s.csv"
+    src.write_text(",".join(pipeline.STATS_HEADER) + f"\n{good}\n{row}\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["report", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
+    assert not out.exists()
 
 
 def test_report_label_mismatch(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -41,7 +42,6 @@ from bolostat.response import (
     _background_jacobian,
     _delay,
     _line_jacobian,
-    sigma_floor,
 )
 
 from conftest import (
@@ -70,7 +70,7 @@ def add_noise(values, noise, seed):
 
 
 def synth_sweep(mu, sigma, chain=CHAIN_TRUE, freqs=PROBE_GRID, noise=0.0, seed=0):
-    values = _chain_model(chain.vector(mu, sigma), freqs)
+    values = _chain_model(chain.vector(mu, sigma**2), freqs)
     if noise > 0:
         values = add_noise(values, noise, seed)
     return ComplexSweep(freqs=freqs, values=values)
@@ -343,7 +343,7 @@ class TestPolynomialFit:
 
 class TestBaseCalibration:
     def test_all_twelve_recovered_from_perturbed_init(self):
-        truth = CHAIN_TRUE.vector(MU, 0.1e6)
+        truth = CHAIN_TRUE.vector(MU, 0.1e6**2)
         for seed in range(5):
             _, calib = base_calibration(sigma=0.1e6, seed=seed)
             fitted = calib.fit.params
@@ -356,12 +356,12 @@ class TestBaseCalibration:
 
     def test_truth_init_converges_immediately(self):
         sweep = synth_sweep(MU, 0.1e6)
-        calib = fit_base_calibration(sweep, CHAIN_TRUE.vector(MU, 0.1e6))
+        calib = fit_base_calibration(sweep, CHAIN_TRUE.vector(MU, 0.1e6**2))
         assert calib.fit.converged
         assert calib.fit.residual_norm < 1e-12
 
     @pytest.mark.parametrize(
-        "init", [CHAIN_TRUE.vector(MU, 0.1e6)[:-1], np.full(12, np.nan)], ids=["short", "nan"]
+        "init", [CHAIN_TRUE.vector(MU, 0.1e6**2)[:-1], np.full(12, np.nan)], ids=["short", "nan"]
     )
     def test_init_must_be_twelve_finite_scalars(self, init):
         with pytest.raises(ValueError, match="PARAM_NAMES"):
@@ -379,15 +379,15 @@ class TestBaseCalibration:
 
         monkeypatch.setattr(fk, "_chain_jacobian", flat_phi)
         with pytest.raises(RankDeficiencyError, match="degenerate directions: phi$"):
-            fit_base_calibration(synth_sweep(MU, 0.1e6), CHAIN_TRUE.vector(MU, 0.1e6))
+            fit_base_calibration(synth_sweep(MU, 0.1e6), CHAIN_TRUE.vector(MU, 0.1e6**2))
 
     def test_frozen_set_is_the_documented_partition(self):
         assert FROZEN_PARAM_NAMES == ("gamma", "s_b", "gamma_bc", "gamma_b", "tau", "varphi")
-        assert MEASUREMENT_PARAM_NAMES == ("mu", "sigma", "gamma_c", "phi", "f_b", "phi_b")
+        assert MEASUREMENT_PARAM_NAMES == ("mu", "v", "gamma_c", "phi", "f_b", "phi_b")
 
     def test_unmodeled_second_background_resonance_is_flagged(self):
         # data carry a second background resonance 80 MHz up, model assumes one
-        values = two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6), PROBE_GRID)
+        values = two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), PROBE_GRID)
         sweep = ComplexSweep(PROBE_GRID, values)
         rng = np.random.default_rng(1)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, rng, 30e6)
@@ -399,7 +399,7 @@ class TestBaseCalibration:
     def test_second_background_resonance_in_window_is_flagged(self, noise):
         # the second resonance sits at 513 MHz, inside the probe window; at
         # noise 0.01 the residual is more than twice the trace's noise level
-        values = two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6), PROBE_GRID, spacing=-18e6)
+        values = two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), PROBE_GRID, spacing=-18e6)
         values = add_noise(values, noise, seed=3)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
         calib = fit_base_calibration(ComplexSweep(PROBE_GRID, values), init)
@@ -412,7 +412,7 @@ class TestBaseCalibration:
         # so few points for noise and passed this misfit.
         grid = np.linspace(PROBE_GRID[0], PROBE_GRID[-1], 41)
         noise = 5e-5
-        values = add_noise(two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6), grid), noise, seed=3)
+        values = add_noise(two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), grid), noise, seed=3)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
         calib = fit_base_calibration(ComplexSweep(grid, values), init, residual_tol=1e-4)
         assert calib.fit.residual_norm > 2.5 * noise * np.ptp(np.abs(values))
@@ -473,10 +473,13 @@ class TestMeasurementFit:
             assert abs(sigma / 1.0e6 - 1) < 0.01, gamma
 
     def test_zero_broadening_fits_sigma_near_its_floor(self):
+        # the floor is v = 0, where the line is the bare Lorentzian: a
+        # measurement trace that ends there is flagged
         _, calib = base_calibration()
         sweep = synth_sweep(522e6, 0.0)
-        mu, sigma, fit = fit_measurements([sweep], calib)[0]
-        assert sigma <= 1e-5 * GAMMA  # near the floor
+        with pytest.warns(DegenerateSigmaWarning, match="v = 0"):
+            mu, sigma, fit = fit_measurements([sweep], calib)[0]
+        assert sigma == 0.0 and fit.converged
         assert abs(mu - 522e6) < 1e3
 
     def test_noise_robust_sigma(self):
@@ -545,13 +548,14 @@ def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
     assert len(dataset.records) == 9
     assert batches == [1, 1, 9]
     assert all(n > 0 for n in evals)
-    # only the base calibration ends at the sigma floor
-    assert sum(issubclass(w.category, DegenerateSigmaWarning) for w in caught) == 1
+    # the base calibration ends at v = 0, the zero-input answer, which is
+    # not degenerate, and no measurement trace does
+    assert not caught
 
 
 def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     # the FitResult describes the point the LM returned: no chain-model
-    # evaluation after it may move sigma or the residual
+    # evaluation after it may move v or the residual
     import bolostat.fitkit as fk
 
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
@@ -583,15 +587,15 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     _, sigma, fit = fit_measurements([sweep], calibration)[0]
     gamma = calibration.fit.params[PARAM_NAMES.index("gamma")]
     lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
-    assert sigma > lo[PARAM_NAMES.index("sigma")]
+    assert sigma**2 > lo[PARAM_NAMES.index("v")]
     assert calls and all(calls)
 
 
 def stacked_free_columns(x, freqs, free):
     """The real Jacobian `_fit_free` hands `_lm` for one vector, built as the
     stacked complex columns: each column of the line, background and delay
-    parts times its factor, the free ones taken out, a free sigma's over
-    2*sigma, real parts over imaginary parts."""
+    parts times its factor, the free ones taken out, real parts over
+    imaginary parts."""
     x = np.asarray(x, dtype=float)
     delay = _delay(*x[_DELAY], freqs)
     background, d_background = _background_jacobian(*x[_BACKGROUND], freqs)
@@ -604,29 +608,26 @@ def stacked_free_columns(x, freqs, free):
         + [d * value for d in (1j * freqs, 1j)]
     )
     Jc = np.stack(np.broadcast_arrays(*columns), axis=-1)[:, free]
-    sigma = PARAM_NAMES.index("sigma")
-    if sigma in free:
-        Jc[:, free.index(sigma)] /= 2.0 * x[sigma]
     return np.concatenate([Jc.real, Jc.imag], axis=0)
 
 
 @pytest.mark.parametrize("stage", ["calibration", "measurement"])
 def test_lm_gets_the_stacked_free_columns_column_contiguous(monkeypatch, stage):
-    # the Jacobian of every row of a batch straddling the sigma floor is
-    # bitwise the stacked complex free columns, and each of its columns is
-    # contiguous: the memory order the LM's BLAS calls were pinned with
+    # the Jacobian of every row of a batch with rows at v = 0 and above, and
+    # points on both sides of the |a| = 8c seam, is bitwise the stacked
+    # complex free columns, and each of its columns is contiguous: the
+    # memory order the LM's BLAS calls were pinned with
     import bolostat.fitkit as fk
 
-    floor = sigma_floor(GAMMA)
     starts = np.array(
         [
-            CHAIN_TRUE.vector(mu, sigma)
-            for mu, sigma in ((MU, 0.5 * floor), (MU + 1e6, 0.3e6), (MU - 2e6, 0.5 * floor), (MU, 1.1e6))
+            CHAIN_TRUE.vector(mu, sigma**2)
+            for mu, sigma in ((MU, 0.0), (MU + 1e6, 0.3e6), (MU - 2e6, 0.0), (MU, 1.1e6))
         ]
     )
     every = list(range(len(PARAM_NAMES)))
     free = every if stage == "calibration" else [PARAM_NAMES.index(n) for n in MEASUREMENT_PARAM_NAMES]
-    data = np.repeat(_chain_model(CHAIN_TRUE.vector(MU, 0.4e6), PROBE_GRID)[None], len(starts), axis=0)
+    data = np.repeat(_chain_model(CHAIN_TRUE.vector(MU, 0.4e6**2), PROBE_GRID)[None], len(starts), axis=0)
     lo, hi = _default_bounds(PROBE_GRID, GAMMA)
     seen = []
 
@@ -643,9 +644,8 @@ def test_lm_gets_the_stacked_free_columns_column_contiguous(monkeypatch, stage):
     X = np.empty_like(starts)
     X[:] = starts[0]
     X[:, free] = x0
-    X[:, PARAM_NAMES.index("sigma")] = np.sqrt(X[:, PARAM_NAMES.index("sigma")])
-    assert (X[:, PARAM_NAMES.index("sigma")] <= floor).any()
-    assert (X[:, PARAM_NAMES.index("sigma")] > floor).any()
+    assert (X[:, PARAM_NAMES.index("v")] == 0.0).any()
+    assert (X[:, PARAM_NAMES.index("v")] > 0.0).any()
     for k, x in enumerate(X):
         np.testing.assert_array_equal(J[k], stacked_free_columns(x, PROBE_GRID, free))
 
@@ -660,8 +660,8 @@ def noisy_base_dataset(seed):
 def test_noisy_calibration_leaves_the_sigma_floor_in_few_steps(monkeypatch, seed):
     # thermal base traces at noise 0.01 whose stage B, stepping in sigma,
     # took 17 iterations after rejected trials.  In the variance coordinate
-    # sigma's column at the floor is L''/2 instead of sigma*L'', so it is
-    # far from the dead-column threshold and the first steps are accepted.
+    # v's column at v = 0 is L''/2 instead of sigma*L'' = 0, so it is far
+    # from the dead-column threshold and the first steps are accepted.
     import bolostat.fitkit as fk
 
     real_lm = fk._lm
@@ -680,23 +680,23 @@ def test_noisy_calibration_leaves_the_sigma_floor_in_few_steps(monkeypatch, seed
         return fits, failures
 
     monkeypatch.setattr(fk, "_lm", recording)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSigmaWarning)
-        assert run_calibration(noisy_base_dataset(seed)).fit.converged
+    assert run_calibration(noisy_base_dataset(seed)).fit.converged
     names, x0, scales, costs, [fit], evaluate = stages[1]  # stage B
     assert names == tuple(PARAM_NAMES)
     assert fit.n_iter <= 8
     # the start, then every trial lowered the cost; the last call is the polish
     assert all(b < a for a, b in zip(costs[:-2], costs[1:-1]))
-    # sigma's natural-scale column at the start is not near-dead
+    # v's natural-scale column at the start, v = 0, is not near-dead
+    assert x0[0, PARAM_NAMES.index("v")] == 0.0
     _, J = evaluate(x0, [0])
     col_nat = np.linalg.norm(J[0], axis=0) * scales[0]
-    assert col_nat[PARAM_NAMES.index("sigma")] >= 1e-8 * col_nat.max()
+    assert col_nat[PARAM_NAMES.index("v")] >= 1e-8 * col_nat.max()
 
 
-def test_sigma_covariance_is_the_sigma_coordinate_one():
-    # the fits step in sigma**2 but report sigma: the covariance they return
-    # is the one formed from sigma's own Jacobian at the returned point
+def test_covariance_is_the_v_coordinate_one():
+    # the fits step in v = sigma**2 and report their FitResults in v: the
+    # covariance they return is the one formed from v's own Jacobian at the
+    # returned point, and the reported sigma is sqrt(v)
     dataset = noisy_base_dataset(1)
     calibration = run_calibration(dataset)
     sweeps = [point.sweep for point in dataset.records]
@@ -705,7 +705,7 @@ def test_sigma_covariance_is_the_sigma_coordinate_one():
     for sweep, (mu, sigma, fit) in zip(sweeps, fit_measurements(sweeps, calibration)):
         x = calibration.fit.params.copy()
         x[free] = fit.params
-        assert (x[PARAM_NAMES.index("mu")], x[PARAM_NAMES.index("sigma")]) == (mu, sigma)
+        assert (x[PARAM_NAMES.index("mu")], math.sqrt(x[PARAM_NAMES.index("v")])) == (mu, sigma)
         jc = chain_jac(x, freqs)[:, free]
         J = np.concatenate([jc.real, jc.imag])
         m, n = J.shape

@@ -2,6 +2,8 @@ import base64
 import io
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from bolostat import (
     PARAM_NAMES,
     ComplexSweep,
     ConfigError,
+    DegenerateSigmaWarning,
     SweepConfig,
     SweepDataset,
     extract_statistics,
     planck_mean_photon,
     RadiatorState,
-    sigma_floor,
     simulate_sweep,
 )
 from bolostat.pipeline import (
@@ -36,6 +38,7 @@ from bolostat.response import _chain_model
 from conftest import CHAIN_TRUE
 
 HF_OVER_K = 0.40448020624971226  # 8.428 GHz in kelvin
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
 def temp_for_mean(n):
@@ -265,12 +268,15 @@ class TestSimulate:
     @pytest.mark.parametrize("mode", ["thermal", "coherent", "mixed"])
     def test_traces_are_the_chain_model(self, mode):
         # the delay and background are evaluated once per sweep; every
-        # noiseless trace is still the chain model at its truth
+        # noiseless trace, the base trace at v = 0 included, is still the
+        # chain model at its truth
         cfg = make_config(mode=mode)
         dataset = simulate_sweep(cfg)
         grid = cfg.probe_grid()
         for point in (dataset.base, *dataset.records):
-            x = cfg.chain.vector(point.truth["mu_hz"], point.truth["sigma_hz"])
+            v = point.truth["variance_n"] / cfg.alpha_photon_per_hz**2
+            assert point.truth["sigma_hz"] == math.sqrt(v)
+            x = cfg.chain.vector(point.truth["mu_hz"], v)
             assert np.array_equal(point.sweep.values, _chain_model(x, grid))
             assert point.sweep.freqs is dataset.base.sweep.freqs
         assert not dataset.base.sweep.freqs.flags.writeable
@@ -321,12 +327,35 @@ class TestExtraction:
             recomputed = 1.0 + (r.variance_n - r.mean_n) / r.mean_n**2
             assert abs(r.g2 - recomputed) < 1e-12
 
+    @pytest.mark.parametrize("name", ["thermal", "coherent", "mixed"])
+    def test_clean_shipped_configs_round_trip_to_round_off(self, name):
+        # the clean base trace is fitted at v = 0, its truth, so the frozen
+        # chain is exact and every clean measurement fit ends at round-off
+        raw = json.loads((SHIPPED / f"{name}.json").read_text())
+        dataset = simulate_sweep(SweepConfig.from_dict(raw))
+        calibration = run_calibration(dataset)
+        assert calibration.fit.params[PARAM_NAMES.index("v")] == 0.0
+        records = extract_statistics(dataset, calibration)
+        assert max(r.residual_norm for r in records) <= 1e-15
+
+    @pytest.mark.parametrize("noise,seed", [(0.0, 7), (0.01, 2)])
+    def test_base_calibration_at_zero_broadening_raises_no_warning(self, noise, seed):
+        # the base trace's v = 0 is the zero-input answer, not a degenerate
+        # fit; both of these calibrations end there
+        raw = dict(json.loads((SHIPPED / "thermal.json").read_text()), noise=noise, seed=seed)
+        dataset = simulate_sweep(SweepConfig.from_dict(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calibration = run_calibration(dataset)
+            extract_statistics(dataset, calibration)
+        assert calibration.fit.params[PARAM_NAMES.index("v")] == 0.0
+        assert not [w for w in caught if issubclass(w.category, DegenerateSigmaWarning)]
+
     def test_calibration_starts_sigma_on_its_bound(self, monkeypatch):
-        # gamma_c = 0.95*gamma, seed 13: the perturbed start lowers gamma, so
-        # the floor of the config's gamma lies just above the fit box's bound
-        # (the floor of the start's gamma).  A sigma started there had a dead
-        # column, and stage B raised RankDeficiencyError.  Stage B steps in
-        # sigma**2, so its start and bound are the squares.
+        # gamma_c = 0.95*gamma, seed 13: a start whose broadening sat on a
+        # bound that depended on the perturbed gamma once had a dead column,
+        # and stage B raised RankDeficiencyError.  Stage B steps in
+        # v = sigma**2 and starts at v = 0, its bound, whatever gamma is.
         import bolostat.fitkit as fk
 
         raw = make_config(seed=13).to_dict()
@@ -344,8 +373,8 @@ class TestExtraction:
         assert run_calibration(dataset).fit.converged
         names, init, lo = starts[1]  # stage B: all twelve free
         assert names == tuple(PARAM_NAMES)
-        sigma = PARAM_NAMES.index("sigma")
-        assert init[sigma] == lo[sigma] < sigma_floor(cfg.chain.gamma) ** 2
+        v = PARAM_NAMES.index("v")
+        assert init[v] == lo[v] == 0.0
 
     def test_retired_keys_in_old_files_are_ignored(self):
         # configs and datasets written while `workers`, `init_perturbation`
@@ -486,7 +515,7 @@ class TestPersistence:
         assert math.copysign(1.0, again.sigma_hz) == -1.0
 
     def test_stats_csv_short_row_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^row 1: expected 10 fields, got 2$"):
             stats_from_csv(io.StringIO(",".join(STATS_HEADER) + "\n0.5,523000000.0\n"))
 
     @pytest.mark.parametrize("reader", [stats_from_csv])

@@ -18,7 +18,6 @@ from bolostat import (
     background_transfer,
     bare_reflection,
     full_chain_response,
-    sigma_floor,
 )
 
 from bolostat.fitkit import _default_bounds
@@ -94,14 +93,22 @@ class TestAveragedReflection:
             averaged_reflection(RES, dist, probe_grid), expected
         )
 
-    def test_continuity_across_sigma_floor(self, probe_grid):
-        # just above the floor the closed form must sit on the bare line
-        floor = sigma_floor(GAMMA)
-        dist = FreqDistribution(mu=MU, sigma=floor * (1 + 1e-9))
-        grid = np.linspace(MU - 10 * GAMMA, MU + 10 * GAMMA, 301)
-        a = averaged_reflection(RES, dist, grid)
-        b = bare_reflection(RES, grid)
-        assert np.max(np.abs(a - b)) < 1e-6
+    def test_line_and_v_column_match_mpmath_down_to_zero_broadening(self):
+        # the line is analytic in v down to 0: the value and v's column
+        # agree with extended precision from sigma = 0 (the bare line)
+        # through a few Hz to 2 MHz, on both sides of the |a| = 8c seam
+        grid = np.concatenate([np.linspace(MU - 15e6, MU + 15e6, 31), MU + np.array([0.0, 1e3, 2e6])])
+        a = GAMMA / 2 + 2j * np.pi * (MU - grid)
+        sides = set()
+        for sigma in (0.0, 1.5, 3.0, 300.0, 3e4, 2e5, 2e6):
+            line, d_line = _line_jacobian(MU, sigma**2, GAMMA_C, 0.4, GAMMA, grid)
+            np.testing.assert_array_equal(line, _line(MU, sigma**2, GAMMA_C, 0.4, GAMMA, grid))
+            for k in range(grid.size):
+                ref, ref_v = line_ref(complex(a[k]), sigma, GAMMA_C, 0.4)
+                assert abs(line[k] - ref) <= 1e-12 * abs(ref), (sigma, grid[k])
+                assert abs(d_line[1][k] - ref_v) <= 1e-12 * abs(ref_v), (sigma, grid[k])
+            sides |= set(np.abs(a) > 8 * 2 * np.sqrt(2) * np.pi * sigma)
+        assert sides == {True, False}
 
     @pytest.mark.parametrize("sigma_over_linewidth", [1e-3, 0.01, 0.1, 0.3])
     def test_matches_gauss_hermite_quadrature(self, sigma_over_linewidth, probe_grid):
@@ -229,15 +236,15 @@ class TestFullChain:
 
     def test_raw_vector_model_is_bitwise_the_dataclass_model(self, probe_grid):
         # the fits and the synthesis run on _chain_model; it must be the same
-        # expression as full_chain_response, on both sides of the sigma floor
+        # expression as full_chain_response, from v = 0 up to sigma = 3 MHz
         rng = np.random.default_rng(23)
         at = {name: i for i, name in enumerate(PARAM_NAMES)}
         for k in range(20):
             x = perturb_vector(CHAIN_TRUE.vector(MU, 0.0), rng, 30e6, frac=0.3)
             for name in PHASE_NAMES:
                 x[at[name]] = rng.uniform(-np.pi, np.pi)
-            side = 1.0 if k % 2 else -1.0
-            x[at["sigma"]] = sigma_floor(x[at["gamma"]]) * 10 ** (side * rng.uniform(0.01, 4))
+            # a square, so that the dataclass's sigma = sqrt(v) squares back to v
+            x[at["v"]] = 0.0 if k % 5 == 0 else (10 ** rng.uniform(-3, 6.5)) ** 2
             np.testing.assert_array_equal(
                 _chain_model(x, probe_grid), full_chain_response(*chain_parts(x), probe_grid)
             )
@@ -260,11 +267,18 @@ def fd_steps(x, f_p):
 
 
 def central_differences(x, f_p):
-    """Central-difference columns of _chain_model's Jacobian, with a roundoff bound each."""
+    """Central-difference columns of _chain_model's Jacobian, with a roundoff
+    bound each; v's column by the heat equation, since a difference in v
+    cannot step below v = 0."""
     steps = fd_steps(x, f_p)
     eps = np.finfo(float).eps * np.max(np.abs(_chain_model(x, f_p)))
     cols, slack = [], []
     for i in range(len(PARAM_NAMES)):
+        if PARAM_NAMES[i] == "v":
+            col, bound = v_by_heat_equation(x, f_p)
+            cols.append(col)
+            slack.append(bound)
+            continue
         xp, xm = x.copy(), x.copy()
         xp[i] += steps[i]
         xm[i] -= steps[i]
@@ -275,13 +289,9 @@ def central_differences(x, f_p):
     return np.column_stack(cols), np.array(slack)
 
 
-def sigma_by_heat_equation(x, f_p):
-    """dS/dsigma = sigma d^2S/dmu^2 (the Gaussian average solves the heat
-    equation), as a second difference in mu, with its roundoff bound.
-
-    A difference in sigma itself cancels to nothing near the floor, where S
-    moves by ~1e-12 per Hz of sigma, and is flat below it.
-    """
+def v_by_heat_equation(x, f_p):
+    """dS/dv = d^2S/dmu^2 / 2 (the Gaussian average solves the heat
+    equation), as a second difference in mu, with its roundoff bound."""
     s0 = _chain_model(x, f_p)
     eps = np.finfo(float).eps * np.max(np.abs(s0))
     # well inside the narrowest feature: the fourth-order term stays below
@@ -293,7 +303,30 @@ def sigma_by_heat_equation(x, f_p):
     xm[at] -= h
     hp, hm = xp[at] - x[at], x[at] - xm[at]
     d2 = 2 * ((_chain_model(xp, f_p) - s0) / hp - (s0 - _chain_model(xm, f_p)) / hm) / (hp + hm)
-    return x[AT["sigma"]] * d2, 16 * x[AT["sigma"]] * eps / (hp * hm)
+    return 0.5 * d2, 8 * eps / (hp * hm)
+
+
+def line_ref(a, sigma, gamma_c, phi):
+    """The averaged line and its v-derivative at a = gamma/2 + 2 pi i (mu - f_p)
+    in extended precision: 1 - e^{i phi} gamma_c M with M = sqrt(pi)
+    erfcx(a/c)/c, c = 2 sqrt(2) pi sigma, and dM/dv = -2 pi^2 d^2M/da^2 by
+    the heat equation; at sigma = 0, M = 1/a and dM/dv = -4 pi^2/a^3."""
+    with mp.workdps(40):
+        a = mp.mpc(a)
+        if sigma == 0:
+            m, dm_dv = 1 / a, -4 * mp.pi**2 / a**3
+        else:
+            c = 2 * mp.sqrt(2) * mp.pi * mp.mpf(sigma)
+            z = a / c
+            # erfcx'' = (2 + 4 z^2) erfcx - 4 z/sqrt(pi) cancels about two
+            # digits per decade of |z|
+            with mp.workdps(40 + math.ceil(2 * math.log10(max(abs(z), 1.0)))):
+                w = mp.exp(z * z) * mp.erfc(z)
+                m = mp.sqrt(mp.pi) * w / c
+                d2w = (2 + 4 * z * z) * w - 4 * z / mp.sqrt(mp.pi)
+                dm_dv = -2 * mp.pi**2 * mp.sqrt(mp.pi) * d2w / c**3
+        p = mp.exp(1j * mp.mpf(phi)) * gamma_c
+        return complex(1 - p * m), complex(-p * dm_dv)
 
 
 def g_ref(z):
@@ -320,7 +353,7 @@ class TestChainJacobian:
     @pytest.mark.parametrize("sigma", [0.3e6, 0.9e6, 1.8e6, 2.8e6])
     def test_columns_match_central_differences_on_criterion_3_grid(self, sigma):
         for mu in np.linspace(510e6, 530e6, 5):
-            x = CHAIN_TRUE.vector(mu, sigma)
+            x = CHAIN_TRUE.vector(mu, sigma**2)
             jac = complex_jacobian(x, self.FREQS)
             ref, _ = central_differences(x, self.FREQS)
             err = np.max(np.abs(jac - ref), axis=0)
@@ -333,12 +366,12 @@ class TestChainJacobian:
     @settings(max_examples=60, deadline=None)
     @given(
         unit=st.lists(st.floats(0.0, 1.0), min_size=len(PARAM_NAMES), max_size=len(PARAM_NAMES)),
-        above_floor=st.booleans(),
+        zero=st.booleans(),
     )
-    def test_columns_match_differences_inside_the_fit_box(self, unit, above_floor):
+    def test_columns_match_differences_inside_the_fit_box(self, unit, zero):
         # rates and scales log-uniform, frequencies, phases and delay
-        # uniform, inside the box the staged fits search; sigma on either
-        # side of its floor (the box's lower sigma bound)
+        # uniform, inside the box the staged fits search; v at its lower
+        # bound 0, or sigma = sqrt(v) log-uniform from 1 mHz to the box top
         lo, hi = _default_bounds(PROBE_GRID, GAMMA)
         x = np.empty(len(PARAM_NAMES))
         for i, name in enumerate(PARAM_NAMES):
@@ -346,15 +379,13 @@ class TestChainJacobian:
                 x[i] = np.pi * (2 * unit[i] - 1)
             elif name in ("mu", "f_b", "tau"):
                 x[i] = lo[i] + unit[i] * (hi[i] - lo[i])
+            elif name == "v":
+                x[i] = 0.0 if zero else (1e-3 * (np.sqrt(hi[i]) / 1e-3) ** unit[i]) ** 2
             else:
                 x[i] = lo[i] * (hi[i] / lo[i]) ** unit[i]
-        floor = sigma_floor(x[AT["gamma"]])
-        u = unit[AT["sigma"]]
-        x[AT["sigma"]] = floor * (20e6 / floor) ** u if above_floor else floor * 1e-3**u
         f_p = PROBE_GRID[::10]
         jac = complex_jacobian(x, f_p)
         ref, slack = central_differences(x, f_p)
-        ref[:, AT["sigma"]], slack[AT["sigma"]] = sigma_by_heat_equation(x, f_p)
         for i, name in enumerate(PARAM_NAMES):
             scale = np.max(np.abs(jac[:, i]))
             err = np.max(np.abs(jac[:, i] - ref[:, i]))
@@ -374,37 +405,40 @@ class TestChainJacobian:
             assert abs(g[k] - ref_g) <= 1e-10 * abs(ref_g), z[k]
             assert abs(dw[k] - ref_dw) <= 1e-10 * abs(ref_dw), z[k]
 
-    def test_floor_branch_sigma_column_is_the_right_derivative(self, probe_grid):
-        floor = sigma_floor(GAMMA)
-        line = (MU, floor, GAMMA_C, 0.4, GAMMA)
-        _, d_floor = _line_jacobian(*line, probe_grid)
-        # sigma * d^2L/dmu^2 of the bare line, by a second difference
+    def test_v_column_at_zero_matches_a_one_sided_difference(self, probe_grid):
+        # at v = 0, the lower bound, the column is the right derivative: a
+        # forward difference in v, and half the second difference of the
+        # bare line in mu; it is not zero, so a fit can leave the bound
+        line = (MU, 0.0, GAMMA_C, 0.4, GAMMA)
+        value, d_zero = _line_jacobian(*line, probe_grid)
+        h = 1e6  # (1 kHz)^2
+        forward = (_line(MU, h, *line[2:], probe_grid) - value) / h
+        np.testing.assert_allclose(d_zero[1], forward, rtol=1e-5)
         h = 1e3
         d2 = (
             _line(MU + h, 0.0, *line[2:], probe_grid)
-            - 2 * _line(MU, 0.0, *line[2:], probe_grid)
+            - 2 * value
             + _line(MU - h, 0.0, *line[2:], probe_grid)
         ) / h**2
-        np.testing.assert_allclose(d_floor[1], floor * d2, rtol=1e-5)
-        assert np.all(np.abs(d_floor[1]) > 0)
-        # and the Voigt branch just above the floor continues it
-        _, d_above = _line_jacobian(MU, floor * (1 + 1e-9), *line[2:], probe_grid)
-        np.testing.assert_allclose(d_above[1], d_floor[1], rtol=1e-8)
+        np.testing.assert_allclose(d_zero[1], 0.5 * d2, rtol=1e-5)
+        assert np.all(np.abs(d_zero[1]) > 0)
+        # and the column is continuous in v from 0
+        _, d_above = _line_jacobian(MU, 1.0, *line[2:], probe_grid)
+        np.testing.assert_allclose(d_above[1], d_zero[1], rtol=1e-8)
 
 
 class TestBatchedChain:
     def test_rows_are_bitwise_the_single_vector_calls(self, probe_grid):
-        # a (B, 12) batch with rows below, on and above the sigma floor, and
-        # with |z| both sides of the series switch: each row of the model and
-        # of the Jacobian is the call on that row alone, and the value that
-        # comes with the Jacobian is the model's, bitwise
-        floor = sigma_floor(GAMMA)
+        # a (B, 12) batch with rows at v = 0 and above, and points on both
+        # sides of the |a| = 8c seam: each row of the model and of the
+        # Jacobian is the call on that row alone, and the value that comes
+        # with the Jacobian is the model's, bitwise
         rows = [
-            CHAIN_TRUE.vector(MU, sigma)
-            for sigma in (0.0, floor, floor * (1 + 1e-9), 1e3, 0.4e6, 2.8e6)
+            CHAIN_TRUE.vector(MU, sigma**2)
+            for sigma in (0.0, 1.5, 3.0, 1e3, 0.4e6, 2.8e6)
         ]
         span = probe_grid[-1] - probe_grid[0]
-        rows.append(perturb_vector(CHAIN_TRUE.vector(515e6, 1.1e6), np.random.default_rng(3), span))
+        rows.append(perturb_vector(CHAIN_TRUE.vector(515e6, 1.1e6**2), np.random.default_rng(3), span))
         x = np.array(rows)
         every = range(len(PARAM_NAMES))
         model, (value, jac) = _chain_model(x, probe_grid), _chain_jacobian(x, probe_grid, every)
