@@ -136,17 +136,15 @@ def _cmd_demod(args):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError("empty raw trace file")
+            raise ValueError(f"{args.trace}: empty raw trace file")
         if header != ["t_s", "v"]:
-            sys.stderr.write(f"error: expected raw trace header t_s,v, got {header}\n")
-            return 1
+            raise ValueError(f"{args.trace}: expected raw trace header t_s,v, got {header}")
         try:
             rows = list(pipeline._csv_rows(reader, [(name, float) for name in header]))
         except ValueError as exc:
             raise ValueError(f"{args.trace}: {exc}") from None
     if len(rows) < 2:
-        sys.stderr.write("error: raw trace needs at least 2 samples\n")
-        return 1
+        raise ValueError(f"{args.trace}: raw trace needs at least 2 samples")
     t = np.array([r[0] for r in rows])
     dt = np.diff(t)
     if not np.all(dt > 0):

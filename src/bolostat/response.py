@@ -14,9 +14,8 @@ so ``tau`` is in rad/Hz rather than seconds; anyone comparing against lab
 conventions should divide by 2*pi.
 
 The averaged line is analytic in v down to v = 0, the bare line, so the
-raw vector and the fits carry v, not sigma.  Each probe point takes one of
-two forms of it, split on the circle |z| = 8 of `specfun`: the asymptotic
-series in q = 1/z^2, finite at v = 0, or the rational erfcx (`_mean_inverse`).
+raw vector and the fits carry v, not sigma.  Its one numerical kernel is
+its mean M(a, c), `specfun._mean_inverse`, finite at v = 0.
 """
 
 import math
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _SERIES_FROM, _SQRT_PI, _asymptotic, _erfcx_jet, _per_point, erfcx
+from .specfun import _mean_inverse
 
 __all__ = [
     "ResonatorParams",
@@ -119,47 +118,11 @@ _LINE = slice(0, len(_LINE_NAMES))
 _BACKGROUND = slice(_LINE.stop, _LINE.stop + len(_BACKGROUND_NAMES))
 _DELAY = slice(_BACKGROUND.stop, len(PARAM_NAMES))
 
-_C = 2.0 * math.sqrt(2.0) * math.pi  # c = _C sqrt(v), z = a/c
-
-
-def _mean_inverse(a, c, jet):
-    """The mean M of 1/(a + 2 pi i (f_r - mu)) over f_r ~ N(mu, v), with
-    a = gamma/2 + 2 pi i (mu - f_p) and c = _C sqrt(v), per point: (M,), or
-    with ``jet`` (M, dM/da, dM/dv).  The line is 1 - e^{i phi} gamma_c M.
-
-    Beyond |a| = 8c (|z| = 8), M = S/a, dM/da = 2T/a^2 and dM/dv = -4 pi^2 (T + 2U)/a^3
-    from the series of `specfun._asymptotic` in q = (c/a)^2, finite at
-    c = 0.  Inside it, with z = a/c, M = sqrt(pi) w/c, dM/da = sqrt(pi)
-    w'/c^2 and dM/dv = -4 pi^2 sqrt(pi) g/c^3 from the erfcx jet (w, w', g).
-    M is the same operations with or without ``jet``.
-    """
-    far = np.abs(a) > _SERIES_FROM * c
-    return _per_point(far, (_mean_inverse_far, _mean_inverse_near), (a, c), jet)
-
-
-def _mean_inverse_far(a, c, jet):
-    inv = 1.0 / a
-    u = c * inv
-    parts = _asymptotic(u * u, jet)
-    if not jet:
-        return (parts[0] * inv,)
-    S, T, T2U = parts
-    inv2 = inv * inv
-    return S * inv, 2.0 * T * inv2, -4.0 * math.pi**2 * T2U * inv2 * inv
-
-
-def _mean_inverse_near(a, c, jet):
-    z = a / c
-    s = _SQRT_PI / c
-    if not jet:
-        return (s * erfcx(z),)
-    w, dw, g = _erfcx_jet(z)
-    return s * w, s * dw / c, -4.0 * math.pi**2 * s * g / (c * c)
+_C = 2.0 * math.sqrt(2.0) * math.pi  # c = _C sqrt(v) of `specfun._mean_inverse`
 
 
 def _line(mu, v, gamma_c, phi, gamma, f_p):
-    # averaged line, scalars or broadcastable arrays; each probe point takes
-    # its own side of |a| = 8c (see `_mean_inverse`)
+    # averaged line, scalars or broadcastable arrays
     dprime = TWO_PI * (mu - f_p)
     [m] = _mean_inverse(gamma / 2.0 + 1j * dprime, _C * np.sqrt(v), jet=False)
     return 1.0 - np.exp(1j * phi) * gamma_c * m
@@ -339,13 +302,12 @@ def _bare_grid(res, f_r, f_p):
 _MC_BLOCK_POINTS = 2**16
 
 
-def averaged_reflection_mc(res, dist, f_p, n_samples, seed, chunk=20000):
+def averaged_reflection_mc(res, dist, f_p, n_samples, seed):
     """Monte-Carlo average of `bare_reflection` over f_r ~ N(mu, sigma^2).
 
     Brute-force oracle for `averaged_reflection`.  Draws come from a
     counter-based Philox generator keyed by ``seed``, so the result is
-    reproducible and independent of chunking; the reduction order over
-    chunks is fixed.
+    reproducible; the reduction order over blocks of draws is fixed.
 
     The sum runs in real arithmetic: with a + ib = gamma/2 + i*2*pi*(f_r - f_p),
     the bare line is 1 - e^{i phi} gamma_c (a - ib)/(a^2 + b^2), so only
@@ -360,20 +322,16 @@ def averaged_reflection_mc(res, dist, f_p, n_samples, seed, chunk=20000):
     sum_b_inv = np.zeros(f_p.shape)
     # the (draw, f_p) grid is built a cache-sized block of rows at a time
     rows = max(1, _MC_BLOCK_POINTS // f_p.size)
-    drawn = 0
-    while drawn < n_samples:
-        m = min(chunk, n_samples - drawn)
-        f_r = rng.normal(dist.mu, dist.sigma, m)
-        for start in range(0, m, rows):
-            b = f_r[start : start + rows, None] - f_p[None, :]
-            b *= TWO_PI
-            inv = b * b
-            inv += a * a
-            np.reciprocal(inv, out=inv)
-            sum_inv += inv.sum(axis=0)
-            b *= inv
-            sum_b_inv += b.sum(axis=0)
-        drawn += m
+    for start in range(0, n_samples, rows):
+        f_r = rng.normal(dist.mu, dist.sigma, min(rows, n_samples - start))
+        b = f_r[:, None] - f_p[None, :]
+        b *= TWO_PI
+        inv = b * b
+        inv += a * a
+        np.reciprocal(inv, out=inv)
+        sum_inv += inv.sum(axis=0)
+        b *= inv
+        sum_b_inv += b.sum(axis=0)
     mean_inverse = (a * sum_inv - 1j * sum_b_inv) / n_samples
     out = 1.0 - np.exp(1j * res.phi) * res.gamma_c * mean_inverse
     return out if out.size > 1 else complex(out[0])

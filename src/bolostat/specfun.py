@@ -2,8 +2,8 @@
 
 This is the kernel behind the Gaussian-broadened resonance model: the
 thermometer line averaged over a normally distributed resonance frequency
-reduces to a single erfcx evaluation, so the fitting machinery calls this
-function thousands of times per trace.  Target relative accuracy is 1e-10
+reduces to a single erfcx evaluation, so the fitting machinery evaluates
+it thousands of times per trace.  Target relative accuracy is 1e-10
 on the square |Re z| <= 30, |Im z| <= 30, comfortably below the noise floor
 of any trace we fit.
 
@@ -16,15 +16,17 @@ relative error of a 30-digit reference there.  Beyond it, the classical
 asymptotic expansion erfcx(z) ~ (1/(sqrt(pi) z)) sum_k a_k z^(-2k),
 a_k = (-1)^k (2k-1)!!/2^k (Abramowitz & Stegun 7.1.23), truncated after
 a_25, whose first omitted term is 5e-22 relative at |z| = 8 and
-shrinks further out (|z| up to 1e15 is tested).  The same series gives
-erfcx'(z) and the sigma factor g(z) without the cancellation of their
-closed forms (`_erfcx_jet` returns all three from one call).  z = 0 is
-returned as exactly 1.
+shrinks further out (|z| up to 1e15 is tested).  z = 0 is returned as
+exactly 1.
 
-The Voigt line of `response` splits its probe points on the same circle
-(`_per_point`): beyond it, it calls the series S(q) in q = 1/z^2
-(`_asymptotic`), finite at zero broadening, where z is infinite; inside
-it, `_erfcx_jet`, one call per Jacobian.
+The Voigt line of `response` is the mean M(a, c) = sqrt(pi) erfcx(a/c)/c
+(`_mean_inverse`), and the circle is known here alone: M splits its points
+on |a| = 8c once (`_per_point`).  Beyond it, M and its derivatives come
+from the series S(q) in q = (c/a)^2 (`_asymptotic`), finite at zero
+broadening, where z is infinite, and free of the cancellation in the
+closed forms of erfcx'(z) and of the sigma factor g(z); inside it, from the
+rational form and those closed forms.  `erfcx` takes the same two forms,
+its far one as M at c = 1.
 
 Negative real parts are handled through the reflection formula
 erfcx(z) = 2 exp(z^2) - erfcx(-z); when exp(z^2) is not representable in
@@ -125,34 +127,6 @@ def _asymptotic(q, jet):
     return S, T, T + 2.0 * U
 
 
-def _series(y, jet):
-    """erfcx(y) for |y| > _SERIES_FROM, Re y >= 0, by its asymptotic series;
-    with ``jet`` also erfcx'(y) and g(y), from the same series.
-
-    With u = 1/y and q = u^2: erfcx = S u/sqrt(pi), erfcx' = 2 q T/sqrt(pi)
-    and g = q u (T + 2 U)/sqrt(pi) (see `_asymptotic`).
-    """
-    u = 1.0 / y
-    q = u * u
-    parts = _asymptotic(q, jet)
-    w = parts[0] * u / _SQRT_PI
-    if not jet:
-        return (w,)
-    _, T, T2U = parts
-    return w, 2.0 * q * T / _SQRT_PI, q * u * T2U / _SQRT_PI
-
-
-def _near(y, jet):
-    """erfcx(y) for Re y >= 0 by the rational form, with ``jet`` erfcx'(y)
-    and g(y) by their closed forms."""
-    w = _w_rational(1j * y)
-    # the rational form gives 1 - 2.2e-16 at the origin
-    w[y == 0.0] = 1.0
-    if not jet:
-        return (w,)
-    return w, 2.0 * y * w - 2.0 / _SQRT_PI, (1.0 + 2.0 * y * y) * w - 2.0 * y / _SQRT_PI
-
-
 def _per_point(far, sides, arrays, *args):
     """``sides[0](*arrays, *args)`` at the points ``far`` and ``sides[1]`` at
     the others, each a tuple of complex arrays, merged point by point; the
@@ -173,15 +147,64 @@ def _per_point(far, sides, arrays, *args):
     return parts
 
 
-def _kernel(flat, jet):
-    """erfcx over a flat array of finite complex points, as a tuple: (w,),
-    or with ``jet`` (w, erfcx', g), where g(z) = (1 + 2 z^2) erfcx(z) -
-    2 z/sqrt(pi) is the sigma factor of the Voigt line.  A point left of
+def _mean_inverse(a, c, jet):
+    """The mean M of 1/(a + 2 pi i (f_r - mu)) over f_r ~ N(mu, v), with
+    a = gamma/2 + 2 pi i (mu - f_p) and c = 2 sqrt(2) pi sqrt(v), per point:
+    (M,), or with ``jet`` (M, dM/da, dM/dv).  The line is 1 - e^{i phi}
+    gamma_c M, and M = sqrt(pi) erfcx(a/c)/c.
+
+    Beyond |a| = 8c (|z| = 8), M = S/a, dM/da = 2T/a^2 and dM/dv = -4 pi^2 (T + 2U)/a^3
+    from the series of `_asymptotic` in q = (c/a)^2, finite at c = 0.
+    Inside it, with z = a/c, M = sqrt(pi) w/c, dM/da = sqrt(pi) w'/c^2 and
+    dM/dv = -4 pi^2 sqrt(pi) g/c^3, with w = erfcx(z) the rational form and
+    w' and g their closed forms.  Re a = gamma/2 > 0, so neither side
+    reflects.  M is the same operations with or without ``jet``.
+    """
+    return _per_point(np.abs(a) > _SERIES_FROM * c, (_far, _near), (a, c), jet)
+
+
+def _far(a, c, jet):
+    inv = 1.0 / a
+    u = c * inv
+    parts = _asymptotic(u * u, jet)
+    if not jet:
+        return (parts[0] * inv,)
+    S, T, T2U = parts
+    inv2 = inv * inv
+    return S * inv, 2.0 * T * inv2, -4.0 * math.pi**2 * T2U * inv2 * inv
+
+
+def _near(a, c, jet):
+    z = a / c
+    s = _SQRT_PI / c
+    w = _w_rational(1j * z)
+    if not jet:
+        return (s * w,)
+    # erfcx'(z) and the sigma factor g(z) = (1 + 2 z^2) erfcx(z) - 2 z/sqrt(pi)
+    dw = 2.0 * z * w - 2.0 / _SQRT_PI
+    g = (1.0 + 2.0 * z * z) * w - 2.0 * z / _SQRT_PI
+    return s * w, s * dw / c, -4.0 * math.pi**2 * s * g / (c * c)
+
+
+def _erfcx_far(y):
+    # M at c = 1 is sqrt(pi) erfcx(y)
+    [m] = _far(y, 1.0, False)
+    return (m / _SQRT_PI,)
+
+
+def _erfcx_near(y):
+    w = _w_rational(1j * y)
+    # the rational form gives 1 - 2.2e-16 at the origin
+    w[y == 0.0] = 1.0
+    return (w,)
+
+
+def _kernel(flat):
+    """erfcx over a flat array of finite complex points.  A point left of
     the imaginary axis is the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z)."""
-    right = flat.real >= 0.0
+    left = flat.real < 0.0
     y = flat
-    if not right.all():
-        left = ~right
+    if left.any():
         zl = flat[left]
         z2 = zl * zl
         if np.any(z2.real > _LOG_MAX):
@@ -193,19 +216,11 @@ def _kernel(flat, jet):
         y = flat.copy()
         y[left] = -zl
 
-    parts = _per_point(np.abs(y) > _SERIES_FROM, (_series, _near), (y,), jet)
+    [w] = _per_point(np.abs(y) > _SERIES_FROM, (_erfcx_far, _erfcx_near), (y,))
 
     if y is not flat:
-        # erfcx(z) = 2 e - erfcx(-z), erfcx'(z) = 2 z (2 e) + erfcx'(-z) and
-        # g(z) = (1 + 2 z^2)(2 e) - g(-z), with e = exp(z^2)
-        e2 = 2.0 * np.exp(z2)
-        w = parts[0]
-        w[left] = e2 - w[left]
-        if jet:
-            dw, g = parts[1:]
-            dw[left] = 2.0 * zl * e2 + dw[left]
-            g[left] = (1.0 + 2.0 * z2) * e2 - g[left]
-    return parts
+        w[left] = 2.0 * np.exp(z2) - w[left]
+    return w
 
 
 def _checked(z, name):
@@ -236,24 +251,11 @@ def erfcx(z):
         the reflection formula cannot represent the result.
     """
     z_arr = _checked(z, "erfcx")
-    [out] = _kernel(np.atleast_1d(z_arr).ravel(), jet=False)
+    out = _kernel(np.atleast_1d(z_arr).ravel())
     out = out.reshape(z_arr.shape)
     if np.isscalar(z) or z_arr.ndim == 0:
         return complex(out)
     return out
-
-
-def _erfcx_jet(z):
-    """(erfcx(z), erfcx'(z), g(z)) over an array, g(z) = (1 + 2 z^2)
-    erfcx(z) - 2 z/sqrt(pi) the sigma factor of the Voigt line,
-    d<S11>/dsigma = (P/sigma) g(z).  The first is bitwise ``erfcx(z)``: the
-    same operations, with the derivatives taken from the same series
-    beyond |z| = 8.  The Voigt line only calls it inside |z| = 8, with
-    Re z > 0; the derivatives are reflected with the value all the same, so
-    the jet is right on the whole plane that `erfcx` covers.  Raises as
-    `erfcx` does."""
-    z_arr = _checked(z, "erfcx")
-    return tuple(p.reshape(z_arr.shape) for p in _kernel(np.atleast_1d(z_arr).ravel(), jet=True))
 
 
 def faddeeva_w(z):

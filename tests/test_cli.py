@@ -343,6 +343,24 @@ def test_demod_names_the_row_of_a_malformed_line(tmp_path, capsys, row, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty raw trace file"),
+        ("t,v\n0.0,0.5\n1e-9,0.5\n", "expected raw trace header t_s,v, got ['t', 'v']"),
+        ("t_s,v\n0.0,0.5\n", "raw trace needs at least 2 samples"),
+    ],
+    ids=["empty", "header", "one-sample"],
+)
+def test_demod_names_the_file_of_a_bad_trace(tmp_path, capsys, text, message):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    out = tmp_path / "iq.csv"
+    assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}: {message}\n"
+    assert not out.exists()
+
+
 def test_demod_rejects_a_non_finite_sample(tmp_path, capsys):
     t = np.arange(400) / 250e6
     v = [repr(float(x)) for x in 0.6 * np.cos(2 * np.pi * 62.5e6 * t)]

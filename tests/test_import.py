@@ -43,3 +43,35 @@ def test_package_imports_only_exported_names():
         if alias.name not in importlib.import_module(f"bolostat.{node.module}").__all__
     ]
     assert unexported == []
+
+
+# the |z| = 8 seam of the Voigt line: the split, the series and the
+# rational form that meet there are private to `specfun`
+SEAM_NAMES = {"_SERIES_FROM", "_asymptotic", "_per_point", "_w_rational", "_near"}
+
+
+def _imported(tree, module=None):
+    """Names ``tree`` takes with ``from ... import``, from ``module`` only if given."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and module in (None, (node.module or "").split(".")[-1])
+        for alias in node.names
+    ]
+
+
+def test_only_specfun_knows_the_seam():
+    sources = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "bolostat").glob("*.py"))
+        if path.name != "specfun.py"
+    }
+    leaks = {}
+    for name, tree in sources.items():
+        # an attribute read such as ``specfun._near`` counts as an import
+        read = _imported(tree) + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        if SEAM_NAMES & set(read):
+            leaks[name] = sorted(SEAM_NAMES & set(read))
+    assert leaks == {}
+    assert _imported(sources["response.py"], "specfun") == ["_mean_inverse"]
