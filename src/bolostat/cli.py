@@ -148,13 +148,18 @@ def _cmd_demod(args):
     t = np.array([r[0] for r in rows])
     dt = np.diff(t)
     if not np.all(dt > 0):
-        sys.stderr.write("error: raw trace times must be strictly increasing\n")
-        return 1
+        # the first sample whose time does not exceed the one before; rows
+        # count from 1 after the header, as in the read errors
+        row = int(np.flatnonzero(~(dt > 0))[0]) + 2
+        raise ValueError(f"{args.trace}: row {row}: raw trace times must be strictly increasing")
     fs = 1.0 / float(np.median(dt))
     trace = dspchain.RawTrace(samples=np.array([r[1] for r in rows]), fs=fs, t0=t[0])
     stream = dspchain.digital_downconvert(trace, args.f_if)
     spec = dspchain.FirSpec(cutoff=args.cutoff, n_taps=args.taps, window=args.window)
-    stream = dspchain.fir_lowpass(stream, spec)
+    try:
+        stream = dspchain.fir_lowpass(stream, spec)
+    except ValueError as exc:
+        raise ValueError(f"{args.trace}: {exc}") from None
     stream = dspchain.decimate(stream, args.decimate)
     offset = dspchain.group_delay_samples(spec) / trace.fs
     with open(args.out, "w") as fh:

@@ -4,17 +4,19 @@ The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) engine operating
 on stacked real/imaginary residuals.  Its one loop, `_lm`, carries a leading
 batch axis of independent fits, each with its own damping and convergence
 test, and evaluates the residual and the Jacobian together, once per trial
-point.  Two routines enter it: `least_squares` runs a single fit, with the
-caller's Jacobian, as a batch of one, and `_fit_free` runs the staged fits
-as batches of the chain model with `response`'s closed-form
-`_chain_jacobian`, one call of the line's jet per trial point.  The loop takes a
-real Jacobian, the real parts of the complex columns over their imaginary
-parts, (B, 2m, n) with each column contiguous; `_chain_jacobian` writes
-only the free columns, straight into that layout.  The broadening is the
-variance v = sigma**2 everywhere in the staged fits: the box, the steps,
-the FitResults and their covariances; the line is analytic in v down to
-v = 0, the zero-input answer.  On top of them sit the resonance extractors
-used by the pipeline:
+point; it reduces each evaluation at once to the row's column-scaled
+normal equations, and keeps only those.  Two routines enter it:
+`least_squares` runs a single fit, with the caller's Jacobian, as a batch
+of one, and `_fit_free` runs the staged fits as batches of the chain model
+with `response`'s closed-form `_chain_jacobian`, one call of the line's jet
+per trial point.  The loop takes a real Jacobian, the real parts of the
+complex columns over their imaginary parts, (B, 2m, n) with each column
+contiguous; `_chain_jacobian` forms and writes only the free columns,
+straight into that layout, in one buffer per `_fit_free` call.  The
+broadening is the variance v = sigma**2 everywhere in the staged fits: the
+box, the steps, the FitResults and their covariances; the line is analytic
+in v down to v = 0, the zero-input answer.  On top of them sit the
+resonance extractors used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
@@ -192,12 +194,13 @@ def least_squares(
     -----
     The Jacobian is the caller's, evaluated with the model at the start, at
     every trial point and at the polish step, so a point the fit accepts
-    keeps the Jacobian it was evaluated with.  Steps solve
-    the column-scaled damped normal equations; the damping factor is increased
-    until the cost decreases, so the residual norm is non-increasing across
-    accepted iterations.  The fit has converged when the projected,
-    column-scaled gradient falls below 1e-8*max(1, cost), or when an
-    essentially undamped step lowers the cost by less than 1e-10 relative.
+    keeps the normal equations of the Jacobian it was evaluated with.
+    Steps solve the column-scaled damped normal equations; the damping
+    factor is increased until the cost decreases, so the residual norm is
+    non-increasing across accepted iterations.  The fit has converged when
+    the projected, column-scaled gradient falls below 1e-8*max(1, cost), or
+    when an essentially undamped step lowers the cost by less than 1e-10
+    relative.
     Deterministic: identical inputs give identical iterates.  The fit is a
     batch of one of the LM loop that the staged fits run through `_fit_free`.
     """
@@ -249,9 +252,9 @@ def _solve_rows(M, b):
         return x
 
 
-def _gram(Js):
-    # Js^T Js of every row
-    return np.swapaxes(Js, 1, 2) @ Js
+def _divisor(col):
+    # column norms as divisors: a zero column is divided by 1
+    return np.where(col == 0, 1.0, col)
 
 
 def _singular(names, which):
@@ -267,14 +270,22 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     residual within the box (``lo``, ``hi``, broadcast against ``x0``).
     ``evaluate(X, rows)`` returns, at the points X (len(rows), n) of the
     batch rows ``rows``, their real residuals (len(rows), m) and Jacobians
-    (len(rows), m, n).  It is called once at the start, once per trial step
-    over the rows trying one, and once for the polish step: a row keeps the
-    Jacobian of the point it accepts, so no point is evaluated twice, and
-    the covariance is formed at the returned point.  Every row keeps its
-    own damping, convergence test, polish step and covariance, so it
-    follows the iterates it would follow alone; each step evaluates only
-    the rows still iterating.  A column that is flat and pinned at its
-    bound leaves its row's solve through an identity row and column.
+    (len(rows), m, n).  Both arrays belong to `_lm` until its next
+    ``evaluate`` call, which may reuse their memory, and `_lm` scales the
+    Jacobian in place.  ``evaluate`` is called once at the start, once per
+    trial step over the rows trying one, and once for the polish step.
+
+    Right after each call every row is reduced to its cost, its Jacobian's
+    column norms c and its column-scaled normal equations: S = Js^T Js and
+    Js^T r with Js = J / c (a zero column divided by 1).  A row keeps these
+    for the point it accepts, so no point is evaluated twice, and the
+    steps, the polish and the covariance, inv(S) / (c c^T) times
+    cost/(m - n), work on them alone: between calls no array has an m
+    axis.  Every row keeps its own damping, convergence test, polish step
+    and covariance, so it follows the iterates it would follow alone; each
+    step evaluates only the rows still iterating.  A column that is flat
+    and pinned at its bound leaves its row's solve through an identity row
+    and column.
 
     Returns (fits, failures): a `FitResult` per row, and per row None or the
     message of the singular normal equations that stopped it there, with
@@ -285,9 +296,16 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     lo, hi, scales = (np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in (lo, hi, scales))
     eye = np.eye(n)
     diag = np.arange(n)
-    r, J = evaluate(x, np.arange(n_rows))  # each row's residual and Jacobian at x
-    n_points = r.shape[1] / 2  # complex samples
-    cost = _sum_squares(r)
+
+    def reduced(X, rows):
+        # evaluate, then each row's cost, column norms, S and Js^T r, and m
+        r, J = evaluate(X, rows)
+        col = np.linalg.norm(J, axis=1)
+        J /= _divisor(col)[:, None, :]
+        Jt = np.swapaxes(J, 1, 2)
+        return _sum_squares(r), col, Jt @ J, (Jt @ r[..., None])[..., 0], r.shape[1]
+
+    cost, col, S, grad_r, m = reduced(x, np.arange(n_rows))  # each row's, at x
     lam = np.full(n_rows, 1e-3)
     converged = np.zeros(n_rows, dtype=bool)
     grad_inf = np.full(n_rows, np.nan)
@@ -298,11 +316,10 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         if pending.size == 0:
             break
         n_iter[pending] = it
-        Jp = J[pending]
-        col = np.linalg.norm(Jp, axis=1)
+        col_p = col[pending]
         # degeneracy is judged per natural-scale step, so that columns with
         # wildly different units are comparable
-        col_nat = col * scales[pending]
+        col_nat = col_p * scales[pending]
         dead = col_nat <= col_nat.max(axis=1, keepdims=True) * 1e-14
         at_lo = (x[pending] - lo[pending]) <= 1e-12 * scales[pending]
         at_hi = (hi[pending] - x[pending]) <= 1e-12 * scales[pending]
@@ -315,11 +332,8 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         converged[pending[pinned]] = True  # every direction pinned at a bound
         go &= ~pinned
 
-        ca = np.where(dead, 1.0, col)
-        Js = Jp / ca[:, None, :]
-        if dead.any():
-            Js = np.where(dead[:, None, :], 0.0, Js)
-        grad_s = (np.swapaxes(Js, 1, 2) @ r[pending][..., None])[..., 0]
+        ca = np.where(dead, 1.0, col_p)
+        grad_s = np.where(dead, 0.0, grad_r[pending])
         # components pushing into an active bound cannot move, so only the
         # projected gradient has to vanish at a (bound-constrained) optimum
         blocked = dead | (at_lo & (grad_s > 0)) | (at_hi & (grad_s < 0))
@@ -329,8 +343,10 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         converged[pending[small]] = True
         go = np.nonzero(go & ~small)[0]  # positions in pending that take a step
 
-        A = _gram(Js[go])
-        A[:, diag, diag] += dead[go]  # an inactive column solves to a zero step
+        # an inactive column solves to a zero step
+        live = ~dead[go]
+        A = np.where(live[:, :, None] & live[:, None, :], S[pending[go]], 0.0)
+        A[:, diag, diag] += dead[go]
         singvals = np.linalg.svd(A, compute_uv=False)
         singular = singvals[:, -1] < singvals[:, 0] * 1e-28
         for k in np.nonzero(singular)[0]:
@@ -338,7 +354,6 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
             failures[pending[go[k]]] = _singular(names, np.nonzero(np.abs(vt[-1]) > 0.3)[0])
         go, A = go[~singular], A[~singular]
         rows, grad_s, ca = pending[go], grad_s[go], ca[go]
-        del Jp, Js  # the trial evaluations below need the room
 
         # each row raises its own damping until its cost decreases
         accepted = np.zeros(rows.size, dtype=bool)
@@ -352,12 +367,12 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
             trying, t, step_s = trying[solved], t[solved], step_s[solved]
             if trying.size:
                 x_new = np.clip(x[t] + step_s / ca[trying], lo[t], hi[t])
-                r_new, J_new = evaluate(x_new, t)
-                cost_new = _sum_squares(r_new)
+                cost_new, *new, _ = reduced(x_new, t)
                 better = cost_new < cost[t]
                 b = t[better]
                 rel_change = (cost[b] - cost_new[better]) / np.maximum(cost[b], 1e-300)
-                x[b], r[b], J[b], cost[b] = x_new[better], r_new[better], J_new[better], cost_new[better]
+                x[b], cost[b] = x_new[better], cost_new[better]
+                col[b], S[b], grad_r[b] = (a[better] for a in new)
                 # a small relative decrease only counts as convergence once
                 # the step is essentially undamped (pure Gauss-Newton)
                 stop[trying[better]] = converged[b] = (rel_change < _FRTOL) & (lam[b] <= 1e-6)
@@ -376,26 +391,22 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         # one undamped Gauss-Newton polish: the cost surface is too flat
         # near the optimum for cost differences to certify full parameter
         # precision, but the pure step lands on the stationary point
-        col = np.linalg.norm(J[done], axis=1)
-        col[col == 0] = 1.0
-        Js = J[done] / col[:, None, :]
-        grad = (np.swapaxes(Js, 1, 2) @ r[done][..., None])[..., 0]
-        step = _solve_rows(_gram(Js) + 1e-12 * eye, -grad)
+        step = _solve_rows(S[done] + 1e-12 * eye, -grad_r[done])
         solved = np.all(np.isfinite(step), axis=1)
-        done, step, col = done[solved], step[solved], col[solved]
+        done, step = done[solved], step[solved]
         if done.size:
-            x_new = np.clip(x[done] + step / col, lo[done], hi[done])
-            r_new, J_new = evaluate(x_new, done)
-            cost_new = _sum_squares(r_new)
+            x_new = np.clip(x[done] + step / _divisor(col[done]), lo[done], hi[done])
+            cost_new, *new, _ = reduced(x_new, done)
             keep = cost_new <= cost[done] * (1.0 + 1e-12)
             kept = done[keep]
-            x[kept], r[kept], J[kept], cost[kept] = x_new[keep], r_new[keep], J_new[keep], cost_new[keep]
+            x[kept], cost[kept] = x_new[keep], cost_new[keep]
+            col[kept], S[kept], grad_r[kept] = (a[keep] for a in new)
 
     return [
         FitResult(
             params=x[k].copy(),
-            residual_norm=math.sqrt(cost[k] / n_points),
-            covariance=None if failures[k] else _covariance(J[k], cost[k], J.shape[1], n),
+            residual_norm=math.sqrt(cost[k] / (m / 2)),
+            covariance=None if failures[k] else _covariance(S[k], col[k], cost[k], m, n),
             n_iter=int(n_iter[k]),
             converged=bool(converged[k]),
             grad_norm=float(grad_inf[k]),
@@ -405,15 +416,16 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     ], failures
 
 
-def _covariance(J, cost, m, n):
+def _covariance(S, col, cost, m, n):
+    # SSR/(m - n) (J^T J)^-1 from the scaled normal equations S of J
     if m <= n:
         return None
-    A = J.T @ J
     try:
-        inv = np.linalg.inv(A)
+        inv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         return None
-    return inv * (cost / (m - n))
+    col = _divisor(col)
+    return inv / np.outer(col, col) * (cost / (m - n))
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +618,19 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
     complex ``data`` on the grid ``freqs``, within the box (``lo``, ``hi``);
     ``scales`` is one 12-vector or a (B, 12) batch.  The rows make one
     `_lm` call, and each of its evaluations is one `_chain_jacobian` call
-    (value and Jacobian together) over the rows it evaluates.  That call
-    writes only the free columns, each once, straight into the real
-    (B, 2m, n) array `_lm` takes (real parts over imaginary parts, each
-    column contiguous), so no complex Jacobian is copied or stacked.
+    (value and Jacobian together) over the rows it evaluates, with
+    ``base`` as the held vector, so a factor of the chain that no free
+    entry moves (the delay of a measurement batch) is evaluated once.  One
+    (B, len(free), 2m) buffer is allocated per call, and every evaluation
+    writes its rows' free columns, each once, into the first rows of it:
+    the real (rows, 2m, n) Jacobian `_lm` takes (real parts over imaginary
+    parts, each column contiguous) is a view of that buffer, which `_lm`
+    owns until its next evaluation.
 
     Returns (X, fits, failures): the fitted (B, 12) vectors, and `_lm`'s
     FitResult (over the free entries) and failure per row.
     """
+    jac = np.empty((len(starts), len(free), 2 * freqs.size))
 
     def full(xf):
         X = np.empty((len(xf), base.size))
@@ -622,7 +639,7 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
         return X
 
     def evaluate(xf, rows):
-        value, J = _chain_jacobian(full(xf), freqs, free)
+        value, J = _chain_jacobian(full(xf), freqs, free, base, jac[: len(rows)])
         r = value - data[rows]
         return np.concatenate([r.real, r.imag], axis=1), J
 
@@ -693,10 +710,11 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
 
     The six parameters named in `FROZEN_PARAM_NAMES` are held at their
     calibrated values.  For each trace, mu is initialized at the magnitude
-    minimum and sigma = sqrt(v) at 10% of the apparent linewidth; the nuisance
-    parameters start from the calibration.  ``init_hints``, one entry per
-    trace that is None or a twelve-scalar vector in `PARAM_NAMES` order,
-    overrides those starting values; frozen entries are ignored.
+    minimum and sigma = sqrt(v) at 10% of the apparent linewidth, both read
+    over all traces in one pass; the nuisance parameters start from the
+    calibration.  ``init_hints``, one entry per trace that is None or a
+    twelve-scalar vector in `PARAM_NAMES` order, overrides those starting
+    values; frozen entries are ignored.
 
     The traces must share one probe grid.  They are fitted as one
     `_fit_free` batch: every trial step makes one `_chain_jacobian` call,
@@ -725,10 +743,13 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     x = calibration.fit.params
     lo, hi = _default_bounds(freqs, gamma_scale=x[_AT["gamma"]])
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
-    starts = np.array([_measurement_start(s, x, h) for s, h in zip(sweeps, hints)])
+    data = np.array([sweep.values for sweep in sweeps])
+    starts = _measurement_starts(freqs, data, x)
+    for k, hint in enumerate(hints):
+        if hint is not None:
+            starts[k] = _chain_vector(hint, "init_hint")
     X = np.tile(x, (len(sweeps), 1))
     X[:, free] = np.clip(starts[:, free], lo[free], hi[free])  # held entries stay as calibrated
-    data = np.array([sweep.values for sweep in sweeps])
     X, fits, _ = _fit_free(freqs, data, x, X, free, lo, hi, _scales(X, freqs), max_iter)
     for v in X[:, _AT["v"]]:
         if v <= lo[_AT["v"]]:
@@ -738,25 +759,23 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     ]
 
 
-def _measurement_start(sweep, x, hint):
-    """Starting vector of one trace's fit: ``hint``, or ``x`` with mu and
-    v read off the trace."""
-    if hint is not None:
-        return _chain_vector(hint, "init_hint")
-    start = x.copy()
-    start[_AT["mu"]] = sweep.freqs[int(np.argmin(np.abs(sweep.values)))]
-    start[_AT["v"]] = (0.1 * _apparent_linewidth(sweep)) ** 2
-    return start
-
-
-def _apparent_linewidth(sweep):
-    """Full width of the |trace| dip at half depth, in Hz."""
-    mags = np.abs(sweep.values)
-    baseline = 0.5 * (np.median(mags[: max(2, len(sweep) // 8)]) + np.median(mags[-max(2, len(sweep) // 8):]))
-    depth = baseline - mags.min()
-    if depth <= 0:
-        return float(sweep.freqs[-1] - sweep.freqs[0]) / 10.0
-    below = mags <= baseline - 0.5 * depth
-    if below.sum() < 2:
-        return 2.0 * float(np.median(np.diff(sweep.freqs)))
-    return float(sweep.freqs[below].max() - sweep.freqs[below].min())
+def _measurement_starts(freqs, data, x):
+    """Starting vectors of the fits of the (B, m) traces ``data``: ``x`` with
+    mu at each trace's magnitude minimum and sigma = sqrt(v) at 10% of its
+    apparent linewidth, the full width of its |trace| dip at half depth."""
+    mags = np.abs(data)
+    edge = max(2, freqs.size // 8)
+    baseline = 0.5 * (np.median(mags[:, :edge], axis=1) + np.median(mags[:, -edge:], axis=1))
+    lowest = mags.argmin(axis=1)
+    depth = baseline - mags[np.arange(len(mags)), lowest]
+    below = mags <= (baseline - 0.5 * depth)[:, None]
+    # the grid increases, so the dip's first and last points bound it
+    first, last = below.argmax(axis=1), freqs.size - 1 - below[:, ::-1].argmax(axis=1)
+    width = np.where(
+        below.sum(axis=1) < 2, 2.0 * float(np.median(np.diff(freqs))), freqs[last] - freqs[first]
+    )
+    width = np.where(depth <= 0, float(freqs[-1] - freqs[0]) / 10.0, width)
+    starts = np.tile(x, (len(data), 1))
+    starts[:, _AT["mu"]] = freqs[lowest]
+    starts[:, _AT["v"]] = (0.1 * width) ** 2
+    return starts

@@ -338,25 +338,9 @@ def _invert_shift(coeffs, shift):
     return float(max(valid.min(), 0.0)) if valid.size else 0.0
 
 
-def _synthesize(cfg, freqs, frame, mean, variance, rng):
-    # frame is the sweep's `_frame` on freqs, so values is bitwise
-    # _chain_model(cfg.chain.vector(mu, v), freqs)
-    v = variance / cfg.alpha_photon_per_hz**2
-    mu = cfg.chain.mu_base_hz + _shift_hz(cfg.freq_shift_poly_hz, mean)
-    values = frame * _line(*_scalars(cfg.chain.vector(mu, v), _LINE), freqs)
-    if cfg.noise > 0:
-        span = float(np.ptp(np.abs(values)))
-        s = cfg.noise * span / math.sqrt(2.0)
-        values = values + rng.normal(0.0, s, freqs.size) + 1j * rng.normal(
-            0.0, s, freqs.size
-        )
-    truth = {
-        "mean_n": mean,
-        "variance_n": variance,
-        "mu_hz": mu,
-        "sigma_hz": math.sqrt(v),
-    }
-    return truth, ComplexSweep(freqs=freqs, values=values)
+# `simulate_sweep` evaluates the lines of at most this many probe points
+# with one `_line` call
+_SYNTH_BLOCK_POINTS = 2**13
 
 
 def simulate_sweep(cfg, seed=None):
@@ -369,9 +353,12 @@ def simulate_sweep(cfg, seed=None):
     included as the fitting reference.  The returned dataset carries the
     seed actually used in its config, so a stored dataset reproduces
     itself.  Every trace shares one read-only probe grid, and the delay and
-    background, which no trace changes, are evaluated on it once.  Each
-    trace's line is its own `_line` call: one call over the whole sweep
-    would hold several sweep-sized temporaries at once.
+    background, which no trace changes, are evaluated on it once.  The
+    lines are evaluated a block of traces at a time, one `_line` call per
+    block of at most `_SYNTH_BLOCK_POINTS` points (one call over the whole
+    sweep would hold several sweep-sized temporaries at once); each trace
+    is bitwise ``_chain_model`` of its vector and draws its noise in trace
+    order.
     """
     seed = cfg.seed if seed is None else seed
     cfg = dataclasses.replace(cfg, seed=int(seed))
@@ -379,14 +366,38 @@ def simulate_sweep(cfg, seed=None):
     freqs = cfg.probe_grid()
     freqs.flags.writeable = False
     frame = _frame(cfg.chain.vector(cfg.chain.mu_base_hz, 0.0), freqs)
-    truth, sweep = _synthesize(cfg, freqs, frame, 0.0, 0.0, rng)
-    base = TracePoint(control=None, truth=truth, sweep=sweep)
-    records = []
-    for control in cfg.control_values():
-        mean, variance = cfg.truth_moments(control)
-        truth, sweep = _synthesize(cfg, freqs, frame, mean, variance, rng)
-        records.append(TracePoint(control=float(control), truth=truth, sweep=sweep))
-    return SweepDataset(config=cfg, base=base, records=tuple(records))
+    controls = [None, *(float(c) for c in cfg.control_values())]
+    moments = [(0.0, 0.0), *(cfg.truth_moments(c) for c in controls[1:])]
+    truths, X = zip(*(_trace_truth(cfg, mean, variance) for mean, variance in moments))
+    X = np.array(X)
+    per_block = max(1, _SYNTH_BLOCK_POINTS // freqs.size)
+    points = []
+    for start in range(0, len(X), per_block):
+        block = X[start : start + per_block]
+        lines = _line(*_scalars(block, _LINE), freqs).reshape(len(block), freqs.size)
+        for line in lines:
+            k = len(points)
+            sweep = ComplexSweep(freqs=freqs, values=_noisy(cfg, frame * line, rng))
+            points.append(TracePoint(control=controls[k], truth=truths[k], sweep=sweep))
+    return SweepDataset(config=cfg, base=points[0], records=tuple(points[1:]))
+
+
+def _trace_truth(cfg, mean, variance):
+    """The truth record of a trace with these photon moments, and its raw
+    chain vector."""
+    v = variance / cfg.alpha_photon_per_hz**2
+    mu = cfg.chain.mu_base_hz + _shift_hz(cfg.freq_shift_poly_hz, mean)
+    truth = {"mean_n": mean, "variance_n": variance, "mu_hz": mu, "sigma_hz": math.sqrt(v)}
+    return truth, cfg.chain.vector(mu, v)
+
+
+def _noisy(cfg, values, rng):
+    # a trace with its complex noise drawn, the real parts first
+    if cfg.noise == 0:
+        return values
+    span = float(np.ptp(np.abs(values)))
+    s = cfg.noise * span / math.sqrt(2.0)
+    return values + rng.normal(0.0, s, values.size) + 1j * rng.normal(0.0, s, values.size)
 
 
 def _calibration_init(cfg, base_sweep, seed):

@@ -180,7 +180,9 @@ def _line_jacobian(mu, v, gamma_c, phi, gamma, f_p):
 
     The value is formed in `_line`'s own operation order, so it is bitwise
     `_line`'s; the derivatives come from the same `_mean_inverse` call.
-    v's column is the derivative in v itself, finite at v = 0, where it is
+    Each derivative is a function of no arguments that forms that column
+    when called, so a caller pays only for the columns it uses.  v's
+    column is the derivative in v itself, finite at v = 0, where it is
     half the second derivative of the bare line in mu.
     """
     dprime = TWO_PI * (mu - f_p)
@@ -189,11 +191,11 @@ def _line_jacobian(mu, v, gamma_c, phi, gamma, f_p):
     p = rot * gamma_c
     pm = p * m
     return 1.0 - pm, (
-        -1j * TWO_PI * p * dm_da,
-        -p * dm_dv,
-        -rot * m,
-        -1j * pm,
-        -0.5 * p * dm_da,
+        lambda: -1j * TWO_PI * p * dm_da,
+        lambda: -p * dm_dv,
+        lambda: -rot * m,
+        lambda: -1j * pm,
+        lambda: -0.5 * p * dm_da,
     )
 
 
@@ -201,22 +203,30 @@ def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
     """Value of `_background` and its derivatives in `_BACKGROUND_NAMES` order.
 
     The value is formed in `_background`'s own operation order, so it is
-    bitwise `_background`'s.
+    bitwise `_background`'s; each derivative is formed when it is called,
+    as in `_line_jacobian`.
     """
     delta_b = TWO_PI * (f_b - f_p)
     b = gamma_b / 2.0 + 1j * delta_b
     rot = np.exp(1j * phi_b)
     term = rot * gamma_bc / b
     return s_b + term, (
-        np.ones_like(term),
-        -1j * TWO_PI * term / b,
-        rot / b,
-        -term / (2.0 * b),
-        1j * term,
+        lambda: np.ones_like(term),
+        lambda: -1j * TWO_PI * term / b,
+        lambda: rot / b,
+        lambda: -term / (2.0 * b),
+        lambda: 1j * term,
     )
 
 
-def _chain_jacobian(x, f_p, free):
+def _delay_jacobian(tau, varphi, f_p):
+    """Value of `_delay` and its logarithmic derivatives (derivative over
+    value) in `_DELAY_NAMES` order, each formed when called as in
+    `_line_jacobian`; the chain's columns are these times its value."""
+    return _delay(tau, varphi, f_p), (lambda: 1j * f_p, lambda: 1j)
+
+
+def _chain_jacobian(x, f_p, free, held=None, out=None):
     """`_chain_model` and the real Jacobian of its columns ``free``, in one pass.
 
     ``free`` lists column indices in `PARAM_NAMES`.  Returns (value, jac),
@@ -224,32 +234,44 @@ def _chain_jacobian(x, f_p, free):
     the complex derivatives over their imaginary parts: (2 len(f_p),
     len(free)) for one vector, (B, 2 len(f_p), len(free)) for a (B, 12)
     batch of rows.  It is the transposed view of a (..., len(free),
-    2 len(f_p)) array, so each column is contiguous, and each is written
-    once.  The Voigt line takes one `_mean_inverse` jet call, shared by the
-    value and the derivatives; the background and delay columns are
-    elementary.
+    2 len(f_p)) array, ``out`` when one is given, so each column is
+    contiguous, and each is written once.  Only the free columns'
+    derivatives are formed.  The Voigt line takes one `_mean_inverse` jet
+    call, shared by the value and the derivatives; the background and
+    delay columns are elementary.
+
+    ``held``, a (12,) vector, states that every row of ``x`` equals it
+    outside ``free``.  A factor (delay, background or line) with no free
+    scalar is then evaluated once, from ``held``, instead of per row.
+    Without it nothing is assumed of the rows.
     """
     x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
-    delay = _delay(*_scalars(x, _DELAY), f_p)
-    background, d_background = _background_jacobian(*_scalars(x, _BACKGROUND), f_p)
-    line, d_line = _line_jacobian(*_scalars(x, _LINE), f_p)
+
+    def evaluated(part, jacobian):
+        moved = held is None or any(part.start <= i < part.stop for i in free)
+        return jacobian(*_scalars(x if moved else held, part), f_p)
+
+    delay, d_delay = evaluated(_DELAY, _delay_jacobian)
+    background, d_background = evaluated(_BACKGROUND, _background_jacobian)
+    line, d_line = evaluated(_LINE, _line_jacobian)
     frame = delay * background
     value = frame * line
     line_delay = delay * line
     columns = (
         [(d, frame) for d in d_line]
         + [(d, line_delay) for d in d_background]
-        + [(d, value) for d in (1j * f_p, 1j)]
+        + [(d, value) for d in d_delay]
     )
     m = f_p.size
-    jac = np.empty(x.shape[:-1] + (len(free), 2 * m))
+    if out is None:
+        out = np.empty(x.shape[:-1] + (len(free), 2 * m))
     for j, i in enumerate(free):
         d, factor = columns[i]
-        column = d * factor
-        jac[..., j, :m] = column.real
-        jac[..., j, m:] = column.imag
-    return _rows(value, x), np.swapaxes(jac, -1, -2)
+        column = d() * factor
+        out[..., j, :m] = column.real
+        out[..., j, m:] = column.imag
+    return _rows(value, x), np.swapaxes(out, -1, -2)
 
 
 def bare_reflection(res, f_p):

@@ -200,8 +200,8 @@ def test_singular_trace_is_reported_in_its_row(tmp_path, thermal_config_file, mo
     real_jacobian = fk._chain_jacobian
     gamma_c = fk.PARAM_NAMES.index("gamma_c")
 
-    def flat_gamma_c_below(x, f_p, free):
-        value, jac = real_jacobian(x, f_p, free)
+    def flat_gamma_c_below(x, f_p, free, *held_out):
+        value, jac = real_jacobian(x, f_p, free, *held_out)
         jac[x[:, fk.PARAM_NAMES.index("mu")] < below, :, free.index(gamma_c)] = 0.0
         return value, jac
 
@@ -313,14 +313,19 @@ def test_demod(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "times", [[0.0, 0.0, 0.0], [2e-9, 1e-9, 0.0]], ids=["repeated", "decreasing"]
+    "times,row",
+    [([0.0, 0.0, 0.0], 2), ([2e-9, 1e-9, 0.0], 2), ([0.0, 1e-9, 2e-9, 1.5e-9], 4)],
+    ids=["repeated", "decreasing", "late"],
 )
-def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times):
+def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times, row):
+    # the error names the file and the first row whose time does not
+    # exceed the one before, counted as the read errors count rows
     raw = tmp_path / "raw.csv"
     raw.write_text("t_s,v\n" + "".join(f"{t!r},0.5\n" for t in times))
     out = tmp_path / "iq.csv"
     assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: raw trace times must be strictly increasing\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {raw}: row {row}: raw trace times must be strictly increasing\n"
     assert not out.exists()
 
 
@@ -370,7 +375,7 @@ def test_demod_rejects_a_non_finite_sample(tmp_path, capsys):
     out = tmp_path / "iq.csv"
     assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {raw}: ")
     assert "non-finite sample at index 200" in err
     assert not out.exists()
 

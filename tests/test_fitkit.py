@@ -31,6 +31,7 @@ from bolostat.fitkit import (
     PARAM_NAMES,
     _chain_model,
     _default_bounds,
+    _measurement_starts,
     _phase_jacobian,
     _phase_model,
     wrap_angle,
@@ -372,8 +373,8 @@ class TestBaseCalibration:
 
         real = fk._chain_jacobian
 
-        def flat_phi(x, freqs, free):
-            value, J = real(x, freqs, free)
+        def flat_phi(x, freqs, free, *held_out):
+            value, J = real(x, freqs, free, *held_out)
             J[..., free.index(PARAM_NAMES.index("phi"))] = 0.0
             return value, J
 
@@ -534,9 +535,9 @@ def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
         finally:
             evals.append(calls[0] - before)  # chain evaluations inside this LM run
 
-    def counted_chain(x, freqs, *free):
+    def counted_chain(x, freqs, *free_held_out):
         calls[0] += 1
-        return real_chain(x, freqs, *free)
+        return real_chain(x, freqs, *free_held_out)
 
     monkeypatch.setattr(fk, "_lm", counting_lm)
     monkeypatch.setattr(fk, "_chain_jacobian", counted_chain)
@@ -575,9 +576,9 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
             inside[0] = False
 
     def counted(real):
-        def call(x, freqs, *free):
+        def call(x, freqs, *free_held_out):
             calls.append(inside[0])
-            return real(x, freqs, *free)
+            return real(x, freqs, *free_held_out)
 
         return call
 
@@ -603,20 +604,20 @@ def stacked_free_columns(x, freqs, free):
     frame = delay * background
     value = frame * line
     columns = (
-        [d * frame for d in d_line]
-        + [d * (delay * line) for d in d_background]
+        [d() * frame for d in d_line]
+        + [d() * (delay * line) for d in d_background]
         + [d * value for d in (1j * freqs, 1j)]
     )
     Jc = np.stack(np.broadcast_arrays(*columns), axis=-1)[:, free]
     return np.concatenate([Jc.real, Jc.imag], axis=0)
 
 
-@pytest.mark.parametrize("stage", ["calibration", "measurement"])
-def test_lm_gets_the_stacked_free_columns_column_contiguous(monkeypatch, stage):
-    # the Jacobian of every row of a batch with rows at v = 0 and above, and
-    # points on both sides of the |a| = 8c seam, is bitwise the stacked
-    # complex free columns, and each of its columns is contiguous: the
-    # memory order the LM's BLAS calls were pinned with
+def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None):
+    """The (residual, Jacobian) pairs that `_fit_free`'s evaluate returns on
+    a four-row batch with rows at v = 0 and above, and points on both sides
+    of the |a| = 8c seam, called at the start points of each of
+    ``row_sets`` in turn (after ``before()``) before its LM stops; and the
+    starts, the free columns and the data."""
     import bolostat.fitkit as fk
 
     starts = np.array(
@@ -631,23 +632,68 @@ def test_lm_gets_the_stacked_free_columns_column_contiguous(monkeypatch, stage):
     lo, hi = _default_bounds(PROBE_GRID, GAMMA)
     seen = []
 
-    def first_evaluation(evaluate, x0, *args):
-        seen.append((x0, evaluate(x0, np.arange(len(x0)))[1]))
-        raise RuntimeError("stop after the first evaluation")
+    def stopped(evaluate, x0, *args):
+        before()
+        seen.extend(evaluate(x0[rows], rows) for rows in row_sets)
+        raise RuntimeError("stop after the evaluations")
 
-    monkeypatch.setattr(fk, "_lm", first_evaluation)
-    with pytest.raises(RuntimeError, match="first evaluation"):
+    monkeypatch.setattr(fk, "_lm", stopped)
+    with pytest.raises(RuntimeError, match="stop after"):
         fk._fit_free(PROBE_GRID, data, starts[0], starts, free, lo, hi, np.ones(12), 10)
-    [(x0, J)] = seen
+    return seen, starts, free, data
+
+
+@pytest.mark.parametrize("stage", ["calibration", "measurement"])
+def test_lm_gets_the_stacked_free_columns_column_contiguous(monkeypatch, stage):
+    # the Jacobian of every row of a batch with rows at v = 0 and above, and
+    # points on both sides of the |a| = 8c seam, is bitwise the stacked
+    # complex free columns, and each of its columns is contiguous: the
+    # memory order the LM's BLAS calls were pinned with
+    [(_, J)], starts, free, _ = stopped_fit_free(monkeypatch, stage, [[0, 1, 2, 3]])
     assert J.shape == (len(starts), 2 * PROBE_GRID.size, len(free))
     assert np.swapaxes(J, 1, 2).flags.c_contiguous
-    X = np.empty_like(starts)
-    X[:] = starts[0]
-    X[:, free] = x0
-    assert (X[:, PARAM_NAMES.index("v")] == 0.0).any()
-    assert (X[:, PARAM_NAMES.index("v")] > 0.0).any()
-    for k, x in enumerate(X):
+    assert (starts[:, PARAM_NAMES.index("v")] == 0.0).any()
+    assert (starts[:, PARAM_NAMES.index("v")] > 0.0).any()
+    for k, x in enumerate(starts):
         np.testing.assert_array_equal(J[k], stacked_free_columns(x, PROBE_GRID, free))
+
+
+@pytest.mark.parametrize("stage", ["calibration", "measurement"])
+def test_evaluations_of_one_fit_share_one_jacobian_buffer(monkeypatch, stage):
+    # every evaluation of a `_fit_free` call writes its rows' Jacobian into
+    # the first rows of one buffer, so a later one over fewer rows reuses
+    # the memory of the first, and is still each row's own Jacobian
+    seen, starts, free, _ = stopped_fit_free(monkeypatch, stage, [[0, 1, 2, 3], [1, 3]])
+    (_, first), (_, second) = seen
+    assert np.shares_memory(first, second)
+    assert second.shape == (2, 2 * PROBE_GRID.size, len(free))
+    for J, k in zip(second, [1, 3]):
+        np.testing.assert_array_equal(J, stacked_free_columns(starts[k], PROBE_GRID, free))
+
+
+@pytest.mark.parametrize(
+    "stage,shape", [("calibration", (4,)), ("measurement", ())], ids=["calibration", "measurement"]
+)
+def test_a_held_delay_is_formed_once_per_evaluation(monkeypatch, stage, shape):
+    # tau and varphi are held in a measurement batch, so one evaluation
+    # forms the delay once, on the probe grid alone, from the held vector;
+    # the calibration fits them, so there it is formed per row.  The
+    # residual is bitwise the model's either way.
+    import bolostat.response as response
+
+    real, shapes = response._delay, []
+
+    def counted(*args):
+        out = real(*args)
+        shapes.append(out.shape)
+        return out
+
+    [(r, _)], starts, _, data = stopped_fit_free(
+        monkeypatch, stage, [[0, 1, 2, 3]], lambda: monkeypatch.setattr(response, "_delay", counted)
+    )
+    assert shapes == [shape + PROBE_GRID.shape]
+    expected = _chain_model(starts, PROBE_GRID) - data
+    np.testing.assert_array_equal(r, np.concatenate([expected.real, expected.imag], axis=1))
 
 
 def noisy_base_dataset(seed):
@@ -712,6 +758,76 @@ def test_covariance_is_the_v_coordinate_one():
         cost = fit.residual_norm**2 * freqs.size
         expected = np.linalg.inv(J.T @ J) * cost / (m - n)
         np.testing.assert_allclose(fit.covariance, expected, rtol=1e-9, atol=0)
+
+
+def apparent_linewidth(freqs, values):
+    """Full width of one trace's |trace| dip at half depth, in Hz."""
+    mags = np.abs(values)
+    edge = max(2, len(mags) // 8)
+    baseline = 0.5 * (np.median(mags[:edge]) + np.median(mags[-edge:]))
+    depth = baseline - mags.min()
+    if depth <= 0:
+        return float(freqs[-1] - freqs[0]) / 10.0
+    below = mags <= baseline - 0.5 * depth
+    if below.sum() < 2:
+        return 2.0 * float(np.median(np.diff(freqs)))
+    return float(freqs[below].max() - freqs[below].min())
+
+
+def test_measurement_starts_are_read_trace_by_trace():
+    # the starts of a sweep's traces are read in one pass over its (B, m)
+    # data; each is bitwise the trace read alone: a noisy dip, a flat trace
+    # (no depth) and a one-point dip
+    dataset = noisy_base_dataset(4)
+    values = [point.sweep.values for point in (dataset.base, *dataset.records)]
+    flat = np.ones_like(values[0])
+    spike = flat.copy()
+    spike[7] = 0.5
+    data = np.array(values + [flat, spike])
+    freqs = dataset.base.sweep.freqs
+    x = CHAIN_TRUE.vector(MU, 0.0)
+    starts = _measurement_starts(freqs, data, x)
+    for start, trace in zip(starts, data, strict=True):
+        expected = x.copy()
+        expected[PARAM_NAMES.index("mu")] = freqs[int(np.argmin(np.abs(trace)))]
+        expected[PARAM_NAMES.index("v")] = (0.1 * apparent_linewidth(freqs, trace)) ** 2
+        np.testing.assert_array_equal(start, expected)
+    widths = [apparent_linewidth(freqs, trace) for trace in data[-2:]]
+    assert widths == [float(freqs[-1] - freqs[0]) / 10.0, 2.0 * float(np.median(np.diff(freqs)))]
+
+
+def normalised_inverse_covariance(J, cost):
+    """inv(J^T J) cost/(m - n) for a real (m, n) J, with the inverse taken of
+    the column-normalised normal equations: J's columns differ by many
+    orders of magnitude, so the plain inv(J^T J) loses up to eight digits."""
+    m, n = J.shape
+    col = np.linalg.norm(J, axis=0)
+    Js = J / col
+    return np.linalg.inv(Js.T @ Js) / np.outer(col, col) * (cost / (m - n))
+
+
+@pytest.mark.parametrize("stage", ["calibration", "measurement"])
+def test_covariance_from_the_scaled_normal_equations_is_the_jacobians(stage):
+    # the LM keeps each row's column-scaled normal equations, not its
+    # Jacobian: the covariance it forms from them at the returned point is
+    # inv(J^T J) cost/(m - n) of the Jacobian there, to round-off
+    dataset = noisy_base_dataset(1)
+    calibration = run_calibration(dataset)
+    freqs = dataset.base.sweep.freqs
+    if stage == "calibration":
+        cases = [(calibration.fit.params, list(range(len(PARAM_NAMES))), calibration.fit)]
+    else:
+        free = [PARAM_NAMES.index(name) for name in MEASUREMENT_PARAM_NAMES]
+        cases = []
+        for _, _, fit in fit_measurements([p.sweep for p in dataset.records], calibration):
+            x = calibration.fit.params.copy()
+            x[free] = fit.params
+            cases.append((x, free, fit))
+    for x, free, fit in cases:
+        jc = chain_jac(x, freqs)[:, free]
+        J = np.concatenate([jc.real, jc.imag])
+        expected = normalised_inverse_covariance(J, fit.residual_norm**2 * freqs.size)
+        np.testing.assert_allclose(fit.covariance, expected, rtol=1e-12, atol=0)
 
 
 class TestSweepFit:
@@ -813,8 +929,8 @@ class TestSweepFit:
     def test_one_evaluation_per_trial_point(self, monkeypatch):
         # the start, every trial step and the polish step each make one
         # evaluate call, which returns the residual and the Jacobian
-        # together; a row keeps the Jacobian of the point it accepts, so no
-        # row is evaluated twice at the same point
+        # together; a row keeps the normal equations of the point it
+        # accepts, so no row is evaluated twice at the same point
         import bolostat.fitkit as fk
 
         real_solve, solves = fk._solve_rows, []

@@ -281,6 +281,33 @@ class TestSimulate:
             assert point.sweep.freqs is dataset.base.sweep.freqs
         assert not dataset.base.sweep.freqs.flags.writeable
 
+    def test_lines_are_evaluated_in_blocks(self, monkeypatch):
+        # 3000-point traces make blocks of two traces, the last of one; each
+        # noisy trace is still the chain model at its truth plus its own
+        # noise, drawn trace by trace from the seed's Philox stream
+        import bolostat.pipeline as pl
+
+        temps = [temp_for_mean(n) for n in (0.3, 1.0, 3.0, 5.0)]
+        cfg = make_config(probe_points=3000, noise=0.01, t_grid_k=temps)
+        real, shapes = pl._line, []
+
+        def counted(*args):
+            out = real(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(pl, "_line", counted)
+        dataset = simulate_sweep(cfg)
+        assert shapes == [(2, 3000), (2, 3000), (3000,)]
+        grid = cfg.probe_grid()
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        for point in (dataset.base, *dataset.records):
+            v = point.truth["variance_n"] / cfg.alpha_photon_per_hz**2
+            clean = _chain_model(cfg.chain.vector(point.truth["mu_hz"], v), grid)
+            s = cfg.noise * np.ptp(np.abs(clean)) / math.sqrt(2.0)
+            noisy = clean + rng.normal(0.0, s, grid.size) + 1j * rng.normal(0.0, s, grid.size)
+            assert np.array_equal(point.sweep.values, noisy)
+
     def test_mixed_mode_truth_uses_beamsplitter(self):
         cfg = make_config(mode="mixed")
         dataset = simulate_sweep(cfg)
