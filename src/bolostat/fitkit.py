@@ -81,7 +81,8 @@ class FitError(RuntimeError):
 
 
 class RankDeficiencyError(FitError):
-    """The normal equations are singular; names the degenerate directions."""
+    """Columns flat (natural-scale norm at most 1e-14 of the largest) and
+    not at a bound make the normal equations singular; names each one."""
 
 
 class DegenerateCircleError(FitError):
@@ -187,8 +188,8 @@ def least_squares(
     -------
     FitResult
         Hitting the iteration cap yields ``converged=False`` rather than an
-        exception; structurally singular normal equations raise
-        `RankDeficiencyError`.
+        exception; a column that is flat (natural-scale norm at most 1e-14
+        of the largest) and not at a bound raises `RankDeficiencyError`.
 
     Notes
     -----
@@ -257,12 +258,6 @@ def _divisor(col):
     return np.where(col == 0, 1.0, col)
 
 
-def _singular(names, which):
-    return "normal equations are singular; degenerate directions: " + ", ".join(
-        names[i] for i in which
-    )
-
-
 def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     """Levenberg-Marquardt over a batch of independent fits; the one LM loop.
 
@@ -283,13 +278,17 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     cost/(m - n), work on them alone: between calls no array has an m
     axis.  Every row keeps its own damping, convergence test, polish step
     and covariance, so it follows the iterates it would follow alone; each
-    step evaluates only the rows still iterating.  A column that is flat
-    and pinned at its bound leaves its row's solve through an identity row
-    and column.
+    step evaluates only the rows still iterating.  The one singularity
+    rule: a column is flat when its natural-scale norm (times ``scales``)
+    is at most 1e-14 of its row's largest, and a flat column not at a
+    bound stops its row.  A flat column at its bound is inactive: an
+    identity row and column in the solve give it a zero step, and the
+    gradient test leaves it out.  The damped system (lam > 0) of the other
+    columns is positive definite, so a step needs no rank test.
 
     Returns (fits, failures): a `FitResult` per row, and per row None or the
-    message of the singular normal equations that stopped it there, with
-    its last accepted point and ``converged=False``.
+    message naming the flat columns that stopped it, with its last
+    accepted point and ``converged=False``.
     """
     x = np.array(x0, dtype=float)
     n_rows, n = x.shape
@@ -316,23 +315,18 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         if pending.size == 0:
             break
         n_iter[pending] = it
-        col_p = col[pending]
         # degeneracy is judged per natural-scale step, so that columns with
         # wildly different units are comparable
-        col_nat = col_p * scales[pending]
+        col_nat = col[pending] * scales[pending]
         dead = col_nat <= col_nat.max(axis=1, keepdims=True) * 1e-14
         at_lo = (x[pending] - lo[pending]) <= 1e-12 * scales[pending]
         at_hi = (hi[pending] - x[pending]) <= 1e-12 * scales[pending]
         # a flat direction pinned at its bound is inactive, not singular
         interior_dead = dead & ~(at_lo | at_hi)
         for k in np.nonzero(interior_dead.any(axis=1))[0]:
-            failures[pending[k]] = _singular(names, np.nonzero(interior_dead[k])[0])
+            flat = ", ".join(names[i] for i in np.nonzero(interior_dead[k])[0])
+            failures[pending[k]] = f"normal equations are singular; degenerate directions: {flat}"
         go = ~interior_dead.any(axis=1)
-        pinned = go & dead.all(axis=1)
-        converged[pending[pinned]] = True  # every direction pinned at a bound
-        go &= ~pinned
-
-        ca = np.where(dead, 1.0, col_p)
         grad_s = np.where(dead, 0.0, grad_r[pending])
         # components pushing into an active bound cannot move, so only the
         # projected gradient has to vanish at a (bound-constrained) optimum
@@ -347,13 +341,9 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         live = ~dead[go]
         A = np.where(live[:, :, None] & live[:, None, :], S[pending[go]], 0.0)
         A[:, diag, diag] += dead[go]
-        singvals = np.linalg.svd(A, compute_uv=False)
-        singular = singvals[:, -1] < singvals[:, 0] * 1e-28
-        for k in np.nonzero(singular)[0]:
-            _, _, vt = np.linalg.svd(A[k])
-            failures[pending[go[k]]] = _singular(names, np.nonzero(np.abs(vt[-1]) > 0.3)[0])
-        go, A = go[~singular], A[~singular]
-        rows, grad_s, ca = pending[go], grad_s[go], ca[go]
+        rows, grad_s = pending[go], grad_s[go]
+        # a row's col changes only when it accepts, and then it stops trying
+        div = _divisor(col[rows])
 
         # each row raises its own damping until its cost decreases
         accepted = np.zeros(rows.size, dtype=bool)
@@ -366,7 +356,7 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
             lam[t[~solved]] *= 10.0
             trying, t, step_s = trying[solved], t[solved], step_s[solved]
             if trying.size:
-                x_new = np.clip(x[t] + step_s / ca[trying], lo[t], hi[t])
+                x_new = np.clip(x[t] + step_s / div[trying], lo[t], hi[t])
                 cost_new, *new, _ = reduced(x_new, t)
                 better = cost_new < cost[t]
                 b = t[better]
@@ -681,8 +671,8 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     Returns
     -------
     CalibrationResult
-        Singular normal equations in either stage raise
-        `RankDeficiencyError`.
+        Either stage raises `RankDeficiencyError` on a column that is flat
+        (natural-scale norm at most 1e-14 of the largest) and not at a bound.
     """
     _require_points(sweep, 8, "fit_base_calibration")
     x0 = _chain_vector(init, "init")

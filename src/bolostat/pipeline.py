@@ -152,6 +152,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw):
+        _require_object(raw, "'config'")
+
         def number(value, kind):
             # a finite JSON number as int or float: float() and int() would
             # read True as 1, "5" as 5 and accept Infinity, and int() would
@@ -561,7 +563,7 @@ def dataset_from_json(fh):
     _require_object(doc, "dataset", ("config", "f_p_hz", "base", "records"))
     if not isinstance(doc["records"], list):
         raise ValueError(f"'records': expected a list, got {type(doc['records']).__name__}")
-    config = SweepConfig.from_dict(_require_object(doc["config"], "'config'"))
+    config = SweepConfig.from_dict(doc["config"])
     grid = _decode_array(doc["f_p_hz"], "f_p_hz").astype(float)  # native order
     grid.flags.writeable = False  # one array, shared by every trace
     base = _point_from_dict(doc["base"], "'base'", grid, base=True)

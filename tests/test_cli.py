@@ -36,6 +36,9 @@ def test_stats_coherent_and_mixed(capsys):
 def test_stats_requires_exactly_one_input(capsys):
     assert cli.main(["stats"]) == 1
     assert cli.main(["stats", "--thermal-mean", "1", "--coherent-mean", "2"]) == 1
+    capsys.readouterr()
+    assert cli.main(["stats", "--mixed-coh", "1"]) == 1
+    assert capsys.readouterr().err == "error: mixed input needs both --mixed-coh and --mixed-th\n"
 
 
 def test_unknown_flag_exits_one():
@@ -261,6 +264,20 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 1
     assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw,kind",
+    [(5, "int"), (None, "NoneType"), ("mode", "str"), ([], "list")],
+    ids=["int", "null", "str", "list"],
+)
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys, raw, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "x.json"
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: 'config': expected a JSON object, got {kind}\n"
+    assert not out.exists()
 
 
 def test_unphysical_chain_exits_one(tmp_path, capsys):

@@ -93,6 +93,20 @@ def test_complex_sweep_rejects_non_finite_samples(where, bad):
         ComplexSweep(**arrays)
 
 
+@pytest.mark.parametrize(
+    "freqs,values,message",
+    [
+        (np.zeros((2, 5)), np.ones((2, 5)), "one-dimensional"),
+        (np.linspace(0.0, 1.0, 10), np.ones(9), "^length mismatch: 10 freqs vs 9 values$"),
+        (np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4), "strictly increasing"),
+    ],
+    ids=["2d", "length", "not-increasing"],
+)
+def test_complex_sweep_rejects_a_malformed_grid(freqs, values, message):
+    with pytest.raises(ValueError, match=message):
+        ComplexSweep(freqs, values)
+
+
 class TestLeastSquares:
     @staticmethod
     def line_model(p, f):
@@ -754,10 +768,8 @@ def test_covariance_is_the_v_coordinate_one():
         assert (x[PARAM_NAMES.index("mu")], math.sqrt(x[PARAM_NAMES.index("v")])) == (mu, sigma)
         jc = chain_jac(x, freqs)[:, free]
         J = np.concatenate([jc.real, jc.imag])
-        m, n = J.shape
-        cost = fit.residual_norm**2 * freqs.size
-        expected = np.linalg.inv(J.T @ J) * cost / (m - n)
-        np.testing.assert_allclose(fit.covariance, expected, rtol=1e-9, atol=0)
+        expected = normalised_inverse_covariance(J, fit.residual_norm**2 * freqs.size)
+        np.testing.assert_allclose(fit.covariance, expected, rtol=1e-12, atol=0)
 
 
 def apparent_linewidth(freqs, values):
@@ -956,21 +968,26 @@ class TestSweepFit:
     def test_singular_and_pinned_rows_leave_the_others_alone(self):
         # row 1's flat column is interior: it stops at its start with the
         # singularity named; row 2's flat column is pinned at its bound, so
-        # it only leaves that row's solve; row 0 is fitted as alone
+        # it only leaves that row's solve; row 3's every column is flat and
+        # pinned, so its projected gradient is 0 and it converges where it
+        # starts; row 0 is fitted as alone
         from bolostat.fitkit import _lm
 
         t = np.linspace(0.0, 1.0, 20)
-        data = np.array([0.5 + 2.0 * t, 1.0 + t, 3.0 + 0.0 * t])
+        data = np.array([0.5 + 2.0 * t, 1.0 + t, 3.0 + 0.0 * t, 1.0 + 0.0 * t])
 
         def evaluate(X, rows):
             jac = np.stack([np.ones((len(rows), t.size)), np.broadcast_to(t, (len(rows), t.size))], -1)
             jac[np.asarray(rows) > 0, :, 1] = 0.0
+            jac[np.asarray(rows) == 3] = 0.0
             return X[:, :1] + X[:, 1:] * t - data[rows], jac
 
-        x0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        x0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [-10.0, 0.0]])
         lo, hi = np.array([-10.0, 0.0]), np.array([10.0, 10.0])
         fits, failures = _lm(evaluate, x0, lo, hi, np.ones(2), ("p0", "p1"), 50)
-        assert failures[0] is None and failures[2] is None
+        assert failures[0] is None and failures[2] is None and failures[3] is None
+        assert fits[3].converged and fits[3].n_iter == 1 and fits[3].grad_norm == 0.0
+        np.testing.assert_array_equal(fits[3].params, x0[3])
         assert "degenerate directions: p1" in failures[1]
         assert not fits[1].converged and fits[1].n_iter == 1
         np.testing.assert_array_equal(fits[1].params, x0[1])
@@ -978,6 +995,13 @@ class TestSweepFit:
         np.testing.assert_allclose(fits[0].params, [0.5, 2.0], rtol=1e-10)
         assert fits[2].params[1] == 0.0
         assert fits[2].params[0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_one_hint_per_trace_and_no_fits_without_traces(self):
+        _, calib = base_calibration()
+        sweep = synth_sweep(522e6, 1e6)
+        with pytest.raises(ValueError, match="^init_hints: 1 entries for 2 traces$"):
+            fit_measurements([sweep, sweep], calib, [None])
+        assert fit_measurements([], calib) == []
 
     def test_traces_must_share_one_grid(self):
         _, calib = base_calibration()

@@ -545,6 +545,10 @@ class TestPersistence:
         with pytest.raises(ValueError, match="^row 1: expected 10 fields, got 2$"):
             stats_from_csv(io.StringIO(",".join(STATS_HEADER) + "\n0.5,523000000.0\n"))
 
+    def test_stats_csv_wrong_header_raises(self):
+        with pytest.raises(ValueError, match="^unexpected statistics header: \\['control', 'mu'\\]$"):
+            stats_from_csv(io.StringIO("control,mu\n0.5,523000000.0\n"))
+
     @pytest.mark.parametrize("reader", [stats_from_csv])
     def test_empty_csv_raises(self, reader):
         with pytest.raises(ValueError, match="empty"):
