@@ -5,8 +5,9 @@ failed to converge or the base calibration could not be carried out at all.
 A trace fit that did not converge, singular normal equations included, is
 reported in its own row (``converged=0``) and the other rows are still
 written; a calibration `FitError` writes nothing.
-The default seed can be overridden with --seed or the BOLOSTAT_SEED
-environment variable.
+A run's only seed is the config's ``seed`` field: ``fit`` reads it from
+the config its dataset embeds, so a dataset file gives one set of
+statistics.
 """
 
 import argparse
@@ -47,12 +48,10 @@ def _build_parser():
     p_sim = sub.add_parser("simulate", help="synthesize a trace dataset from a config")
     p_sim.add_argument("--config", required=True, help="sweep configuration JSON")
     p_sim.add_argument("--out", required=True, help="output dataset JSON")
-    p_sim.add_argument("--seed", type=int, default=None)
 
     p_fit = sub.add_parser("fit", help="extract photon statistics from a dataset")
     p_fit.add_argument("dataset", help="dataset JSON produced by 'simulate'")
     p_fit.add_argument("--out", required=True, help="output statistics CSV")
-    p_fit.add_argument("--seed", type=int, default=None)
 
     p_stats = sub.add_parser("stats", help="moment/g2 calculators on explicit inputs")
     p_stats.add_argument("--thermal-mean", type=float, default=None)
@@ -80,8 +79,7 @@ def _build_parser():
 def _cmd_simulate(args):
     with open(args.config) as fh:
         cfg = pipeline.SweepConfig.from_dict(json.load(fh))
-    seed = pipeline.default_seed(args.seed, cfg.seed)
-    dataset = pipeline.simulate_sweep(cfg, seed=seed)
+    dataset = pipeline.simulate_sweep(cfg)
     with open(args.out, "w") as fh:
         pipeline.dataset_to_json(dataset, fh)
     return 0
@@ -90,8 +88,7 @@ def _cmd_simulate(args):
 def _cmd_fit(args):
     with open(args.dataset) as fh:
         dataset = pipeline.dataset_from_json(fh)
-    seed = pipeline.default_seed(args.seed, dataset.config.seed)
-    calibration = pipeline.run_calibration(dataset, seed=seed)
+    calibration = pipeline.run_calibration(dataset)
     records = pipeline.extract_statistics(dataset, calibration)
     with open(args.out, "w") as fh:
         pipeline.stats_to_csv(records, fh)
@@ -152,7 +149,12 @@ def _cmd_demod(args):
         # count from 1 after the header, as in the read errors
         row = int(np.flatnonzero(~(dt > 0))[0]) + 2
         raise ValueError(f"{args.trace}: row {row}: raw trace times must be strictly increasing")
-    fs = 1.0 / float(np.median(dt))
+    step = float(np.median(dt))
+    uneven = np.abs(dt - step) > 0.5 * step
+    if uneven.any():
+        row = int(np.flatnonzero(uneven)[0]) + 2
+        raise ValueError(f"{args.trace}: row {row}: raw trace times must be uniformly spaced")
+    fs = 1.0 / step
     trace = dspchain.RawTrace(samples=np.array([r[1] for r in rows]), fs=fs, t0=t[0])
     stream = dspchain.digital_downconvert(trace, args.f_if)
     spec = dspchain.FirSpec(cutoff=args.cutoff, n_taps=args.taps, window=args.window)

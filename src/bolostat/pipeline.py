@@ -29,7 +29,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,7 +60,6 @@ __all__ = [
     "simulate_sweep",
     "run_calibration",
     "extract_statistics",
-    "default_seed",
     "dataset_to_json",
     "dataset_from_json",
     "stats_to_csv",
@@ -79,29 +77,6 @@ INIT_PERTURBATION = 0.05
 
 class ConfigError(ValueError):
     """A sweep configuration field failed validation."""
-
-
-def default_seed(explicit=None, config_seed=0):
-    """Seed precedence: explicit flag > BOLOSTAT_SEED env var > config.
-
-    The flag and the variable must be non-negative integers, as the config's
-    ``seed`` must be: the seed keys Philox streams, which take no negative
-    key.
-    """
-    if explicit is not None:
-        if explicit < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {explicit}")
-        return int(explicit)
-    env = os.environ.get("BOLOSTAT_SEED")
-    if env is None:
-        return int(config_seed)
-    try:
-        seed = int(env)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise ConfigError(f"BOLOSTAT_SEED must be a non-negative integer, got {env!r}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -345,26 +320,23 @@ def _invert_shift(coeffs, shift):
 _SYNTH_BLOCK_POINTS = 2**13
 
 
-def simulate_sweep(cfg, seed=None):
+def simulate_sweep(cfg):
     """Synthesize the full trace dataset for a sweep configuration.
 
-    Deterministic for a given (config, seed); the seed keys the Philox
-    stream of the per-trace noise (the calibration init perturbation used
-    later draws from its own ``Philox(seed + 1)`` stream, see
-    `_calibration_init`).  A zero-input base trace, at v = 0, is always
-    included as the fitting reference.  The returned dataset carries the
-    seed actually used in its config, so a stored dataset reproduces
-    itself.  Every trace shares one read-only probe grid, and the delay and
-    background, which no trace changes, are evaluated on it once.  The
-    lines are evaluated a block of traces at a time, one `_line` call per
-    block of at most `_SYNTH_BLOCK_POINTS` points (one call over the whole
-    sweep would hold several sweep-sized temporaries at once); each trace
-    is bitwise ``_chain_model`` of its vector and draws its noise in trace
-    order.
+    Deterministic for a given config; its ``seed`` keys the Philox stream
+    of the per-trace noise (the calibration start drawn later comes from
+    its own ``Philox(seed + 1)`` stream, see `_calibration_init`).  A
+    zero-input base trace, at v = 0, is always included as the fitting
+    reference.  The dataset embeds the config, seed included, so a stored
+    dataset reproduces itself.  Every trace shares one read-only probe
+    grid, and the delay and background, which no trace changes, are
+    evaluated on it once.  The lines are evaluated a block of traces at a
+    time, one `_line` call per block of at most `_SYNTH_BLOCK_POINTS`
+    points (one call over the whole sweep would hold several sweep-sized
+    temporaries at once); each trace is bitwise ``_chain_model`` of its
+    vector and draws its noise in trace order.
     """
-    seed = cfg.seed if seed is None else seed
-    cfg = dataclasses.replace(cfg, seed=int(seed))
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
     freqs = cfg.probe_grid()
     freqs.flags.writeable = False
     frame = _frame(cfg.chain.vector(cfg.chain.mu_base_hz, 0.0), freqs)
@@ -402,16 +374,18 @@ def _noisy(cfg, values, rng):
     return values + rng.normal(0.0, s, values.size) + 1j * rng.normal(0.0, s, values.size)
 
 
-def _calibration_init(cfg, base_sweep, seed):
+def _calibration_init(cfg, base_sweep):
     """Perturbed-truth starting point for the base calibration, a `PARAM_NAMES` vector.
 
-    Scale parameters move by +-INIT_PERTURBATION relative, frequencies by
+    The perturbation draws from ``Philox(cfg.seed + 1)``, a stream of its
+    own beside the synthesis noise's ``Philox(cfg.seed)``.  Scale
+    parameters move by +-INIT_PERTURBATION relative, frequencies by
     +-INIT_PERTURBATION of the probe span, phases by +-INIT_PERTURBATION rad;
     mu additionally snaps to the trace magnitude minimum, and v stays 0, on
     its bound.  The start need not be a physical chain (gamma_c may cross
     gamma); the fit clips it into its box.
     """
-    rng = np.random.Generator(np.random.Philox(seed + 1))
+    rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
     x = cfg.chain.vector(cfg.chain.mu_base_hz, 0.0)
     frac = INIT_PERTURBATION
@@ -427,12 +401,11 @@ def _calibration_init(cfg, base_sweep, seed):
     return x
 
 
-def run_calibration(dataset, seed=None):
+def run_calibration(dataset):
     """Base-trace calibration for a simulated dataset (truth-free per-trace fits
-    still need this one anchor; its init is the configured perturbed truth)."""
-    cfg = dataset.config
-    seed = cfg.seed if seed is None else seed
-    init = _calibration_init(cfg, dataset.base.sweep, seed)
+    still need this one anchor; its init is the configured perturbed truth,
+    keyed by the seed of the config the dataset embeds)."""
+    init = _calibration_init(dataset.config, dataset.base.sweep)
     return fit_base_calibration(dataset.base.sweep, init)
 
 
@@ -532,7 +505,11 @@ def _point_from_dict(d, what, grid, base=False):
     values = np.empty(grid.shape, dtype=complex)
     values.real = re  # not re + 1j*im, which turns a -0.0 real part into +0.0
     values.imag = im
-    return TracePoint(control=control, truth=d["truth"], sweep=ComplexSweep(grid, values))
+    try:
+        sweep = ComplexSweep(grid, values)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return TracePoint(control=control, truth=d["truth"], sweep=sweep)
 
 
 def dataset_to_json(dataset, fh):

@@ -25,8 +25,8 @@ on |a| = 8c once (`_per_point`).  Beyond it, M and its derivatives come
 from the series S(q) in q = (c/a)^2 (`_asymptotic`), finite at zero
 broadening, where z is infinite, and free of the cancellation in the
 closed forms of erfcx'(z) and of the sigma factor g(z); inside it, from the
-rational form and those closed forms.  `erfcx` takes the same two forms,
-its far one as M at c = 1.
+rational form and those closed forms.  On the right half-plane `erfcx`
+is that same M, at c = 1, divided by sqrt(pi).
 
 Negative real parts are handled through the reflection formula
 erfcx(z) = 2 exp(z^2) - erfcx(-z); when exp(z^2) is not representable in
@@ -186,19 +186,6 @@ def _near(a, c, jet):
     return s * w, s * dw / c, -4.0 * math.pi**2 * s * g / (c * c)
 
 
-def _erfcx_far(y):
-    # M at c = 1 is sqrt(pi) erfcx(y)
-    [m] = _far(y, 1.0, False)
-    return (m / _SQRT_PI,)
-
-
-def _erfcx_near(y):
-    w = _w_rational(1j * y)
-    # the rational form gives 1 - 2.2e-16 at the origin
-    w[y == 0.0] = 1.0
-    return (w,)
-
-
 def _kernel(flat):
     """erfcx over a flat array of finite complex points.  A point left of
     the imaginary axis is the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z)."""
@@ -216,7 +203,11 @@ def _kernel(flat):
         y = flat.copy()
         y[left] = -zl
 
-    [w] = _per_point(np.abs(y) > _SERIES_FROM, (_erfcx_far, _erfcx_near), (y,))
+    # the line's mean at c = 1 is sqrt(pi) erfcx(y); the rational form
+    # gives 1 - 2.2e-16 at the origin
+    [m] = _mean_inverse(y, 1.0, jet=False)
+    w = m / _SQRT_PI
+    w[y == 0.0] = 1.0
 
     if y is not flat:
         w[left] = 2.0 * np.exp(z2) - w[left]

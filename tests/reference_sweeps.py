@@ -34,7 +34,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import fields
@@ -74,7 +73,6 @@ def run(argv):
 def main(outdir):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    os.environ.pop("BOLOSTAT_SEED", None)  # each config's own seed applies
     for label, raw in sweeps():
         config, dataset, stats = (out / f"{label}{ext}" for ext in (".config.json", ".json", ".csv"))
         config.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")

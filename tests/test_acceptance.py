@@ -340,16 +340,15 @@ def test_criterion_8_dsp_chain():
 # ---------------------------------------------------------------------- 9
 
 
-def test_criterion_9_byte_identical_outputs(tmp_path, monkeypatch):
-    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
+def test_criterion_9_byte_identical_outputs(tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(make_config(t_grid_k=[0.5, 1.0], noise=0.005).to_dict()))
+    cfg_path.write_text(json.dumps(make_config(t_grid_k=[0.5, 1.0], noise=0.005, seed=11).to_dict()))
     digests = []
     for tag in ("first", "second"):
         dataset = tmp_path / f"{tag}.json"
         stats = tmp_path / f"{tag}.csv"
-        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(dataset), "--seed", "11"]) == 0
-        assert cli.main(["fit", str(dataset), "--out", str(stats), "--seed", "11"]) == 0
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+        assert cli.main(["fit", str(dataset), "--out", str(stats)]) == 0
         digests.append((dataset.read_bytes(), stats.read_bytes()))
     ok = digests[0] == digests[1]
     _report("9 (determinism)", ok, f"dataset {len(digests[0][0])} B, stats {len(digests[0][1])} B")

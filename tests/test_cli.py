@@ -56,14 +56,14 @@ def test_unknown_command_exits_one():
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(cli, "_cmd_fit", lambda args: seen.append(vars(args)) or 0)
-    assert cli.main(["fit", "a.json", "--out", "a.csv", "--seed", "5"]) == 0
+    assert cli.main(["fit", "a.json", "--out", "a.csv"]) == 0
     with pytest.raises(SystemExit) as exc:  # a usage error between two calls
         cli.main(["fit", "--bogus"])
     assert exc.value.code == 1
     assert cli.main(["fit", "b.json", "--out", "b.csv"]) == 0
     assert seen == [
-        {"command": "fit", "dataset": "a.json", "out": "a.csv", "seed": 5},
-        {"command": "fit", "dataset": "b.json", "out": "b.csv", "seed": None},
+        {"command": "fit", "dataset": "a.json", "out": "a.csv"},
+        {"command": "fit", "dataset": "b.json", "out": "b.csv"},
     ]
     assert cli._build_parser() is cli._build_parser()
     assert "usage: bolostat fit" in capsys.readouterr().err
@@ -79,52 +79,67 @@ def test_simulate_then_fit(tmp_path, thermal_config_file):
     assert float(rows[1]["g2"]) == pytest.approx(2.0, abs=0.05)
 
 
-def test_simulate_fit_deterministic_bytes(tmp_path, thermal_config_file, monkeypatch):
-    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
-    outs = []
-    for tag in ("a", "b"):
-        dataset = tmp_path / f"dataset_{tag}.json"
-        stats = tmp_path / f"stats_{tag}.csv"
-        cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset), "--seed", "5"])
-        cli.main(["fit", str(dataset), "--out", str(stats), "--seed", "5"])
-        outs.append((dataset.read_bytes(), stats.read_bytes()))
+def simulate_and_fit(config, dataset, stats):
+    """The bytes `simulate` then `fit` write."""
+    assert cli.main(["simulate", "--config", str(config), "--out", str(dataset)]) == 0
+    assert cli.main(["fit", str(dataset), "--out", str(stats)]) == 0
+    return dataset.read_bytes(), stats.read_bytes()
+
+
+def test_simulate_fit_deterministic_bytes(tmp_path, thermal_config_file):
+    outs = [
+        simulate_and_fit(thermal_config_file, tmp_path / f"dataset_{tag}.json", tmp_path / f"stats_{tag}.csv")
+        for tag in ("a", "b")
+    ]
     assert outs[0] == outs[1]
 
 
-def test_env_seed_override(tmp_path, thermal_config_file, monkeypatch):
-    out1 = tmp_path / "d1.json"
-    out2 = tmp_path / "d2.json"
-    cfg = json.loads(thermal_config_file.read_text())
-    cfg["noise"] = 0.01
+def test_seed_environment_variable_has_no_effect(tmp_path, thermal_config_file, monkeypatch):
+    # the config's seed is a run's only seed: a BOLOSTAT_SEED in the
+    # environment changes neither the noise nor the calibration start
     noisy = tmp_path / "noisy.json"
-    noisy.write_text(json.dumps(cfg))
-    monkeypatch.setenv("BOLOSTAT_SEED", "123")
-    cli.main(["simulate", "--config", str(noisy), "--out", str(out1)])
-    monkeypatch.setenv("BOLOSTAT_SEED", "124")
-    cli.main(["simulate", "--config", str(noisy), "--out", str(out2)])
-    assert out1.read_bytes() != out2.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "where,field",
-    [("config", "field 'seed'"), ("flag", "--seed"), ("env", "BOLOSTAT_SEED")],
-    ids=["config", "flag", "env"],
-)
-def test_negative_seed_exits_one_naming_it(tmp_path, thermal_config_file, monkeypatch, capsys, where, field):
-    # each way to set a negative seed is refused before any Philox stream
-    # is keyed with it, and the error names where the seed came from
+    noisy.write_text(json.dumps(dict(json.loads(thermal_config_file.read_text()), noise=0.01)))
     monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
-    argv = ["simulate", "--config", str(thermal_config_file), "--out", str(tmp_path / "d.json")]
+    unset = simulate_and_fit(noisy, tmp_path / "d0.json", tmp_path / "s0.csv")
+    monkeypatch.setenv("BOLOSTAT_SEED", "123")
+    assert simulate_and_fit(noisy, tmp_path / "d1.json", tmp_path / "s1.csv") == unset
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_seed_flag_is_a_usage_error(tmp_path, thermal_config_file, capsys, command):
+    dataset = tmp_path / "d.json"
+    if command == "simulate":
+        argv, out = ["simulate", "--config", str(thermal_config_file), "--out", str(dataset)], dataset
+    else:
+        assert cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)]) == 0
+        out = tmp_path / "s.csv"
+        argv = ["fit", str(dataset), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "dataset"])
+def test_negative_seed_exits_one_naming_it(tmp_path, thermal_config_file, capsys, where):
+    # a negative seed is refused before any Philox stream is keyed with
+    # it, whether `simulate` reads it from its config or `fit` from the
+    # config its dataset embeds
+    dataset = tmp_path / "d.json"
     if where == "config":
         thermal_config_file.write_text(json.dumps(dict(json.loads(thermal_config_file.read_text()), seed=-3)))
-    elif where == "flag":
-        argv += ["--seed", "-3"]
+        argv, out = ["simulate", "--config", str(thermal_config_file), "--out", str(dataset)], dataset
     else:
-        monkeypatch.setenv("BOLOSTAT_SEED", "-2")
+        cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
+        doc = json.loads(dataset.read_text())
+        doc["config"]["seed"] = -3
+        dataset.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        argv = ["fit", str(dataset), "--out", str(out)]
     assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
-    assert not (tmp_path / "d.json").exists()
+    assert capsys.readouterr().err == "error: field 'seed': must be non-negative\n"
+    assert not out.exists()
 
 
 def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
@@ -153,7 +168,6 @@ def test_non_converged_calibration_exits_two(tmp_path, monkeypatch, capsys):
     # noisy thermal config is what a one-iteration cap leaves unconverged
     import bolostat.pipeline as pl
 
-    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     config = tmp_path / "noisy.json"
     config.write_text(json.dumps(dict(json.loads(shipped.read_text()), noise=0.01, seed=1)))
@@ -219,11 +233,10 @@ def test_singular_trace_is_reported_in_its_row(tmp_path, thermal_config_file, mo
 
 
 @pytest.mark.parametrize("seed", [1, 9, 2, 6])
-def test_noisy_thermal_sweeps_fit_cleanly(tmp_path, seed, monkeypatch):
+def test_noisy_thermal_sweeps_fit_cleanly(tmp_path, seed):
     # shipped thermal config at noise 0.01: with a finite-difference Jacobian
     # the base calibration raised RankDeficiencyError (seeds 1, 9) or did not
     # converge (seeds 2, 6, exit 2)
-    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     config = tmp_path / "noisy.json"
     config.write_text(json.dumps(dict(json.loads(shipped.read_text()), noise=0.01, seed=seed)))
@@ -293,10 +306,9 @@ def test_unphysical_chain_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_strongly_overcoupled_chain_fits(tmp_path, monkeypatch):
+def test_strongly_overcoupled_chain_fits(tmp_path):
     # gamma_c = 0.95*gamma is physical; at seed 12 the perturbed calibration
     # start has gamma_c > gamma, which the fit box allows
-    monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     raw = dict(json.loads(shipped.read_text()), seed=12)
     raw["chain"]["gamma_c"] = 0.95 * raw["chain"]["gamma"]
@@ -343,6 +355,22 @@ def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times, ro
     assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {raw}: row {row}: raw trace times must be strictly increasing\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "times,row",
+    [([0.0, 1.0, 2.0, 4.0, 5.0, 6.0], 4), ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0, 11.0], 7)],
+    ids=["missing-sample", "rate-change"],
+)
+def test_demod_rejects_unevenly_spaced_times(tmp_path, capsys, times, row):
+    # a step more than half the median step away from it: the error names
+    # the row that ends the first such step
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,v\n" + "".join(f"{t * 4e-9!r},0.5\n" for t in times))
+    out = tmp_path / "iq.csv"
+    assert cli.main(["demod", str(raw), "--f-if", "62.5e6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}: row {row}: raw trace times must be uniformly spaced\n"
     assert not out.exists()
 
 

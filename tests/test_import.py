@@ -75,3 +75,19 @@ def test_only_specfun_knows_the_seam():
             leaks[name] = sorted(SEAM_NAMES & set(read))
     assert leaks == {}
     assert _imported(sources["response.py"], "specfun") == ["_mean_inverse"]
+
+
+# the names through which Python reads the process environment
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # a run's inputs are its command line and files: a config's `seed` is
+    # its only seed, so no environment variable can move an output
+    readers = {}
+    for path in sorted((ROOT / "src" / "bolostat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _imported(tree) + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        if ENVIRONMENT_NAMES & set(names):
+            readers[path.name] = sorted(ENVIRONMENT_NAMES & set(names))
+    assert readers == {}

@@ -30,7 +30,6 @@ from bolostat.pipeline import (
     dataset_to_json,
     stats_from_csv,
     stats_to_csv,
-    default_seed,
     run_calibration,
 )
 from bolostat.response import _chain_model
@@ -76,6 +75,18 @@ def without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
+def with_nan_sample(point):
+    re = decode_f8(point["re"])
+    re[3] = np.nan
+    point["re"] = encode_f8(re)
+
+
+def with_repeated_grid_point(doc):
+    grid = decode_f8(doc["f_p_hz"])
+    grid[1] = grid[0]
+    return dict(doc, f_p_hz=encode_f8(grid))
+
+
 # ways to damage a dataset document (each maps the parsed document to the
 # damaged one), with the message each gives
 MALFORMED = {
@@ -108,6 +119,8 @@ MALFORMED = {
         first_record(lambda p: p.update({key: encode_f8(decode_f8(p[key])[::2]) for key in ("re", "im")})),
         "record 0: trace length differs from the probe grid",
     ),
+    "nan-sample": (first_record(with_nan_sample), "record 0: freqs and values must be finite"),
+    "repeated-grid-point": (with_repeated_grid_point, "'base': freqs must be strictly increasing"),
 }
 
 
@@ -220,21 +233,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="chain.tau"):
             SweepConfig.from_dict(raw)
 
-    def test_seed_precedence(self, monkeypatch):
-        monkeypatch.delenv("BOLOSTAT_SEED", raising=False)
-        assert default_seed(None, 3) == 3
-        monkeypatch.setenv("BOLOSTAT_SEED", "55")
-        assert default_seed(None, 3) == 55
-        assert default_seed(9, 3) == 9
-        monkeypatch.setenv("BOLOSTAT_SEED", "not-a-seed")
-        with pytest.raises(ConfigError):
-            default_seed(None, 3)
-        monkeypatch.setenv("BOLOSTAT_SEED", "-2")
-        with pytest.raises(ConfigError, match="BOLOSTAT_SEED"):
-            default_seed(None, 3)
-        with pytest.raises(ConfigError, match="--seed"):
-            default_seed(-1, 3)
-
 
 class TestSimulate:
     def test_deterministic_bytes(self):
@@ -245,9 +243,8 @@ class TestSimulate:
         assert a.getvalue() == b.getvalue()
 
     def test_seed_changes_noise(self):
-        cfg = make_config(noise=0.01)
-        d1 = simulate_sweep(cfg, seed=1)
-        d2 = simulate_sweep(cfg, seed=2)
+        d1 = simulate_sweep(make_config(noise=0.01, seed=1))
+        d2 = simulate_sweep(make_config(noise=0.01, seed=2))
         assert not np.array_equal(d1.records[0].sweep.values, d2.records[0].sweep.values)
 
     def test_truth_table_matches_planck(self):
