@@ -149,8 +149,9 @@ def _cmd_demod(args):
         # count from 1 after the header, as in the read errors
         row = int(np.flatnonzero(~(dt > 0))[0]) + 2
         raise ValueError(f"{args.trace}: row {row}: raw trace times must be strictly increasing")
-    step = float(np.median(dt))
-    uneven = np.abs(dt - step) > 0.5 * step
+    # against the first step, not the median, so no mix of two rates passes
+    step = float(dt[0])
+    uneven = np.abs(dt - step) > 1e-3 * step
     if uneven.any():
         row = int(np.flatnonzero(uneven)[0]) + 2
         raise ValueError(f"{args.trace}: row {row}: raw trace times must be uniformly spaced")

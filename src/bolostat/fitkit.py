@@ -5,25 +5,27 @@ on stacked real/imaginary residuals.  Its one loop, `_lm`, carries a leading
 batch axis of independent fits, each with its own damping and convergence
 test, and evaluates the residual and the Jacobian together, once per trial
 point; it reduces each evaluation at once to the row's column-scaled
-normal equations, and keeps only those.  Two routines enter it:
+normal equations, and keeps only those; a column on a bound that descent
+pushes against leaves the solve (projected LM).  Two routines enter it:
 `least_squares` runs a single fit, with the caller's Jacobian, as a batch
-of one, and `_fit_free` runs the staged fits as batches of the chain model
+of one, and `_fit_free` runs the chain fits as batches of the chain model
 with `response`'s closed-form `_chain_jacobian`, one call of the line's jet
 per trial point.  The loop takes a real Jacobian, the real parts of the
 complex columns over their imaginary parts, (B, 2m, n) with each column
 contiguous; `_chain_jacobian` forms and writes only the free columns,
 straight into that layout, in one buffer per `_fit_free` call.  The
-broadening is the variance v = sigma**2 everywhere in the staged fits: the
+broadening is the variance v = sigma**2 everywhere in the chain fits: the
 box, the steps, the FitResults and their covariances; the line is analytic
 in v down to v = 0, the zero-input answer.  On top of them sit the
 resonance extractors used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
-* `fit_base_calibration` / `fit_measurements` -- the staged full-model procedure:
-  all twelve chain parameters are fitted once on a reference (base) trace,
-  six of them are then frozen, and every subsequent trace refits only
-  {mu, v, gamma_c, phi, f_b, phi_b}, all traces of a sweep in one batch.
+* `fit_base_calibration` / `fit_measurements` -- the full-model procedure:
+  all twelve chain parameters are fitted together, in one LM run, on a
+  reference (base) trace, six of them are then frozen, and every subsequent
+  trace refits only {mu, v, gamma_c, phi, f_b, phi_b}, all traces of a
+  sweep in one batch.
 """
 
 import math
@@ -137,10 +139,10 @@ class FitResult:
 
     ``params`` is the fitted scalar vector, ``residual_norm`` the RMS complex
     residual per point, ``covariance`` the usual SSR/(m-n) * (J^T J)^-1
-    estimate (None when it cannot be formed), ``converged`` whether a
-    convergence test fired before the iteration cap, ``grad_norm`` the
-    largest column-scaled gradient component at the last Jacobian, leaving
-    out those that push into an active bound.
+    estimate (None when m <= n or J^T J is singular to working precision),
+    ``converged`` whether a convergence test fired before the iteration
+    cap, ``grad_norm`` the largest column-scaled gradient component at the
+    last Jacobian, leaving out those that push into an active bound.
     """
 
     params: np.ndarray
@@ -258,6 +260,26 @@ def _divisor(col):
     return np.where(col == 0, 1.0, col)
 
 
+def _projected(x, lo, hi, scales, col, S, grad_r):
+    """(singular, A, g): each row's flat columns off their bounds, and its
+    normal equations and gradient with every blocked column made to solve
+    to a zero step (an identity row and column, and a zero gradient).  A
+    column is flat when its natural-scale norm (times ``scales``) is at
+    most 1e-14 of its row's largest, so that columns with wildly different
+    units compare; blocked columns are the flat ones and those on a bound
+    that the descent direction -``grad_r`` pushes against."""
+    col_nat = col * scales
+    flat = col_nat <= col_nat.max(axis=1, keepdims=True) * 1e-14
+    at_lo = (x - lo) <= 1e-12 * scales
+    at_hi = (hi - x) <= 1e-12 * scales
+    blocked = flat | (at_lo & (grad_r > 0)) | (at_hi & (grad_r < 0))
+    live = ~blocked
+    A = np.where(live[:, :, None] & live[:, None, :], S, 0.0)
+    diag = np.arange(S.shape[-1])
+    A[:, diag, diag] += blocked
+    return flat & ~(at_lo | at_hi), A, np.where(blocked, 0.0, grad_r)
+
+
 def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     """Levenberg-Marquardt over a batch of independent fits; the one LM loop.
 
@@ -278,13 +300,12 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     cost/(m - n), work on them alone: between calls no array has an m
     axis.  Every row keeps its own damping, convergence test, polish step
     and covariance, so it follows the iterates it would follow alone; each
-    step evaluates only the rows still iterating.  The one singularity
-    rule: a column is flat when its natural-scale norm (times ``scales``)
-    is at most 1e-14 of its row's largest, and a flat column not at a
-    bound stops its row.  A flat column at its bound is inactive: an
-    identity row and column in the solve give it a zero step, and the
-    gradient test leaves it out.  The damped system (lam > 0) of the other
-    columns is positive definite, so a step needs no rank test.
+    step evaluates only the rows still iterating.  One inactive set,
+    `_projected`'s blocked columns, serves the steps, the gradient test and
+    the polish (projected LM: Kanzow, Yamashita & Fukushima, J. Comput.
+    Appl. Math. 172 (2004) 375); a flat column off its bound stops its row.
+    The damped system (lam > 0) of the other columns is positive definite,
+    so a step needs no rank test.
 
     Returns (fits, failures): a `FitResult` per row, and per row None or the
     message naming the flat columns that stopped it, with its last
@@ -294,7 +315,6 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     n_rows, n = x.shape
     lo, hi, scales = (np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in (lo, hi, scales))
     eye = np.eye(n)
-    diag = np.arange(n)
 
     def reduced(X, rows):
         # evaluate, then each row's cost, column norms, S and Js^T r, and m
@@ -315,33 +335,18 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         if pending.size == 0:
             break
         n_iter[pending] = it
-        # degeneracy is judged per natural-scale step, so that columns with
-        # wildly different units are comparable
-        col_nat = col[pending] * scales[pending]
-        dead = col_nat <= col_nat.max(axis=1, keepdims=True) * 1e-14
-        at_lo = (x[pending] - lo[pending]) <= 1e-12 * scales[pending]
-        at_hi = (hi[pending] - x[pending]) <= 1e-12 * scales[pending]
-        # a flat direction pinned at its bound is inactive, not singular
-        interior_dead = dead & ~(at_lo | at_hi)
-        for k in np.nonzero(interior_dead.any(axis=1))[0]:
-            flat = ", ".join(names[i] for i in np.nonzero(interior_dead[k])[0])
+        singular, A, grad_s = _projected(*(a[pending] for a in (x, lo, hi, scales, col, S, grad_r)))
+        for k in np.nonzero(singular.any(axis=1))[0]:
+            flat = ", ".join(names[i] for i in np.nonzero(singular[k])[0])
             failures[pending[k]] = f"normal equations are singular; degenerate directions: {flat}"
-        go = ~interior_dead.any(axis=1)
-        grad_s = np.where(dead, 0.0, grad_r[pending])
-        # components pushing into an active bound cannot move, so only the
-        # projected gradient has to vanish at a (bound-constrained) optimum
-        blocked = dead | (at_lo & (grad_s > 0)) | (at_hi & (grad_s < 0))
-        grad = np.where(blocked, 0.0, np.abs(grad_s)).max(axis=1)
+        go = ~singular.any(axis=1)
+        # only the projected gradient vanishes at a bound-constrained optimum
+        grad = np.abs(grad_s).max(axis=1)
         grad_inf[pending[go]] = grad[go]
         small = go & (grad < _GTOL * np.maximum(1.0, cost[pending]))
         converged[pending[small]] = True
         go = np.nonzero(go & ~small)[0]  # positions in pending that take a step
-
-        # an inactive column solves to a zero step
-        live = ~dead[go]
-        A = np.where(live[:, :, None] & live[:, None, :], S[pending[go]], 0.0)
-        A[:, diag, diag] += dead[go]
-        rows, grad_s = pending[go], grad_s[go]
+        rows, A, grad_s = pending[go], A[go], grad_s[go]
         # a row's col changes only when it accepts, and then it stops trying
         div = _divisor(col[rows])
 
@@ -381,7 +386,8 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
         # one undamped Gauss-Newton polish: the cost surface is too flat
         # near the optimum for cost differences to certify full parameter
         # precision, but the pure step lands on the stationary point
-        step = _solve_rows(S[done] + 1e-12 * eye, -grad_r[done])
+        _, A, grad_s = _projected(*(a[done] for a in (x, lo, hi, scales, col, S, grad_r)))
+        step = _solve_rows(A + 1e-12 * eye, -grad_s)
         solved = np.all(np.isfinite(step), axis=1)
         done, step = done[solved], step[solved]
         if done.size:
@@ -407,15 +413,13 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
 
 
 def _covariance(S, col, cost, m, n):
-    # SSR/(m - n) (J^T J)^-1 from the scaled normal equations S of J
-    if m <= n:
-        return None
-    try:
-        inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError:
+    # SSR/(m - n) (J^T J)^-1 from the scaled normal equations S of J; None
+    # when S is singular to working precision (as collinear columns make it)
+    eig = np.linalg.eigvalsh(S)
+    if m <= n or not eig[0] > n * np.finfo(float).eps * eig[-1]:
         return None
     col = _divisor(col)
-    return inv / np.outer(col, col) * (cost / (m - n))
+    return np.linalg.inv(S) / np.outer(col, col) * (cost / (m - n))
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +652,10 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
 def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     """Fit all twelve chain parameters on a reference (base) trace.
 
-    The fit is staged: first everything except the broadening is fitted
-    with v held at its initial value (on a base trace the broadening is at
-    or near 0 and carries no signal until the rest of the chain is roughly
-    right), then all twelve parameters are released.  Each stage is a
-    `_fit_free` batch of one.  A base trace fitted at v = 0 is the
-    zero-input answer, so it raises no warning.
+    One `_fit_free` batch of one fits all twelve from the clipped start.
+    From v = 0, its bound, v stays out of the solve until the rest of the
+    chain pulls it inward.  A base trace fitted at v = 0 is the zero-input
+    answer, so it raises no warning.
 
     Parameters
     ----------
@@ -671,7 +673,7 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     Returns
     -------
     CalibrationResult
-        Either stage raises `RankDeficiencyError` on a column that is flat
+        `RankDeficiencyError` is raised on a column that is flat
         (natural-scale norm at most 1e-14 of the largest) and not at a bound.
     """
     _require_points(sweep, 8, "fit_base_calibration")
@@ -681,13 +683,9 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     scales = _scales(X[0], sweep.freqs)
 
     every = list(range(len(PARAM_NAMES)))
-    stage_a = [i for i in every if i != _AT["v"]]
-    for free in (stage_a, every):
-        X, [fit], [failure] = _fit_free(
-            sweep.freqs, sweep.values[None], X[0], X, free, lo, hi, scales, max_iter
-        )
-        if failure is not None:
-            raise RankDeficiencyError(failure)
+    X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], X[0], X, every, lo, hi, scales, max_iter)
+    if failure is not None:
+        raise RankDeficiencyError(failure)
     span = float(np.ptp(np.abs(sweep.values)))
     residual = _chain_model(X[0], sweep.freqs) - sweep.values
     noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(residual)

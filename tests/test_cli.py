@@ -319,6 +319,28 @@ def test_strongly_overcoupled_chain_fits(tmp_path):
     assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 0
 
 
+@pytest.mark.parametrize("seed", [13, 17])
+def test_fit_finds_the_line_of_a_near_critically_coupled_chain(tmp_path, seed):
+    # the shipped thermal chain with gamma_c = 0.95 gamma, at noise 0.01: a
+    # calibration that first fitted the line with v held at 0 put seed 13's
+    # mu on the background resonance (530.9 MHz) and stopped seed 17's
+    # unconverged with f_b on its bound, and `fit` exited 2 on both
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "thermal.json").read_text())
+    chain = dict(raw["chain"], gamma_c=0.95 * raw["chain"]["gamma"])
+    config = tmp_path / "gc95.json"
+    config.write_text(json.dumps(dict(raw, chain=chain, noise=0.01, seed=seed)))
+    dataset, stats = tmp_path / "d.json", tmp_path / "s.csv"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(dataset)]) == 0
+    assert cli.main(["fit", str(dataset), "--out", str(stats)]) == 0
+    with open(dataset) as fh:
+        records = pipeline.dataset_from_json(fh).records
+    with open(stats) as fh:
+        rows = pipeline.stats_from_csv(fh)
+    for row, point in zip(rows, records, strict=True):
+        assert row.converged
+        assert row.variance_n == pytest.approx(point.truth["variance_n"], rel=0.05)
+
+
 def test_missing_file_exits_one(tmp_path):
     assert cli.main(["fit", str(tmp_path / "absent.json"), "--out", str(tmp_path / "s.csv")]) == 1
 
@@ -360,11 +382,17 @@ def test_demod_rejects_times_not_strictly_increasing(tmp_path, capsys, times, ro
 
 @pytest.mark.parametrize(
     "times,row",
-    [([0.0, 1.0, 2.0, 4.0, 5.0, 6.0], 4), ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0, 11.0], 7)],
-    ids=["missing-sample", "rate-change"],
+    [
+        ([0.0, 1.0, 2.0, 4.0, 5.0, 6.0], 4),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0, 11.0], 7),
+        # 201 samples at 4 ns, then 200 at 2 ns: the median step, 3 ns, is
+        # within half a step of every step
+        ([float(k) for k in range(201)] + [200.0 + 0.5 * k for k in range(1, 201)], 202),
+    ],
+    ids=["missing-sample", "rate-change", "rate-halved-after-half-the-steps"],
 )
 def test_demod_rejects_unevenly_spaced_times(tmp_path, capsys, times, row):
-    # a step more than half the median step away from it: the error names
+    # a step more than 1e-3 of the first step away from it: the error names
     # the row that ends the first such step
     raw = tmp_path / "raw.csv"
     raw.write_text("t_s,v\n" + "".join(f"{t * 4e-9!r},0.5\n" for t in times))
