@@ -193,6 +193,8 @@ def _cmd_report(args):
                 records = pipeline.stats_from_csv(fh)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
+        if not records:
+            raise ValueError(f"{path}: no statistics rows")
         rows += [
             [label, *(repr(float(v)) for v in (rec.mean_n, rec.variance_n, rec.g2))]
             for rec in records

@@ -17,7 +17,6 @@ of output is the sum of ``q`` consecutive input rows times fixed
 ``fir_lowpass``).
 """
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,8 +35,6 @@ __all__ = [
     "decimate",
     "average_traces",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -211,8 +208,8 @@ def fir_lowpass(stream, spec):
     """Linear-phase FIR low-pass; start-up/tail transients are trimmed.
 
     The output holds only steady-state samples ('valid' convolution), i.e.
-    (n_taps - 1) samples fewer than the input; the group delay
-    (n_taps - 1)/2 is logged for alignment bookkeeping.
+    (n_taps - 1) samples fewer than the input; callers align it with
+    `group_delay_samples`.
 
     The real taps act on the real and imaginary parts as one real array
     x of shape (2, nb + q - 1, B), zero-padded and cut into rows of
@@ -246,12 +243,6 @@ def fir_lowpass(stream, spec):
     filtered = np.empty(n_out, dtype=complex)
     filtered.real = y[0, :n_out]
     filtered.imag = y[1, :n_out]
-    log.debug(
-        "fir_lowpass: cutoff=%g Hz, %d taps, group delay %d samples trimmed",
-        spec.cutoff,
-        spec.n_taps,
-        group_delay_samples(spec),
-    )
     return IqStream(iq=filtered, rate=stream.rate)
 
 

@@ -26,6 +26,9 @@ resonance extractors used by the pipeline:
   reference (base) trace, six of them are then frozen, and every subsequent
   trace refits only {mu, v, gamma_c, phi, f_b, phi_b}, all traces of a
   sweep in one batch.
+
+Callers pass problem data only: the measurement starts, the misfit rule, the
+tolerances and the iteration cap, `_MAX_ITER`, are this module's.
 """
 
 import math
@@ -67,6 +70,8 @@ TWO_PI = 2.0 * math.pi
 # count as converged
 _FRTOL = 1e-10
 _GTOL = 1e-8
+# iterations after which a fit stops unconverged
+_MAX_ITER = 200
 
 # position of each chain scalar in a raw vector (order: PARAM_NAMES)
 _AT = {name: i for i, name in enumerate(PARAM_NAMES)}
@@ -151,7 +156,6 @@ class FitResult:
     n_iter: int
     converged: bool
     grad_norm: float = float("nan")
-    param_names: tuple = ()
 
 
 def least_squares(
@@ -159,8 +163,6 @@ def least_squares(
     sweep,
     init,
     bounds=None,
-    max_iter=200,
-    scales=None,
     param_names=(),
     *,
     jac,
@@ -178,9 +180,6 @@ def least_squares(
     bounds : (lo, hi) pair of arrays, optional
         Per-parameter box; steps are projected onto it.  Infinite entries
         leave a side open.
-    scales : array_like, optional
-        Natural magnitude of each parameter, used for conditioning; defaults
-        to |init| where nonzero.
     param_names : tuple of str, optional
         Used in diagnostics, e.g. to name rank-deficient directions.
     jac : callable(params, freqs) -> complex ndarray
@@ -189,9 +188,10 @@ def least_squares(
     Returns
     -------
     FitResult
-        Hitting the iteration cap yields ``converged=False`` rather than an
-        exception; a column that is flat (natural-scale norm at most 1e-14
-        of the largest) and not at a bound raises `RankDeficiencyError`.
+        Hitting the cap of `_MAX_ITER` iterations yields ``converged=False``
+        rather than an exception; a column that is flat (natural-scale norm,
+        times |init| or 1 where init is 0, at most 1e-14 of the largest) and
+        not at a bound raises `RankDeficiencyError`.
 
     Notes
     -----
@@ -219,10 +219,7 @@ def least_squares(
         hi = np.asarray(bounds[1], dtype=float)
     if np.any(x < lo) or np.any(x > hi):
         raise FitError("initial parameters lie outside the bounds")
-    if scales is None:
-        scales = np.where(np.abs(x) > 0, np.abs(x), 1.0)
-    else:
-        scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
+    scales = np.where(np.abs(x) > 0, np.abs(x), 1.0)
     names = tuple(param_names) or tuple(f"p{i}" for i in range(n))
 
     def evaluate(X, rows):
@@ -230,7 +227,7 @@ def least_squares(
         Jc = jac(X[0], freqs)
         return np.concatenate([r.real, r.imag])[None], np.concatenate([Jc.real, Jc.imag])[None]
 
-    [fit], [failure] = _lm(evaluate, x[None], lo, hi, scales[None], names, max_iter)
+    [fit], [failure] = _lm(evaluate, x[None], lo, hi, scales[None], names)
     if failure is not None:
         raise RankDeficiencyError(failure)
     return fit
@@ -280,7 +277,7 @@ def _projected(x, lo, hi, scales, col, S, grad_r):
     return flat & ~(at_lo | at_hi), A, np.where(blocked, 0.0, grad_r)
 
 
-def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
+def _lm(evaluate, x0, lo, hi, scales, names):
     """Levenberg-Marquardt over a batch of independent fits; the one LM loop.
 
     Row k of the (B, n) start ``x0`` minimizes the sum of squares of its
@@ -331,7 +328,7 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
     n_iter = np.zeros(n_rows, dtype=int)
     failures = [None] * n_rows
     pending = np.arange(n_rows)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if pending.size == 0:
             break
         n_iter[pending] = it
@@ -406,7 +403,6 @@ def _lm(evaluate, x0, lo, hi, scales, names, max_iter):
             n_iter=int(n_iter[k]),
             converged=bool(converged[k]),
             grad_norm=float(grad_inf[k]),
-            param_names=names,
         )
         for k in range(n_rows)
     ], failures
@@ -536,9 +532,9 @@ class CalibrationResult:
     ``fit.params`` holds all twelve fitted scalars in `PARAM_NAMES` order;
     every subsequent `fit_measurements` holds the entries named in
     `FROZEN_PARAM_NAMES` at these values.  ``misfit_flag`` is set when the
-    residual stayed above both ``residual_tol`` of the trace span and the
-    trace's own noise level (e.g. the background model missed a resonance
-    present in the data).
+    RMS residual per point stayed above both the trace's own noise level
+    (see `_noise_rms`) and round-off, sqrt(eps) of the trace magnitude span
+    (e.g. the background model missed a resonance present in the data).
     """
 
     fit: FitResult
@@ -568,6 +564,11 @@ def _noise_rms(residual):
 # on white noise their ratio has a spread of about 0.35/sqrt(n) at 41 to 451
 # points, so the margin 1 + _NOISE_MARGIN/sqrt(n) sits ten spreads above 1.
 _NOISE_MARGIN = 4.0
+
+# Round-off, as a share of the trace span: a clean trace's fit leaves at most
+# 7.3e-14 of it, a smooth residual the noise test alone would take for a
+# misfit; the misfits the tests inject leave at least 1.4e-4.
+_ROUNDOFF_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
 def _default_bounds(freqs, gamma_scale):
@@ -604,7 +605,7 @@ def _scales(x0, freqs):
     return s
 
 
-def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
+def _fit_free(freqs, data, base, starts, free, lo, hi, scales):
     """The staged fit's one routine: an LM fit of the entries ``free`` of each
     row of a batch, the other entries held at ``base``.
 
@@ -644,12 +645,11 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales, max_iter):
         hi[free],
         scales[..., free],
         tuple(PARAM_NAMES[i] for i in free),
-        max_iter,
     )
     return full([fit.params for fit in fits]), fits, failures
 
 
-def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
+def fit_base_calibration(sweep, init):
     """Fit all twelve chain parameters on a reference (base) trace.
 
     One `_fit_free` batch of one fits all twelve from the clipped start.
@@ -664,11 +664,6 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
         Starting point, the twelve scalars in `PARAM_NAMES` order (e.g.
         truth perturbed by a few percent, or heuristics); it is clipped into
         the fit box, so it need not be a physical chain.
-    residual_tol : float
-        RMS residual per point, relative to the trace magnitude span, above
-        which the calibration is flagged as a model mismatch, unless the
-        residual is also within the trace's own noise level (see
-        `_noise_rms`).
 
     Returns
     -------
@@ -683,26 +678,24 @@ def fit_base_calibration(sweep, init, residual_tol=1e-3, max_iter=200):
     scales = _scales(X[0], sweep.freqs)
 
     every = list(range(len(PARAM_NAMES)))
-    X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], X[0], X, every, lo, hi, scales, max_iter)
+    X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], X[0], X, every, lo, hi, scales)
     if failure is not None:
         raise RankDeficiencyError(failure)
     span = float(np.ptp(np.abs(sweep.values)))
     residual = _chain_model(X[0], sweep.freqs) - sweep.values
     noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(residual)
-    misfit = fit.residual_norm > max(residual_tol * max(span, 1e-300), noise)
+    misfit = fit.residual_norm > max(_ROUNDOFF_FLOOR * max(span, 1e-300), noise)
     return CalibrationResult(fit=fit, misfit_flag=misfit)
 
 
-def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
+def fit_measurements(sweeps, calibration):
     """Fit {mu, v, gamma_c, phi, f_b, phi_b} to every trace of a sweep.
 
     The six parameters named in `FROZEN_PARAM_NAMES` are held at their
     calibrated values.  For each trace, mu is initialized at the magnitude
     minimum and sigma = sqrt(v) at 10% of the apparent linewidth, both read
-    over all traces in one pass; the nuisance parameters start from the
-    calibration.  ``init_hints``, one entry per trace that is None or a
-    twelve-scalar vector in `PARAM_NAMES` order, overrides those starting
-    values; frozen entries are ignored.
+    over all traces in one pass (`_measurement_starts`); the nuisance
+    parameters start from the calibration.
 
     The traces must share one probe grid.  They are fitted as one
     `_fit_free` batch: every trial step makes one `_chain_jacobian` call,
@@ -718,9 +711,6 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
         is emitted for each trace whose v ends at 0.
     """
     sweeps = list(sweeps)
-    hints = [None] * len(sweeps) if init_hints is None else list(init_hints)
-    if len(hints) != len(sweeps):
-        raise ValueError(f"init_hints: {len(hints)} entries for {len(sweeps)} traces")
     if not sweeps:
         return []
     freqs = sweeps[0].freqs
@@ -732,13 +722,9 @@ def fit_measurements(sweeps, calibration, init_hints=None, max_iter=200):
     lo, hi = _default_bounds(freqs, gamma_scale=x[_AT["gamma"]])
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
     data = np.array([sweep.values for sweep in sweeps])
-    starts = _measurement_starts(freqs, data, x)
-    for k, hint in enumerate(hints):
-        if hint is not None:
-            starts[k] = _chain_vector(hint, "init_hint")
-    X = np.tile(x, (len(sweeps), 1))
-    X[:, free] = np.clip(starts[:, free], lo[free], hi[free])  # held entries stay as calibrated
-    X, fits, _ = _fit_free(freqs, data, x, X, free, lo, hi, _scales(X, freqs), max_iter)
+    X = _measurement_starts(freqs, data, x)
+    X[:, free] = np.clip(X[:, free], lo[free], hi[free])
+    X, fits, _ = _fit_free(freqs, data, x, X, free, lo, hi, _scales(X, freqs))
     for v in X[:, _AT["v"]]:
         if v <= lo[_AT["v"]]:
             warnings.warn("fitted broadening ended at v = 0", DegenerateSigmaWarning, stacklevel=2)

@@ -48,8 +48,8 @@ class PhotonMoments:
     variance: float
 
     def __post_init__(self):
-        if self.mean < 0 or self.variance < 0:
-            raise ValueError(f"moments must be non-negative, got {self}")
+        if not (0 <= self.mean < math.inf and 0 <= self.variance < math.inf):
+            raise ValueError(f"moments must be finite and non-negative, got {self}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class MixedField:
     n_th: float
 
     def __post_init__(self):
-        if self.n_coh < 0 or self.n_th < 0:
-            raise ValueError(f"fluxes must be non-negative, got {self}")
+        if not (0 <= self.n_coh < math.inf and 0 <= self.n_th < math.inf):
+            raise ValueError(f"fluxes must be finite and non-negative, got {self}")
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,15 @@ def planck_mean_photon(state):
 
 def thermal_variance(mean):
     """Thermal (Bose-Einstein) number variance n(n+1)."""
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0, got {mean}")
     return mean * (mean + 1.0)
 
 
 def coherent_variance(mean):
     """Coherent (Poisson) number variance, equal to the mean."""
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0, got {mean}")
     return mean
 
 

@@ -547,6 +547,10 @@ def dataset_from_json(fh):
     records = tuple(
         _point_from_dict(p, f"record {k}", grid) for k, p in enumerate(doc["records"])
     )
+    # one record per control point of the config, in order: none dropped
+    controls, expected = [p.control for p in records], list(config.control_values())
+    if controls != expected:
+        raise ValueError(f"'records': controls {controls} differ from the config's control grid {expected}")
     return SweepDataset(config=config, base=base, records=records)
 
 

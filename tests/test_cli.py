@@ -41,6 +41,24 @@ def test_stats_requires_exactly_one_input(capsys):
     assert capsys.readouterr().err == "error: mixed input needs both --mixed-coh and --mixed-th\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--thermal-mean", "nan"],
+        ["--thermal-mean", "inf"],
+        ["--coherent-mean", "nan"],
+        ["--mixed-coh", "nan", "--mixed-th", "1"],
+        ["--mixed-coh", "1", "--mixed-th", "inf"],
+    ],
+    ids=["thermal-nan", "thermal-inf", "coherent-nan", "mixed-coh-nan", "mixed-th-inf"],
+)
+def test_stats_refuses_non_finite_input(capsys, argv):
+    assert cli.main(["stats", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--bogus"])
@@ -143,6 +161,7 @@ def test_negative_seed_exits_one_naming_it(tmp_path, thermal_config_file, capsys
 
 
 def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
+    import bolostat.fitkit as fk
     import bolostat.pipeline as pl
 
     dataset = tmp_path / "d.json"
@@ -150,8 +169,10 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
 
     real_fit = pl.fit_measurements
 
-    def starved_fit(sweeps, calibration, **kwargs):
-        return real_fit(sweeps, calibration, max_iter=1, **kwargs)
+    def starved_fit(sweeps, calibration):
+        with monkeypatch.context() as m:
+            m.setattr(fk, "_MAX_ITER", 1)
+            return real_fit(sweeps, calibration)
 
     monkeypatch.setattr(pl, "fit_measurements", starved_fit)
     rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
@@ -166,6 +187,7 @@ def test_non_converged_fit_exits_two(tmp_path, thermal_config_file, monkeypatch,
 def test_non_converged_calibration_exits_two(tmp_path, monkeypatch, capsys):
     # on clean data the base calibration converges in one iteration, so the
     # noisy thermal config is what a one-iteration cap leaves unconverged
+    import bolostat.fitkit as fk
     import bolostat.pipeline as pl
 
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
@@ -176,8 +198,11 @@ def test_non_converged_calibration_exits_two(tmp_path, monkeypatch, capsys):
 
     real_calibration = pl.fit_base_calibration
 
-    def starved_calibration(sweep, init, **kwargs):
-        return real_calibration(sweep, init, max_iter=1, **kwargs)
+    def starved_calibration(sweep, init):
+        # capped only here: the measurement fits keep their iterations
+        with monkeypatch.context() as m:
+            m.setattr(fk, "_MAX_ITER", 1)
+            return real_calibration(sweep, init)
 
     monkeypatch.setattr(pl, "fit_base_calibration", starved_calibration)
     rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
@@ -490,6 +515,15 @@ def test_report_label_mismatch(tmp_path):
     src = tmp_path / "s.csv"
     src.write_text("control,mu_hz\n")
     assert cli.main(["report", str(src), "--labels", "a,b", "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_report_refuses_a_file_without_rows(tmp_path, capsys):
+    src = tmp_path / "s.csv"
+    src.write_text(",".join(pipeline.STATS_HEADER) + "\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["report", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src}: no statistics rows\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "demod"])

@@ -134,7 +134,9 @@ class TestLeastSquares:
         expected, *_ = np.linalg.lstsq(design, y, rcond=None)
         np.testing.assert_allclose(res.params, expected, rtol=1e-10, atol=1e-12)
 
-    def test_residual_non_increasing_over_accepted_steps(self):
+    def test_residual_non_increasing_over_accepted_steps(self, monkeypatch):
+        import bolostat.fitkit as fk
+
         sweep = synth_sweep(523e6, 0.8e6)
         rng = np.random.default_rng(4)
         init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
@@ -143,13 +145,17 @@ class TestLeastSquares:
         fit = least_squares(_chain_model, sweep, **kwargs)
         assert fit.n_iter >= 3
         # a fit capped at k iterations returns its k-th accepted point
-        history = [
-            least_squares(_chain_model, sweep, max_iter=k, **kwargs).residual_norm
-            for k in range(1, fit.n_iter)
-        ] + [fit.residual_norm]
+        history = []
+        for k in range(1, fit.n_iter):
+            monkeypatch.setattr(fk, "_MAX_ITER", k)
+            history.append(least_squares(_chain_model, sweep, **kwargs).residual_norm)
+        history.append(fit.residual_norm)
         assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
 
-    def test_iteration_cap_reports_not_converged(self):
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        import bolostat.fitkit as fk
+
+        monkeypatch.setattr(fk, "_MAX_ITER", 2)
         sweep = synth_sweep(523e6, 0.8e6)
         rng = np.random.default_rng(4)
         init = perturbed_model(CHAIN_TRUE, 523e6, 0.8e6, rng, PROBE_GRID[-1] - PROBE_GRID[0])
@@ -159,7 +165,6 @@ class TestLeastSquares:
             sweep,
             init=np.clip(init, lo, hi),
             bounds=(lo, hi),
-            max_iter=2,
             jac=chain_jac,
         )
         assert not res.converged and res.n_iter == 2
@@ -419,7 +424,7 @@ class TestBaseCalibration:
         sweep = ComplexSweep(PROBE_GRID, values)
         rng = np.random.default_rng(1)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, rng, 30e6)
-        calib = fit_base_calibration(sweep, init, residual_tol=1e-4)
+        calib = fit_base_calibration(sweep, init)
         assert calib.fit.converged
         assert calib.misfit_flag
 
@@ -442,7 +447,7 @@ class TestBaseCalibration:
         noise = 5e-5
         values = add_noise(two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), grid), noise, seed=3)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
-        calib = fit_base_calibration(ComplexSweep(grid, values), init, residual_tol=1e-4)
+        calib = fit_base_calibration(ComplexSweep(grid, values), init)
         assert calib.fit.residual_norm > 2.5 * noise * np.ptp(np.abs(values))
         assert calib.misfit_flag
 
@@ -457,7 +462,7 @@ class TestBaseCalibration:
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_noise_level_residual_is_not_a_misfit(self, seed):
         # shipped thermal config at noise 0.01: residual/span is 0.0095-0.0101,
-        # ten times residual_tol, but it is the injected noise, not a misfit
+        # far above round-off, but it is the injected noise, not a misfit
         shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
         raw = dict(json.loads(shipped.read_text()), noise=0.01, seed=seed)
         dataset = simulate_sweep(SweepConfig.from_dict(raw))
@@ -470,12 +475,9 @@ class TestBaseCalibration:
 class TestMeasurementFit:
     def test_round_trip_box(self):
         _, calib = base_calibration()
-        rng = np.random.default_rng(12)
-        span = PROBE_GRID[-1] - PROBE_GRID[0]
         for mu_t, sigma_t in [(514e6, 0.3e6), (523e6, 1.5e6), (530e6, 2.8e6)]:
             sweep = synth_sweep(mu_t, sigma_t)
-            hint = perturbed_model(CHAIN_TRUE, mu_t, sigma_t, rng, span)
-            mu, sigma, fit = fit_measurements([sweep], calib, [hint])[0]
+            mu, sigma, fit = fit_measurements([sweep], calib)[0]
             assert fit.converged
             assert abs(mu - mu_t) < 1e3
             assert abs(sigma / sigma_t - 1) < 0.01
@@ -684,7 +686,7 @@ def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None):
 
     monkeypatch.setattr(fk, "_lm", stopped)
     with pytest.raises(RuntimeError, match="stop after"):
-        fk._fit_free(PROBE_GRID, data, starts[0], starts, free, lo, hi, np.ones(12), 10)
+        fk._fit_free(PROBE_GRID, data, starts[0], starts, free, lo, hi, np.ones(12))
     return seen, starts, free, data
 
 
@@ -759,7 +761,7 @@ def test_noisy_calibration_leaves_the_sigma_floor_in_few_steps(monkeypatch, seed
     real_lm = fk._lm
     stages = []
 
-    def recording(evaluate, x0, lo, hi, scales, names, max_iter):
+    def recording(evaluate, x0, lo, hi, scales, names):
         costs = []
 
         def logged(X, rows):
@@ -767,7 +769,7 @@ def test_noisy_calibration_leaves_the_sigma_floor_in_few_steps(monkeypatch, seed
             costs.append(float(np.sum(r * r)))
             return r, J
 
-        fits, failures = real_lm(logged, x0, lo, hi, scales, names, max_iter)
+        fits, failures = real_lm(logged, x0, lo, hi, scales, names)
         stages.append((names, x0, np.broadcast_to(scales, x0.shape), costs, fits, evaluate))
         return fits, failures
 
@@ -963,7 +965,7 @@ class TestSweepFit:
         t, x0, data = self.DECAY_T, self.DECAY_START, self.decay_data()
         lo, hi = np.array([0.0, 0.0]), np.array([10.0, 10.0])
         evaluate, log = self.decay_problem(data, t)
-        fits, failures = _lm(evaluate, x0, lo, hi, np.ones(2), ("a", "b"), 200)
+        fits, failures = _lm(evaluate, x0, lo, hi, np.abs(x0), ("a", "b"))
         assert failures == [None, None, None]
         assert [fit.n_iter for fit in fits] == [3, 9, 5]
         assert all(fit.converged for fit in fits)
@@ -980,7 +982,6 @@ class TestSweepFit:
                 ComplexSweep(t, data[k] + 0j),
                 init=x0[k],
                 bounds=(lo, hi),
-                scales=np.ones(2),
                 jac=lambda p, f: np.stack([np.exp(-p[1] * f), -p[0] * f * np.exp(-p[1] * f)], -1) + 0j,
             )
             np.testing.assert_array_equal(fit.params, alone.params)
@@ -1003,7 +1004,7 @@ class TestSweepFit:
         monkeypatch.setattr(fk, "_solve_rows", counted_solve)
         x0 = self.DECAY_START
         evaluate, log = self.decay_problem(self.decay_data(), self.DECAY_T)
-        fits, _ = fk._lm(evaluate, x0, [0.0, 0.0], [10.0, 10.0], np.ones(2), ("a", "b"), 200)
+        fits, _ = fk._lm(evaluate, x0, [0.0, 0.0], [10.0, 10.0], np.ones(2), ("a", "b"))
         assert all(solves)  # each trial (and the polish) solved, then evaluated once
         assert len(log) == 1 + len(solves)
         rows, X = log[0]
@@ -1032,7 +1033,7 @@ class TestSweepFit:
 
         x0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [-10.0, 0.0]])
         lo, hi = np.array([-10.0, 0.0]), np.array([10.0, 10.0])
-        fits, failures = _lm(evaluate, x0, lo, hi, np.ones(2), ("p0", "p1"), 50)
+        fits, failures = _lm(evaluate, x0, lo, hi, np.ones(2), ("p0", "p1"))
         assert failures[0] is None and failures[2] is None and failures[3] is None
         assert fits[3].converged and fits[3].n_iter == 1 and fits[3].grad_norm == 0.0
         np.testing.assert_array_equal(fits[3].params, x0[3])
@@ -1044,11 +1045,8 @@ class TestSweepFit:
         assert fits[2].params[1] == 0.0
         assert fits[2].params[0] == pytest.approx(3.0, rel=1e-12)
 
-    def test_one_hint_per_trace_and_no_fits_without_traces(self):
+    def test_no_fits_without_traces(self):
         _, calib = base_calibration()
-        sweep = synth_sweep(522e6, 1e6)
-        with pytest.raises(ValueError, match="^init_hints: 1 entries for 2 traces$"):
-            fit_measurements([sweep, sweep], calib, [None])
         assert fit_measurements([], calib) == []
 
     def test_traces_must_share_one_grid(self):

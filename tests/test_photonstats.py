@@ -70,6 +70,18 @@ def test_coherent_variance_is_mean(mean):
     assert coherent_variance(mean) == mean
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_inputs_rejected(bad):
+    for variance in (thermal_variance, coherent_variance):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            variance(bad)
+    for args in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            MixedField(*args)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PhotonMoments(*args)
+
+
 class TestMixedMoments:
     def test_pure_thermal_limit_bit_exact(self):
         m = mixed_moments(MixedField(n_coh=0.0, n_th=1.7))

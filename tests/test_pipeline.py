@@ -108,6 +108,8 @@ MALFORMED = {
     "no-records": (without("records"), "missing 'records'"),
     "config-not-an-object": (lambda doc: dict(doc, config=[doc["config"]]), "'config'"),
     "records-not-a-list": (lambda doc: dict(doc, records=doc["records"][0]), "'records'"),
+    "empty-records": (lambda doc: dict(doc, records=[]), "'records': controls"),
+    "missing-record": (lambda doc: dict(doc, records=doc["records"][:-1]), "'records': controls"),
     "record-not-an-object": (lambda doc: dict(doc, records=[1.0]), "record 0"),
     "record-without-re": (first_record(lambda p: p.pop("re")), "missing 're'"),
     "control-null": (first_record(lambda p: p.update(control=None)), "'control'"),
@@ -393,9 +395,9 @@ class TestExtraction:
         real = fk._lm
         starts = []
 
-        def recording(evaluate, x0, lo, hi, scales, names, max_iter):
+        def recording(evaluate, x0, lo, hi, scales, names):
             starts.append((names, x0[0], np.broadcast_to(lo, x0.shape)[0]))
-            return real(evaluate, x0, lo, hi, scales, names, max_iter)
+            return real(evaluate, x0, lo, hi, scales, names)
 
         monkeypatch.setattr(fk, "_lm", recording)
         calibration = run_calibration(dataset)
@@ -441,8 +443,9 @@ class TestPersistence:
         values = np.array([0.1, -0.0, 1e308, 5e-324], dtype=complex)
         values.imag = [5e-324, 1e308, -0.0, 0.1]
         sweep = ComplexSweep(freqs=[-0.0, 5e-324, 0.1, 1e308], values=values)
+        config = make_config(t_grid_k=[1.0])
         dataset = SweepDataset(
-            config=make_config(),
+            config=config,
             base=TracePoint(control=None, truth={"mean_n": 0.0}, sweep=sweep),
             records=(TracePoint(control=1.0, truth={"mean_n": 0.5}, sweep=sweep),),
         )
@@ -453,7 +456,7 @@ class TestPersistence:
         # the whole document, as the writer means it: one grid, at the top
         assert json.loads(buf.getvalue()) == {
             "format": "bolostat-dataset-v3",
-            "config": make_config().to_dict(),
+            "config": config.to_dict(),
             "f_p_hz": "AAAAAAAAAIABAAAAAAAAAJqZmZmZmbk/oMjrhfPM4X8=",
             "base": {"control": None, "truth": {"mean_n": 0.0}, "re": re, "im": im},
             "records": [{"control": 1.0, "truth": {"mean_n": 0.5}, "re": re, "im": im}],
@@ -476,7 +479,7 @@ class TestPersistence:
             values.imag = data.draw(samples)
             return TracePoint(control=control, truth={}, sweep=ComplexSweep(grid, values))
 
-        dataset = SweepDataset(make_config(), point(None), (point(0.5), point(2.0)))
+        dataset = SweepDataset(make_config(t_grid_k=[0.5, 2.0]), point(None), (point(0.5), point(2.0)))
         buf = io.StringIO()
         dataset_to_json(dataset, buf)
         again = dataset_from_json(io.StringIO(buf.getvalue()))
@@ -508,7 +511,7 @@ class TestPersistence:
     def test_dataset_json_malformed_arrays_raise(self, case):
         mutate, match = MALFORMED[case]
         buf = io.StringIO()
-        dataset_to_json(simulate_sweep(make_config(t_grid_k=[1.0])), buf)
+        dataset_to_json(simulate_sweep(make_config(t_grid_k=[0.5, 1.0])), buf)
         doc = mutate(json.loads(buf.getvalue()))
         with pytest.raises(ValueError, match=match):
             dataset_from_json(io.StringIO(json.dumps(doc)))
