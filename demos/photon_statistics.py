@@ -7,18 +7,17 @@ second-order correlation that separates them.
 """
 
 from bolostat import (
-    CalibrationScale,
     MixedField,
     PhotonMoments,
     RadiatorState,
     beamsplitter_combine,
+    broadening_to_variance,
     coherent_variance,
     flux_to_power,
     g2_zero,
     mixed_moments,
     mixed_moments_mc,
     planck_mean_photon,
-    sigma_to_variance,
     thermal_variance,
 )
 
@@ -57,6 +56,6 @@ print("\npower bookkeeping:")
 p = flux_to_power(0.16, F_IN, FWHM)
 print(f"  0.16 photon/(s*Hz) over the {FWHM / 1e6:.0f} MHz passband = {p * 1e18:.1f} aW")
 
-scale = CalibrationScale(alpha=1.92e-6)  # 1.92 photon/MHz
-print(f"  a 1 MHz fitted broadening maps to (Delta n)^2 = "
-      f"{sigma_to_variance(1e6, 0.0, scale):.4f}")
+alpha = 1.92e-6  # 1.92 photon/MHz
+print(f"  a 1 MHz fitted broadening (v = 1e12 Hz^2) maps to (Delta n)^2 = "
+      f"{broadening_to_variance(1e12, 0.0, alpha):.4f}")

@@ -4,8 +4,10 @@ Step 1 extracts the bare line parameters geometrically (algebraic circle +
 phase slope).  Step 2 runs the staged procedure used on real traces: fit
 all twelve chain parameters on a reference trace, freeze six of them, then
 refit each measurement with six free parameters and read off the line
-center mu and broadening sigma.
+center mu and broadening v = sigma^2.
 """
+
+import math
 
 import numpy as np
 
@@ -78,10 +80,10 @@ print(f"  frozen for the rest of the run: {', '.join(FROZEN_PARAM_NAMES)}")
 print("\nper-measurement fits (six free parameters), truth vs extracted:")
 print(f"{'mu_true (MHz)':>14} {'sigma_true':>11} {'mu_fit':>12} {'sigma_fit':>11} {'iters':>6}")
 for mu_t, sigma_t in [(523.0e6, 0.4e6), (521.5e6, 1.2e6), (519.0e6, 2.4e6)]:
-    [(mu, sigma, fit)] = fit_measurements([synthesize(mu_t, sigma_t)], calibration)
+    [(mu, v, fit)] = fit_measurements([synthesize(mu_t, sigma_t)], calibration)
     print(
         f"{mu_t / 1e6:14.4f} {sigma_t / 1e6:11.4f} "
-        f"{mu / 1e6:12.4f} {sigma / 1e6:11.4f} {fit.n_iter:6d}"
+        f"{mu / 1e6:12.4f} {math.sqrt(v) / 1e6:11.4f} {fit.n_iter:6d}"
     )
 
 print("\nmu comes back to sub-hertz and sigma to a few ppm on clean traces;")

@@ -3,8 +3,8 @@
 Forward models of a thermometer resonance whose center frequency is
 Gaussian-distributed by the photon statistics of the absorbed field,
 staged nonlinear fitting of the resulting reflection traces, the photon
-moment formulas connecting the fitted (mu, sigma) to <n>, (Delta n)^2 and
-g2(0), and a synthetic digitizer chain.
+moment formulas connecting the fitted (mu, v = sigma^2) to <n>,
+(Delta n)^2 and g2(0), and a synthetic digitizer chain.
 """
 
 from .specfun import DomainError, RangeOverflowError, erfcx, faddeeva_w
@@ -21,13 +21,13 @@ from .response import (
     full_chain_response,
 )
 from .photonstats import (
-    CalibrationScale,
     InsufficientDataError,
     MixedField,
     PhotonMoments,
     RadiatorState,
     UndefinedStatisticError,
     beamsplitter_combine,
+    broadening_to_variance,
     coherent_variance,
     flux_to_power,
     g2_zero,
@@ -35,7 +35,6 @@ from .photonstats import (
     mixed_moments_mc,
     planck_mean_photon,
     resolution_metrics,
-    sigma_to_variance,
     thermal_variance,
 )
 from .fitkit import (

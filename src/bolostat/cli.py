@@ -1,10 +1,11 @@
 """Command-line surface: simulate / fit / stats / demod / report.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 when any fit
-failed to converge or the base calibration could not be carried out at all.
-A trace fit that did not converge, singular normal equations included, is
-reported in its own row (``converged=0``) and the other rows are still
-written; a calibration `FitError` writes nothing.
+failed to converge, the base calibration is flagged as a misfit, or it
+could not be carried out at all.  A trace fit that did not converge,
+singular normal equations included, is reported in its own row
+(``converged=0``) and the other rows are still written, as they are after a
+misfit calibration; a calibration `FitError` writes nothing.
 A run's only seed is the config's ``seed`` field: ``fit`` reads it from
 the config its dataset embeds, so a dataset file gives one set of
 statistics.
@@ -92,13 +93,12 @@ def _cmd_fit(args):
     records = pipeline.extract_statistics(dataset, calibration)
     with open(args.out, "w") as fh:
         pipeline.stats_to_csv(records, fh)
-    bad = sum(1 for r in records if not r.converged)
-    if not calibration.fit.converged:
-        bad += 1
+    bad = sum(not r.converged for r in records) + (not calibration.fit.converged)
     if bad:
         sys.stderr.write(f"warning: {bad} fit(s) did not converge\n")
-        return 2
-    return 0
+    if calibration.misfit_flag:
+        sys.stderr.write("warning: the base calibration is a misfit; every row is referred to it\n")
+    return 2 if bad or calibration.misfit_flag else 0
 
 
 def _cmd_stats(args):

@@ -15,9 +15,10 @@ complex columns over their imaginary parts, (B, 2m, n) with each column
 contiguous; `_chain_jacobian` forms and writes only the free columns,
 straight into that layout, in one buffer per `_fit_free` call.  The
 broadening is the variance v = sigma**2 everywhere in the chain fits: the
-box, the steps, the FitResults and their covariances; the line is analytic
-in v down to v = 0, the zero-input answer.  On top of them sit the
-resonance extractors used by the pipeline:
+box, the steps, the FitResults and their covariances, and the v that
+`fit_measurements` returns; the line is analytic in v down to v = 0, the
+zero-input answer.  On top of them sit the resonance extractors used by
+the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
@@ -706,9 +707,10 @@ def fit_measurements(sweeps, calibration):
 
     Returns
     -------
-    list of (mu, sigma, FitResult), in the order of ``sweeps``
-        sigma is sqrt(v); the FitResult is in v.  A `DegenerateSigmaWarning`
-        is emitted for each trace whose v ends at 0.
+    list of (mu, v, FitResult), in the order of ``sweeps``
+        v = sigma**2 is the fitted broadening, in Hz^2, the coordinate of
+        the FitResult too.  A `DegenerateSigmaWarning` is emitted for each
+        trace whose v ends at 0.
     """
     sweeps = list(sweeps)
     if not sweeps:
@@ -728,9 +730,7 @@ def fit_measurements(sweeps, calibration):
     for v in X[:, _AT["v"]]:
         if v <= lo[_AT["v"]]:
             warnings.warn("fitted broadening ended at v = 0", DegenerateSigmaWarning, stacklevel=2)
-    return [
-        (float(x_fit[_AT["mu"]]), math.sqrt(x_fit[_AT["v"]]), fit) for x_fit, fit in zip(X, fits)
-    ]
+    return [(float(x_fit[_AT["mu"]]), float(x_fit[_AT["v"]]), fit) for x_fit, fit in zip(X, fits)]
 
 
 def _measurement_starts(freqs, data, x):

@@ -2,7 +2,8 @@
 
 Fluxes are photon/(s*Hz) throughout; conversion to watts happens only in
 `flux_to_power`.  Variances carry the square of that unit so that
-g2 = 1 + (variance - mean)/mean^2 is dimensionless.
+g2 = 1 + (variance - mean)/mean^2 is dimensionless.  A fitted broadening
+enters in the fits' coordinate, v = sigma^2 (Hz^2).
 """
 
 import math
@@ -18,7 +19,6 @@ __all__ = [
     "PhotonMoments",
     "RadiatorState",
     "MixedField",
-    "CalibrationScale",
     "UndefinedStatisticError",
     "InsufficientDataError",
     "planck_mean_photon",
@@ -27,7 +27,7 @@ __all__ = [
     "mixed_moments",
     "mixed_moments_mc",
     "g2_zero",
-    "sigma_to_variance",
+    "broadening_to_variance",
     "beamsplitter_combine",
     "flux_to_power",
     "resolution_metrics",
@@ -76,17 +76,6 @@ class MixedField:
     def __post_init__(self):
         if not (0 <= self.n_coh < math.inf and 0 <= self.n_th < math.inf):
             raise ValueError(f"fluxes must be finite and non-negative, got {self}")
-
-
-@dataclass(frozen=True)
-class CalibrationScale:
-    """Linear broadening calibration Delta_n = alpha * sigma, alpha in photon/Hz."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 def planck_mean_photon(state):
@@ -168,15 +157,18 @@ def g2_zero(m):
     return 1.0 + (m.variance - m.mean) / m.mean**2
 
 
-def sigma_to_variance(sigma, sigma_base, scale):
-    """Photon-number variance alpha^2*(sigma^2 - sigma_base^2) from fitted broadening.
+def broadening_to_variance(v, v_base, alpha):
+    """Photon-number variance alpha^2*(v - v_base) from a fitted broadening.
 
-    ``sigma_base`` is the broadening of the zero-input base trace; a fitted
-    sigma below it maps to zero variance.
+    ``v`` = sigma^2 is the fitted broadening (Hz^2) and ``v_base`` that of
+    the zero-input base trace; a v below ``v_base`` maps to zero variance.
+    ``alpha`` (photon/Hz) is the linear calibration Delta_n = alpha * sigma.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return scale.alpha**2 * max(sigma**2 - sigma_base**2, 0.0)
+    if v < 0:
+        raise ValueError(f"v must be >= 0, got {v}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return alpha**2 * max(v - v_base, 0.0)
 
 
 def beamsplitter_combine(coh_in, th_in, Gamma):

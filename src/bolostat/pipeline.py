@@ -35,16 +35,15 @@ import numpy as np
 
 from .fitkit import ComplexSweep, fit_base_calibration, fit_measurements
 from .photonstats import (
-    CalibrationScale,
     PhotonMoments,
     RadiatorState,
     beamsplitter_combine,
+    broadening_to_variance,
     coherent_variance,
     flux_to_power,
     g2_zero,
     mixed_moments,
     planck_mean_photon,
-    sigma_to_variance,
     thermal_variance,
 )
 from .response import _LINE, PARAM_NAMES, PHASE_NAMES, _frame, _line, _scalars
@@ -181,8 +180,8 @@ class SweepConfig:
             freq_shift_poly_hz=need(
                 "freq_shift_poly_hz",
                 tuple,
-                lambda c: 1 <= len(c) <= 8,
-                "must hold 1..8 ascending polynomial coefficients",
+                lambda c: 2 <= len(c) <= 8 and any(c[1:]),
+                "must hold 2..8 ascending polynomial coefficients, one after the constant non-zero",
             ),
             probe_start_hz=need("probe_start_hz", float, lambda v: v > 0, "must be positive"),
             probe_stop_hz=need("probe_stop_hz", float, lambda v: v > 0, "must be positive"),
@@ -418,23 +417,24 @@ def extract_statistics(dataset, calibration=None):
     Records come back in dataset order.  Non-converged
     fits, singular ones included, are reported in their record via
     ``converged``/``n_iter``/``residual_norm`` rather than dropped.
+    The fitted v = sigma**2 and the calibration's ``v_base`` go to
+    `broadening_to_variance` as they are; sqrt(v) is taken only for ``sigma_hz``.
     """
     cfg = dataset.config
     if calibration is None:
         calibration = run_calibration(dataset)
-    sigma_base = math.sqrt(calibration.fit.params[PARAM_NAMES.index("v")])
+    v_base = float(calibration.fit.params[PARAM_NAMES.index("v")])
     mu_base = float(calibration.fit.params[PARAM_NAMES.index("mu")])
-    scale = CalibrationScale(cfg.alpha_photon_per_hz)
 
-    def one(point, mu, sigma, fit):
-        variance = sigma_to_variance(sigma, sigma_base, scale)
+    def one(point, mu, v, fit):
+        variance = broadening_to_variance(v, v_base, cfg.alpha_photon_per_hz)
         mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base)
         g2 = g2_zero(PhotonMoments(mean, variance)) if mean > 0 else float("nan")
         power = flux_to_power(mean, cfg.radiator_frequency_hz, cfg.filter_fwhm_hz)
         return StatsRecord(
             control=point.control,
             mu_hz=mu,
-            sigma_hz=sigma,
+            sigma_hz=math.sqrt(v),
             mean_n=mean,
             variance_n=variance,
             g2=g2,

@@ -19,9 +19,10 @@ but not the synthesis or any fit's outcome, compares the two trees with
 
 which prints, for every statistics field and for the trace arrays, the
 worst relative and absolute drift over the clean and over the noisy sweeps
-apart, the number of rows whose iteration count moved, and each side's
-total dataset bytes.  A trace's drift is taken over its complex samples,
-|new - old| and |new - old| / |old|.  Datasets are compared by content,
+apart, then where each worst relative drift occurred (sweep label, and row
+of the statistics CSV counting from 0, or trace), the number of rows whose
+iteration count moved, and each side's total dataset bytes.  A trace's
+drift is taken over its complex samples, |new - old| and |new - old| / |old|.  Datasets are compared by content,
 not by bytes: config, every control and truth, and every trace array
 bitwise, read from either ``bolostat-dataset-v2`` (a probe grid per trace)
 or ``bolostat-dataset-v3`` (one top-level grid).  It exits 1 if any exit
@@ -112,9 +113,16 @@ def _dataset(path):
     return content
 
 
-def _trace_drift(old, new, worst):
-    """Raise ``worst`` = [rel, abs] to the drift of every trace two dataset
-    contents share on the same number of samples."""
+def _raise(worst, rel, gap, where):
+    """Raise ``worst`` = [rel, abs, where of rel] to a drift found at ``where``."""
+    if rel > worst[0]:
+        worst[0], worst[2] = rel, where
+    worst[1] = max(worst[1], gap)
+
+
+def _trace_drift(old, new, worst, label):
+    """Raise ``worst`` to the drift of every trace two dataset contents of
+    sweep ``label`` share on the same number of samples."""
     for key in old.keys() & new.keys():
         if not key.endswith(" re"):
             continue
@@ -125,14 +133,15 @@ def _trace_drift(old, new, worst):
         gap = np.abs(b - a)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(gap == 0, 0.0, gap / np.abs(a))
-        worst[0], worst[1] = max(worst[0], float(rel.max(initial=0))), max(worst[1], float(gap.max(initial=0)))
+        _raise(worst, float(rel.max(initial=0)), float(gap.max(initial=0)), f"{label} {trace}")
 
 
 def compare(before, after):
     """Print the drift table of two output trees; 1 if an outcome differs."""
     before, after = Path(before), Path(after)
     floats = [f.name for f in fields(StatsRecord) if f.type is float]
-    worst = {group: {name: [0.0, 0.0] for name in floats + ["traces"]} for group in ("clean", "noisy")}
+    names = floats + ["traces"]
+    worst = {group: {name: [0.0, 0.0, None] for name in names} for group in ("clean", "noisy")}
     moved_iters = {"clean": 0, "noisy": 0}
     problems = []
     dataset_bytes = [0, 0]
@@ -148,7 +157,7 @@ def compare(before, after):
         elif old != new:
             changed = [name for name in old.keys() | new.keys() if old.get(name) != new.get(name)]
             problems.append(f"{label}.json: {', '.join(sorted(changed)[:4])} differ")
-            _trace_drift(old, new, worst[group]["traces"])
+            _trace_drift(old, new, worst[group]["traces"], label)
         for side, path in enumerate(paths):
             dataset_bytes[side] += path.stat().st_size if path.exists() else 0
         old, new = _stats(before / f"{label}.csv"), _stats(after / f"{label}.csv")
@@ -164,12 +173,17 @@ def compare(before, after):
                 x, y = getattr(o, name), getattr(n, name)
                 gap = abs(y - x) if not (math.isnan(x) and math.isnan(y)) else 0.0
                 rel = gap / abs(x) if x else (0.0 if gap == 0 else math.inf)
-                w = worst[group][name]
-                w[0], w[1] = max(w[0], rel), max(w[1], gap)
+                _raise(worst[group][name], rel, gap, f"{label} row {row}")
     print(f"{'field':<14} {'clean rel':>10} {'clean abs':>10} {'noisy rel':>10} {'noisy abs':>10}")
-    for name in floats + ["traces"]:
-        cells = [f"{v:10.2e}" for group in ("clean", "noisy") for v in worst[group][name]]
+    for name in names:
+        cells = [f"{v:10.2e}" for group in ("clean", "noisy") for v in worst[group][name][:2]]
         print(f"{name:<14} " + " ".join(cells))
+    print("where each worst relative drift occurred:")
+    for name in names:
+        for group in ("clean", "noisy"):
+            rel, _, where = worst[group][name]
+            if where is not None:
+                print(f"  {name:<14} {group:<5} {rel:9.2e} at {where}")
     print(f"rows with a changed n_iter: clean {moved_iters['clean']}, noisy {moved_iters['noisy']}")
     print(f"dataset bytes: before {dataset_bytes[0]}, after {dataset_bytes[1]}")
     for line in problems:

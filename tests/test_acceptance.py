@@ -159,17 +159,17 @@ def test_criterion_3_fit_round_trip_grid():
     for mu_t in np.linspace(510e6, 530e6, 5):
         for sigma_t in (0.3e6, 0.9e6, 1.8e6, 2.8e6):
             sweep = synth_sweep(mu_t, sigma_t, freqs=freqs)
-            mu, sigma, fit = fit_measurements([sweep], calib)[0]
+            mu, v, fit = fit_measurements([sweep], calib)[0]
             worst_mu = max(worst_mu, abs(mu - mu_t))
-            worst_sig = max(worst_sig, abs(sigma / sigma_t - 1))
+            worst_sig = max(worst_sig, abs(math.sqrt(v) / sigma_t - 1))
     ok_grid = worst_mu < 1e3 and worst_sig < 0.01
 
     sigma_t = 0.5e6
     hats = []
     for seed in range(100):
         sweep = synth_sweep(523e6, sigma_t, noise=0.01, seed=seed)
-        _, sigma, _ = fit_measurements([sweep], calib)[0]
-        hats.append(sigma)
+        _, v, _ = fit_measurements([sweep], calib)[0]
+        hats.append(math.sqrt(v))
     bias = abs(float(np.mean(hats)) / sigma_t - 1)
     elapsed = time.time() - t0
     ok = ok_grid and bias < 0.05 and elapsed < 300

@@ -212,6 +212,29 @@ def test_non_converged_calibration_exits_two(tmp_path, monkeypatch, capsys):
     assert len(rows) == 9
 
 
+def test_misfit_calibration_exits_two(tmp_path, capsys):
+    # a 1% ripple with a 7 MHz period on every trace of the clean thermal
+    # config: no chain reproduces it, so the base calibration converges with
+    # a residual far above the (zero) noise and every row is referred to a
+    # wrong chain (the first row's g2 read 4.21 where a thermal field has 2)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    dataset = tmp_path / "d.json"
+    assert cli.main(["simulate", "--config", str(shipped), "--out", str(dataset)]) == 0
+    doc = json.loads(dataset.read_text())
+    f = decode_f8(doc["f_p_hz"])
+    ripple = 1.0 + 0.01 * np.exp(2j * np.pi * (f - f[0]) / 7e6)
+    for point in (doc["base"], *doc["records"]):
+        values = (decode_f8(point["re"]) + 1j * decode_f8(point["im"])) * ripple
+        point.update(re=encode_f8(values.real), im=encode_f8(values.imag))
+    dataset.write_text(json.dumps(doc))
+    rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "base calibration is a misfit" in err and "did not converge" not in err
+    rows = list(csv.DictReader((tmp_path / "s.csv").read_text().splitlines()))
+    assert len(rows) == 9
+
+
 def test_fit_error_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
     import bolostat.pipeline as pl
     from bolostat import RankDeficiencyError
@@ -302,6 +325,16 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 1
     assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", [[0.0], [5.0, 0.0, 0.0]])
+def test_shift_polynomial_that_cannot_shift_exits_one(tmp_path, capsys, coeffs):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(make_config().to_dict(), freq_shift_poly_hz=coeffs)))
+    out = tmp_path / "x.json"
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: field 'freq_shift_poly_hz': must hold 2..8")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

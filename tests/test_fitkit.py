@@ -475,19 +475,12 @@ class TestBaseCalibration:
 class TestMeasurementFit:
     def test_round_trip_box(self):
         _, calib = base_calibration()
-        for mu_t, sigma_t in [(514e6, 0.3e6), (523e6, 1.5e6), (530e6, 2.8e6)]:
+        for mu_t, sigma_t in [(514e6, 0.3e6), (521e6, 1.1e6), (523e6, 1.5e6), (530e6, 2.8e6)]:
             sweep = synth_sweep(mu_t, sigma_t)
-            mu, sigma, fit = fit_measurements([sweep], calib)[0]
+            mu, v, fit = fit_measurements([sweep], calib)[0]
             assert fit.converged
             assert abs(mu - mu_t) < 1e3
-            assert abs(sigma / sigma_t - 1) < 0.01
-
-    def test_heuristic_init_also_recovers(self):
-        _, calib = base_calibration()
-        sweep = synth_sweep(521e6, 1.1e6)
-        mu, sigma, fit = fit_measurements([sweep], calib)[0]
-        assert abs(mu - 521e6) < 1e3
-        assert abs(sigma / 1.1e6 - 1) < 0.01
+            assert abs(math.sqrt(v) / sigma_t - 1) < 0.01
 
     def test_gamma_variation_within_box(self):
         # identifiability holds across total rates 10..30 us^-1
@@ -498,9 +491,9 @@ class TestMeasurementFit:
             init = perturbed_model(chain, MU, 0.1e6, rng, 30e6)
             calib = fit_base_calibration(sweep_base, init)
             sweep = synth_sweep(522e6, 1.0e6, chain=chain)
-            mu, sigma, fit = fit_measurements([sweep], calib)[0]
+            mu, v, fit = fit_measurements([sweep], calib)[0]
             assert abs(mu - 522e6) < 1e3, gamma
-            assert abs(sigma / 1.0e6 - 1) < 0.01, gamma
+            assert abs(math.sqrt(v) / 1.0e6 - 1) < 0.01, gamma
 
     def test_zero_broadening_fits_sigma_near_its_floor(self):
         # the floor is v = 0, where the line is the bare Lorentzian; the
@@ -510,8 +503,8 @@ class TestMeasurementFit:
         sweep = synth_sweep(522e6, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateSigmaWarning)
-            mu, sigma, fit = fit_measurements([sweep], calib)[0]
-        assert sigma < 1.0 and fit.converged and fit.residual_norm < 1e-14
+            mu, v, fit = fit_measurements([sweep], calib)[0]
+        assert math.sqrt(v) < 1.0 and fit.converged and fit.residual_norm < 1e-14
         assert abs(mu - 522e6) < 1e3
 
     def test_line_narrower_than_the_calibration_ends_on_the_v_bound(self):
@@ -526,9 +519,9 @@ class TestMeasurementFit:
         x[PARAM_NAMES.index("mu")], x[PARAM_NAMES.index("v")] = 522e6, 0.0
         sweep = ComplexSweep(PROBE_GRID, _chain_model(x, PROBE_GRID))
         with pytest.warns(DegenerateSigmaWarning, match="v = 0") as caught:
-            _, sigma, fit = fit_measurements([sweep], calib)[0]
+            _, v, fit = fit_measurements([sweep], calib)[0]
         assert len(caught) == 1
-        assert sigma == 0.0 and fit.converged and fit.n_iter <= 20
+        assert v == 0.0 and fit.converged and fit.n_iter <= 20
 
     def test_noise_robust_sigma(self):
         _, calib = base_calibration()
@@ -536,8 +529,8 @@ class TestMeasurementFit:
         hats = []
         for seed in range(25):
             sweep = synth_sweep(523e6, sigma_t, noise=0.01, seed=seed)
-            _, sigma, _ = fit_measurements([sweep], calib)[0]
-            hats.append(sigma)
+            _, v, _ = fit_measurements([sweep], calib)[0]
+            hats.append(math.sqrt(v))
         bias = abs(np.mean(hats) / sigma_t - 1)
         assert bias < 0.05, bias
 
@@ -632,10 +625,10 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
     monkeypatch.setattr(fk, "_lm", flagged_lm)
     monkeypatch.setattr(fk, "_chain_model", counted(fk._chain_model))
     monkeypatch.setattr(fk, "_chain_jacobian", counted(fk._chain_jacobian))
-    _, sigma, fit = fit_measurements([sweep], calibration)[0]
+    _, v, fit = fit_measurements([sweep], calibration)[0]
     gamma = calibration.fit.params[PARAM_NAMES.index("gamma")]
     lo, _ = _default_bounds(sweep.freqs, gamma_scale=gamma)
-    assert sigma**2 > lo[PARAM_NAMES.index("v")]
+    assert v > lo[PARAM_NAMES.index("v")]
     assert calls and all(calls)
 
 
@@ -806,16 +799,16 @@ def test_calibration_restarted_off_the_v_bound_returns_to_it(seed):
 def test_covariance_is_the_v_coordinate_one():
     # the fits step in v = sigma**2 and report their FitResults in v: the
     # covariance they return is the one formed from v's own Jacobian at the
-    # returned point, and the reported sigma is sqrt(v)
+    # returned point, and the returned broadening is that point's v
     dataset = noisy_base_dataset(1)
     calibration = run_calibration(dataset)
     sweeps = [point.sweep for point in dataset.records]
     freqs = sweeps[0].freqs
     free = [PARAM_NAMES.index(name) for name in MEASUREMENT_PARAM_NAMES]
-    for sweep, (mu, sigma, fit) in zip(sweeps, fit_measurements(sweeps, calibration)):
+    for sweep, (mu, v, fit) in zip(sweeps, fit_measurements(sweeps, calibration)):
         x = calibration.fit.params.copy()
         x[free] = fit.params
-        assert (x[PARAM_NAMES.index("mu")], math.sqrt(x[PARAM_NAMES.index("v")])) == (mu, sigma)
+        assert (x[PARAM_NAMES.index("mu")], x[PARAM_NAMES.index("v")]) == (mu, v)
         jc = chain_jac(x, freqs)[:, free]
         J = np.concatenate([jc.real, jc.imag])
         expected = normalised_inverse_covariance(J, fit.residual_norm**2 * freqs.size)
@@ -922,9 +915,9 @@ class TestSweepFit:
         with warnings.catch_warnings(record=True) as caught_alone:
             warnings.simplefilter("always")
             alone = [fit_measurements([sweep], calibration)[0] for sweep in sweeps]
-        for (mu, sigma, fit), (mu1, sigma1, fit1) in zip(batch, alone, strict=True):
+        for (mu, v, fit), (mu1, v1, fit1) in zip(batch, alone, strict=True):
             assert mu == pytest.approx(mu1, rel=1e-9, abs=0)
-            assert sigma == pytest.approx(sigma1, rel=1e-9, abs=0)
+            assert v == pytest.approx(v1, rel=1e-9, abs=0)
             assert fit.residual_norm == pytest.approx(fit1.residual_norm, rel=1e-9, abs=0)
             assert (fit.n_iter, fit.converged) == (fit1.n_iter, fit1.converged)
         assert [w.category for w in caught_batch] == [w.category for w in caught_alone]

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bolostat import (
-    CalibrationScale,
     InsufficientDataError,
     MixedField,
     PhotonMoments,
     RadiatorState,
     UndefinedStatisticError,
     beamsplitter_combine,
+    broadening_to_variance,
     coherent_variance,
     flux_to_power,
     g2_zero,
@@ -18,7 +18,6 @@ from bolostat import (
     mixed_moments_mc,
     planck_mean_photon,
     resolution_metrics,
-    sigma_to_variance,
     thermal_variance,
 )
 from scipy.constants import h, k
@@ -139,26 +138,32 @@ class TestG2:
 
 
 class TestSigmaCalibration:
-    SCALE = CalibrationScale(alpha=1.92e-6)  # 1.92 photon/MHz
+    ALPHA = 1.92e-6  # 1.92 photon/MHz
 
     def test_zero(self):
-        assert sigma_to_variance(0.0, 0.0, self.SCALE) == 0.0
+        assert broadening_to_variance(0.0, 0.0, self.ALPHA) == 0.0
 
     def test_reference_values(self):
-        np.testing.assert_allclose(sigma_to_variance(1e6, 0.0, self.SCALE), 3.6864, rtol=1e-12)
+        # v = sigma^2 of a 1 MHz and a 0.52 MHz broadening
+        np.testing.assert_allclose(broadening_to_variance(1e12, 0.0, self.ALPHA), 3.6864, rtol=1e-12)
         np.testing.assert_allclose(
-            sigma_to_variance(0.52e6, 0.0, self.SCALE), 0.9969, atol=1e-3
+            broadening_to_variance(0.52e6**2, 0.0, self.ALPHA), 0.9969, atol=1e-3
         )
 
     def test_base_broadening_is_subtracted_in_quadrature(self):
         np.testing.assert_allclose(
-            sigma_to_variance(1e6, 0.6e6, self.SCALE), 0.64 * 3.6864, rtol=1e-12
+            broadening_to_variance(1e12, 0.6e6**2, self.ALPHA), 0.64 * 3.6864, rtol=1e-12
         )
-        assert sigma_to_variance(0.5e6, 0.6e6, self.SCALE) == 0.0
+        assert broadening_to_variance(0.5e6**2, 0.6e6**2, self.ALPHA) == 0.0
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_to_variance(-1.0, 0.0, self.SCALE)
+    def test_negative_broadening_rejected(self):
+        with pytest.raises(ValueError, match="v must be >= 0"):
+            broadening_to_variance(-1.0, 0.0, self.ALPHA)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.92e-6])
+    def test_non_positive_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            broadening_to_variance(1e12, 0.0, alpha)
 
 
 class TestBeamsplitter:

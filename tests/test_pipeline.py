@@ -18,6 +18,7 @@ from bolostat import (
     SweepConfig,
     SweepDataset,
     extract_statistics,
+    fit_measurements,
     planck_mean_photon,
     RadiatorState,
     simulate_sweep,
@@ -123,6 +124,10 @@ MALFORMED = {
     ),
     "nan-sample": (first_record(with_nan_sample), "record 0: freqs and values must be finite"),
     "repeated-grid-point": (with_repeated_grid_point, "'base': freqs must be strictly increasing"),
+    "flat-shift-poly": (
+        lambda doc: dict(doc, config=dict(doc["config"], freq_shift_poly_hz=[0.0])),
+        "field 'freq_shift_poly_hz': must hold 2..8",
+    ),
 }
 
 
@@ -212,6 +217,12 @@ class TestConfigValidation:
             ({"radiator_frequency_hz": float("inf")}, "radiator_frequency_hz"),
             # Philox takes no negative key
             ({"seed": -3}, "seed"),
+            # a polynomial that cannot shift the line: no resonance shift to
+            # invert, so every row would read mean_n 0 and g2 nan
+            ({"freq_shift_poly_hz": [0.0]}, "freq_shift_poly_hz"),
+            ({"freq_shift_poly_hz": [5.0, 0.0, -0.0]}, "freq_shift_poly_hz"),
+            ({"freq_shift_poly_hz": []}, "freq_shift_poly_hz"),
+            ({"freq_shift_poly_hz": [0.0, -1.0e6, *[0.0] * 7]}, "freq_shift_poly_hz"),
         ],
     )
     def test_named_field_errors(self, mutation, field):
@@ -364,6 +375,24 @@ class TestExtraction:
         assert math.sqrt(calibration.fit.params[PARAM_NAMES.index("v")]) < 1.0
         records = extract_statistics(dataset, calibration)
         assert max(r.residual_norm for r in records) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["thermal", "coherent", "mixed"])
+    def test_variance_is_the_fitted_broadening_over_the_base_one(self, name):
+        # the statistics stay in v: each row's variance is alpha^2 (v - v_base)
+        # of the fitted v and the calibration's v_base, bit for bit, with no
+        # sigma = sqrt(v) squared back on the way (which moved 14 of these
+        # 25 rows in their last bits)
+        raw = dict(json.loads((SHIPPED / f"{name}.json").read_text()), noise=0.01, seed=3)
+        dataset = simulate_sweep(SweepConfig.from_dict(raw))
+        calibration = run_calibration(dataset)
+        alpha = dataset.config.alpha_photon_per_hz
+        v_base = calibration.fit.params[PARAM_NAMES.index("v")]
+        fitted = fit_measurements([p.sweep for p in dataset.records], calibration)
+        records = extract_statistics(dataset, calibration)
+        for rec, (_, v, _) in zip(records, fitted, strict=True):
+            assert v > v_base > 0  # no row on the clamp
+            assert rec.variance_n == alpha**2 * (v - v_base)
+            assert rec.sigma_hz == math.sqrt(v)
 
     @pytest.mark.parametrize("noise,seed", [(0.0, 7), (0.01, 2)])
     def test_base_calibration_at_zero_broadening_raises_no_warning(self, noise, seed):
