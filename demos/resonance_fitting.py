@@ -8,10 +8,12 @@ center mu and broadening v = sigma^2.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from bolostat import (
+    PARAM_NAMES,
     BackgroundParams,
     ChainParams,
     ComplexSweep,
@@ -63,28 +65,36 @@ def synthesize(mu, sigma):
 
 
 # reference trace in the zero-broadening regime, fitted from a deliberately
-# wrong starting point (5% off in every parameter class); the fits take the
-# twelve chain scalars as one vector in PARAM_NAMES order, the broadening
-# as v = sigma**2
+# wrong starting point: mu and f_b off by up to 5% of the probe span, as the
+# pipeline's calibration start moves them, every other scalar by up to 5% of
+# its value; the fits take the twelve chain scalars as one vector in
+# PARAM_NAMES order, the broadening as v = sigma**2
 rng = np.random.default_rng(42)
+span = freqs[-1] - freqs[0]
 init = chain.vector(524e6, 0.1e6**2)
 init[0] += 1.5e6
 init[2:] *= 1 + 0.05 * rng.uniform(-1, 1, 10)
+f_b = PARAM_NAMES.index("f_b")
+init[f_b] = chain.f_b + 0.05 * span * rng.uniform(-1, 1)
 calibration = fit_base_calibration(synthesize(524e6, 0.1e6), init)
 
-print("\nbase calibration (all twelve parameters, staged):")
-print(f"  converged in {calibration.fit.n_iter} iterations,"
-      f" rms residual {calibration.fit.residual_norm:.2e}")
+print("\nbase calibration (all twelve parameters):")
+print(f"  converged {calibration.fit.converged} after {calibration.fit.n_iter} iterations,"
+      f" misfit {calibration.misfit_flag}, rms residual {calibration.fit.residual_norm:.2e}")
 print(f"  frozen for the rest of the run: {', '.join(FROZEN_PARAM_NAMES)}")
 
 print("\nper-measurement fits (six free parameters), truth vs extracted:")
 print(f"{'mu_true (MHz)':>14} {'sigma_true':>11} {'mu_fit':>12} {'sigma_fit':>11} {'iters':>6}")
+recovered = calibration.fit.converged and not calibration.misfit_flag
 for mu_t, sigma_t in [(523.0e6, 0.4e6), (521.5e6, 1.2e6), (519.0e6, 2.4e6)]:
     [(mu, v, fit)] = fit_measurements([synthesize(mu_t, sigma_t)], calibration)
     print(
         f"{mu_t / 1e6:14.4f} {sigma_t / 1e6:11.4f} "
         f"{mu / 1e6:12.4f} {math.sqrt(v) / 1e6:11.4f} {fit.n_iter:6d}"
     )
+    recovered &= abs(mu - mu_t) <= 1.0 and abs(math.sqrt(v) / sigma_t - 1) <= 1e-5
 
+if not recovered:
+    sys.exit("the calibration or a measurement fit missed the truth on clean traces")
 print("\nmu comes back to sub-hertz and sigma to a few ppm on clean traces;")
 print("the broadening sigma is what carries the photon-number variance.")

@@ -10,15 +10,15 @@ pushes against leaves the solve (projected LM).  Two routines enter it:
 `least_squares` runs a single fit, with the caller's Jacobian, as a batch
 of one, and `_fit_free` runs the chain fits as batches of the chain model
 with `response`'s closed-form `_chain_jacobian`, one call of the line's jet
-per trial point.  The loop takes a real Jacobian, the real parts of the
-complex columns over their imaginary parts, (B, 2m, n) with each column
-contiguous; `_chain_jacobian` forms and writes only the free columns,
-straight into that layout, in one buffer per `_fit_free` call.  The
-broadening is the variance v = sigma**2 everywhere in the chain fits: the
-box, the steps, the FitResults and their covariances, and the v that
-`fit_measurements` returns; the line is analytic in v down to v = 0, the
-zero-input answer.  On top of them sit the resonance extractors used by
-the pipeline:
+per trial point, within the one box it builds.  The loop takes a real
+Jacobian, the real parts of the complex columns over their imaginary
+parts, (B, 2m, n) with each column contiguous; `_chain_jacobian` forms and
+writes only the free columns, straight into that layout, in one buffer per
+`_fit_free` call.  The broadening is the variance v = sigma**2 everywhere
+in the chain fits: the box, the steps, the FitResults and their
+covariances, and the v that `fit_measurements` returns; the line is
+analytic in v down to v = 0, the zero-input answer.  On top of them sit
+the resonance extractors used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
@@ -606,27 +606,30 @@ def _scales(x0, freqs):
     return s
 
 
-def _fit_free(freqs, data, base, starts, free, lo, hi, scales):
+def _fit_free(freqs, data, base, starts, free):
     """The staged fit's one routine: an LM fit of the entries ``free`` of each
     row of a batch, the other entries held at ``base``.
 
     Row k of the (B, 12) ``starts`` is fitted against row k of the (B, m)
-    complex ``data`` on the grid ``freqs``, within the box (``lo``, ``hi``);
-    ``scales`` is one 12-vector or a (B, 12) batch.  The rows make one
-    `_lm` call, and each of its evaluations is one `_chain_jacobian` call
-    (value and Jacobian together) over the rows it evaluates, with
-    ``base`` as the held vector, so a factor of the chain that no free
-    entry moves (the delay of a measurement batch) is evaluated once.  One
-    (B, len(free), 2m) buffer is allocated per call, and every evaluation
-    writes its rows' free columns, each once, into the first rows of it:
-    the real (rows, 2m, n) Jacobian `_lm` takes (real parts over imaginary
-    parts, each column contiguous) is a view of that buffer, which `_lm`
-    owns until its next evaluation.
+    complex ``data`` on the grid ``freqs``, within `_default_bounds` of the
+    grid and ``base``'s gamma: the free entries of the starts are clipped
+    into that box, and the LM's column scales are `_scales` of them.  The
+    rows make one `_lm` call, and each of its evaluations is one
+    `_chain_jacobian` call (value and Jacobian together) over the rows it
+    evaluates, with ``base`` as the held vector, so a factor of the chain
+    that no free entry moves (the delay of a measurement batch) is
+    evaluated once.  One (B, len(free), 2m) buffer is allocated per call,
+    and every evaluation writes its rows' free columns, each once, into the
+    first rows of it: the real (rows, 2m, n) Jacobian `_lm` takes (real
+    parts over imaginary parts, each column contiguous) is a view of that
+    buffer, which `_lm` owns until its next evaluation.
 
     Returns (X, fits, failures): the fitted (B, 12) vectors, and `_lm`'s
     FitResult (over the free entries) and failure per row.
     """
-    jac = np.empty((len(starts), len(free), 2 * freqs.size))
+    lo, hi = _default_bounds(freqs, gamma_scale=base[_AT["gamma"]])
+    x0 = np.clip(starts[:, free], lo[free], hi[free])
+    jac = np.empty((len(x0), len(free), 2 * freqs.size))
 
     def full(xf):
         X = np.empty((len(xf), base.size))
@@ -639,21 +642,18 @@ def _fit_free(freqs, data, base, starts, free, lo, hi, scales):
         r = value - data[rows]
         return np.concatenate([r.real, r.imag], axis=1), J
 
-    fits, failures = _lm(
-        evaluate,
-        starts[:, free],
-        lo[free],
-        hi[free],
-        scales[..., free],
-        tuple(PARAM_NAMES[i] for i in free),
-    )
+    # a column's scale depends on that column alone
+    scales = _scales(full(x0), freqs)[:, free]
+    names = tuple(PARAM_NAMES[i] for i in free)
+    fits, failures = _lm(evaluate, x0, lo[free], hi[free], scales, names)
     return full([fit.params for fit in fits]), fits, failures
 
 
 def fit_base_calibration(sweep, init):
     """Fit all twelve chain parameters on a reference (base) trace.
 
-    One `_fit_free` batch of one fits all twelve from the clipped start.
+    One `_fit_free` batch of one fits all twelve from the start, clipped
+    into the fit box, which the start's own gamma sets the rate ranges of.
     From v = 0, its bound, v stays out of the solve until the rest of the
     chain pulls it inward.  A base trace fitted at v = 0 is the zero-input
     answer, so it raises no warning.
@@ -674,12 +674,8 @@ def fit_base_calibration(sweep, init):
     """
     _require_points(sweep, 8, "fit_base_calibration")
     x0 = _chain_vector(init, "init")
-    lo, hi = _default_bounds(sweep.freqs, gamma_scale=x0[_AT["gamma"]])
-    X = np.clip(x0, lo, hi)[None]
-    scales = _scales(X[0], sweep.freqs)
-
     every = list(range(len(PARAM_NAMES)))
-    X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], X[0], X, every, lo, hi, scales)
+    X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], x0, x0[None], every)
     if failure is not None:
         raise RankDeficiencyError(failure)
     span = float(np.ptp(np.abs(sweep.values)))
@@ -710,7 +706,7 @@ def fit_measurements(sweeps, calibration):
     list of (mu, v, FitResult), in the order of ``sweeps``
         v = sigma**2 is the fitted broadening, in Hz^2, the coordinate of
         the FitResult too.  A `DegenerateSigmaWarning` is emitted for each
-        trace whose v ends at 0.
+        trace whose v ends at 0, the floor of the fit box.
     """
     sweeps = list(sweeps)
     if not sweeps:
@@ -721,14 +717,11 @@ def fit_measurements(sweeps, calibration):
         if not np.array_equal(sweep.freqs, freqs):
             raise ValueError("fit_measurements: the traces must share one probe grid")
     x = calibration.fit.params
-    lo, hi = _default_bounds(freqs, gamma_scale=x[_AT["gamma"]])
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
     data = np.array([sweep.values for sweep in sweeps])
-    X = _measurement_starts(freqs, data, x)
-    X[:, free] = np.clip(X[:, free], lo[free], hi[free])
-    X, fits, _ = _fit_free(freqs, data, x, X, free, lo, hi, _scales(X, freqs))
+    X, fits, _ = _fit_free(freqs, data, x, _measurement_starts(freqs, data, x), free)
     for v in X[:, _AT["v"]]:
-        if v <= lo[_AT["v"]]:
+        if v <= 0.0:
             warnings.warn("fitted broadening ended at v = 0", DegenerateSigmaWarning, stacklevel=2)
     return [(float(x_fit[_AT["mu"]]), float(x_fit[_AT["v"]]), fit) for x_fit, fit in zip(X, fits)]
 

@@ -121,20 +121,62 @@ _DELAY = slice(_BACKGROUND.stop, len(PARAM_NAMES))
 _C = 2.0 * math.sqrt(2.0) * math.pi  # c = _C sqrt(v) of `specfun._mean_inverse`
 
 
-def _line(mu, v, gamma_c, phi, gamma, f_p):
-    # averaged line, scalars or broadcastable arrays
+def _line(mu, v, gamma_c, phi, gamma, f_p, jet=False):
+    """The averaged line at scalars or broadcastable arrays: its value, or
+    with ``jet`` (value, derivatives in `_LINE_NAMES` order).
+
+    The value is the same operations with or without ``jet``, and the
+    derivatives come from the same `_mean_inverse` call.  Each derivative
+    is a function of no arguments that forms that column when called, so a
+    caller pays only for the columns it uses.  v's column is the
+    derivative in v itself, finite at v = 0, where it is half the second
+    derivative of the bare line in mu.
+    """
     dprime = TWO_PI * (mu - f_p)
-    [m] = _mean_inverse(gamma / 2.0 + 1j * dprime, _C * np.sqrt(v), jet=False)
-    return 1.0 - np.exp(1j * phi) * gamma_c * m
+    m, *dm = _mean_inverse(gamma / 2.0 + 1j * dprime, _C * np.sqrt(v), jet=jet)
+    rot = np.exp(1j * phi)
+    p = rot * gamma_c
+    pm = p * m
+    if not jet:
+        return 1.0 - pm
+    dm_da, dm_dv = dm
+    return 1.0 - pm, (
+        lambda: -1j * TWO_PI * p * dm_da,
+        lambda: -p * dm_dv,
+        lambda: -rot * m,
+        lambda: -1j * pm,
+        lambda: -0.5 * p * dm_da,
+    )
 
 
-def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
+def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p, jet=False):
+    """The background's value, or with ``jet`` (value, derivatives in
+    `_BACKGROUND_NAMES` order), each derivative formed when called as in
+    `_line`."""
     delta_b = TWO_PI * (f_b - f_p)
-    return s_b + np.exp(1j * phi_b) * gamma_bc / (gamma_b / 2.0 + 1j * delta_b)
+    b = gamma_b / 2.0 + 1j * delta_b
+    rot = np.exp(1j * phi_b)
+    term = rot * gamma_bc / b
+    if not jet:
+        return s_b + term
+    return s_b + term, (
+        lambda: np.ones_like(term),
+        lambda: -1j * TWO_PI * term / b,
+        lambda: rot / b,
+        lambda: -term / (2.0 * b),
+        lambda: 1j * term,
+    )
 
 
-def _delay(tau, varphi, f_p):
-    return np.exp(1j * (f_p * tau + varphi))
+def _delay(tau, varphi, f_p, jet=False):
+    """The line delay's value, or with ``jet`` (value, logarithmic
+    derivatives in `_DELAY_NAMES` order), derivative over value, each
+    formed when called as in `_line`: the chain's columns are these times
+    its value."""
+    value = np.exp(1j * (f_p * tau + varphi))
+    if not jet:
+        return value
+    return value, (lambda: 1j * f_p, lambda: 1j)
 
 
 def _scalars(x, part):
@@ -175,57 +217,6 @@ def _frame(x, f_p):
     return _delay(*_scalars(x, _DELAY), f_p) * _background(*_scalars(x, _BACKGROUND), f_p)
 
 
-def _line_jacobian(mu, v, gamma_c, phi, gamma, f_p):
-    """Value of `_line` and its derivatives in `_LINE_NAMES` order.
-
-    The value is formed in `_line`'s own operation order, so it is bitwise
-    `_line`'s; the derivatives come from the same `_mean_inverse` call.
-    Each derivative is a function of no arguments that forms that column
-    when called, so a caller pays only for the columns it uses.  v's
-    column is the derivative in v itself, finite at v = 0, where it is
-    half the second derivative of the bare line in mu.
-    """
-    dprime = TWO_PI * (mu - f_p)
-    m, dm_da, dm_dv = _mean_inverse(gamma / 2.0 + 1j * dprime, _C * np.sqrt(v), jet=True)
-    rot = np.exp(1j * phi)
-    p = rot * gamma_c
-    pm = p * m
-    return 1.0 - pm, (
-        lambda: -1j * TWO_PI * p * dm_da,
-        lambda: -p * dm_dv,
-        lambda: -rot * m,
-        lambda: -1j * pm,
-        lambda: -0.5 * p * dm_da,
-    )
-
-
-def _background_jacobian(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p):
-    """Value of `_background` and its derivatives in `_BACKGROUND_NAMES` order.
-
-    The value is formed in `_background`'s own operation order, so it is
-    bitwise `_background`'s; each derivative is formed when it is called,
-    as in `_line_jacobian`.
-    """
-    delta_b = TWO_PI * (f_b - f_p)
-    b = gamma_b / 2.0 + 1j * delta_b
-    rot = np.exp(1j * phi_b)
-    term = rot * gamma_bc / b
-    return s_b + term, (
-        lambda: np.ones_like(term),
-        lambda: -1j * TWO_PI * term / b,
-        lambda: rot / b,
-        lambda: -term / (2.0 * b),
-        lambda: 1j * term,
-    )
-
-
-def _delay_jacobian(tau, varphi, f_p):
-    """Value of `_delay` and its logarithmic derivatives (derivative over
-    value) in `_DELAY_NAMES` order, each formed when called as in
-    `_line_jacobian`; the chain's columns are these times its value."""
-    return _delay(tau, varphi, f_p), (lambda: 1j * f_p, lambda: 1j)
-
-
 def _chain_jacobian(x, f_p, free, held=None, out=None):
     """`_chain_model` and the real Jacobian of its columns ``free``, in one pass.
 
@@ -236,9 +227,11 @@ def _chain_jacobian(x, f_p, free, held=None, out=None):
     batch of rows.  It is the transposed view of a (..., len(free),
     2 len(f_p)) array, ``out`` when one is given, so each column is
     contiguous, and each is written once.  Only the free columns'
-    derivatives are formed.  The Voigt line takes one `_mean_inverse` jet
-    call, shared by the value and the derivatives; the background and
-    delay columns are elementary.
+    derivatives are formed.  Each factor is its own function called with
+    ``jet=True``, so its value is bitwise the one `_chain_model` forms;
+    the Voigt line takes one `_mean_inverse` jet call, shared by the value
+    and the derivatives, and the background and delay columns are
+    elementary.
 
     ``held``, a (12,) vector, states that every row of ``x`` equals it
     outside ``free``.  A factor (delay, background or line) with no free
@@ -248,13 +241,13 @@ def _chain_jacobian(x, f_p, free, held=None, out=None):
     x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
 
-    def evaluated(part, jacobian):
+    def evaluated(part, factor):
         moved = held is None or any(part.start <= i < part.stop for i in free)
-        return jacobian(*_scalars(x if moved else held, part), f_p)
+        return factor(*_scalars(x if moved else held, part), f_p, jet=True)
 
-    delay, d_delay = evaluated(_DELAY, _delay_jacobian)
-    background, d_background = evaluated(_BACKGROUND, _background_jacobian)
-    line, d_line = evaluated(_LINE, _line_jacobian)
+    delay, d_delay = evaluated(_DELAY, _delay)
+    background, d_background = evaluated(_BACKGROUND, _background)
+    line, d_line = evaluated(_LINE, _line)
     frame = delay * background
     value = frame * line
     line_delay = delay * line

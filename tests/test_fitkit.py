@@ -40,9 +40,9 @@ from bolostat.response import (
     _BACKGROUND,
     _DELAY,
     _LINE,
-    _background_jacobian,
+    _background,
     _delay,
-    _line_jacobian,
+    _line,
 )
 
 from conftest import (
@@ -646,8 +646,8 @@ def stacked_free_columns(x, freqs, free):
     imaginary parts."""
     x = np.asarray(x, dtype=float)
     delay = _delay(*x[_DELAY], freqs)
-    background, d_background = _background_jacobian(*x[_BACKGROUND], freqs)
-    line, d_line = _line_jacobian(*x[_LINE], freqs)
+    background, d_background = _background(*x[_BACKGROUND], freqs, jet=True)
+    line, d_line = _line(*x[_LINE], freqs, jet=True)
     frame = delay * background
     value = frame * line
     columns = (
@@ -676,7 +676,6 @@ def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None):
     every = list(range(len(PARAM_NAMES)))
     free = every if stage == "calibration" else [PARAM_NAMES.index(n) for n in MEASUREMENT_PARAM_NAMES]
     data = np.repeat(_chain_model(CHAIN_TRUE.vector(MU, 0.4e6**2), PROBE_GRID)[None], len(starts), axis=0)
-    lo, hi = _default_bounds(PROBE_GRID, GAMMA)
     seen = []
 
     def stopped(evaluate, x0, *args):
@@ -686,7 +685,7 @@ def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None):
 
     monkeypatch.setattr(fk, "_lm", stopped)
     with pytest.raises(RuntimeError, match="stop after"):
-        fk._fit_free(PROBE_GRID, data, starts[0], starts, free, lo, hi, np.ones(12))
+        fk._fit_free(PROBE_GRID, data, starts[0], starts, free)
     return seen, starts, free, data
 
 
@@ -730,9 +729,9 @@ def test_a_held_delay_is_formed_once_per_evaluation(monkeypatch, stage, shape):
 
     real, shapes = response._delay, []
 
-    def counted(*args):
-        out = real(*args)
-        shapes.append(out.shape)
+    def counted(*args, jet=False):
+        out = real(*args, jet=jet)
+        shapes.append((out[0] if jet else out).shape)
         return out
 
     [(r, _)], starts, _, data = stopped_fit_free(

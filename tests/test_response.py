@@ -23,11 +23,17 @@ from bolostat import (
 from bolostat.fitkit import _default_bounds
 from bolostat.response import (
     PHASE_NAMES,
+    _BACKGROUND,
+    _C,
+    _DELAY,
+    _LINE,
+    _background,
     _bare_grid,
     _chain_jacobian,
     _chain_model,
+    _delay,
     _line,
-    _line_jacobian,
+    _scalars,
 )
 from bolostat.specfun import _mean_inverse
 
@@ -101,7 +107,7 @@ class TestAveragedReflection:
         a = GAMMA / 2 + 2j * np.pi * (MU - grid)
         sides = set()
         for sigma in (0.0, 1.5, 3.0, 300.0, 3e4, 2e5, 2e6):
-            line, d_line = _line_jacobian(MU, sigma**2, GAMMA_C, 0.4, GAMMA, grid)
+            line, d_line = _line(MU, sigma**2, GAMMA_C, 0.4, GAMMA, grid, jet=True)
             np.testing.assert_array_equal(line, _line(MU, sigma**2, GAMMA_C, 0.4, GAMMA, grid))
             d_v = d_line[1]()
             for k in range(grid.size):
@@ -412,7 +418,7 @@ class TestChainJacobian:
         # forward difference in v, and half the second difference of the
         # bare line in mu; it is not zero, so a fit can leave the bound
         line = (MU, 0.0, GAMMA_C, 0.4, GAMMA)
-        value, d_line = _line_jacobian(*line, probe_grid)
+        value, d_line = _line(*line, probe_grid, jet=True)
         d_zero = d_line[1]()
         h = 1e6  # (1 kHz)^2
         forward = (_line(MU, h, *line[2:], probe_grid) - value) / h
@@ -426,7 +432,7 @@ class TestChainJacobian:
         np.testing.assert_allclose(d_zero, 0.5 * d2, rtol=1e-5)
         assert np.all(np.abs(d_zero) > 0)
         # and the column is continuous in v from 0
-        _, d_above = _line_jacobian(MU, 1.0, *line[2:], probe_grid)
+        _, d_above = _line(MU, 1.0, *line[2:], probe_grid, jet=True)
         np.testing.assert_allclose(d_above[1](), d_zero, rtol=1e-8)
 
 
@@ -456,3 +462,22 @@ class TestBatchedChain:
             np.testing.assert_array_equal(_chain_model(x[k : k + 1], probe_grid), model[k : k + 1])
             np.testing.assert_array_equal(one_value, model[k : k + 1])
             np.testing.assert_array_equal(one_jac, jac[k : k + 1])
+
+
+@pytest.mark.parametrize(
+    "factor,part",
+    [(_line, _LINE), (_background, _BACKGROUND), (_delay, _DELAY)],
+    ids=["line", "background", "delay"],
+)
+def test_jet_changes_no_value(factor, part, probe_grid):
+    # each factor's value is the same operations with or without its jet,
+    # on one vector and on a (B, 12) batch with rows at v = 0 and above and
+    # points on both sides of the |a| = 8c seam
+    sigmas = np.array([0.0, 1.5, 1e3, 0.4e6, 2.8e6])
+    x = np.array([CHAIN_TRUE.vector(MU, sigma**2) for sigma in sigmas])
+    a = GAMMA / 2 + 2j * np.pi * (MU - probe_grid)
+    assert set((np.abs(a) > 8 * _C * sigmas[:, None]).ravel()) == {True, False}
+    for point in (x[3], x):
+        args = _scalars(point, part)
+        value, _ = factor(*args, probe_grid, jet=True)
+        np.testing.assert_array_equal(value, factor(*args, probe_grid))
