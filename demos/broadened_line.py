@@ -10,38 +10,34 @@ Carlo over resonance-frequency draws, and Gauss-Hermite quadrature.
 
 import numpy as np
 
-from bolostat import (
-    FreqDistribution,
-    ResonatorParams,
-    averaged_reflection,
-    averaged_reflection_gh,
-    averaged_reflection_mc,
-    bare_reflection,
-)
+from bolostat import averaged_reflection_gh, averaged_reflection_mc
+from bolostat.response import _line
 
-res = ResonatorParams(f_r=524e6, gamma_c=4.8e6, gamma=18.7e6, phi=0.0)
+# the line's scalars (mu, v, gamma_c, phi, gamma), as `_line` and both
+# oracles take them; v = sigma**2 is the broadening
+f_r, gamma_c, phi, gamma = 524e6, 4.8e6, 0.0, 18.7e6
 freqs = np.linspace(509e6, 539e6, 201)
 
 print("thermometer line: f_r = 524 MHz, gamma_c = 4.8 us^-1, gamma = 18.7 us^-1")
-print(f"linewidth gamma/2pi = {res.gamma / 2 / np.pi / 1e6:.2f} MHz")
-print(f"bare dip |S11|(f_r) = {abs(bare_reflection(res, 524e6)):.4f}")
+print(f"linewidth gamma/2pi = {gamma / 2 / np.pi / 1e6:.2f} MHz")
+print(f"bare dip |S11|(f_r) = {abs(_line(f_r, 0.0, gamma_c, phi, gamma, 524e6)):.4f}")
 print()
 print("broadening the resonance with a Gaussian of width sigma:")
 print(f"{'sigma (MHz)':>12} {'dip |<S11>|':>12} {'dip at':>11} {'MC dev':>10} {'GH dev':>10}")
 
 for sigma in (0.1e6, 0.5e6, 1.0e6, 2.0e6):
-    dist = FreqDistribution(mu=524e6, sigma=sigma)
-    closed = averaged_reflection(res, dist, freqs)
+    line = (f_r, sigma**2, gamma_c, phi, gamma)
+    closed = _line(*line, freqs)
     mags = np.abs(closed)
     dip = mags.min()
 
-    mc = averaged_reflection_mc(res, dist, freqs, n_samples=200_000, seed=1)
+    mc = averaged_reflection_mc(*line, freqs, n_samples=200_000, seed=1)
     mc_dev = np.max(np.abs(mc - closed) / np.abs(closed))
 
     # 64 nodes converge only while sigma stays below ~1/3 linewidth;
     # broader lines need more nodes (see the package docs)
     nodes = 64 if sigma <= 1e6 else 300
-    gh = averaged_reflection_gh(res, dist, freqs, n_nodes=nodes)
+    gh = averaged_reflection_gh(*line, freqs, n_nodes=nodes)
     gh_dev = np.max(np.abs(gh - closed) / np.abs(closed))
 
     print(

@@ -14,31 +14,28 @@ import numpy as np
 
 from bolostat import (
     PARAM_NAMES,
-    BackgroundParams,
     ChainParams,
     ComplexSweep,
-    FreqDistribution,
-    LineParams,
-    ResonatorParams,
-    bare_reflection,
     circle_fit,
     fit_base_calibration,
     fit_measurements,
-    full_chain_response,
 )
 from bolostat.fitkit import FROZEN_PARAM_NAMES
+from bolostat.response import _chain_model, _line
 
 freqs = np.linspace(509e6, 539e6, 401)
 
 # --- step 1: circle fit of a bare line -------------------------------------
-truth = ResonatorParams(f_r=524e6, gamma_c=4.8e6, gamma=18.7e6, phi=0.1)
-sweep = ComplexSweep(freqs, bare_reflection(truth, freqs))
+# the line's scalars (mu, v, gamma_c, phi, gamma), as `_line` takes them;
+# the bare line has v = 0 and its resonance f_r at mu
+truth = dict(mu=524e6, v=0.0, gamma_c=4.8e6, phi=0.1, gamma=18.7e6)
+sweep = ComplexSweep(freqs, _line(**truth, f_p=freqs))
 geo = circle_fit(sweep)
 print("circle fit of a clean reflection trace:")
-print(f"  f_r     {geo.f_r / 1e6:12.4f} MHz   (truth {truth.f_r / 1e6:.4f})")
-print(f"  gamma_c {geo.gamma_c / 1e6:12.4f} us^-1 (truth {truth.gamma_c / 1e6:.4f})")
-print(f"  gamma   {geo.gamma / 1e6:12.4f} us^-1 (truth {truth.gamma / 1e6:.4f})")
-print(f"  phi     {geo.phi:12.4f} rad   (truth {truth.phi:.4f})")
+print(f"  f_r     {geo['mu'] / 1e6:12.4f} MHz   (truth {truth['mu'] / 1e6:.4f})")
+print(f"  gamma_c {geo['gamma_c'] / 1e6:12.4f} us^-1 (truth {truth['gamma_c'] / 1e6:.4f})")
+print(f"  gamma   {geo['gamma'] / 1e6:12.4f} us^-1 (truth {truth['gamma'] / 1e6:.4f})")
+print(f"  phi     {geo['phi']:12.4f} rad   (truth {truth['phi']:.4f})")
 
 # --- step 2: staged full-model fit ------------------------------------------
 chain = ChainParams(
@@ -57,11 +54,7 @@ chain = ChainParams(
 
 
 def synthesize(mu, sigma):
-    c = chain
-    res = ResonatorParams(f_r=mu, gamma_c=c.gamma_c, gamma=c.gamma, phi=c.phi)
-    bg = BackgroundParams(c.s_b, c.f_b, c.gamma_bc, c.gamma_b, c.phi_b)
-    line = LineParams(c.tau, c.varphi)
-    return ComplexSweep(freqs, full_chain_response(res, FreqDistribution(mu, sigma), bg, line, freqs))
+    return ComplexSweep(freqs, _chain_model(chain.vector(mu, sigma**2), freqs))
 
 
 # reference trace in the zero-broadening regime, fitted from a deliberately

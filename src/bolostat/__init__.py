@@ -8,18 +8,7 @@ moment formulas connecting the fitted (mu, v = sigma^2) to <n>,
 """
 
 from .specfun import DomainError, RangeOverflowError, erfcx, faddeeva_w
-from .response import (
-    BackgroundParams,
-    FreqDistribution,
-    LineParams,
-    ResonatorParams,
-    averaged_reflection,
-    averaged_reflection_gh,
-    averaged_reflection_mc,
-    background_transfer,
-    bare_reflection,
-    full_chain_response,
-)
+from .response import averaged_reflection_gh, averaged_reflection_mc
 from .photonstats import (
     InsufficientDataError,
     MixedField,

@@ -20,7 +20,8 @@ covariances, and the v that `fit_measurements` returns; the line is
 analytic in v down to v = 0, the zero-input answer.  On top of them sit
 the resonance extractors used by the pipeline:
 
-* `circle_fit`        -- algebraic circle + phase-slope extraction of the bare line
+* `circle_fit`        -- algebraic circle + phase-slope extraction of the bare
+  line's scalars, in `_LINE_NAMES` order
 * `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
 * `fit_base_calibration` / `fit_measurements` -- the full-model procedure:
   all twelve chain parameters are fitted together, in one LM run, on a
@@ -38,13 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import (
-    PARAM_NAMES,
-    PHASE_NAMES,
-    ResonatorParams,
-    _chain_jacobian,
-    _chain_model,
-)
+from .response import _LINE_NAMES, PARAM_NAMES, PHASE_NAMES, _chain_jacobian, _chain_model
 
 __all__ = [
     "ComplexSweep",
@@ -462,7 +457,7 @@ def _phase_jacobian(x, freqs):
 
 
 def circle_fit(sweep):
-    """Extract ResonatorParams from a reflection trace by the circle method.
+    """Extract the bare line's scalars from a reflection trace by the circle method.
 
     Fits an algebraic circle to the complex trace, then the phase of the
     centered data against theta(f) = theta0 + 2*arctan(2*2pi*(f - f_r)/gamma)
@@ -470,6 +465,9 @@ def circle_fit(sweep):
     from the circle radius and the asymmetry angle from the rotation of the
     off-resonant point.  The sweep should span a few linewidths around the
     resonance.
+
+    Returns a dict keyed by `_LINE_NAMES`, with the resonance f_r as ``mu``
+    and ``v`` = 0.0, so ``_line(**geo, f_p=f)`` is the fitted bare line.
     """
     _require_points(sweep, 8, "circle_fit")
     z = sweep.values
@@ -500,8 +498,8 @@ def circle_fit(sweep):
         raise DegenerateCircleError("circle fit degenerate: off-resonant point at origin")
     gamma_c = radius * gamma / scale
     phi = wrap_angle(theta0 + math.pi - np.angle(off_resonant))
-    return ResonatorParams(
-        f_r=float(f_r), gamma_c=float(min(gamma_c, gamma)), gamma=float(gamma), phi=phi
+    return dict(
+        zip(_LINE_NAMES, (float(f_r), 0.0, float(min(gamma_c, gamma)), phi, float(gamma)))
     )
 
 
@@ -664,7 +662,8 @@ def fit_base_calibration(sweep, init):
     init : array_like
         Starting point, the twelve scalars in `PARAM_NAMES` order (e.g.
         truth perturbed by a few percent, or heuristics); it is clipped into
-        the fit box, so it need not be a physical chain.
+        the fit box, so it need not be a physical chain, but its gamma, which
+        sets the box's rate ranges, must be positive (else a ValueError).
 
     Returns
     -------
@@ -674,6 +673,8 @@ def fit_base_calibration(sweep, init):
     """
     _require_points(sweep, 8, "fit_base_calibration")
     x0 = _chain_vector(init, "init")
+    if not x0[_AT["gamma"]] > 0:
+        raise ValueError(f"init: gamma must be positive, got {x0[_AT['gamma']]}")
     every = list(range(len(PARAM_NAMES)))
     X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], x0, x0[None], every)
     if failure is not None:

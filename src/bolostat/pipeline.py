@@ -47,7 +47,6 @@ from .photonstats import (
     thermal_variance,
 )
 from .response import _LINE, PARAM_NAMES, PHASE_NAMES, _frame, _line, _scalars
-from .response import BackgroundParams, FreqDistribution, LineParams, ResonatorParams
 
 __all__ = [
     "ConfigError",
@@ -199,18 +198,19 @@ class SweepConfig:
                 for name in ChainParams.__dataclass_fields__
             }
         )
-        # the response dataclasses' own physical checks, each named by the
-        # chain field it guards; phases stay free, as the fits leave them
-        for name, kind, args in (
-            ("mu_base_hz", FreqDistribution, (c.mu_base_hz, 0.0)),
-            ("gamma_c", ResonatorParams, (c.mu_base_hz, c.gamma_c, c.gamma)),
-            ("gamma_b", BackgroundParams, (c.s_b, c.f_b, c.gamma_bc, c.gamma_b)),
-            ("tau", LineParams, (c.tau,)),
+        # the chain's physical checks; phases stay free, as the fits leave them
+        for name, ok, reason in (
+            ("mu_base_hz", c.mu_base_hz > 0, f"mu must be positive, got {c.mu_base_hz}"),
+            (
+                "gamma_c",
+                0 < c.gamma_c <= c.gamma,
+                f"need 0 < gamma_c <= gamma, got gamma_c={c.gamma_c}, gamma={c.gamma}",
+            ),
+            ("gamma_b", c.gamma_b > 0, f"gamma_b must be positive, got {c.gamma_b}"),
+            ("tau", c.tau >= 0, f"tau must be non-negative, got {c.tau}"),
         ):
-            try:
-                kind(*args)
-            except ValueError as exc:
-                raise ConfigError(f"field 'chain.{name}': {exc}") from None
+            if not ok:
+                raise ConfigError(f"field 'chain.{name}': {reason}")
 
         def grid(key):
             values = need(key, tuple, lambda g: len(g) >= 1, "must be non-empty")

@@ -19,88 +19,18 @@ its mean M(a, c), `specfun._mean_inverse`, finite at v = 0.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import _mean_inverse
 
 __all__ = [
-    "ResonatorParams",
-    "FreqDistribution",
-    "BackgroundParams",
-    "LineParams",
     "PARAM_NAMES",
-    "bare_reflection",
-    "averaged_reflection",
     "averaged_reflection_gh",
     "averaged_reflection_mc",
-    "background_transfer",
-    "full_chain_response",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ResonatorParams:
-    """Thermometer line: resonance f_r (Hz), rates (rad/s), asymmetry (rad)."""
-
-    f_r: float
-    gamma_c: float
-    gamma: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not self.f_r > 0:
-            raise ValueError(f"f_r must be positive, got {self.f_r}")
-        if not 0 < self.gamma_c <= self.gamma:
-            raise ValueError(
-                f"need 0 < gamma_c <= gamma, got gamma_c={self.gamma_c}, gamma={self.gamma}"
-            )
-        if not -math.pi < self.phi <= math.pi:
-            raise ValueError(f"phi must lie in (-pi, pi], got {self.phi}")
-
-
-@dataclass(frozen=True)
-class FreqDistribution:
-    """Gaussian law of the resonance frequency: mean mu (Hz), std sigma (Hz)."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class BackgroundParams:
-    """Output-path transfer function: scale, Lorentzian term, asymmetry."""
-
-    s_b: float
-    f_b: float
-    gamma_bc: float
-    gamma_b: float
-    phi_b: float = 0.0
-
-    def __post_init__(self):
-        if not self.gamma_b > 0:
-            raise ValueError(f"gamma_b must be positive, got {self.gamma_b}")
-
-
-@dataclass(frozen=True)
-class LineParams:
-    """Cable delay tau (rad/Hz, see module docstring) and phase offset (rad)."""
-
-    tau: float
-    varphi: float = 0.0
-
-    def __post_init__(self):
-        if not self.tau >= 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
 # The twelve free scalars of the chain model, in the one order every raw
@@ -124,6 +54,12 @@ _C = 2.0 * math.sqrt(2.0) * math.pi  # c = _C sqrt(v) of `specfun._mean_inverse`
 def _line(mu, v, gamma_c, phi, gamma, f_p, jet=False):
     """The averaged line at scalars or broadcastable arrays: its value, or
     with ``jet`` (value, derivatives in `_LINE_NAMES` order).
+
+    The bare line S11 = 1 - e^{i phi} gamma_c / (gamma/2 + i Delta),
+    Delta = 2*pi*(f_r - f_p), averaged over f_r ~ N(mu, v) in closed form:
+    <S11> = 1 - e^{i phi} gamma_c M(gamma/2 + i Delta', c) with
+    Delta' = 2*pi*(mu - f_p) and c = 2 sqrt(2) pi sqrt(v); v = 0 is the
+    bare line at f_r = mu, and |<S11>| is the Voigt profile of the line.
 
     The value is the same operations with or without ``jet``, and the
     derivatives come from the same `_mean_inverse` call.  Each derivative
@@ -150,7 +86,8 @@ def _line(mu, v, gamma_c, phi, gamma, f_p, jet=False):
 
 
 def _background(s_b, f_b, gamma_bc, gamma_b, phi_b, f_p, jet=False):
-    """The background's value, or with ``jet`` (value, derivatives in
+    """The background H = s_b + e^{i phi_b} gamma_bc / (gamma_b/2 + i Delta_b),
+    Delta_b = 2*pi*(f_b - f_p), or with ``jet`` (value, derivatives in
     `_BACKGROUND_NAMES` order), each derivative formed when called as in
     `_line`."""
     delta_b = TWO_PI * (f_b - f_p)
@@ -200,9 +137,10 @@ def _chain_model(x, f_p):
     """Full chain response at a raw twelve-scalar vector in `PARAM_NAMES` order.
 
     ``x`` is one vector, giving shape f_p.shape, or a (B, 12) batch of rows,
-    giving (B, len(f_p)).  No validation and no phase wrapping, so a fitter
-    may move every scalar freely; `full_chain_response` is the same
-    expression on the dataclasses.
+    giving (B, len(f_p)).  It is delay times background times the averaged
+    line, S11(f_p) = exp(i*(f_p*tau + varphi)) H(f_p) <S11(f_p)>, the delay
+    phase with no 2*pi (tau in rad/Hz).  No validation and no phase
+    wrapping, so a fitter may move every scalar freely.
     """
     x = np.asarray(x, dtype=float)
     value = _frame(x, f_p) * _line(*_scalars(x, _LINE), f_p)
@@ -267,62 +205,37 @@ def _chain_jacobian(x, f_p, free, held=None, out=None):
     return _rows(value, x), np.swapaxes(out, -1, -2)
 
 
-def bare_reflection(res, f_p):
-    """Reflection of the bare line: S11 = 1 - e^{i phi} gamma_c / (gamma/2 + i Delta).
-
-    Delta = 2*pi*(f_r - f_p).  Accepts a scalar or array probe frequency.
-    """
-    return _line(res.f_r, 0.0, res.gamma_c, res.phi, res.gamma, np.asarray(f_p, dtype=float))
 
 
-def averaged_reflection(res, dist, f_p):
-    """Reflection averaged over f_r ~ N(mu, sigma^2), in closed form.
+def averaged_reflection_gh(mu, v, gamma_c, phi, gamma, f_p, n_nodes=64):
+    """Gauss-Hermite quadrature of the bare line over f_r ~ N(mu, v).
 
-    <S11> = 1 - e^{i phi} gamma_c / (2 sqrt(2 pi) sigma)
-                * erfcx( (gamma/2 + i Delta') / (2 sqrt(2) pi sigma) )
-
-    with Delta' = 2*pi*(mu - f_p).  The magnitude of the result is the Voigt
-    profile of the line.  Evaluated in v = sigma^2 (see the module
-    docstring), so sigma = 0 gives the bare line at f_r = mu.
-    """
-    return _line(
-        dist.mu, dist.sigma**2, res.gamma_c, res.phi, res.gamma, np.asarray(f_p, dtype=float)
-    )
-
-
-def averaged_reflection_gh(res, dist, f_p, n_nodes=64):
-    """Gauss-Hermite quadrature of `bare_reflection` over f_r ~ N(mu, sigma^2).
-
-    Independent cross-check for `averaged_reflection`.  Converges extremely
-    fast while sigma stays below roughly a third of the linewidth
-    gamma/(2*pi); for broader distributions the integrand's pole sits too
-    close to the node line and more nodes are required (the convergence
-    factor is about exp(-2*d*sqrt(2*n+1)) with d = gamma/(4*sqrt(2)*pi*sigma)).
+    Independent cross-check for `_line`, taking its five line scalars;
+    sigma = sqrt(v).  Converges extremely fast while sigma stays below
+    roughly a third of the linewidth gamma/(2*pi); for broader
+    distributions the integrand's pole sits too close to the node line and
+    more nodes are required (the convergence factor is about
+    exp(-2*d*sqrt(2*n+1)) with d = gamma/(4*sqrt(2)*pi*sigma)).
     """
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    f_r = dist.mu + math.sqrt(2.0) * dist.sigma * nodes
+    f_r = mu + math.sqrt(2.0) * math.sqrt(v) * nodes
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
-    vals = _bare_grid(res, f_r, f_p)
+    # the bare line on the (f_r, f_p) outer grid
+    vals = _line(f_r[:, None], 0.0, gamma_c, phi, gamma, f_p[None, :])
     out = (weights[:, None] * vals).sum(axis=0) / math.sqrt(math.pi)
     return out if out.size > 1 else complex(out[0])
-
-
-def _bare_grid(res, f_r, f_p):
-    # bare_reflection evaluated on an (f_r, f_p) outer grid
-    return _line(
-        np.asarray(f_r)[:, None], 0.0, res.gamma_c, res.phi, res.gamma, np.asarray(f_p)[None, :]
-    )
 
 
 _MC_BLOCK_POINTS = 2**16
 
 
-def averaged_reflection_mc(res, dist, f_p, n_samples, seed):
-    """Monte-Carlo average of `bare_reflection` over f_r ~ N(mu, sigma^2).
+def averaged_reflection_mc(mu, v, gamma_c, phi, gamma, f_p, n_samples, seed):
+    """Monte-Carlo average of the bare line over f_r ~ N(mu, v).
 
-    Brute-force oracle for `averaged_reflection`.  Draws come from a
-    counter-based Philox generator keyed by ``seed``, so the result is
-    reproducible; the reduction order over blocks of draws is fixed.
+    Brute-force oracle for `_line`, taking its five line scalars; sigma =
+    sqrt(v).  Draws come from a counter-based Philox generator keyed by
+    ``seed``, so the result is reproducible; the reduction order over
+    blocks of draws is fixed.
 
     The sum runs in real arithmetic: with a + ib = gamma/2 + i*2*pi*(f_r - f_p),
     the bare line is 1 - e^{i phi} gamma_c (a - ib)/(a^2 + b^2), so only
@@ -332,13 +245,14 @@ def averaged_reflection_mc(res, dist, f_p, n_samples, seed):
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
     rng = np.random.Generator(np.random.Philox(seed))
-    a = res.gamma / 2.0
+    sigma = math.sqrt(v)
+    a = gamma / 2.0
     sum_inv = np.zeros(f_p.shape)
     sum_b_inv = np.zeros(f_p.shape)
     # the (draw, f_p) grid is built a cache-sized block of rows at a time
     rows = max(1, _MC_BLOCK_POINTS // f_p.size)
     for start in range(0, n_samples, rows):
-        f_r = rng.normal(dist.mu, dist.sigma, min(rows, n_samples - start))
+        f_r = rng.normal(mu, sigma, min(rows, n_samples - start))
         b = f_r[:, None] - f_p[None, :]
         b *= TWO_PI
         inv = b * b
@@ -348,31 +262,5 @@ def averaged_reflection_mc(res, dist, f_p, n_samples, seed):
         b *= inv
         sum_b_inv += b.sum(axis=0)
     mean_inverse = (a * sum_inv - 1j * sum_b_inv) / n_samples
-    out = 1.0 - np.exp(1j * res.phi) * res.gamma_c * mean_inverse
+    out = 1.0 - np.exp(1j * phi) * gamma_c * mean_inverse
     return out if out.size > 1 else complex(out[0])
-
-
-def background_transfer(bg, f_p):
-    """Output-path transfer function H(f_p) = s_b + e^{i phi_b} gamma_bc / (gamma_b/2 + i Delta_b).
-
-    Delta_b = 2*pi*(f_b - f_p).
-    """
-    return _background(
-        bg.s_b, bg.f_b, bg.gamma_bc, bg.gamma_b, bg.phi_b, np.asarray(f_p, dtype=float)
-    )
-
-
-def full_chain_response(res, dist, bg, line, f_p):
-    """Everything the digitizer sees: delay/phase * background * averaged line.
-
-    S11(f_p) = exp(i*(f_p*tau + varphi)) H(f_p) <S11(f_p)>
-
-    Note the delay phase is f_p*tau with no 2*pi (tau in rad/Hz).  This is
-    bitwise `_chain_model`, which the staged fits and the synthesis run on.
-    """
-    f_p = np.asarray(f_p, dtype=float)
-    return (
-        _delay(line.tau, line.varphi, f_p)
-        * background_transfer(bg, f_p)
-        * averaged_reflection(res, dist, f_p)
-    )

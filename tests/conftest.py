@@ -1,20 +1,18 @@
-from dataclasses import fields, replace
-
 import numpy as np
 import pytest
 
-from bolostat import (
-    BackgroundParams,
-    ChainParams,
-    FreqDistribution,
-    LineParams,
-    ResonatorParams,
-    averaged_reflection,
-    background_transfer,
-    full_chain_response,
-)
+from bolostat import ChainParams
 from bolostat.fitkit import PARAM_NAMES
-from bolostat.response import _chain_jacobian, _delay
+from bolostat.response import (
+    _BACKGROUND,
+    _DELAY,
+    _LINE,
+    _background,
+    _chain_jacobian,
+    _chain_model,
+    _delay,
+    _line,
+)
 
 # reference thermometer line used throughout: 524 MHz resonance,
 # external/total rates 4.8/18.7 us^-1 (linewidth gamma/2pi ~ 2.98 MHz)
@@ -41,8 +39,13 @@ CHAIN_TRUE = ChainParams(
 PROBE_GRID = np.linspace(509e6, 539e6, 401)
 
 
+def bare_line(p, f):
+    """The phi = 0 bare line, `_line` at v = 0, at p = (f_r, gamma_c, gamma)."""
+    return _line(p[0], 0.0, p[1], 0.0, p[2], f)
+
+
 def bare_line_jacobian(p, f):
-    """Closed-form Jacobian of the phi = 0 `bare_reflection` in (f_r, gamma_c, gamma).
+    """Closed-form Jacobian of `bare_line` in (f_r, gamma_c, gamma).
 
     With a = gamma/2 + 2 pi i (f_r - f) the line is S = 1 - gamma_c/a, so
     dS/df_r = 2 pi i gamma_c/a^2, dS/dgamma_c = -1/a and dS/dgamma = gamma_c/(2 a^2).
@@ -86,25 +89,10 @@ def perturbed_model(chain, mu, sigma, rng, span, frac=0.05):
     return perturb_vector(chain.vector(mu, sigma**2), rng, span, frac)
 
 
-def chain_parts(x):
-    """(res, dist, bg, line) of a `PARAM_NAMES` vector, as `full_chain_response`
-    takes them; sigma = sqrt(v), so sigma**2 is v again when v is a square."""
-    values = dict(zip(PARAM_NAMES, x), f_r=x[PARAM_NAMES.index("mu")])
-    values["sigma"] = np.sqrt(values["v"])
-    return tuple(
-        kind(**{f.name: values[f.name] for f in fields(kind)})
-        for kind in (ResonatorParams, FreqDistribution, BackgroundParams, LineParams)
-    )
-
-
 def two_resonance_response(x, f_p, spacing=80e6):
-    """`full_chain_response` of a `PARAM_NAMES` vector with a second background
+    """`_chain_model` of a `PARAM_NAMES` vector with a second background
     resonance ``spacing`` Hz from f_b, which the chain model does not have."""
-    res, dist, bg, line = chain_parts(x)
     f_p = np.asarray(f_p, dtype=float)
-    second = (
-        _delay(line.tau, line.varphi, f_p)
-        * background_transfer(replace(bg, s_b=0.0, f_b=bg.f_b + spacing), f_p)
-        * averaged_reflection(res, dist, f_p)
-    )
-    return full_chain_response(res, dist, bg, line, f_p) + second
+    _, f_b, gamma_bc, gamma_b, phi_b = x[_BACKGROUND]
+    second = _background(0.0, f_b + spacing, gamma_bc, gamma_b, phi_b, f_p)
+    return _chain_model(x, f_p) + _delay(*x[_DELAY], f_p) * second * _line(*x[_LINE], f_p)

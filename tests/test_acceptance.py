@@ -19,14 +19,10 @@ from bolostat import (
     ComplexSweep,
     extract_statistics,
     simulate_sweep,
-    FreqDistribution,
     MixedField,
     RadiatorState,
-    ResonatorParams,
-    averaged_reflection,
     averaged_reflection_gh,
     averaged_reflection_mc,
-    bare_reflection,
     circle_fit,
     cli,
     erfcx,
@@ -47,14 +43,19 @@ from bolostat.dspchain import (
     fir_lowpass,
     synth_raw_trace,
 )
-from conftest import GAMMA, GAMMA_C, MU, bare_line_jacobian
+from bolostat.response import _line
+from conftest import GAMMA, GAMMA_C, MU, bare_line, bare_line_jacobian
 from test_fitkit import base_calibration, synth_sweep
 from test_pipeline import make_config, temp_for_mean
 
 mp.mp.dps = 30
 
-RES0 = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
 SWEEP_201 = np.linspace(MU - 15e6, MU + 15e6, 201)
+
+
+def line0(v):
+    """The reference line's scalars at broadening v, in `_line`'s order."""
+    return (MU, v, GAMMA_C, 0.0, GAMMA)
 
 
 def _report(num, ok, detail=""):
@@ -68,9 +69,8 @@ def test_criterion_1_closed_form_vs_monte_carlo():
     t0 = time.time()
     worst = 0.0
     for sigma in (0.1e6, 0.5e6, 2.0e6):
-        dist = FreqDistribution(mu=MU, sigma=sigma)
-        closed = averaged_reflection(RES0, dist, SWEEP_201)
-        mc = averaged_reflection_mc(RES0, dist, SWEEP_201, n_samples=10**6, seed=1)
+        closed = _line(*line0(sigma**2), SWEEP_201)
+        mc = averaged_reflection_mc(*line0(sigma**2), SWEEP_201, n_samples=10**6, seed=1)
         worst = max(worst, float(np.max(np.abs(mc - closed) / np.abs(closed))))
     elapsed = time.time() - t0
     ok = worst < 1e-3 and elapsed < 60
@@ -81,9 +81,8 @@ def test_criterion_1_closed_form_vs_monte_carlo():
 
 @pytest.mark.parametrize("sigma", [0.1e6, 0.5e6])
 def test_criterion_1_closed_form_vs_gauss_hermite(sigma):
-    dist = FreqDistribution(mu=MU, sigma=sigma)
-    closed = averaged_reflection(RES0, dist, SWEEP_201)
-    quad = averaged_reflection_gh(RES0, dist, SWEEP_201, n_nodes=64)
+    closed = _line(*line0(sigma**2), SWEEP_201)
+    quad = averaged_reflection_gh(*line0(sigma**2), SWEEP_201, n_nodes=64)
     worst = float(np.max(np.abs(quad - closed) / np.abs(closed)))
     _report(f"1 (GH-64, sigma={sigma / 1e6:g} MHz)", worst < 1e-9, f"worst {worst:.2e}")
     assert worst < 1e-9
@@ -98,18 +97,16 @@ def test_criterion_1_closed_form_vs_gauss_hermite(sigma):
     "by Monte Carlo instead.",
 )
 def test_criterion_1_closed_form_vs_gauss_hermite_sigma_2mhz():
-    dist = FreqDistribution(mu=MU, sigma=2.0e6)
-    closed = averaged_reflection(RES0, dist, SWEEP_201)
-    quad = averaged_reflection_gh(RES0, dist, SWEEP_201, n_nodes=64)
+    closed = _line(*line0(2.0e6**2), SWEEP_201)
+    quad = averaged_reflection_gh(*line0(2.0e6**2), SWEEP_201, n_nodes=64)
     worst = float(np.max(np.abs(quad - closed) / np.abs(closed)))
     _report("1 (GH-64, sigma=2 MHz)", worst < 1e-9, f"worst {worst:.2e} (floor of the 64-node rule)")
     assert worst < 1e-9
 
 
 def test_criterion_1_supplement_converged_quadrature_at_sigma_2mhz():
-    dist = FreqDistribution(mu=MU, sigma=2.0e6)
-    closed = averaged_reflection(RES0, dist, SWEEP_201)
-    quad = averaged_reflection_gh(RES0, dist, SWEEP_201, n_nodes=300)
+    closed = _line(*line0(2.0e6**2), SWEEP_201)
+    quad = averaged_reflection_gh(*line0(2.0e6**2), SWEEP_201, n_nodes=300)
     worst = float(np.max(np.abs(quad - closed) / np.abs(closed)))
     _report("1 (GH-300 cross-check, sigma=2 MHz)", worst < 1e-8, f"worst {worst:.2e}")
     assert worst < 1e-8
@@ -265,31 +262,27 @@ def test_criterion_6_closed_form_constants():
 
 def test_criterion_7_circle_fit():
     freqs = np.linspace(MU - 15e6, MU + 15e6, 401)
-    sweep = ComplexSweep(freqs, bare_reflection(RES0, freqs))
+    sweep = ComplexSweep(freqs, _line(*line0(0.0), freqs))
     geo = circle_fit(sweep)
     ok_rec = (
-        abs(geo.f_r / MU - 1) < 1e-3
-        and abs(geo.gamma_c / GAMMA_C - 1) < 1e-3
-        and abs(geo.gamma / GAMMA - 1) < 1e-3
+        abs(geo["mu"] / MU - 1) < 1e-3
+        and abs(geo["gamma_c"] / GAMMA_C - 1) < 1e-3
+        and abs(geo["gamma"] / GAMMA - 1) < 1e-3
     )
-
-    def model(p, f):
-        return bare_reflection(ResonatorParams(p[0], p[1], p[2], 0.0), f)
-
     direct = least_squares(
-        model,
+        bare_line,
         sweep,
         init=[MU * (1 + 2e-5), GAMMA_C * 1.05, GAMMA * 0.95],
         bounds=([freqs[0], 1e3, 1e3], [freqs[-1], 1e9, 1e9]),
         jac=bare_line_jacobian,
     )
-    rel = np.abs(np.array([geo.f_r, geo.gamma_c, geo.gamma]) / direct.params - 1)
+    rel = np.abs(np.array([geo["mu"], geo["gamma_c"], geo["gamma"]]) / direct.params - 1)
     ok_agree = bool(np.all(rel < 1e-3))
     _report(
         "7 (circle fit)",
         ok_rec and ok_agree,
-        f"recovery ({abs(geo.f_r / MU - 1):.1e}, {abs(geo.gamma_c / GAMMA_C - 1):.1e}, "
-        f"{abs(geo.gamma / GAMMA - 1):.1e}), vs LSQ {rel.max():.1e}",
+        f"recovery ({abs(geo['mu'] / MU - 1):.1e}, {abs(geo['gamma_c'] / GAMMA_C - 1):.1e}, "
+        f"{abs(geo['gamma'] / GAMMA - 1):.1e}), vs LSQ {rel.max():.1e}",
     )
     assert ok_rec
     assert ok_agree

@@ -13,9 +13,7 @@ from bolostat import (
     DegenerateSigmaWarning,
     FitError,
     RankDeficiencyError,
-    ResonatorParams,
     SweepConfig,
-    bare_reflection,
     circle_fit,
     extract_statistics,
     fit_base_calibration,
@@ -40,6 +38,7 @@ from bolostat.response import (
     _BACKGROUND,
     _DELAY,
     _LINE,
+    _LINE_NAMES,
     _background,
     _delay,
     _line,
@@ -51,6 +50,7 @@ from conftest import (
     GAMMA_C,
     MU,
     PROBE_GRID,
+    bare_line,
     bare_line_jacobian,
     complex_jacobian,
     perturbed_model,
@@ -255,12 +255,11 @@ class TestLeastSquares:
         # |S11| of the bare line with 1% noise: fitted errors should stay
         # within 5x the covariance estimate
         def mag_model(p, f):
-            res = ResonatorParams(f_r=p[0], gamma_c=p[1], gamma=p[2], phi=0.0)
-            return np.abs(bare_reflection(res, f)).astype(complex)
+            return np.abs(bare_line(p, f)).astype(complex)
 
         def mag_jac(p, f):
             # d|S|/dp = Re(conj(S) dS/dp) / |S|
-            s = bare_reflection(ResonatorParams(f_r=p[0], gamma_c=p[1], gamma=p[2], phi=0.0), f)
+            s = bare_line(p, f)
             ds = bare_line_jacobian(p, f)
             return (np.real(np.conj(s)[:, None] * ds) / np.abs(s)[:, None]).astype(complex)
 
@@ -285,46 +284,45 @@ class TestLeastSquares:
 
 class TestCircleFit:
     def test_round_trip_reference_line(self):
-        res_true = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
-        sweep = ComplexSweep(PROBE_GRID, bare_reflection(res_true, PROBE_GRID))
+        sweep = ComplexSweep(PROBE_GRID, _line(MU, 0.0, GAMMA_C, 0.0, GAMMA, PROBE_GRID))
         fitted = circle_fit(sweep)
-        np.testing.assert_allclose(fitted.f_r, MU, rtol=1e-3 * 1e-3)
-        np.testing.assert_allclose(fitted.gamma_c, GAMMA_C, rtol=1e-3)
-        np.testing.assert_allclose(fitted.gamma, GAMMA, rtol=1e-3)
-        assert abs(fitted.phi) < 1e-3
+        np.testing.assert_allclose(fitted["mu"], MU, rtol=1e-3 * 1e-3)
+        np.testing.assert_allclose(fitted["gamma_c"], GAMMA_C, rtol=1e-3)
+        np.testing.assert_allclose(fitted["gamma"], GAMMA, rtol=1e-3)
+        assert abs(fitted["phi"]) < 1e-3
 
     def test_asymmetric_line(self):
-        res_true = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.35)
-        sweep = ComplexSweep(PROBE_GRID, bare_reflection(res_true, PROBE_GRID))
+        sweep = ComplexSweep(PROBE_GRID, _line(MU, 0.0, GAMMA_C, 0.35, GAMMA, PROBE_GRID))
         fitted = circle_fit(sweep)
-        np.testing.assert_allclose(fitted.phi, 0.35, atol=1e-3)
-        np.testing.assert_allclose(fitted.gamma_c, GAMMA_C, rtol=1e-3)
+        np.testing.assert_allclose(fitted["phi"], 0.35, atol=1e-3)
+        np.testing.assert_allclose(fitted["gamma_c"], GAMMA_C, rtol=1e-3)
 
     def test_overcoupled_branch(self):
-        res_true = ResonatorParams(f_r=MU, gamma_c=0.9 * GAMMA, gamma=GAMMA, phi=0.0)
-        sweep = ComplexSweep(PROBE_GRID, bare_reflection(res_true, PROBE_GRID))
+        sweep = ComplexSweep(PROBE_GRID, _line(MU, 0.0, 0.9 * GAMMA, 0.0, GAMMA, PROBE_GRID))
         fitted = circle_fit(sweep)
-        assert fitted.gamma_c > fitted.gamma / 2
-        np.testing.assert_allclose(fitted.gamma_c, 0.9 * GAMMA, rtol=1e-3)
+        assert fitted["gamma_c"] > fitted["gamma"] / 2
+        np.testing.assert_allclose(fitted["gamma_c"], 0.9 * GAMMA, rtol=1e-3)
 
     def test_agrees_with_full_least_squares(self):
-        res_true = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
-        sweep = ComplexSweep(PROBE_GRID, bare_reflection(res_true, PROBE_GRID))
+        sweep = ComplexSweep(PROBE_GRID, bare_line([MU, GAMMA_C, GAMMA], PROBE_GRID))
         geo = circle_fit(sweep)
-
-        def model(p, f):
-            return bare_reflection(ResonatorParams(p[0], p[1], p[2], 0.0), f)
-
         direct = least_squares(
-            model,
+            bare_line,
             sweep,
             init=[MU * (1 + 2e-5), GAMMA_C * 1.05, GAMMA * 0.95],
             bounds=([PROBE_GRID[0], 1e3, 1e3], [PROBE_GRID[-1], 1e9, 1e9]),
             jac=bare_line_jacobian,
         )
         np.testing.assert_allclose(
-            [geo.f_r, geo.gamma_c, geo.gamma], direct.params, rtol=1e-3
+            [geo["mu"], geo["gamma_c"], geo["gamma"]], direct.params, rtol=1e-3
         )
+
+    def test_answer_is_the_line_at_v_zero(self):
+        # the dict is `_line`'s scalars: it re-evaluates as the fitted bare line
+        sweep = ComplexSweep(PROBE_GRID, _line(MU, 0.0, GAMMA_C, 0.35, GAMMA, PROBE_GRID))
+        geo = circle_fit(sweep)
+        assert tuple(geo) == _LINE_NAMES and geo["v"] == 0.0
+        np.testing.assert_allclose(_line(**geo, f_p=PROBE_GRID), sweep.values, atol=1e-3)
 
     def test_phase_jacobian_matches_central_difference(self):
         f = PROBE_GRID
@@ -399,6 +397,19 @@ class TestBaseCalibration:
     def test_init_must_be_twelve_finite_scalars(self, init):
         with pytest.raises(ValueError, match="PARAM_NAMES"):
             fit_base_calibration(synth_sweep(MU, 0.1e6), init)
+
+    @pytest.mark.parametrize("gamma", [-GAMMA, 0.0], ids=["negated", "zero"])
+    def test_start_with_non_positive_gamma_is_refused_before_fitting(self, gamma, monkeypatch):
+        # its gamma sets the box's rate ranges, which it would invert
+        import bolostat.fitkit as fk
+
+        fits = []
+        monkeypatch.setattr(fk, "_fit_free", lambda *args: fits.append(args))
+        init = CHAIN_TRUE.vector(MU, 0.0)
+        init[PARAM_NAMES.index("gamma")] = gamma
+        with pytest.raises(ValueError, match="gamma"):
+            fit_base_calibration(synth_sweep(MU, 0.0), init)
+        assert fits == []
 
     def test_singular_stage_raises_naming_the_direction(self, monkeypatch):
         import bolostat.fitkit as fk

@@ -235,6 +235,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             SweepConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "chain,reason",
+        [
+            ({"mu_base_hz": -1.0}, "mu must be positive, got -1.0"),
+            (
+                {"gamma_c": 0.0},
+                f"need 0 < gamma_c <= gamma, got gamma_c=0.0, gamma={CHAIN_TRUE.gamma}",
+            ),
+            ({"gamma_b": 0.0}, "gamma_b must be positive, got 0.0"),
+            ({"tau": -1e-9}, "tau must be non-negative, got -1e-09"),
+        ],
+        ids=["mu_base_hz", "gamma_c", "gamma_b", "tau"],
+    )
+    def test_chain_checks_give_their_reason(self, chain, reason):
+        raw = make_config().to_dict()
+        raw["chain"].update(chain)
+        with pytest.raises(ConfigError) as refused:
+            SweepConfig.from_dict(raw)
+        assert str(refused.value) == f"field 'chain.{next(iter(chain))}': {reason}"
+
     def test_chain_phases_are_unrestricted(self):
         raw = make_config().to_dict()
         raw["chain"].update(phi=4.0, phi_b=-7.0, varphi=10.0)

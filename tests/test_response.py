@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -6,19 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bolostat import (
-    PARAM_NAMES,
-    BackgroundParams,
-    FreqDistribution,
-    LineParams,
-    ResonatorParams,
-    averaged_reflection,
-    averaged_reflection_gh,
-    averaged_reflection_mc,
-    background_transfer,
-    bare_reflection,
-    full_chain_response,
-)
+from bolostat import PARAM_NAMES, ChainParams, averaged_reflection_gh, averaged_reflection_mc
 
 from bolostat.fitkit import _default_bounds
 from bolostat.response import (
@@ -28,7 +17,6 @@ from bolostat.response import (
     _DELAY,
     _LINE,
     _background,
-    _bare_grid,
     _chain_jacobian,
     _chain_model,
     _delay,
@@ -43,61 +31,49 @@ from conftest import (
     GAMMA_C,
     MU,
     PROBE_GRID,
-    chain_parts,
     complex_jacobian,
     perturb_vector,
 )
 
-RES = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0)
+
+def s11(f_p, mu=MU, v=0.0, gamma_c=GAMMA_C, phi=0.0):
+    """The reference line at probe frequencies ``f_p``: bare unless v > 0."""
+    return _line(mu, v, gamma_c, phi, GAMMA, f_p)
 
 
 class TestBareReflection:
     def test_on_resonance_depth(self):
         # 1 - 2 gamma_c / gamma
-        np.testing.assert_allclose(
-            bare_reflection(RES, MU), 1 - 2 * GAMMA_C / GAMMA, rtol=1e-15
-        )
-        np.testing.assert_allclose(bare_reflection(RES, MU), 0.4866, atol=5e-5)
+        np.testing.assert_allclose(s11(MU), 1 - 2 * GAMMA_C / GAMMA, rtol=1e-15)
+        np.testing.assert_allclose(s11(MU), 0.4866, atol=5e-5)
 
     def test_far_detuned_limit(self):
-        val = bare_reflection(RES, MU + 1e12)
+        val = s11(MU + 1e12)
         assert abs(val - 1.0) < 1e-4
 
     def test_trace_lies_on_circle_through_unity(self):
         # phi = 0: circle of diameter gamma_c/(gamma/2) through (1, 0)
         f = np.linspace(MU - 30e6, MU + 30e6, 101)
-        z = bare_reflection(RES, f)
+        z = s11(f)
         center = 1 - GAMMA_C / GAMMA
         radius = GAMMA_C / GAMMA
         np.testing.assert_allclose(np.abs(z - center), radius, rtol=1e-12)
 
     def test_magnitude_bounded_when_undercoupled(self):
         f = np.linspace(MU - 50e6, MU + 50e6, 201)
-        assert np.all(np.abs(bare_reflection(RES, f)) <= 1 + 1e-12)
+        assert np.all(np.abs(s11(f)) <= 1 + 1e-12)
 
     def test_overcoupled_minimum(self):
-        res = ResonatorParams(f_r=MU, gamma_c=0.9 * GAMMA, gamma=GAMMA, phi=0.0)
         f = np.linspace(MU - 50e6, MU + 50e6, 2001)
-        mags = np.abs(bare_reflection(res, f))
+        mags = np.abs(s11(f, gamma_c=0.9 * GAMMA))
         np.testing.assert_allclose(mags.min(), abs(1 - 2 * 0.9), rtol=1e-6)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ResonatorParams(f_r=-1.0, gamma_c=1.0, gamma=2.0)
-        with pytest.raises(ValueError):
-            ResonatorParams(f_r=MU, gamma_c=3.0, gamma=2.0)
 
 
 class TestAveragedReflection:
     def test_degenerate_sigma_equals_bare_line(self, probe_grid):
-        dist = FreqDistribution(mu=MU - 1e6, sigma=0.0)
-        expected = bare_reflection(
-            ResonatorParams(f_r=MU - 1e6, gamma_c=GAMMA_C, gamma=GAMMA, phi=0.0),
-            probe_grid,
-        )
-        np.testing.assert_array_equal(
-            averaged_reflection(RES, dist, probe_grid), expected
-        )
+        # v = 0 is the bare line S11 = 1 - gamma_c / (gamma/2 + i Delta) at f_r = mu
+        expected = 1 - GAMMA_C / (GAMMA / 2 + 2j * np.pi * (MU - 1e6 - probe_grid))
+        np.testing.assert_allclose(s11(probe_grid, mu=MU - 1e6), expected, rtol=1e-15, atol=0)
 
     def test_line_and_v_column_match_mpmath_down_to_zero_broadening(self):
         # the line is analytic in v down to 0: the value and v's column
@@ -119,10 +95,9 @@ class TestAveragedReflection:
 
     @pytest.mark.parametrize("sigma_over_linewidth", [1e-3, 0.01, 0.1, 0.3])
     def test_matches_gauss_hermite_quadrature(self, sigma_over_linewidth, probe_grid):
-        sigma = sigma_over_linewidth * GAMMA / (2 * np.pi)
-        dist = FreqDistribution(mu=MU, sigma=sigma)
-        closed = averaged_reflection(RES, dist, probe_grid)
-        quad = averaged_reflection_gh(RES, dist, probe_grid, n_nodes=64)
+        v = (sigma_over_linewidth * GAMMA / (2 * np.pi)) ** 2
+        closed = s11(probe_grid, v=v)
+        quad = averaged_reflection_gh(MU, v, GAMMA_C, 0.0, GAMMA, probe_grid, n_nodes=64)
         np.testing.assert_allclose(closed, quad, rtol=1e-9)
 
     @pytest.mark.xfail(
@@ -135,120 +110,107 @@ class TestAveragedReflection:
     )
     def test_matches_64_node_quadrature_up_to_ten_linewidths(self, probe_grid):
         for ratio in (1e-3, 0.1, 1.0, 10.0):
-            sigma = ratio * GAMMA / (2 * np.pi)
-            dist = FreqDistribution(mu=MU, sigma=sigma)
-            closed = averaged_reflection(RES, dist, probe_grid)
-            quad = averaged_reflection_gh(RES, dist, probe_grid, n_nodes=64)
+            v = (ratio * GAMMA / (2 * np.pi)) ** 2
+            closed = s11(probe_grid, v=v)
+            quad = averaged_reflection_gh(MU, v, GAMMA_C, 0.0, GAMMA, probe_grid, n_nodes=64)
             np.testing.assert_allclose(closed, quad, rtol=1e-9)
 
     def test_matches_converged_quadrature_at_large_sigma(self, probe_grid):
         # with enough nodes the quadrature does confirm the closed form
         # even for broad distributions
-        dist = FreqDistribution(mu=MU, sigma=2e6)
-        closed = averaged_reflection(RES, dist, probe_grid)
-        quad = averaged_reflection_gh(RES, dist, probe_grid, n_nodes=300)
+        closed = s11(probe_grid, v=2e6**2)
+        quad = averaged_reflection_gh(MU, 2e6**2, GAMMA_C, 0.0, GAMMA, probe_grid, n_nodes=300)
         np.testing.assert_allclose(closed, quad, rtol=1e-8)
 
     def test_matches_monte_carlo(self, probe_grid):
-        dist = FreqDistribution(mu=MU, sigma=0.5e6)
-        closed = averaged_reflection(RES, dist, probe_grid)
-        mc = averaged_reflection_mc(RES, dist, probe_grid, n_samples=200_000, seed=1)
+        closed = s11(probe_grid, v=0.5e6**2)
+        mc = averaged_reflection_mc(
+            MU, 0.5e6**2, GAMMA_C, 0.0, GAMMA, probe_grid, n_samples=200_000, seed=1
+        )
         assert np.max(np.abs(mc - closed) / np.abs(closed)) < 3e-3
 
 
 class TestMonteCarloOracle:
     def test_zero_sigma_any_seed_is_bare(self):
-        dist = FreqDistribution(mu=MU, sigma=0.0)
         for seed in (0, 99):
-            val = averaged_reflection_mc(RES, dist, MU + 2e6, n_samples=10, seed=seed)
-            expected = bare_reflection(
-                ResonatorParams(MU, GAMMA_C, GAMMA, 0.0), MU + 2e6
+            val = averaged_reflection_mc(
+                MU, 0.0, GAMMA_C, 0.0, GAMMA, MU + 2e6, n_samples=10, seed=seed
             )
-            np.testing.assert_allclose(val, expected, rtol=1e-15)
+            np.testing.assert_allclose(val, s11(MU + 2e6), rtol=1e-15)
 
     def test_single_sample_is_bare_line_at_the_draw(self):
-        dist = FreqDistribution(mu=MU, sigma=1e6)
         rng = np.random.Generator(np.random.Philox(42))
         f_r = rng.normal(MU, 1e6)
-        expected = bare_reflection(
-            ResonatorParams(f_r, GAMMA_C, GAMMA, 0.0), MU
-        )
         np.testing.assert_allclose(
-            averaged_reflection_mc(RES, dist, MU, n_samples=1, seed=42), expected
+            averaged_reflection_mc(MU, 1e6**2, GAMMA_C, 0.0, GAMMA, MU, n_samples=1, seed=42),
+            s11(MU, mu=f_r),
         )
 
     def test_same_seed_reproduces(self, probe_grid):
-        dist = FreqDistribution(mu=MU, sigma=1e6)
-        a = averaged_reflection_mc(RES, dist, probe_grid, n_samples=5000, seed=7)
-        b = averaged_reflection_mc(RES, dist, probe_grid, n_samples=5000, seed=7)
+        a = averaged_reflection_mc(MU, 1e6**2, GAMMA_C, 0.0, GAMMA, probe_grid, 5000, seed=7)
+        b = averaged_reflection_mc(MU, 1e6**2, GAMMA_C, 0.0, GAMMA, probe_grid, 5000, seed=7)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("phi", [0.0, 0.4])
     def test_real_sums_match_complex_grid(self, phi):
         # the oracle sums the real and imaginary parts of 1/(a + ib); the
         # reference averages the complex bare line over the same draws
-        res = ResonatorParams(f_r=MU, gamma_c=GAMMA_C, gamma=GAMMA, phi=phi)
-        dist = FreqDistribution(mu=MU, sigma=0.5e6)
         grid = np.linspace(MU - 15e6, MU + 15e6, 201)
         rng = np.random.Generator(np.random.Philox(11))
         expected = sum(
-            _bare_grid(res, rng.normal(MU, 0.5e6, 20_000), grid).sum(axis=0) for _ in range(5)
+            s11(grid, mu=rng.normal(MU, 0.5e6, 20_000)[:, None], phi=phi).sum(axis=0)
+            for _ in range(5)
         ) / 100_000
-        mc = averaged_reflection_mc(res, dist, grid, n_samples=100_000, seed=11)
+        mc = averaged_reflection_mc(
+            MU, 0.5e6**2, GAMMA_C, phi, GAMMA, grid, n_samples=100_000, seed=11
+        )
         np.testing.assert_allclose(mc, expected, rtol=1e-13, atol=0)
 
     def test_rejects_empty_sample_budget(self):
         with pytest.raises(ValueError):
-            averaged_reflection_mc(RES, FreqDistribution(MU, 1e6), MU, 0, seed=0)
+            averaged_reflection_mc(MU, 1e6**2, GAMMA_C, 0.0, GAMMA, MU, 0, seed=0)
 
 
 class TestBackgroundTransfer:
-    BG = BackgroundParams(s_b=0.9, f_b=531e6, gamma_bc=2e6, gamma_b=40e6, phi_b=0.0)
-
     def test_no_resonance_reduces_to_scale(self, probe_grid):
-        bg = BackgroundParams(s_b=0.77, f_b=531e6, gamma_bc=0.0, gamma_b=40e6, phi_b=1.0)
         np.testing.assert_array_equal(
-            background_transfer(bg, probe_grid), np.full(probe_grid.size, 0.77 + 0j)
+            _background(0.77, 531e6, 0.0, 40e6, 1.0, probe_grid),
+            np.full(probe_grid.size, 0.77 + 0j),
         )
 
     def test_on_resonance_value(self):
-        val = background_transfer(self.BG, 531e6)
+        val = _background(0.9, 531e6, 2e6, 40e6, 0.0, 531e6)
         np.testing.assert_allclose(val, 0.9 + 2 * 2e6 / 40e6, rtol=1e-15)
 
 
 class TestFullChain:
-    DIST = FreqDistribution(mu=MU, sigma=0.5e6)
+    # unit background with no resonance, no delay; the line at sigma = 0.5 MHz
+    CHAIN = ChainParams(
+        mu_base_hz=MU,
+        gamma_c=GAMMA_C,
+        phi=0.0,
+        gamma=GAMMA,
+        s_b=1.0,
+        f_b=531e6,
+        gamma_bc=0.0,
+        gamma_b=40e6,
+        phi_b=0.3,
+        tau=0.0,
+        varphi=0.0,
+    )
+    V = 0.5e6**2
 
     def test_identity_background_is_bitwise_averaged_line(self, probe_grid):
-        bg = BackgroundParams(s_b=1.0, f_b=531e6, gamma_bc=0.0, gamma_b=40e6, phi_b=0.3)
-        line = LineParams(tau=0.0, varphi=0.0)
-        full = full_chain_response(RES, self.DIST, bg, line, probe_grid)
-        avg = averaged_reflection(RES, self.DIST, probe_grid)
-        np.testing.assert_array_equal(full, avg)
+        full = _chain_model(self.CHAIN.vector(MU, self.V), probe_grid)
+        np.testing.assert_array_equal(full, s11(probe_grid, v=self.V))
 
     def test_delay_phase_advances_linearly(self):
-        bg = BackgroundParams(s_b=1.0, f_b=531e6, gamma_bc=0.0, gamma_b=40e6)
         f_p = 520e6
-        ref = full_chain_response(RES, self.DIST, bg, LineParams(tau=0.0), f_p)
+        ref = _chain_model(self.CHAIN.vector(MU, self.V), f_p)
         # phase slope in tau is f_p (no 2*pi factor in the delay convention)
         for tau in (1e-10, 5e-10, 2e-9):
-            val = full_chain_response(RES, self.DIST, bg, LineParams(tau=tau), f_p)
+            val = _chain_model(replace(self.CHAIN, tau=tau).vector(MU, self.V), f_p)
             np.testing.assert_allclose(np.angle(val / ref), f_p * tau, rtol=1e-9)
-
-    def test_raw_vector_model_is_bitwise_the_dataclass_model(self, probe_grid):
-        # the fits and the synthesis run on _chain_model; it must be the same
-        # expression as full_chain_response, from v = 0 up to sigma = 3 MHz
-        rng = np.random.default_rng(23)
-        at = {name: i for i, name in enumerate(PARAM_NAMES)}
-        for k in range(20):
-            x = perturb_vector(CHAIN_TRUE.vector(MU, 0.0), rng, 30e6, frac=0.3)
-            for name in PHASE_NAMES:
-                x[at[name]] = rng.uniform(-np.pi, np.pi)
-            # a square, so that the dataclass's sigma = sqrt(v) squares back to v
-            x[at["v"]] = 0.0 if k % 5 == 0 else (10 ** rng.uniform(-3, 6.5)) ** 2
-            np.testing.assert_array_equal(
-                _chain_model(x, probe_grid), full_chain_response(*chain_parts(x), probe_grid)
-            )
 
 
 AT = {name: i for i, name in enumerate(PARAM_NAMES)}
