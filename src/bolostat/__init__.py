@@ -41,7 +41,6 @@ from .fitkit import (
     fit_base_calibration,
     fit_measurements,
     least_squares,
-    polynomial_fit,
 )
 from .dspchain import (
     DEFAULT_FIR,

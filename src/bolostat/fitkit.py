@@ -22,7 +22,6 @@ the resonance extractors used by the pipeline:
 
 * `circle_fit`        -- algebraic circle + phase-slope extraction of the bare
   line's scalars, in `_LINE_NAMES` order
-* `polynomial_fit`    -- plain least-squares polynomial, ascending coefficients
 * `fit_base_calibration` / `fit_measurements` -- the full-model procedure:
   all twelve chain parameters are fitted together, in one LM run, on a
   reference (base) trace, six of them are then frozen, and every subsequent
@@ -54,7 +53,6 @@ __all__ = [
     "MEASUREMENT_PARAM_NAMES",
     "least_squares",
     "circle_fit",
-    "polynomial_fit",
     "fit_base_calibration",
     "fit_measurements",
     "wrap_angle",
@@ -504,23 +502,6 @@ def circle_fit(sweep):
 
 
 # ---------------------------------------------------------------------------
-# real-valued helpers
-
-
-def polynomial_fit(x, y, degree):
-    """Least-squares polynomial coefficients in ascending order."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
-    if x.size <= degree:
-        raise FitError(
-            f"polynomial fit of degree {degree} is underdetermined with {x.size} points"
-        )
-    return np.polynomial.polynomial.polyfit(x, y, degree)
-
-
-# ---------------------------------------------------------------------------
 # staged full-model fitting
 
 
@@ -614,9 +595,9 @@ def _fit_free(freqs, data, base, starts, free):
     into that box, and the LM's column scales are `_scales` of them.  The
     rows make one `_lm` call, and each of its evaluations is one
     `_chain_jacobian` call (value and Jacobian together) over the rows it
-    evaluates, with ``base`` as the held vector, so a factor of the chain
-    that no free entry moves (the delay of a measurement batch) is
-    evaluated once.  One (B, len(free), 2m) buffer is allocated per call,
+    evaluates, which forms a factor of the chain once where those rows
+    agree on its scalars (the delay of a measurement batch, or all of a
+    batch of one).  One (B, len(free), 2m) buffer is allocated per call,
     and every evaluation writes its rows' free columns, each once, into the
     first rows of it: the real (rows, 2m, n) Jacobian `_lm` takes (real
     parts over imaginary parts, each column contiguous) is a view of that
@@ -636,7 +617,7 @@ def _fit_free(freqs, data, base, starts, free):
         return X
 
     def evaluate(xf, rows):
-        value, J = _chain_jacobian(full(xf), freqs, free, base, jac[: len(rows)])
+        value, J = _chain_jacobian(full(xf), freqs, free, jac[: len(rows)])
         r = value - data[rows]
         return np.concatenate([r.real, r.imag], axis=1), J
 

@@ -46,7 +46,7 @@ from .photonstats import (
     planck_mean_photon,
     thermal_variance,
 )
-from .response import _LINE, PARAM_NAMES, PHASE_NAMES, _frame, _line, _scalars
+from .response import PARAM_NAMES, PHASE_NAMES, _chain_model
 
 __all__ = [
     "ConfigError",
@@ -305,18 +305,14 @@ def _shift_hz(coeffs, n):
 
 
 def _invert_shift(coeffs, shift):
-    """Smallest n >= 0 with shift(n) = shift on the configured cubic; 0 if none."""
+    """Smallest n >= 0 with shift(n) = shift on the configured shift
+    polynomial (2 to 8 coefficients); 0 if none."""
     c = np.asarray(coeffs, dtype=float).copy()
     c[0] = -shift
     roots = np.polynomial.polynomial.polyroots(c)
     real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
     valid = real[real >= -1e-12]
     return float(max(valid.min(), 0.0)) if valid.size else 0.0
-
-
-# `simulate_sweep` evaluates the lines of at most this many probe points
-# with one `_line` call
-_SYNTH_BLOCK_POINTS = 2**13
 
 
 def simulate_sweep(cfg):
@@ -328,30 +324,23 @@ def simulate_sweep(cfg):
     zero-input base trace, at v = 0, is always included as the fitting
     reference.  The dataset embeds the config, seed included, so a stored
     dataset reproduces itself.  Every trace shares one read-only probe
-    grid, and the delay and background, which no trace changes, are
-    evaluated on it once.  The lines are evaluated a block of traces at a
-    time, one `_line` call per block of at most `_SYNTH_BLOCK_POINTS`
-    points (one call over the whole sweep would hold several sweep-sized
-    temporaries at once); each trace is bitwise ``_chain_model`` of its
-    vector and draws its noise in trace order.
+    grid.  One `_chain_model` call forms every trace, each bitwise the
+    model of its vector, and so forms the delay and background, which no
+    trace changes, once; each trace then draws its noise in trace order,
+    added into its own row.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     freqs = cfg.probe_grid()
     freqs.flags.writeable = False
-    frame = _frame(cfg.chain.vector(cfg.chain.mu_base_hz, 0.0), freqs)
     controls = [None, *(float(c) for c in cfg.control_values())]
     moments = [(0.0, 0.0), *(cfg.truth_moments(c) for c in controls[1:])]
     truths, X = zip(*(_trace_truth(cfg, mean, variance) for mean, variance in moments))
-    X = np.array(X)
-    per_block = max(1, _SYNTH_BLOCK_POINTS // freqs.size)
+    values = _chain_model(np.array(X), freqs)
     points = []
-    for start in range(0, len(X), per_block):
-        block = X[start : start + per_block]
-        lines = _line(*_scalars(block, _LINE), freqs).reshape(len(block), freqs.size)
-        for line in lines:
-            k = len(points)
-            sweep = ComplexSweep(freqs=freqs, values=_noisy(cfg, frame * line, rng))
-            points.append(TracePoint(control=controls[k], truth=truths[k], sweep=sweep))
+    for control, truth, row in zip(controls, truths, values):
+        _add_noise(cfg, row, rng)
+        sweep = ComplexSweep(freqs=freqs, values=row)
+        points.append(TracePoint(control=control, truth=truth, sweep=sweep))
     return SweepDataset(config=cfg, base=points[0], records=tuple(points[1:]))
 
 
@@ -364,13 +353,13 @@ def _trace_truth(cfg, mean, variance):
     return truth, cfg.chain.vector(mu, v)
 
 
-def _noisy(cfg, values, rng):
-    # a trace with its complex noise drawn, the real parts first
+def _add_noise(cfg, values, rng):
+    # draws a trace's complex noise, the real parts first, into the trace
     if cfg.noise == 0:
-        return values
-    span = float(np.ptp(np.abs(values)))
-    s = cfg.noise * span / math.sqrt(2.0)
-    return values + rng.normal(0.0, s, values.size) + 1j * rng.normal(0.0, s, values.size)
+        return
+    s = cfg.noise * float(np.ptp(np.abs(values))) / math.sqrt(2.0)
+    values.real += rng.normal(0.0, s, values.size)
+    values.imag += rng.normal(0.0, s, values.size)
 
 
 def _calibration_init(cfg, base_sweep):

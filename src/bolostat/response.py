@@ -118,44 +118,58 @@ def _delay(tau, varphi, f_p, jet=False):
 
 def _scalars(x, part):
     """The entries ``part`` of a raw vector, one per helper argument: floats
-    for a (12,) vector or a batch of one row, (B, 1) columns for a (B, 12)
-    batch of more rows.  Each scalar operation on a (1, 1) column is a numpy
-    array operation, so a batch of one takes the float path, and its callers
-    put the row axis back with `_rows`."""
+    for a (12,) vector, and for a (B, 12) batch whose rows all agree on
+    ``part`` bit for bit (so +0.0 and -0.0 differ, and NaNs agree only
+    where their bits do), else (B, 1) columns.  A factor whose scalars
+    agree is so evaluated once, on the probe grid alone, and `_rows`
+    broadcasts a value that every row shares back to the batch."""
     sub = x[..., part]
     if sub.ndim == 1:
         return sub
-    return sub[0] if len(sub) == 1 else sub.T[..., None]
+    raw = sub.tobytes()
+    return sub[0] if raw == raw[: len(raw) // len(sub)] * len(sub) else sub.T[..., None]
 
 
-def _rows(out, x):
-    # the row axis of a batch of one, which `_scalars` dropped
-    return out[None] if x.ndim == 2 and len(x) == 1 else out
+def _rows(value, x):
+    # a value every row of a batch shares, broadcast back to the batch
+    return value if value.ndim == x.ndim else np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+
+# `_chain_model` evaluates the lines of at most this many probe points of a
+# batch with one `_line` call
+_LINE_BLOCK_POINTS = 2**13
 
 
 def _chain_model(x, f_p):
     """Full chain response at a raw twelve-scalar vector in `PARAM_NAMES` order.
 
     ``x`` is one vector, giving shape f_p.shape, or a (B, 12) batch of rows,
-    giving (B, len(f_p)).  It is delay times background times the averaged
-    line, S11(f_p) = exp(i*(f_p*tau + varphi)) H(f_p) <S11(f_p)>, the delay
-    phase with no 2*pi (tau in rad/Hz).  No validation and no phase
-    wrapping, so a fitter may move every scalar freely.
+    giving a new (B, len(f_p)) array.  It is delay times background times
+    the averaged line, S11(f_p) = exp(i*(f_p*tau + varphi)) H(f_p) <S11(f_p)>,
+    the delay phase with no 2*pi (tau in rad/Hz).  No validation and no
+    phase wrapping, so a fitter may move every scalar freely.
+
+    Delay times background is formed in one pass over the batch, on the
+    probe grid alone where the rows agree on its scalars (see `_scalars`).
+    The lines are formed a block of rows at a time, one `_line` call per
+    block of at most `_LINE_BLOCK_POINTS` points, since one call over a
+    long batch would hold several batch-sized temporaries at once.  Each
+    row is bitwise the call on that row alone.
     """
     x = np.asarray(x, dtype=float)
-    value = _frame(x, f_p) * _line(*_scalars(x, _LINE), f_p)
-    return _rows(value, x)
+    frame = _delay(*_scalars(x, _DELAY), f_p) * _background(*_scalars(x, _BACKGROUND), f_p)
+    if x.ndim == 1:
+        return frame * _line(*_scalars(x, _LINE), f_p)
+    out = np.empty((len(x), np.size(f_p)), dtype=complex)
+    frame = np.broadcast_to(frame, out.shape)
+    per_block = max(1, _LINE_BLOCK_POINTS // out.shape[1])
+    for start in range(0, len(x), per_block):
+        block = slice(start, start + per_block)
+        np.multiply(frame[block], _line(*_scalars(x[block], _LINE), f_p), out=out[block])
+    return out
 
 
-def _frame(x, f_p):
-    """Delay times background: the factor of `_chain_model` that the line
-    scalars leave alone, so one sweep's traces share it.  ``x`` is a (12,)
-    vector, a batch of one row or a (B, 12) batch, as `_chain_model` takes
-    it; ``frame * _line(...)`` is bitwise `_chain_model`'s value."""
-    return _delay(*_scalars(x, _DELAY), f_p) * _background(*_scalars(x, _BACKGROUND), f_p)
-
-
-def _chain_jacobian(x, f_p, free, held=None, out=None):
+def _chain_jacobian(x, f_p, free, out=None):
     """`_chain_model` and the real Jacobian of its columns ``free``, in one pass.
 
     ``free`` lists column indices in `PARAM_NAMES`.  Returns (value, jac),
@@ -169,23 +183,15 @@ def _chain_jacobian(x, f_p, free, held=None, out=None):
     ``jet=True``, so its value is bitwise the one `_chain_model` forms;
     the Voigt line takes one `_mean_inverse` jet call, shared by the value
     and the derivatives, and the background and delay columns are
-    elementary.
-
-    ``held``, a (12,) vector, states that every row of ``x`` equals it
-    outside ``free``.  A factor (delay, background or line) with no free
-    scalar is then evaluated once, from ``held``, instead of per row.
-    Without it nothing is assumed of the rows.
+    elementary.  A factor whose scalars every row of a batch agrees on
+    (see `_scalars`) is formed once, on the probe grid alone, with its
+    columns.
     """
     x = np.asarray(x, dtype=float)
     f_p = np.atleast_1d(np.asarray(f_p, dtype=float))
-
-    def evaluated(part, factor):
-        moved = held is None or any(part.start <= i < part.stop for i in free)
-        return factor(*_scalars(x if moved else held, part), f_p, jet=True)
-
-    delay, d_delay = evaluated(_DELAY, _delay)
-    background, d_background = evaluated(_BACKGROUND, _background)
-    line, d_line = evaluated(_LINE, _line)
+    delay, d_delay = _delay(*_scalars(x, _DELAY), f_p, jet=True)
+    background, d_background = _background(*_scalars(x, _BACKGROUND), f_p, jet=True)
+    line, d_line = _line(*_scalars(x, _LINE), f_p, jet=True)
     frame = delay * background
     value = frame * line
     line_delay = delay * line
@@ -203,8 +209,6 @@ def _chain_jacobian(x, f_p, free, held=None, out=None):
         out[..., j, :m] = column.real
         out[..., j, m:] = column.imag
     return _rows(value, x), np.swapaxes(out, -1, -2)
-
-
 
 
 def averaged_reflection_gh(mu, v, gamma_c, phi, gamma, f_p, n_nodes=64):

@@ -3,9 +3,12 @@
 The reference sweeps are the three shipped configs, clean, and each again at
 noise 0.01 with seeds 1-12, and the thermal config with gamma_c = 0.95 gamma
 at noise 0.01 with seeds 13 and 17, whose base calibrations once landed on
-the background resonance: 41 sweeps.  For every sweep this writes the
-config, the dataset JSON, the statistics CSV and the two exit codes into
-OUTDIR, using the package in this checkout's ``src``.  A change that must
+the background resonance, and one dense thermal sweep (4001 points, a
+T = 0 record and 15 temperatures, noise 0.01, seed 3) whose lines take
+several synthesis blocks, the first holding two identical vectors: 42
+sweeps.  For every sweep this writes the config, the dataset JSON, the
+statistics CSV and the two exit codes into OUTDIR, using the package in
+this checkout's ``src``.  A change that must
 not move any output is checked by running this on both trees and comparing:
 
     python tests/reference_sweeps.py /tmp/before   # on the parent tree
@@ -54,6 +57,7 @@ CONFIGS = ("thermal", "coherent", "mixed")
 NOISE = 0.01
 SEEDS = range(1, 13)
 GC95_SEEDS = (13, 17)
+DENSE = {"probe_points": 4001, "t_grid_k": [0.0, *np.linspace(0.15, 2.3, 15).tolist()], "seed": 3}
 
 
 def sweeps():
@@ -67,6 +71,7 @@ def sweeps():
     chain = dict(raw["chain"], gamma_c=0.95 * raw["chain"]["gamma"])
     for seed in GC95_SEEDS:
         yield f"thermal-gc95-noise{NOISE}-seed{seed}", dict(raw, chain=chain, noise=NOISE, seed=seed)
+    yield f"thermal-dense-noise{NOISE}-seed{DENSE['seed']}", dict(raw, noise=NOISE, **DENSE)
 
 
 def run(argv):

@@ -265,8 +265,8 @@ def test_singular_trace_is_reported_in_its_row(tmp_path, thermal_config_file, mo
     real_jacobian = fk._chain_jacobian
     gamma_c = fk.PARAM_NAMES.index("gamma_c")
 
-    def flat_gamma_c_below(x, f_p, free, *held_out):
-        value, jac = real_jacobian(x, f_p, free, *held_out)
+    def flat_gamma_c_below(x, f_p, free, *out):
+        value, jac = real_jacobian(x, f_p, free, *out)
         jac[x[:, fk.PARAM_NAMES.index("mu")] < below, :, free.index(gamma_c)] = 0.0
         return value, jac
 

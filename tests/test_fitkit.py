@@ -19,7 +19,6 @@ from bolostat import (
     fit_base_calibration,
     fit_measurements,
     least_squares,
-    polynomial_fit,
     run_calibration,
     simulate_sweep,
 )
@@ -347,31 +346,6 @@ class TestCircleFit:
             circle_fit(ComplexSweep(f, line))
 
 
-class TestPolynomialFit:
-    def test_exact_cubic(self):
-        x = np.linspace(-2, 2, 10)
-        coeffs = polynomial_fit(x, x**3, 3)
-        np.testing.assert_allclose(coeffs, [0, 0, 0, 1], atol=1e-10)
-
-    def test_exact_affine(self):
-        x = np.linspace(0, 4, 7)
-        coeffs = polynomial_fit(x, 2.5 * x - 3.0, 1)
-        np.testing.assert_allclose(coeffs, [-3.0, 2.5], atol=1e-12)
-
-    def test_residual_below_injected_noise(self):
-        rng = np.random.default_rng(8)
-        x = np.linspace(-1, 1, 60)
-        clean = 0.3 - 0.5 * x + 0.02 * x**2 + 1.1 * x**3
-        noisy = clean + rng.normal(0, 0.01, x.size)
-        coeffs = polynomial_fit(x, noisy, 3)
-        resid = noisy - np.polynomial.polynomial.polyval(x, coeffs)
-        assert np.sqrt(np.mean(resid**2)) < 0.012
-
-    def test_underdetermined(self):
-        with pytest.raises(FitError):
-            polynomial_fit([1.0, 2.0], [1.0, 2.0], 3)
-
-
 class TestBaseCalibration:
     def test_all_twelve_recovered_from_perturbed_init(self):
         truth = CHAIN_TRUE.vector(MU, 0.1e6**2)
@@ -416,8 +390,8 @@ class TestBaseCalibration:
 
         real = fk._chain_jacobian
 
-        def flat_phi(x, freqs, free, *held_out):
-            value, J = real(x, freqs, free, *held_out)
+        def flat_phi(x, freqs, free, *out):
+            value, J = real(x, freqs, free, *out)
             J[..., free.index(PARAM_NAMES.index("phi"))] = 0.0
             return value, J
 
@@ -593,9 +567,9 @@ def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
         finally:
             evals.append(calls[0] - before)  # chain evaluations inside this LM run
 
-    def counted_chain(x, freqs, *free_held_out):
+    def counted_chain(x, freqs, *free_out):
         calls[0] += 1
-        return real_chain(x, freqs, *free_held_out)
+        return real_chain(x, freqs, *free_out)
 
     monkeypatch.setattr(fk, "_lm", counting_lm)
     monkeypatch.setattr(fk, "_chain_jacobian", counted_chain)
@@ -634,9 +608,9 @@ def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
             inside[0] = False
 
     def counted(real):
-        def call(x, freqs, *free_held_out):
+        def call(x, freqs, *free_out):
             calls.append(inside[0])
-            return real(x, freqs, *free_held_out)
+            return real(x, freqs, *free_out)
 
         return call
 
@@ -670,12 +644,13 @@ def stacked_free_columns(x, freqs, free):
     return np.concatenate([Jc.real, Jc.imag], axis=0)
 
 
-def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None):
+def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None, tau_steps=(0, 0, 0, 0)):
     """The (residual, Jacobian) pairs that `_fit_free`'s evaluate returns on
     a four-row batch with rows at v = 0 and above, and points on both sides
     of the |a| = 8c seam, called at the start points of each of
     ``row_sets`` in turn (after ``before()``) before its LM stops; and the
-    starts, the free columns and the data."""
+    starts, the free columns and the data.  Row k's start has its tau
+    raised by ``tau_steps[k]`` percent."""
     import bolostat.fitkit as fk
 
     starts = np.array(
@@ -684,6 +659,7 @@ def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None):
             for mu, sigma in ((MU, 0.0), (MU + 1e6, 0.3e6), (MU - 2e6, 0.0), (MU, 1.1e6))
         ]
     )
+    starts[:, PARAM_NAMES.index("tau")] *= 1.0 + 0.01 * np.array(tau_steps)
     every = list(range(len(PARAM_NAMES)))
     free = every if stage == "calibration" else [PARAM_NAMES.index(n) for n in MEASUREMENT_PARAM_NAMES]
     data = np.repeat(_chain_model(CHAIN_TRUE.vector(MU, 0.4e6**2), PROBE_GRID)[None], len(starts), axis=0)
@@ -729,13 +705,20 @@ def test_evaluations_of_one_fit_share_one_jacobian_buffer(monkeypatch, stage):
 
 
 @pytest.mark.parametrize(
-    "stage,shape", [("calibration", (4,)), ("measurement", ())], ids=["calibration", "measurement"]
+    "stage,tau_steps,shape",
+    [
+        ("calibration", (0, 0, 0, 0), ()),
+        ("measurement", (0, 0, 0, 0), ()),
+        ("calibration", (0, 1, 2, 3), (4,)),
+    ],
+    ids=["calibration", "measurement", "calibration-delays-differ"],
 )
-def test_a_held_delay_is_formed_once_per_evaluation(monkeypatch, stage, shape):
-    # tau and varphi are held in a measurement batch, so one evaluation
-    # forms the delay once, on the probe grid alone, from the held vector;
-    # the calibration fits them, so there it is formed per row.  The
-    # residual is bitwise the model's either way.
+def test_a_held_delay_is_formed_once_per_evaluation(monkeypatch, stage, tau_steps, shape):
+    # rows that agree on tau and varphi, whether the fit holds them (a
+    # measurement batch) or frees them (calibration starts that share
+    # them), form the delay once per evaluation, on the probe grid alone;
+    # starts whose delays differ form it per row.  The residual is bitwise
+    # the model's either way.
     import bolostat.response as response
 
     real, shapes = response._delay, []
@@ -746,7 +729,11 @@ def test_a_held_delay_is_formed_once_per_evaluation(monkeypatch, stage, shape):
         return out
 
     [(r, _)], starts, _, data = stopped_fit_free(
-        monkeypatch, stage, [[0, 1, 2, 3]], lambda: monkeypatch.setattr(response, "_delay", counted)
+        monkeypatch,
+        stage,
+        [[0, 1, 2, 3]],
+        lambda: monkeypatch.setattr(response, "_delay", counted),
+        tau_steps,
     )
     assert shapes == [shape + PROBE_GRID.shape]
     expected = _chain_model(starts, PROBE_GRID) - data

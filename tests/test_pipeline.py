@@ -312,21 +312,22 @@ class TestSimulate:
         assert not dataset.base.sweep.freqs.flags.writeable
 
     def test_lines_are_evaluated_in_blocks(self, monkeypatch):
-        # 3000-point traces make blocks of two traces, the last of one; each
-        # noisy trace is still the chain model at its truth plus its own
-        # noise, drawn trace by trace from the seed's Philox stream
-        import bolostat.pipeline as pl
+        # 3000-point traces make blocks of two traces, the last of one, whose
+        # line is formed on the probe grid alone; each noisy trace is still
+        # the chain model at its truth plus its own noise, drawn trace by
+        # trace from the seed's Philox stream
+        import bolostat.response as response
 
         temps = [temp_for_mean(n) for n in (0.3, 1.0, 3.0, 5.0)]
         cfg = make_config(probe_points=3000, noise=0.01, t_grid_k=temps)
-        real, shapes = pl._line, []
+        real, shapes = response._line, []
 
         def counted(*args):
             out = real(*args)
             shapes.append(out.shape)
             return out
 
-        monkeypatch.setattr(pl, "_line", counted)
+        monkeypatch.setattr(response, "_line", counted)
         dataset = simulate_sweep(cfg)
         assert shapes == [(2, 3000), (2, 3000), (3000,)]
         grid = cfg.probe_grid()

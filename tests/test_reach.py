@@ -39,7 +39,6 @@ UNREACHED = {
     "fitkit.wrap_angle": "criterion 7: circle_fit's asymmetry angle",
     "fitkit.least_squares": "criterion 7",
     "fitkit.least_squares.evaluate": "criterion 7: least_squares' residual",
-    "fitkit.polynomial_fit": "ROADMAP item 7: the shift-polynomial fit",
     "photonstats.resolution_metrics": "criterion 6",
     # oracles that the closed forms are compared against
     "response.averaged_reflection_gh": "oracle: criterion 1, Gauss-Hermite",

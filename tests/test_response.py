@@ -426,6 +426,35 @@ class TestBatchedChain:
             np.testing.assert_array_equal(one_jac, jac[k : k + 1])
 
 
+    @pytest.mark.parametrize(
+        "name,values,shared",
+        [
+            ("phi_b", (0.0, -0.0, 0.0), (_LINE, _DELAY)),
+            ("gamma_c", (GAMMA_C, 0.9 * GAMMA_C, GAMMA_C), (_BACKGROUND, _DELAY)),
+            ("gamma_c", (GAMMA_C,) * 3, (_LINE, _BACKGROUND, _DELAY)),
+        ],
+        ids=["signed-zero-phase", "one-line-scalar", "identical"],
+    )
+    def test_rows_that_agree_share_a_factor(self, probe_grid, name, values, shared):
+        # a factor whose scalars every row agrees on bit for bit (+0.0 and
+        # -0.0 do not) is formed once, and each row of the model and of the
+        # Jacobian is still the call on that row alone
+        x = np.repeat(CHAIN_TRUE.vector(MU, 0.3e6**2)[None], len(values), axis=0)
+        x[:, PARAM_NAMES.index(name)] = values
+        for part in (_LINE, _BACKGROUND, _DELAY):
+            width = part.stop - part.start
+            assert _scalars(x, part).shape == ((width,) if part in shared else (width, len(x), 1))
+        every = range(len(PARAM_NAMES))
+        model, (value, jac) = _chain_model(x, probe_grid), _chain_jacobian(x, probe_grid, every)
+        assert model.shape == value.shape == (len(x), probe_grid.size)
+        assert jac.shape == (len(x), 2 * probe_grid.size, len(PARAM_NAMES))
+        for k, row in enumerate(x):
+            np.testing.assert_array_equal(model[k], _chain_model(row, probe_grid))
+            one_value, one_jac = _chain_jacobian(row, probe_grid, every)
+            np.testing.assert_array_equal(value[k], one_value)
+            np.testing.assert_array_equal(jac[k], one_jac)
+
+
 @pytest.mark.parametrize(
     "factor,part",
     [(_line, _LINE), (_background, _BACKGROUND), (_delay, _DELAY)],
