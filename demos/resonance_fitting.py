@@ -14,7 +14,6 @@ import numpy as np
 
 from bolostat import (
     PARAM_NAMES,
-    ChainParams,
     ComplexSweep,
     circle_fit,
     fit_base_calibration,
@@ -38,11 +37,10 @@ print(f"  gamma   {geo['gamma'] / 1e6:12.4f} us^-1 (truth {truth['gamma'] / 1e6:
 print(f"  phi     {geo['phi']:12.4f} rad   (truth {truth['phi']:.4f})")
 
 # --- step 2: staged full-model fit ------------------------------------------
-chain = ChainParams(
-    mu_base_hz=524e6,
-    gamma_c=4.8e6,
-    phi=0.1,
-    gamma=18.7e6,
+# the chain at zero input: the line above, a background resonance and a
+# cable delay, as one vector in PARAM_NAMES order, with v = 0
+scalars = dict(
+    truth,
     s_b=0.93,
     f_b=531e6,
     gamma_bc=2 * np.pi * 2.5e6,
@@ -51,10 +49,19 @@ chain = ChainParams(
     tau=2e-8,
     varphi=0.3,
 )
+chain = np.array([scalars[name] for name in PARAM_NAMES])
+MU, V = PARAM_NAMES.index("mu"), PARAM_NAMES.index("v")
+
+
+def at_line(mu, sigma):
+    """The chain with line center mu and broadening v = sigma**2."""
+    x = chain.copy()
+    x[MU], x[V] = mu, sigma**2
+    return x
 
 
 def synthesize(mu, sigma):
-    return ComplexSweep(freqs, _chain_model(chain.vector(mu, sigma**2), freqs))
+    return ComplexSweep(freqs, _chain_model(at_line(mu, sigma), freqs))
 
 
 # reference trace in the zero-broadening regime, fitted from a deliberately
@@ -64,11 +71,11 @@ def synthesize(mu, sigma):
 # PARAM_NAMES order, the broadening as v = sigma**2
 rng = np.random.default_rng(42)
 span = freqs[-1] - freqs[0]
-init = chain.vector(524e6, 0.1e6**2)
+init = at_line(524e6, 0.1e6)
 init[0] += 1.5e6
 init[2:] *= 1 + 0.05 * rng.uniform(-1, 1, 10)
 f_b = PARAM_NAMES.index("f_b")
-init[f_b] = chain.f_b + 0.05 * span * rng.uniform(-1, 1)
+init[f_b] = chain[f_b] + 0.05 * span * rng.uniform(-1, 1)
 calibration = fit_base_calibration(synthesize(524e6, 0.1e6), init)
 
 print("\nbase calibration (all twelve parameters):")

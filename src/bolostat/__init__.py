@@ -8,7 +8,7 @@ moment formulas connecting the fitted (mu, v = sigma^2) to <n>,
 """
 
 from .specfun import DomainError, RangeOverflowError, erfcx, faddeeva_w
-from .response import averaged_reflection_gh, averaged_reflection_mc
+from .response import PARAM_NAMES, averaged_reflection_gh, averaged_reflection_mc
 from .photonstats import (
     InsufficientDataError,
     MixedField,
@@ -29,7 +29,6 @@ from .photonstats import (
 from .fitkit import (
     FROZEN_PARAM_NAMES,
     MEASUREMENT_PARAM_NAMES,
-    PARAM_NAMES,
     CalibrationResult,
     ComplexSweep,
     DegenerateCircleError,
@@ -54,7 +53,6 @@ from .dspchain import (
     synth_raw_trace,
 )
 from .pipeline import (
-    ChainParams,
     ConfigError,
     StatsRecord,
     SweepConfig,

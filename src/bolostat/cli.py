@@ -63,9 +63,9 @@ def _build_parser():
     p_demod = sub.add_parser("demod", help="down-convert, filter and decimate a raw trace")
     p_demod.add_argument("trace", help="raw trace CSV with columns t_s,v")
     p_demod.add_argument("--f-if", type=float, required=True, help="intermediate frequency, Hz")
-    p_demod.add_argument("--cutoff", type=float, default=500e3)
-    p_demod.add_argument("--taps", type=int, default=129)
-    p_demod.add_argument("--window", default="blackman")
+    p_demod.add_argument("--cutoff", type=float, default=dspchain.DEFAULT_FIR.cutoff)
+    p_demod.add_argument("--taps", type=int, default=dspchain.DEFAULT_FIR.n_taps)
+    p_demod.add_argument("--window", default=dspchain.DEFAULT_FIR.window)
     p_demod.add_argument("--decimate", type=int, default=4)
     p_demod.add_argument("--out", required=True, help="output IQ CSV (t_s,i,q)")
 
@@ -156,9 +156,11 @@ def _cmd_demod(args):
         row = int(np.flatnonzero(uneven)[0]) + 2
         raise ValueError(f"{args.trace}: row {row}: raw trace times must be uniformly spaced")
     fs = 1.0 / step
+    spec = dspchain.FirSpec(cutoff=args.cutoff, n_taps=args.taps, window=args.window)
+    # a bad --cutoff or --window is refused here, so its error names no file
+    dspchain.design_taps(spec, fs)
     trace = dspchain.RawTrace(samples=np.array([r[1] for r in rows]), fs=fs, t0=t[0])
     stream = dspchain.digital_downconvert(trace, args.f_if)
-    spec = dspchain.FirSpec(cutoff=args.cutoff, n_taps=args.taps, window=args.window)
     try:
         stream = dspchain.fir_lowpass(stream, spec)
     except ValueError as exc:

@@ -48,7 +48,6 @@ __all__ = [
     "RankDeficiencyError",
     "DegenerateCircleError",
     "DegenerateSigmaWarning",
-    "PARAM_NAMES",
     "FROZEN_PARAM_NAMES",
     "MEASUREMENT_PARAM_NAMES",
     "least_squares",

@@ -50,7 +50,6 @@ from .response import PARAM_NAMES, PHASE_NAMES, _chain_model
 
 __all__ = [
     "ConfigError",
-    "ChainParams",
     "SweepConfig",
     "TracePoint",
     "SweepDataset",
@@ -77,32 +76,12 @@ class ConfigError(ValueError):
     """A sweep configuration field failed validation."""
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """True measurement-chain scalars used for synthesis.
-
-    Every `PARAM_NAMES` scalar except the line center and broadening v,
-    which `vector` takes per trace; ``mu_base_hz`` is the center at zero
-    input.
-    """
-
-    mu_base_hz: float
-    gamma_c: float
-    phi: float
-    gamma: float
-    s_b: float
-    f_b: float
-    gamma_bc: float
-    gamma_b: float
-    phi_b: float
-    tau: float
-    varphi: float
-
-    def vector(self, mu, v):
-        """Raw `PARAM_NAMES` vector with the given line center (Hz) and
-        broadening v = sigma**2 (Hz^2)."""
-        values = dict(vars(self), mu=mu, v=v)
-        return np.array([values[name] for name in PARAM_NAMES])
+# the config's ``chain`` object holds every `PARAM_NAMES` scalar but the
+# broadening v, which is 0 at zero input; the line center is ``mu_base_hz``
+_CHAIN_KEYS = {
+    ("mu_base_hz" if name == "mu" else name): name for name in PARAM_NAMES if name != "v"
+}
+_MU, _V = PARAM_NAMES.index("mu"), PARAM_NAMES.index("v")
 
 
 @dataclass(frozen=True)
@@ -114,7 +93,7 @@ class SweepConfig:
     alpha_photon_per_hz: float
     beamsplitter_gamma: float
     freq_shift_poly_hz: tuple
-    chain: ChainParams
+    chain: tuple  # the zero-input chain: 12 floats in PARAM_NAMES order, v = 0.0
     probe_start_hz: float
     probe_stop_hz: float
     probe_points: int
@@ -192,25 +171,24 @@ class SweepConfig:
 
         if "chain" not in raw or not isinstance(raw["chain"], dict):
             raise ConfigError("field 'chain': missing or not an object")
-        c = cfg["chain"] = ChainParams(
-            **{
-                name: need(name, float, source=raw["chain"], prefix="chain.")
-                for name in ChainParams.__dataclass_fields__
-            }
-        )
+        c = {
+            name: need(key, float, source=raw["chain"], prefix="chain.")
+            for key, name in _CHAIN_KEYS.items()
+        }
         # the chain's physical checks; phases stay free, as the fits leave them
-        for name, ok, reason in (
-            ("mu_base_hz", c.mu_base_hz > 0, f"mu must be positive, got {c.mu_base_hz}"),
+        for key, ok, reason in (
+            ("mu_base_hz", c["mu"] > 0, f"mu must be positive, got {c['mu']}"),
             (
                 "gamma_c",
-                0 < c.gamma_c <= c.gamma,
-                f"need 0 < gamma_c <= gamma, got gamma_c={c.gamma_c}, gamma={c.gamma}",
+                0 < c["gamma_c"] <= c["gamma"],
+                f"need 0 < gamma_c <= gamma, got gamma_c={c['gamma_c']}, gamma={c['gamma']}",
             ),
-            ("gamma_b", c.gamma_b > 0, f"gamma_b must be positive, got {c.gamma_b}"),
-            ("tau", c.tau >= 0, f"tau must be non-negative, got {c.tau}"),
+            ("gamma_b", c["gamma_b"] > 0, f"gamma_b must be positive, got {c['gamma_b']}"),
+            ("tau", c["tau"] >= 0, f"tau must be non-negative, got {c['tau']}"),
         ):
             if not ok:
-                raise ConfigError(f"field 'chain.{name}': {reason}")
+                raise ConfigError(f"field 'chain.{key}': {reason}")
+        cfg["chain"] = tuple(c.get(name, 0.0) for name in PARAM_NAMES)
 
         def grid(key):
             values = need(key, tuple, lambda g: len(g) >= 1, "must be non-empty")
@@ -235,6 +213,8 @@ class SweepConfig:
     def to_dict(self):
         d = asdict(self)
         d["freq_shift_poly_hz"] = list(self.freq_shift_poly_hz)
+        chain = dict(zip(PARAM_NAMES, self.chain))
+        d["chain"] = {key: chain[name] for key, name in _CHAIN_KEYS.items()}
         d["t_grid_k"] = list(self.t_grid_k)
         d["flux_grid"] = list(self.flux_grid)
         return d
@@ -294,8 +274,17 @@ class StatsRecord:
 # each field's type says how its cell is written and read back
 _STATS_FIELDS = dataclasses.fields(StatsRecord)
 STATS_HEADER = [f.name for f in _STATS_FIELDS]
+
+
+def _read_flag(text):
+    """A boolean cell, which the writer writes as 0 or 1 and nothing else."""
+    if text not in ("0", "1"):
+        raise ValueError(f"not a 0/1 flag: {text!r}")
+    return text == "1"
+
+
 _WRITE_CELL = {float: lambda v: repr(float(v)), bool: int, int: int}
-_READ_CELL = {float: float, bool: lambda text: bool(int(text)), int: int}
+_READ_CELL = {float: float, bool: _read_flag, int: int}
 
 
 def _shift_hz(coeffs, n):
@@ -348,9 +337,11 @@ def _trace_truth(cfg, mean, variance):
     """The truth record of a trace with these photon moments, and its raw
     chain vector."""
     v = variance / cfg.alpha_photon_per_hz**2
-    mu = cfg.chain.mu_base_hz + _shift_hz(cfg.freq_shift_poly_hz, mean)
+    mu = cfg.chain[_MU] + _shift_hz(cfg.freq_shift_poly_hz, mean)
     truth = {"mean_n": mean, "variance_n": variance, "mu_hz": mu, "sigma_hz": math.sqrt(v)}
-    return truth, cfg.chain.vector(mu, v)
+    x = np.array(cfg.chain)
+    x[_MU], x[_V] = mu, v
+    return truth, x
 
 
 def _add_noise(cfg, values, rng):
@@ -375,7 +366,7 @@ def _calibration_init(cfg, base_sweep):
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
     span = cfg.probe_stop_hz - cfg.probe_start_hz
-    x = cfg.chain.vector(cfg.chain.mu_base_hz, 0.0)
+    x = np.array(cfg.chain)
     frac = INIT_PERTURBATION
     for i, name in enumerate(PARAM_NAMES):
         u = rng.uniform(-1.0, 1.0)
@@ -385,7 +376,7 @@ def _calibration_init(cfg, base_sweep):
             x[i] += frac * u
         elif name != "v":
             x[i] *= 1.0 + frac * u
-    x[PARAM_NAMES.index("mu")] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
+    x[_MU] = base_sweep.freqs[int(np.argmin(np.abs(base_sweep.values)))]
     return x
 
 

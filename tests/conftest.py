@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from bolostat import ChainParams
-from bolostat.fitkit import PARAM_NAMES
 from bolostat.response import (
+    PARAM_NAMES,
     _BACKGROUND,
     _DELAY,
     _LINE,
@@ -21,22 +20,38 @@ GAMMA = 18.7e6
 MU = 524e6
 
 # full synthesis chain with the background resonance inside the probe
-# window so that all twelve parameters are identifiable from one trace
-CHAIN_TRUE = ChainParams(
-    mu_base_hz=MU,
-    gamma_c=GAMMA_C,
-    phi=0.1,
-    gamma=GAMMA,
-    s_b=0.93,
-    f_b=531e6,
-    gamma_bc=2 * np.pi * 2.5e6,
-    gamma_b=2 * np.pi * 20e6,
-    phi_b=-0.4,
-    tau=2e-8,
-    varphi=0.3,
+# window so that all twelve parameters are identifiable from one trace: a
+# read-only 12-vector in PARAM_NAMES order, at zero input (v = 0)
+CHAIN_TRUE = np.array(
+    [
+        dict(
+            mu=MU,
+            v=0.0,
+            gamma_c=GAMMA_C,
+            phi=0.1,
+            gamma=GAMMA,
+            s_b=0.93,
+            f_b=531e6,
+            gamma_bc=2 * np.pi * 2.5e6,
+            gamma_b=2 * np.pi * 20e6,
+            phi_b=-0.4,
+            tau=2e-8,
+            varphi=0.3,
+        )[name]
+        for name in PARAM_NAMES
+    ]
 )
+CHAIN_TRUE.flags.writeable = False
 
 PROBE_GRID = np.linspace(509e6, 539e6, 401)
+
+
+def chain_with(x, **values):
+    """A copy of the 12-vector ``x`` with the named `PARAM_NAMES` slots set."""
+    out = np.array(x, dtype=float)
+    for name, value in values.items():
+        out[PARAM_NAMES.index(name)] = value
+    return out
 
 
 def bare_line(p, f):
@@ -86,7 +101,7 @@ def perturb_vector(x, rng, span, frac=0.05):
 
 
 def perturbed_model(chain, mu, sigma, rng, span, frac=0.05):
-    return perturb_vector(chain.vector(mu, sigma**2), rng, span, frac)
+    return perturb_vector(chain_with(chain, mu=mu, v=sigma**2), rng, span, frac)
 
 
 def two_resonance_response(x, f_p, spacing=80e6):

@@ -511,6 +511,32 @@ def test_demod_rejects_a_non_finite_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--f-if", "67108864"], "aliasing: f_if=67108864.0 must be below fs/2=67108864.0"),
+        (["--taps", "128"], "n_taps must be odd and >= 3, got 128"),
+        (
+            ["--window", "kaiser"],
+            "unknown window 'kaiser'; choose one of ['blackman', 'hamming', 'hann', 'rect']",
+        ),
+        (["--cutoff", "1e8"], "cutoff 100000000.0 must be below the Nyquist frequency 67108864.0"),
+        (["--decimate", "0"], "decimation factor must be a positive integer, got 0"),
+    ],
+    ids=["f-if", "even-taps", "window", "cutoff", "decimate"],
+)
+def test_demod_refuses_a_bad_flag_without_naming_the_file(tmp_path, capsys, flags, message):
+    # 400 samples at 2**27 samples/s, a rate the time steps give exactly
+    t = np.arange(400) / 2.0**27
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,v\n" + "".join(f"{float(ti)!r},0.5\n" for ti in t))
+    out = tmp_path / "iq.csv"
+    argv = ["demod", str(raw), "--f-if", "62.5e6", *flags, "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_report_merges_series(tmp_path, thermal_config_file):
     dataset = tmp_path / "d.json"
     s1 = tmp_path / "thermal.csv"

@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +24,16 @@ from bolostat import (
 from bolostat.fitkit import (
     FROZEN_PARAM_NAMES,
     MEASUREMENT_PARAM_NAMES,
-    PARAM_NAMES,
     _chain_model,
     _default_bounds,
     _measurement_starts,
     _phase_jacobian,
     _phase_model,
+    _solve_rows,
     wrap_angle,
 )
 from bolostat.response import (
+    PARAM_NAMES,
     _BACKGROUND,
     _DELAY,
     _LINE,
@@ -51,6 +51,7 @@ from conftest import (
     PROBE_GRID,
     bare_line,
     bare_line_jacobian,
+    chain_with,
     complex_jacobian,
     perturbed_model,
     two_resonance_response,
@@ -69,8 +70,13 @@ def add_noise(values, noise, seed):
     return values + rng.normal(0, s, values.size) + 1j * rng.normal(0, s, values.size)
 
 
+# the reference chain at the base trace's broadening, sigma = 0.1 MHz
+BASE_TRUTH = chain_with(CHAIN_TRUE, mu=MU, v=0.1e6**2)
+BASE_TRUTH.flags.writeable = False
+
+
 def synth_sweep(mu, sigma, chain=CHAIN_TRUE, freqs=PROBE_GRID, noise=0.0, seed=0):
-    values = _chain_model(chain.vector(mu, sigma**2), freqs)
+    values = _chain_model(chain_with(chain, mu=mu, v=sigma**2), freqs)
     if noise > 0:
         values = add_noise(values, noise, seed)
     return ComplexSweep(freqs=freqs, values=values)
@@ -219,6 +225,24 @@ class TestLeastSquares:
         assert res.converged and res.n_iter == 1
         assert res.params[0] == 1.0
 
+    def test_flat_column_off_its_bound_raises_naming_it(self):
+        # the model ignores its second parameter, which sits inside an open
+        # box: that direction cannot be resolved, and the fit says which
+        f = np.linspace(0.0, 1.0, 20)
+        sweep = ComplexSweep(f, (2.0 * f).astype(complex))
+
+        def one_column(p, f):
+            return np.column_stack([f, np.zeros_like(f)]).astype(complex)
+
+        with pytest.raises(RankDeficiencyError, match="degenerate directions: b$"):
+            least_squares(
+                lambda p, f: (p[0] * f).astype(complex),
+                sweep,
+                init=[1.0, 0.0],
+                param_names=("a", "b"),
+                jac=one_column,
+            )
+
     def test_collinear_columns_give_no_covariance(self):
         # the third column, 0.3 - 1.7 f, is a combination of the other two:
         # no column is flat, so the fit runs and converges, but its normal
@@ -279,6 +303,23 @@ class TestLeastSquares:
             err = np.abs(res.params - truth)
             sig = np.sqrt(np.diag(res.covariance))
             assert np.all(err <= 5 * sig), (seed, err / sig)
+
+
+def test_solve_rows_gives_nan_for_a_singular_row_only():
+    # one exactly singular matrix fails the stacked solve; each other row
+    # still gets its own solution
+    M = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 0.0], [0.0, 0.5]]])
+    b = np.array([[1.0, 2.0], [1.0, 1.0], [2.0, -1.0]])
+    x = _solve_rows(M, b)
+    assert np.isnan(x[1]).all()
+    for k in (0, 2):
+        np.testing.assert_array_equal(x[k], np.linalg.solve(M[k], b[k]))
+
+
+@pytest.mark.parametrize("angle,wrapped", [(-math.pi, math.pi), (math.pi, math.pi), (0.0, 0.0)])
+def test_wrap_angle_keeps_the_half_open_interval(angle, wrapped):
+    # (-pi, pi]: -pi itself wraps to pi
+    assert wrap_angle(angle) == wrapped
 
 
 class TestCircleFit:
@@ -348,7 +389,7 @@ class TestCircleFit:
 
 class TestBaseCalibration:
     def test_all_twelve_recovered_from_perturbed_init(self):
-        truth = CHAIN_TRUE.vector(MU, 0.1e6**2)
+        truth = BASE_TRUTH
         for seed in range(5):
             _, calib = base_calibration(sigma=0.1e6, seed=seed)
             fitted = calib.fit.params
@@ -361,13 +402,11 @@ class TestBaseCalibration:
 
     def test_truth_init_converges_immediately(self):
         sweep = synth_sweep(MU, 0.1e6)
-        calib = fit_base_calibration(sweep, CHAIN_TRUE.vector(MU, 0.1e6**2))
+        calib = fit_base_calibration(sweep, BASE_TRUTH)
         assert calib.fit.converged
         assert calib.fit.residual_norm < 1e-12
 
-    @pytest.mark.parametrize(
-        "init", [CHAIN_TRUE.vector(MU, 0.1e6**2)[:-1], np.full(12, np.nan)], ids=["short", "nan"]
-    )
+    @pytest.mark.parametrize("init", [BASE_TRUTH[:-1], np.full(12, np.nan)], ids=["short", "nan"])
     def test_init_must_be_twelve_finite_scalars(self, init):
         with pytest.raises(ValueError, match="PARAM_NAMES"):
             fit_base_calibration(synth_sweep(MU, 0.1e6), init)
@@ -379,7 +418,7 @@ class TestBaseCalibration:
 
         fits = []
         monkeypatch.setattr(fk, "_fit_free", lambda *args: fits.append(args))
-        init = CHAIN_TRUE.vector(MU, 0.0)
+        init = chain_with(CHAIN_TRUE, mu=MU, v=0.0)
         init[PARAM_NAMES.index("gamma")] = gamma
         with pytest.raises(ValueError, match="gamma"):
             fit_base_calibration(synth_sweep(MU, 0.0), init)
@@ -397,7 +436,7 @@ class TestBaseCalibration:
 
         monkeypatch.setattr(fk, "_chain_jacobian", flat_phi)
         with pytest.raises(RankDeficiencyError, match="degenerate directions: phi$"):
-            fit_base_calibration(synth_sweep(MU, 0.1e6), CHAIN_TRUE.vector(MU, 0.1e6**2))
+            fit_base_calibration(synth_sweep(MU, 0.1e6), BASE_TRUTH)
 
     def test_frozen_set_is_the_documented_partition(self):
         assert FROZEN_PARAM_NAMES == ("gamma", "s_b", "gamma_bc", "gamma_b", "tau", "varphi")
@@ -405,7 +444,7 @@ class TestBaseCalibration:
 
     def test_unmodeled_second_background_resonance_is_flagged(self):
         # data carry a second background resonance 80 MHz up, model assumes one
-        values = two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), PROBE_GRID)
+        values = two_resonance_response(BASE_TRUTH, PROBE_GRID)
         sweep = ComplexSweep(PROBE_GRID, values)
         rng = np.random.default_rng(1)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, rng, 30e6)
@@ -417,7 +456,7 @@ class TestBaseCalibration:
     def test_second_background_resonance_in_window_is_flagged(self, noise):
         # the second resonance sits at 513 MHz, inside the probe window; at
         # noise 0.01 the residual is more than twice the trace's noise level
-        values = two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), PROBE_GRID, spacing=-18e6)
+        values = two_resonance_response(BASE_TRUTH, PROBE_GRID, spacing=-18e6)
         values = add_noise(values, noise, seed=3)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
         calib = fit_base_calibration(ComplexSweep(PROBE_GRID, values), init)
@@ -430,7 +469,7 @@ class TestBaseCalibration:
         # so few points for noise and passed this misfit.
         grid = np.linspace(PROBE_GRID[0], PROBE_GRID[-1], 41)
         noise = 5e-5
-        values = add_noise(two_resonance_response(CHAIN_TRUE.vector(MU, 0.1e6**2), grid), noise, seed=3)
+        values = add_noise(two_resonance_response(BASE_TRUTH, grid), noise, seed=3)
         init = perturbed_model(CHAIN_TRUE, MU, 0.1e6, np.random.default_rng(1), 30e6)
         calib = fit_base_calibration(ComplexSweep(grid, values), init)
         assert calib.fit.residual_norm > 2.5 * noise * np.ptp(np.abs(values))
@@ -477,7 +516,7 @@ class TestMeasurementFit:
     def test_gamma_variation_within_box(self):
         # identifiability holds across total rates 10..30 us^-1
         for gamma in (10e6, 30e6):
-            chain = replace(CHAIN_TRUE, gamma=gamma, gamma_c=0.25 * gamma)
+            chain = chain_with(CHAIN_TRUE, gamma=gamma, gamma_c=0.25 * gamma)
             sweep_base = synth_sweep(MU, 0.1e6, chain=chain)
             rng = np.random.default_rng(3)
             init = perturbed_model(chain, MU, 0.1e6, rng, 30e6)
@@ -655,14 +694,15 @@ def stopped_fit_free(monkeypatch, stage, row_sets, before=lambda: None, tau_step
 
     starts = np.array(
         [
-            CHAIN_TRUE.vector(mu, sigma**2)
+            chain_with(CHAIN_TRUE, mu=mu, v=sigma**2)
             for mu, sigma in ((MU, 0.0), (MU + 1e6, 0.3e6), (MU - 2e6, 0.0), (MU, 1.1e6))
         ]
     )
     starts[:, PARAM_NAMES.index("tau")] *= 1.0 + 0.01 * np.array(tau_steps)
     every = list(range(len(PARAM_NAMES)))
     free = every if stage == "calibration" else [PARAM_NAMES.index(n) for n in MEASUREMENT_PARAM_NAMES]
-    data = np.repeat(_chain_model(CHAIN_TRUE.vector(MU, 0.4e6**2), PROBE_GRID)[None], len(starts), axis=0)
+    data = _chain_model(chain_with(CHAIN_TRUE, mu=MU, v=0.4e6**2), PROBE_GRID)
+    data = np.repeat(data[None], len(starts), axis=0)
     seen = []
 
     def stopped(evaluate, x0, *args):
@@ -844,7 +884,7 @@ def test_measurement_starts_are_read_trace_by_trace():
     spike[7] = 0.5
     data = np.array(values + [flat, spike])
     freqs = dataset.base.sweep.freqs
-    x = CHAIN_TRUE.vector(MU, 0.0)
+    x = chain_with(CHAIN_TRUE, mu=MU, v=0.0)
     starts = _measurement_starts(freqs, data, x)
     for start, trace in zip(starts, data, strict=True):
         expected = x.copy()

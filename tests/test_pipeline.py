@@ -35,10 +35,12 @@ from bolostat.pipeline import (
 )
 from bolostat.response import _chain_model
 
-from conftest import CHAIN_TRUE
+from conftest import CHAIN_TRUE, chain_with
 
 HF_OVER_K = 0.40448020624971226  # 8.428 GHz in kelvin
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+# the reference chain's scalars by name
+TRUE = dict(zip(PARAM_NAMES, CHAIN_TRUE.tolist()))
 
 
 def temp_for_mean(n):
@@ -148,17 +150,17 @@ def make_config(mode="thermal", **overrides):
         "beamsplitter_gamma": 0.01,
         "freq_shift_poly_hz": [0.0, -1.0e6, 2.0e4, -300.0],
         "chain": {
-            "mu_base_hz": CHAIN_TRUE.mu_base_hz,
-            "gamma_c": CHAIN_TRUE.gamma_c,
-            "phi": CHAIN_TRUE.phi,
-            "gamma": CHAIN_TRUE.gamma,
-            "s_b": CHAIN_TRUE.s_b,
-            "f_b": CHAIN_TRUE.f_b,
-            "gamma_bc": CHAIN_TRUE.gamma_bc,
-            "gamma_b": CHAIN_TRUE.gamma_b,
-            "phi_b": CHAIN_TRUE.phi_b,
-            "tau": CHAIN_TRUE.tau,
-            "varphi": CHAIN_TRUE.varphi,
+            "mu_base_hz": TRUE["mu"],
+            "gamma_c": TRUE["gamma_c"],
+            "phi": TRUE["phi"],
+            "gamma": TRUE["gamma"],
+            "s_b": TRUE["s_b"],
+            "f_b": TRUE["f_b"],
+            "gamma_bc": TRUE["gamma_bc"],
+            "gamma_b": TRUE["gamma_b"],
+            "phi_b": TRUE["phi_b"],
+            "tau": TRUE["tau"],
+            "varphi": TRUE["varphi"],
         },
         "probe_start_hz": 500e6,
         "probe_stop_hz": 545e6,
@@ -181,6 +183,16 @@ class TestConfigValidation:
         again = SweepConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_chain_is_the_zero_input_vector(self):
+        # twelve floats in PARAM_NAMES order, v = 0, held as a tuple so that
+        # configs hash and compare
+        cfg = make_config()
+        assert cfg.chain == tuple(CHAIN_TRUE.tolist())
+        assert [type(value) for value in cfg.chain] == [float] * len(PARAM_NAMES)
+        assert cfg.chain[PARAM_NAMES.index("v")] == 0.0
+        assert hash(cfg) == hash(make_config()) and cfg == make_config()
+        assert cfg != make_config(seed=8)
+
     @pytest.mark.parametrize(
         "mutation,field",
         [
@@ -189,10 +201,10 @@ class TestConfigValidation:
             ({"beamsplitter_gamma": 1.5}, "beamsplitter_gamma"),
             ({"t_grid_k": [2.0, 1.0, 3.0]}, "t_grid_k"),
             ({"alpha_photon_per_hz": -1.0}, "alpha_photon_per_hz"),
-            ({"chain": {"gamma_c": 1.01 * CHAIN_TRUE.gamma}}, "chain.gamma_c"),
+            ({"chain": {"gamma_c": 1.01 * TRUE["gamma"]}}, "chain.gamma_c"),
             ({"chain": {"gamma_c": 0.0}}, "chain.gamma_c"),
             ({"chain": {"tau": -1e-9}}, "chain.tau"),
-            ({"chain": {"gamma_b": -CHAIN_TRUE.gamma_b}}, "chain.gamma_b"),
+            ({"chain": {"gamma_b": -TRUE["gamma_b"]}}, "chain.gamma_b"),
             ({"chain": {"mu_base_hz": 0.0}}, "chain.mu_base_hz"),
             # NaN is no finite number: refused in its own field
             ({"chain": {"gamma": float("nan")}}, "chain.gamma"),
@@ -223,6 +235,14 @@ class TestConfigValidation:
             ({"freq_shift_poly_hz": [5.0, 0.0, -0.0]}, "freq_shift_poly_hz"),
             ({"freq_shift_poly_hz": []}, "freq_shift_poly_hz"),
             ({"freq_shift_poly_hz": [0.0, -1.0e6, *[0.0] * 7]}, "freq_shift_poly_hz"),
+            # an empty probe window
+            ({"probe_stop_hz": 500e6}, "probe_stop_hz': must exceed probe_start_hz"),
+            # the chain is one JSON object
+            ({"chain": None}, "'chain': missing or not an object"),
+            ({"chain": [1.0]}, "'chain': missing or not an object"),
+            # no negative temperature, no negative flux
+            ({"t_grid_k": [-0.5, 1.0]}, "t_grid_k': temperatures must be >= 0"),
+            ({"mode": "coherent", "flux_grid": [-1.0, 2.0]}, "flux_grid': fluxes must be >= 0"),
         ],
     )
     def test_named_field_errors(self, mutation, field):
@@ -241,7 +261,7 @@ class TestConfigValidation:
             ({"mu_base_hz": -1.0}, "mu must be positive, got -1.0"),
             (
                 {"gamma_c": 0.0},
-                f"need 0 < gamma_c <= gamma, got gamma_c=0.0, gamma={CHAIN_TRUE.gamma}",
+                f"need 0 < gamma_c <= gamma, got gamma_c=0.0, gamma={TRUE['gamma']}",
             ),
             ({"gamma_b": 0.0}, "gamma_b must be positive, got 0.0"),
             ({"tau": -1e-9}, "tau must be non-negative, got -1e-09"),
@@ -258,7 +278,7 @@ class TestConfigValidation:
     def test_chain_phases_are_unrestricted(self):
         raw = make_config().to_dict()
         raw["chain"].update(phi=4.0, phi_b=-7.0, varphi=10.0)
-        assert SweepConfig.from_dict(raw).chain.varphi == 10.0
+        assert SweepConfig.from_dict(raw).chain[PARAM_NAMES.index("varphi")] == 10.0
 
     def test_missing_chain_entry(self):
         raw = make_config().to_dict()
@@ -306,7 +326,7 @@ class TestSimulate:
         for point in (dataset.base, *dataset.records):
             v = point.truth["variance_n"] / cfg.alpha_photon_per_hz**2
             assert point.truth["sigma_hz"] == math.sqrt(v)
-            x = cfg.chain.vector(point.truth["mu_hz"], v)
+            x = chain_with(cfg.chain, mu=point.truth["mu_hz"], v=v)
             assert np.array_equal(point.sweep.values, _chain_model(x, grid))
             assert point.sweep.freqs is dataset.base.sweep.freqs
         assert not dataset.base.sweep.freqs.flags.writeable
@@ -334,7 +354,7 @@ class TestSimulate:
         rng = np.random.Generator(np.random.Philox(cfg.seed))
         for point in (dataset.base, *dataset.records):
             v = point.truth["variance_n"] / cfg.alpha_photon_per_hz**2
-            clean = _chain_model(cfg.chain.vector(point.truth["mu_hz"], v), grid)
+            clean = _chain_model(chain_with(cfg.chain, mu=point.truth["mu_hz"], v=v), grid)
             s = cfg.noise * np.ptp(np.abs(clean)) / math.sqrt(2.0)
             noisy = clean + rng.normal(0.0, s, grid.size) + 1j * rng.normal(0.0, s, grid.size)
             assert np.array_equal(point.sweep.values, noisy)
@@ -457,7 +477,7 @@ class TestExtraction:
         v = PARAM_NAMES.index("v")
         assert init[v] == lo[v] == 0.0
         mu = calibration.fit.params[PARAM_NAMES.index("mu")]
-        assert abs(mu - cfg.chain.mu_base_hz) < 1e6
+        assert abs(mu - cfg.chain[PARAM_NAMES.index("mu")]) < 1e6
 
     def test_retired_keys_in_old_files_are_ignored(self):
         # configs and datasets written while `workers`, `init_perturbation`
@@ -601,6 +621,14 @@ class TestPersistence:
     def test_stats_csv_short_row_raises(self):
         with pytest.raises(ValueError, match="^row 1: expected 10 fields, got 2$"):
             stats_from_csv(io.StringIO(",".join(STATS_HEADER) + "\n0.5,523000000.0\n"))
+
+    @pytest.mark.parametrize("cell", ["2", "-1", "01", "+1", " 1", "true"])
+    def test_stats_csv_flag_is_0_or_1(self, cell):
+        # the writer writes a boolean as 0 or 1; no other integer reads as one
+        row = f"0.5,5e8,1.0,1.0,1.0,2.0,1e-20,{cell},7,1e-16"
+        with pytest.raises(ValueError) as refused:
+            stats_from_csv(io.StringIO(",".join(STATS_HEADER) + f"\n{row}\n"))
+        assert str(refused.value) == f"row 1, column 'converged': cannot read {cell!r}"
 
     def test_stats_csv_wrong_header_raises(self):
         with pytest.raises(ValueError, match="^unexpected statistics header: \\['control', 'mu'\\]$"):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bolostat import PARAM_NAMES, ChainParams, averaged_reflection_gh, averaged_reflection_mc
+from bolostat import PARAM_NAMES, averaged_reflection_gh, averaged_reflection_mc
 
 from bolostat.fitkit import _default_bounds
 from bolostat.response import (
@@ -31,6 +30,7 @@ from conftest import (
     GAMMA_C,
     MU,
     PROBE_GRID,
+    chain_with,
     complex_jacobian,
     perturb_vector,
 )
@@ -185,8 +185,11 @@ class TestBackgroundTransfer:
 
 class TestFullChain:
     # unit background with no resonance, no delay; the line at sigma = 0.5 MHz
-    CHAIN = ChainParams(
-        mu_base_hz=MU,
+    V = 0.5e6**2
+    X = chain_with(
+        np.zeros(len(PARAM_NAMES)),
+        mu=MU,
+        v=V,
         gamma_c=GAMMA_C,
         phi=0.0,
         gamma=GAMMA,
@@ -198,18 +201,17 @@ class TestFullChain:
         tau=0.0,
         varphi=0.0,
     )
-    V = 0.5e6**2
 
     def test_identity_background_is_bitwise_averaged_line(self, probe_grid):
-        full = _chain_model(self.CHAIN.vector(MU, self.V), probe_grid)
+        full = _chain_model(self.X, probe_grid)
         np.testing.assert_array_equal(full, s11(probe_grid, v=self.V))
 
     def test_delay_phase_advances_linearly(self):
         f_p = 520e6
-        ref = _chain_model(self.CHAIN.vector(MU, self.V), f_p)
+        ref = _chain_model(self.X, f_p)
         # phase slope in tau is f_p (no 2*pi factor in the delay convention)
         for tau in (1e-10, 5e-10, 2e-9):
-            val = _chain_model(replace(self.CHAIN, tau=tau).vector(MU, self.V), f_p)
+            val = _chain_model(chain_with(self.X, tau=tau), f_p)
             np.testing.assert_allclose(np.angle(val / ref), f_p * tau, rtol=1e-9)
 
 
@@ -316,7 +318,7 @@ class TestChainJacobian:
     @pytest.mark.parametrize("sigma", [0.3e6, 0.9e6, 1.8e6, 2.8e6])
     def test_columns_match_central_differences_on_criterion_3_grid(self, sigma):
         for mu in np.linspace(510e6, 530e6, 5):
-            x = CHAIN_TRUE.vector(mu, sigma**2)
+            x = chain_with(CHAIN_TRUE, mu=mu, v=sigma**2)
             jac = complex_jacobian(x, self.FREQS)
             ref, _ = central_differences(x, self.FREQS)
             err = np.max(np.abs(jac - ref), axis=0)
@@ -405,11 +407,12 @@ class TestBatchedChain:
         # Jacobian is the call on that row alone, and the value that comes
         # with the Jacobian is the model's, bitwise
         rows = [
-            CHAIN_TRUE.vector(MU, sigma**2)
+            chain_with(CHAIN_TRUE, mu=MU, v=sigma**2)
             for sigma in (0.0, 1.5, 3.0, 1e3, 0.4e6, 2.8e6)
         ]
         span = probe_grid[-1] - probe_grid[0]
-        rows.append(perturb_vector(CHAIN_TRUE.vector(515e6, 1.1e6**2), np.random.default_rng(3), span))
+        off_line = chain_with(CHAIN_TRUE, mu=515e6, v=1.1e6**2)
+        rows.append(perturb_vector(off_line, np.random.default_rng(3), span))
         x = np.array(rows)
         every = range(len(PARAM_NAMES))
         model, (value, jac) = _chain_model(x, probe_grid), _chain_jacobian(x, probe_grid, every)
@@ -439,7 +442,7 @@ class TestBatchedChain:
         # a factor whose scalars every row agrees on bit for bit (+0.0 and
         # -0.0 do not) is formed once, and each row of the model and of the
         # Jacobian is still the call on that row alone
-        x = np.repeat(CHAIN_TRUE.vector(MU, 0.3e6**2)[None], len(values), axis=0)
+        x = np.repeat(chain_with(CHAIN_TRUE, mu=MU, v=0.3e6**2)[None], len(values), axis=0)
         x[:, PARAM_NAMES.index(name)] = values
         for part in (_LINE, _BACKGROUND, _DELAY):
             width = part.stop - part.start
@@ -465,7 +468,7 @@ def test_jet_changes_no_value(factor, part, probe_grid):
     # on one vector and on a (B, 12) batch with rows at v = 0 and above and
     # points on both sides of the |a| = 8c seam
     sigmas = np.array([0.0, 1.5, 1e3, 0.4e6, 2.8e6])
-    x = np.array([CHAIN_TRUE.vector(MU, sigma**2) for sigma in sigmas])
+    x = np.array([chain_with(CHAIN_TRUE, mu=MU, v=sigma**2) for sigma in sigmas])
     a = GAMMA / 2 + 2j * np.pi * (MU - probe_grid)
     assert set((np.abs(a) > 8 * _C * sigmas[:, None]).ravel()) == {True, False}
     for point in (x[3], x):
