@@ -11,9 +11,6 @@ from .specfun import DomainError, RangeOverflowError, erfcx, faddeeva_w
 from .response import PARAM_NAMES, averaged_reflection_gh, averaged_reflection_mc
 from .photonstats import (
     InsufficientDataError,
-    MixedField,
-    PhotonMoments,
-    RadiatorState,
     UndefinedStatisticError,
     beamsplitter_combine,
     broadening_to_variance,

@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 when any fit
 failed to converge, the base calibration is flagged as a misfit, or it
-could not be carried out at all.  A trace fit that did not converge,
-singular normal equations included, is reported in its own row
-(``converged=0``) and the other rows are still written, as they are after a
-misfit calibration; a calibration `FitError` writes nothing.
+raised a `FitError` (it could not be carried out, or it ended with
+gamma_c > gamma, which no passive line has).  A trace fit that did not
+converge, singular normal equations included, is reported in its own row
+(``converged=0``) and the other rows are still written, as they are after
+a misfit calibration; a calibration `FitError` writes nothing.
 A run's only seed is the config's ``seed`` field: ``fit`` reads it from
 the config its dataset embeds, so a dataset file gives one set of
 statistics.
@@ -22,8 +23,6 @@ import numpy as np
 from . import dspchain, pipeline
 from .fitkit import FitError
 from .photonstats import (
-    MixedField,
-    PhotonMoments,
     coherent_variance,
     g2_zero,
     mixed_moments,
@@ -114,17 +113,19 @@ def _cmd_stats(args):
         )
         return 1
     if args.thermal_mean is not None:
-        m = PhotonMoments(args.thermal_mean, thermal_variance(args.thermal_mean))
+        mean, variance = args.thermal_mean, thermal_variance(args.thermal_mean)
     elif args.coherent_mean is not None:
-        m = PhotonMoments(args.coherent_mean, coherent_variance(args.coherent_mean))
+        mean, variance = args.coherent_mean, coherent_variance(args.coherent_mean)
     else:
         if args.mixed_coh is None or args.mixed_th is None:
             sys.stderr.write("error: mixed input needs both --mixed-coh and --mixed-th\n")
             return 1
-        m = mixed_moments(MixedField(args.mixed_coh, args.mixed_th))
-    print(f"mean {m.mean:g}")
-    print(f"variance {m.variance:g}")
-    print(f"g2 {g2_zero(m):g}" if m.mean > 0 else "g2 nan")
+        mean, variance = mixed_moments(args.mixed_coh, args.mixed_th)
+    # g2_zero checks both moments first, so a refused one prints nothing
+    g2 = f"{g2_zero(mean, variance):g}" if mean > 0 else "nan"
+    print(f"mean {mean:g}")
+    print(f"variance {variance:g}")
+    print(f"g2 {g2}")
     return 0
 
 

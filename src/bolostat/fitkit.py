@@ -649,7 +649,9 @@ def fit_base_calibration(sweep, init):
     -------
     CalibrationResult
         `RankDeficiencyError` is raised on a column that is flat
-        (natural-scale norm at most 1e-14 of the largest) and not at a bound.
+        (natural-scale norm at most 1e-14 of the largest) and not at a bound,
+        and `FitError` on a fit ending with gamma_c > gamma, which no passive
+        line has (the fit box allows it).
     """
     _require_points(sweep, 8, "fit_base_calibration")
     x0 = _chain_vector(init, "init")
@@ -659,6 +661,12 @@ def fit_base_calibration(sweep, init):
     X, [fit], [failure] = _fit_free(sweep.freqs, sweep.values[None], x0, x0[None], every)
     if failure is not None:
         raise RankDeficiencyError(failure)
+    gamma, gamma_c = X[0, _AT["gamma"]], X[0, _AT["gamma_c"]]
+    if gamma_c > gamma:
+        raise FitError(
+            f"fit_base_calibration: the fit ended with gamma_c = {gamma_c:.6g} above "
+            f"gamma = {gamma:.6g}, which no passive line has"
+        )
     span = float(np.ptp(np.abs(sweep.values)))
     residual = _chain_model(X[0], sweep.freqs) - sweep.values
     noise = (1.0 + _NOISE_MARGIN / math.sqrt(len(sweep))) * _noise_rms(residual)

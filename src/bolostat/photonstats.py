@@ -7,7 +7,6 @@ enters in the fits' coordinate, v = sigma^2 (Hz^2).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +15,6 @@ PLANCK_H = 6.62607015e-34  # J s
 BOLTZMANN_K = 1.380649e-23  # J/K
 
 __all__ = [
-    "PhotonMoments",
-    "RadiatorState",
-    "MixedField",
     "UndefinedStatisticError",
     "InsufficientDataError",
     "planck_mean_photon",
@@ -42,65 +38,39 @@ class InsufficientDataError(ValueError):
     """Too few samples to form the requested estimate."""
 
 
-@dataclass(frozen=True)
-class PhotonMoments:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (0 <= self.mean < math.inf and 0 <= self.variance < math.inf):
-            raise ValueError(f"moments must be finite and non-negative, got {self}")
-
-
-@dataclass(frozen=True)
-class RadiatorState:
-    """Blackbody radiator: temperature T (K) seen at input frequency f (Hz)."""
-
-    T: float
-    f: float
-
-    def __post_init__(self):
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
-        if not self.f > 0:
-            raise ValueError(f"f must be positive, got {self.f}")
+def _check(name, value, low, strict=False, high=math.inf):
+    """Refuse ``value`` with a ValueError naming the argument ``name`` unless
+    it is finite, at least ``low`` (above it if ``strict``) and at most ``high``."""
+    if math.isfinite(value) and (value > low if strict else value >= low) and value <= high:
+        return
+    bound = f"in [{low:g}, {high:g}]" if high < math.inf else f"{'>' if strict else '>='} {low:g}"
+    raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
-@dataclass(frozen=True)
-class MixedField:
-    """Coherent plus thermal flux arriving at the detector, photon/(s*Hz)."""
-
-    n_coh: float
-    n_th: float
-
-    def __post_init__(self):
-        if not (0 <= self.n_coh < math.inf and 0 <= self.n_th < math.inf):
-            raise ValueError(f"fluxes must be finite and non-negative, got {self}")
-
-
-def planck_mean_photon(state):
-    """Mean thermal occupation 1/(exp(h f / k_B T) - 1); zero at T = 0."""
-    if state.T == 0.0:
+def planck_mean_photon(T, f):
+    """Mean thermal occupation 1/(exp(h f / k_B T) - 1) of a blackbody
+    radiator at temperature T (K) seen at frequency f (Hz); zero at T = 0."""
+    _check("T", T, 0.0)
+    _check("f", f, 0.0, strict=True)
+    if T == 0.0:
         return 0.0
-    return 1.0 / math.expm1(PLANCK_H * state.f / (BOLTZMANN_K * state.T))
+    return 1.0 / math.expm1(PLANCK_H * f / (BOLTZMANN_K * T))
 
 
 def thermal_variance(mean):
     """Thermal (Bose-Einstein) number variance n(n+1)."""
-    if not 0 <= mean < math.inf:
-        raise ValueError(f"mean must be finite and >= 0, got {mean}")
+    _check("mean", mean, 0.0)
     return mean * (mean + 1.0)
 
 
 def coherent_variance(mean):
     """Coherent (Poisson) number variance, equal to the mean."""
-    if not 0 <= mean < math.inf:
-        raise ValueError(f"mean must be finite and >= 0, got {mean}")
+    _check("mean", mean, 0.0)
     return mean
 
 
-def mixed_moments(field):
-    """Moments of a coherent field riding on a thermal background.
+def mixed_moments(n_coh, n_th):
+    """(mean, variance) of a coherent flux n_coh riding on a thermal flux n_th:
 
     mean = n_coh + n_th,
     variance = n_coh (2 n_th + 1) + n_th (n_th + 1)
@@ -109,13 +79,13 @@ def mixed_moments(field):
     coherent/thermal limits, and are cross-checked against
     `mixed_moments_mc`).
     """
-    mean = field.n_coh + field.n_th
-    variance = field.n_coh * (2.0 * field.n_th + 1.0) + field.n_th * (field.n_th + 1.0)
-    return PhotonMoments(mean=mean, variance=variance)
+    _check("n_coh", n_coh, 0.0)
+    _check("n_th", n_th, 0.0)
+    return n_coh + n_th, n_coh * (2.0 * n_th + 1.0) + n_th * (n_th + 1.0)
 
 
-def mixed_moments_mc(field, n_samples=10**6, seed=0):
-    """Monte-Carlo oracle for `mixed_moments`.
+def mixed_moments_mc(n_coh, n_th, n_samples=10**6, seed=0):
+    """Monte-Carlo oracle for `mixed_moments`, returning (mean, variance).
 
     Draws the complex amplitude a = alpha0 + xi with |alpha0|^2 = n_coh and
     xi circularly Gaussian with E|xi|^2 = n_th, then converts the classical
@@ -127,11 +97,12 @@ def mixed_moments_mc(field, n_samples=10**6, seed=0):
 
     Philox-seeded and chunk-order independent.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check("n_coh", n_coh, 0.0)
+    _check("n_th", n_th, 0.0)
+    _check("n_samples", n_samples, 1.0)
     rng = np.random.Generator(np.random.Philox(seed))
-    alpha0 = math.sqrt(field.n_coh)
-    s = math.sqrt(field.n_th / 2.0)
+    alpha0 = math.sqrt(n_coh)
+    s = math.sqrt(n_th / 2.0)
     m2_acc = 0.0
     m4_acc = 0.0
     drawn = 0
@@ -147,14 +118,16 @@ def mixed_moments_mc(field, n_samples=10**6, seed=0):
         drawn += m
     m2 = m2_acc / n_samples
     m4 = m4_acc / n_samples
-    return PhotonMoments(mean=m2, variance=max(m4 - m2 * m2 + m2, 0.0))
+    return m2, max(m4 - m2 * m2 + m2, 0.0)
 
 
-def g2_zero(m):
+def g2_zero(mean, variance):
     """Zero-delay second-order correlation 1 + (variance - mean)/mean^2."""
-    if m.mean <= 0:
+    _check("mean", mean, 0.0)
+    _check("variance", variance, 0.0)
+    if mean == 0.0:
         raise UndefinedStatisticError("g2(0) is undefined for zero mean flux")
-    return 1.0 + (m.variance - m.mean) / m.mean**2
+    return 1.0 + (variance - mean) / mean**2
 
 
 def broadening_to_variance(v, v_base, alpha):
@@ -164,28 +137,29 @@ def broadening_to_variance(v, v_base, alpha):
     the zero-input base trace; a v below ``v_base`` maps to zero variance.
     ``alpha`` (photon/Hz) is the linear calibration Delta_n = alpha * sigma.
     """
-    if v < 0:
-        raise ValueError(f"v must be >= 0, got {v}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check("v", v, 0.0)
+    _check("v_base", v_base, 0.0)
+    _check("alpha", alpha, 0.0, strict=True)
     return alpha**2 * max(v - v_base, 0.0)
 
 
 def beamsplitter_combine(coh_in, th_in, Gamma):
     """Beam splitter with transmissivity Gamma for the coherent arm.
 
-    Returns the transmitted MixedField: n_coh = Gamma*coh_in,
-    n_th = (1-Gamma)*th_in.
+    Returns the transmitted fluxes (n_coh, n_th) = (Gamma*coh_in,
+    (1-Gamma)*th_in).
     """
-    if not 0.0 <= Gamma <= 1.0:
-        raise ValueError(f"Gamma must lie in [0, 1], got {Gamma}")
-    return MixedField(n_coh=Gamma * coh_in, n_th=(1.0 - Gamma) * th_in)
+    _check("coh_in", coh_in, 0.0)
+    _check("th_in", th_in, 0.0)
+    _check("Gamma", Gamma, 0.0, high=1.0)
+    return Gamma * coh_in, (1.0 - Gamma) * th_in
 
 
 def flux_to_power(mean, f, bandwidth):
     """Absorbed power of a beam: P = <n> h f * bandwidth (W)."""
-    if mean < 0 or f < 0 or bandwidth < 0:
-        raise ValueError("flux_to_power arguments must be non-negative")
+    _check("mean", mean, 0.0)
+    _check("f", f, 0.0)
+    _check("bandwidth", bandwidth, 0.0)
     return mean * PLANCK_H * f * bandwidth
 
 

@@ -35,8 +35,6 @@ import numpy as np
 
 from .fitkit import ComplexSweep, fit_base_calibration, fit_measurements
 from .photonstats import (
-    PhotonMoments,
-    RadiatorState,
     beamsplitter_combine,
     broadening_to_variance,
     coherent_variance,
@@ -228,16 +226,14 @@ class SweepConfig:
     def truth_moments(self, control):
         """(mean, variance) of the detected field at one control point."""
         if self.mode == "thermal":
-            mean = planck_mean_photon(RadiatorState(T=control, f=self.radiator_frequency_hz))
+            mean = planck_mean_photon(control, self.radiator_frequency_hz)
             return mean, thermal_variance(mean)
         if self.mode == "coherent":
             return control, coherent_variance(control)
-        th = planck_mean_photon(RadiatorState(T=control, f=self.radiator_frequency_hz))
-        field_ = beamsplitter_combine(
-            self.coherent_input_flux, th, self.beamsplitter_gamma
+        th = planck_mean_photon(control, self.radiator_frequency_hz)
+        return mixed_moments(
+            *beamsplitter_combine(self.coherent_input_flux, th, self.beamsplitter_gamma)
         )
-        m = mixed_moments(field_)
-        return m.mean, m.variance
 
 
 @dataclass(frozen=True)
@@ -409,7 +405,7 @@ def extract_statistics(dataset, calibration=None):
     def one(point, mu, v, fit):
         variance = broadening_to_variance(v, v_base, cfg.alpha_photon_per_hz)
         mean = _invert_shift(cfg.freq_shift_poly_hz, mu - mu_base)
-        g2 = g2_zero(PhotonMoments(mean, variance)) if mean > 0 else float("nan")
+        g2 = g2_zero(mean, variance) if mean > 0 else float("nan")
         power = flux_to_power(mean, cfg.radiator_frequency_hz, cfg.filter_fwhm_hz)
         return StatsRecord(
             control=point.control,

@@ -81,13 +81,12 @@ def _horner(coeffs, x):
     return p
 
 
-def _w_rational(zeta):
-    """Faddeeva function for Im(zeta) >= 0, vectorized over a complex array."""
-    mapped = (_RAT_L + 1j * zeta) / (_RAT_L - 1j * zeta)
-    p = _horner(_RAT_COEFFS, mapped)
-    return 2.0 * p / (_RAT_L - 1j * zeta) ** 2 + (1.0 / np.sqrt(np.pi)) / (
-        _RAT_L - 1j * zeta
-    )
+def _w_rational(z):
+    """erfcx(z) = w(i z) for Re(z) >= 0, vectorized over a complex array:
+    the rational form of w written in z, on the mapped point (L - z)/(L + z)."""
+    d = _RAT_L + z
+    p = _horner(_RAT_COEFFS, (_RAT_L - z) / d)
+    return 2.0 * p / d**2 + (1.0 / np.sqrt(np.pi)) / d
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -177,7 +176,7 @@ def _far(a, c, jet):
 def _near(a, c, jet):
     z = a / c
     s = _SQRT_PI / c
-    w = _w_rational(1j * z)
+    w = _w_rational(z)
     if not jet:
         return (s * w,)
     # erfcx'(z) and the sigma factor g(z) = (1 + 2 z^2) erfcx(z) - 2 z/sqrt(pi)

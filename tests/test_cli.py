@@ -253,6 +253,28 @@ def test_fit_error_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys)
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_calibration_past_a_passive_line_exits_two(tmp_path, thermal_config_file, monkeypatch, capsys):
+    import bolostat.fitkit as fk
+
+    dataset = tmp_path / "d.json"
+    cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])
+    real = fk._fit_free
+
+    def past_passive(*args):
+        X, fits, failures = real(*args)
+        X = X.copy()
+        X[:, fk.PARAM_NAMES.index("gamma_c")] = 2.0 * X[:, fk.PARAM_NAMES.index("gamma")]
+        return X, fits, failures
+
+    monkeypatch.setattr(fk, "_fit_free", past_passive)
+    rc = cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fit_base_calibration:") and "gamma_c = " in err
+    assert "above gamma = " in err and "did not converge" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_singular_trace_is_reported_in_its_row(tmp_path, thermal_config_file, monkeypatch, capsys):
     # one trace whose normal equations go singular stops alone: the other
     # row is fitted, the CSV is written and `fit` exits 2

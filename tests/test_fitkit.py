@@ -424,6 +424,23 @@ class TestBaseCalibration:
             fit_base_calibration(synth_sweep(MU, 0.0), init)
         assert fits == []
 
+    def test_fit_past_a_passive_line_is_refused_naming_both_rates(self, monkeypatch):
+        # the fit box allows gamma_c up to 1e3 gamma, and on the shipped
+        # chain one such vector reproduces the v = 0 base trace to round-off
+        import bolostat.fitkit as fk
+
+        real = fk._fit_free
+
+        def past_passive(*args):
+            X, fits, failures = real(*args)
+            X = X.copy()
+            X[0, PARAM_NAMES.index("gamma_c")] = 4.2 * X[0, PARAM_NAMES.index("gamma")]
+            return X, fits, failures
+
+        monkeypatch.setattr(fk, "_fit_free", past_passive)
+        with pytest.raises(FitError, match=r"gamma_c = 7\.8\d+e\+07 above gamma = 1\.8\d+e\+07"):
+            fit_base_calibration(synth_sweep(MU, 0.1e6), BASE_TRUTH)
+
     def test_singular_stage_raises_naming_the_direction(self, monkeypatch):
         import bolostat.fitkit as fk
 

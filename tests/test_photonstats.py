@@ -5,9 +5,6 @@ import pytest
 
 from bolostat import (
     InsufficientDataError,
-    MixedField,
-    PhotonMoments,
-    RadiatorState,
     UndefinedStatisticError,
     beamsplitter_combine,
     broadening_to_variance,
@@ -24,12 +21,12 @@ from scipy.constants import h, k
 
 
 def test_planck_zero_temperature():
-    assert planck_mean_photon(RadiatorState(T=0.0, f=8.428e9)) == 0.0
+    assert planck_mean_photon(0.0, 8.428e9) == 0.0
 
 
 def test_planck_reference_point():
     # 8.428 GHz at 1 K: hf/k_B = 0.40448 K -> <n> = 2.0059
-    n = planck_mean_photon(RadiatorState(T=1.0, f=8.428e9))
+    n = planck_mean_photon(1.0, 8.428e9)
     np.testing.assert_allclose(n, 2.00592399722, rtol=1e-9)
     assert abs(n - 2.01) < 0.01
 
@@ -37,20 +34,20 @@ def test_planck_reference_point():
 def test_planck_unit_occupation_at_log2_point():
     f = 8.428e9
     T = h * f / (k * math.log(2.0))
-    np.testing.assert_allclose(planck_mean_photon(RadiatorState(T=T, f=f)), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(planck_mean_photon(T, f), 1.0, rtol=1e-12)
 
 
 def test_planck_monotonic_and_classical_limit():
     f = 8.428e9
     temps = np.linspace(0.05, 3.0, 40)
-    ns = [planck_mean_photon(RadiatorState(T=t, f=f)) for t in temps]
+    ns = [planck_mean_photon(t, f) for t in temps]
     assert np.all(np.diff(ns) > 0)
     freqs = np.linspace(4e9, 12e9, 20)
-    ns_f = [planck_mean_photon(RadiatorState(T=1.0, f=ff)) for ff in freqs]
+    ns_f = [planck_mean_photon(1.0, ff) for ff in freqs]
     assert np.all(np.diff(ns_f) < 0)
     # once k_B T >= 10 h f the energy approaches k_B T within 5%
     T = 10 * h * f / k
-    energy = planck_mean_photon(RadiatorState(T=T, f=f)) * h * f
+    energy = planck_mean_photon(T, f) * h * f
     assert abs(energy / (k * T) - 1) < 0.05
 
 
@@ -74,37 +71,81 @@ def test_negative_or_non_finite_inputs_rejected(bad):
     for variance in (thermal_variance, coherent_variance):
         with pytest.raises(ValueError, match="finite and >= 0"):
             variance(bad)
-    for args in ((bad, 0.0), (0.0, bad)):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            MixedField(*args)
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            PhotonMoments(*args)
+    for args, name in (((bad, 0.0), "n_coh"), ((0.0, bad), "n_th")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            mixed_moments(*args)
+    for args, name in (((bad, 0.0), "mean"), ((0.0, bad), "variance")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            g2_zero(*args)
+
+
+# each formula's valid arguments by name: (value, lower bound, whether the
+# bound itself is refused)
+FORMULAS = [
+    (planck_mean_photon, {"T": (1.0, 0.0, False), "f": (8.428e9, 0.0, True)}),
+    (thermal_variance, {"mean": (1.0, 0.0, False)}),
+    (coherent_variance, {"mean": (1.0, 0.0, False)}),
+    (mixed_moments, {"n_coh": (1.0, 0.0, False), "n_th": (1.0, 0.0, False)}),
+    (
+        mixed_moments_mc,
+        {"n_coh": (1.0, 0.0, False), "n_th": (1.0, 0.0, False), "n_samples": (10, 1.0, False)},
+    ),
+    (g2_zero, {"mean": (1.0, 0.0, False), "variance": (2.0, 0.0, False)}),
+    (
+        broadening_to_variance,
+        {"v": (1e12, 0.0, False), "v_base": (0.0, 0.0, False), "alpha": (1.92e-6, 0.0, True)},
+    ),
+    (
+        beamsplitter_combine,
+        {"coh_in": (1.0, 0.0, False), "th_in": (1.0, 0.0, False), "Gamma": (0.5, 0.0, False)},
+    ),
+    (
+        flux_to_power,
+        {"mean": (0.16, 0.0, False), "f": (8.428e9, 0.0, False), "bandwidth": (133e6, 0.0, False)},
+    ),
+]
+
+
+def _bad_arguments():
+    for fn, args in FORMULAS:
+        for name, (_, low, strict) in args.items():
+            below = low if strict else math.nextafter(low, -math.inf)
+            for case, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("below", below)):
+                yield pytest.param(fn, args, name, bad, id=f"{fn.__name__}-{name}-{case}")
+
+
+@pytest.mark.parametrize("fn,args,name,bad", list(_bad_arguments()))
+def test_each_formula_refuses_a_bad_argument_by_name(fn, args, name, bad):
+    # the formula that takes an argument refuses it, NaN and +-inf included,
+    # and names it; the valid arguments pass
+    kwargs = {k: value for k, (value, _, _) in args.items()}
+    fn(**kwargs)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        fn(**kwargs)
 
 
 class TestMixedMoments:
     def test_pure_thermal_limit_bit_exact(self):
-        m = mixed_moments(MixedField(n_coh=0.0, n_th=1.7))
-        assert m.mean == 1.7 and m.variance == thermal_variance(1.7)
+        assert mixed_moments(0.0, 1.7) == (1.7, thermal_variance(1.7))
 
     def test_pure_coherent_limit_bit_exact(self):
-        m = mixed_moments(MixedField(n_coh=2.3, n_th=0.0))
-        assert m.mean == 2.3 and m.variance == coherent_variance(2.3)
+        assert mixed_moments(2.3, 0.0) == (2.3, coherent_variance(2.3))
 
     def test_equal_mixture_reference(self):
-        m = mixed_moments(MixedField(n_coh=1.0, n_th=1.0))
-        assert m.mean == 2.0 and m.variance == 5.0
-        assert g2_zero(m) == pytest.approx(1.75)
+        assert mixed_moments(1.0, 1.0) == (2.0, 5.0)
+        assert g2_zero(2.0, 5.0) == pytest.approx(1.75)
 
     def test_against_monte_carlo_oracle(self):
         for n_coh, n_th, seed in [(1.0, 1.0, 0), (0.3, 2.0, 1), (5.0, 0.2, 2)]:
-            closed = mixed_moments(MixedField(n_coh, n_th))
-            mc = mixed_moments_mc(MixedField(n_coh, n_th), n_samples=10**6, seed=seed)
-            assert abs(mc.mean - closed.mean) / closed.mean < 1e-2
-            assert abs(mc.variance - closed.variance) / closed.variance < 1e-2
+            closed = mixed_moments(n_coh, n_th)
+            mc = mixed_moments_mc(n_coh, n_th, n_samples=10**6, seed=seed)
+            assert abs(mc[0] - closed[0]) / closed[0] < 1e-2
+            assert abs(mc[1] - closed[1]) / closed[1] < 1e-2
 
     def test_mc_reproducible(self):
-        a = mixed_moments_mc(MixedField(1.0, 0.5), n_samples=10000, seed=5)
-        b = mixed_moments_mc(MixedField(1.0, 0.5), n_samples=10000, seed=5)
+        a = mixed_moments_mc(1.0, 0.5, n_samples=10000, seed=5)
+        b = mixed_moments_mc(1.0, 0.5, n_samples=10000, seed=5)
         assert a == b
 
     def test_g2_bounded_and_monotonic(self):
@@ -113,7 +154,7 @@ class TestMixedMoments:
         n_cohs = np.linspace(0.0, 8.0, 15)
         n_ths = np.linspace(1e-6, 4.0, 15)
         table = np.array(
-            [[g2_zero(mixed_moments(MixedField(c, t))) for t in n_ths] for c in n_cohs]
+            [[g2_zero(*mixed_moments(c, t)) for t in n_ths] for c in n_cohs]
         )
         assert np.all(table >= 1.0 - 1e-12) and np.all(table <= 2.0 + 1e-12)
         assert np.all(np.diff(table, axis=1) >= -1e-12)  # in n_th
@@ -123,18 +164,18 @@ class TestMixedMoments:
 class TestG2:
     def test_thermal_is_two(self):
         for mean in (0.01, 1.0, 19.0):
-            assert g2_zero(PhotonMoments(mean, thermal_variance(mean))) == pytest.approx(2.0)
+            assert g2_zero(mean, thermal_variance(mean)) == pytest.approx(2.0)
 
     def test_coherent_is_one(self):
         for mean in (0.01, 1.0, 19.0):
-            assert g2_zero(PhotonMoments(mean, coherent_variance(mean))) == pytest.approx(1.0)
+            assert g2_zero(mean, coherent_variance(mean)) == pytest.approx(1.0)
 
     def test_sub_poissonian_below_one(self):
-        assert g2_zero(PhotonMoments(mean=1.0, variance=0.5)) < 1.0
+        assert g2_zero(1.0, 0.5) < 1.0
 
     def test_zero_mean_rejected(self):
         with pytest.raises(UndefinedStatisticError):
-            g2_zero(PhotonMoments(mean=0.0, variance=0.0))
+            g2_zero(0.0, 0.0)
 
 
 class TestSigmaCalibration:
@@ -157,23 +198,23 @@ class TestSigmaCalibration:
         assert broadening_to_variance(0.5e6**2, 0.6e6**2, self.ALPHA) == 0.0
 
     def test_negative_broadening_rejected(self):
-        with pytest.raises(ValueError, match="v must be >= 0"):
+        with pytest.raises(ValueError, match="v must be finite and >= 0"):
             broadening_to_variance(-1.0, 0.0, self.ALPHA)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.92e-6])
     def test_non_positive_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be positive"):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
             broadening_to_variance(1e12, 0.0, alpha)
 
 
 class TestBeamsplitter:
     def test_passthrough_limits(self):
-        assert beamsplitter_combine(3.0, 5.0, 1.0) == MixedField(3.0, 0.0)
-        assert beamsplitter_combine(3.0, 5.0, 0.0) == MixedField(0.0, 5.0)
+        assert beamsplitter_combine(3.0, 5.0, 1.0) == (3.0, 0.0)
+        assert beamsplitter_combine(3.0, 5.0, 0.0) == (0.0, 5.0)
 
     def test_weak_transmission(self):
         out = beamsplitter_combine(100.0, 1.0, 0.01)
-        np.testing.assert_allclose([out.n_coh, out.n_th], [1.0, 0.99], rtol=1e-12)
+        np.testing.assert_allclose(out, [1.0, 0.99], rtol=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from bolostat import (
     extract_statistics,
     fit_measurements,
     planck_mean_photon,
-    RadiatorState,
     simulate_sweep,
 )
 from bolostat.pipeline import (
@@ -304,7 +303,7 @@ class TestSimulate:
         cfg = make_config(t_grid_k=[1.0])
         dataset = simulate_sweep(cfg)
         truth = dataset.records[0].truth
-        n = planck_mean_photon(RadiatorState(T=1.0, f=8.428e9))
+        n = planck_mean_photon(1.0, 8.428e9)
         assert truth["mean_n"] == pytest.approx(n, rel=1e-12)
         assert truth["variance_n"] == pytest.approx(n * (n + 1), rel=1e-12)
         assert abs(truth["mean_n"] - 2.01) < 0.01
@@ -363,7 +362,7 @@ class TestSimulate:
         cfg = make_config(mode="mixed")
         dataset = simulate_sweep(cfg)
         t = cfg.t_grid_k[0]
-        n_th = planck_mean_photon(RadiatorState(T=t, f=8.428e9))
+        n_th = planck_mean_photon(t, 8.428e9)
         truth = dataset.records[0].truth
         assert truth["mean_n"] == pytest.approx(0.01 * 100.0 + 0.99 * n_th, rel=1e-12)
 
