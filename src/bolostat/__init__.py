@@ -29,7 +29,6 @@ from .fitkit import (
     CalibrationResult,
     ComplexSweep,
     DegenerateCircleError,
-    DegenerateSigmaWarning,
     FitError,
     FitResult,
     RankDeficiencyError,

@@ -33,7 +33,6 @@ tolerances and the iteration cap, `_MAX_ITER`, are this module's.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "FitError",
     "RankDeficiencyError",
     "DegenerateCircleError",
-    "DegenerateSigmaWarning",
     "FROZEN_PARAM_NAMES",
     "MEASUREMENT_PARAM_NAMES",
     "least_squares",
@@ -87,10 +85,6 @@ class RankDeficiencyError(FitError):
 
 class DegenerateCircleError(FitError):
     """Circle fit received (near-)collinear data."""
-
-
-class DegenerateSigmaWarning(UserWarning):
-    """A measurement trace's fitted broadening ended at v = 0, its lower bound."""
 
 
 def wrap_angle(angle):
@@ -634,7 +628,7 @@ def fit_base_calibration(sweep, init):
     into the fit box, which the start's own gamma sets the rate ranges of.
     From v = 0, its bound, v stays out of the solve until the rest of the
     chain pulls it inward.  A base trace fitted at v = 0 is the zero-input
-    answer, so it raises no warning.
+    answer.
 
     Parameters
     ----------
@@ -694,8 +688,9 @@ def fit_measurements(sweeps, calibration):
     -------
     list of (mu, v, FitResult), in the order of ``sweeps``
         v = sigma**2 is the fitted broadening, in Hz^2, the coordinate of
-        the FitResult too.  A `DegenerateSigmaWarning` is emitted for each
-        trace whose v ends at 0, the floor of the fit box.
+        the FitResult too.  A trace whose v ends at 0, the floor of the fit
+        box, reports v = 0.0 (zero input, or a line narrower than the
+        calibration's).
     """
     sweeps = list(sweeps)
     if not sweeps:
@@ -709,9 +704,6 @@ def fit_measurements(sweeps, calibration):
     free = [_AT[n] for n in MEASUREMENT_PARAM_NAMES]
     data = np.array([sweep.values for sweep in sweeps])
     X, fits, _ = _fit_free(freqs, data, x, _measurement_starts(freqs, data, x), free)
-    for v in X[:, _AT["v"]]:
-        if v <= 0.0:
-            warnings.warn("fitted broadening ended at v = 0", DegenerateSigmaWarning, stacklevel=2)
     return [(float(x_fit[_AT["mu"]]), float(x_fit[_AT["v"]]), fit) for x_fit, fit in zip(X, fits)]
 
 

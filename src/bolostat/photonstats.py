@@ -52,9 +52,16 @@ def planck_mean_photon(T, f):
     radiator at temperature T (K) seen at frequency f (Hz); zero at T = 0."""
     _check("T", T, 0.0)
     _check("f", f, 0.0, strict=True)
-    if T == 0.0:
+    kT = BOLTZMANN_K * T
+    if kT == 0.0:  # T = 0, or a T so small that k_B T underflows
         return 0.0
-    return 1.0 / math.expm1(PLANCK_H * f / (BOLTZMANN_K * T))
+    x = PLANCK_H * f / kT
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        # past expm1's range e^-x is 1/(e^x - 1) to double precision, and
+        # 0.0 once it underflows
+        return math.exp(-x)
 
 
 def thermal_variance(mean):

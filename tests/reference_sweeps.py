@@ -41,7 +41,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -78,9 +77,7 @@ def run(argv):
     """Exit code of one CLI call, its console output discarded."""
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return cli.main(argv)
+        return cli.main(argv)
 
 
 def main(outdir):

@@ -315,6 +315,30 @@ def test_noisy_thermal_sweeps_fit_cleanly(tmp_path, seed):
     assert cli.main(["fit", str(dataset), "--out", str(tmp_path / "s.csv")]) == 0
 
 
+def fitted_rows(tmp_path, raw):
+    """The statistics rows `simulate` then `fit` write for the config ``raw``."""
+    config, dataset, stats = tmp_path / "c.json", tmp_path / "d.json", tmp_path / "s.csv"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(dataset)]) == 0
+    assert cli.main(["fit", str(dataset), "--out", str(stats)]) == 0
+    return list(csv.DictReader(stats.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("noise,seed", [(0.0, 7), (0.01, 3)])
+def test_zero_flux_row_fits_at_zero_broadening(tmp_path, noise, seed):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "coherent.json"
+    raw = dict(json.loads(shipped.read_text()), flux_grid=[0.0, 1.0, 3.0], noise=noise, seed=seed)
+    rows = fitted_rows(tmp_path, raw)
+    assert [float(row["sigma_hz"]) == 0.0 for row in rows] == [True, False, False]
+
+
+def test_temperature_below_a_millikelvin_fits(tmp_path):
+    # 1/expm1(h f / k_B T) overflowed below about 0.58 mK at 8.428 GHz
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
+    rows = fitted_rows(tmp_path, dict(json.loads(shipped.read_text()), t_grid_k=[1e-4, 0.5]))
+    assert (float(rows[0]["mean_n"]), float(rows[0]["sigma_hz"])) == (0.0, 0.0)
+
+
 def test_non_finite_sample_exits_one(tmp_path, thermal_config_file, capsys):
     dataset = tmp_path / "d.json"
     cli.main(["simulate", "--config", str(thermal_config_file), "--out", str(dataset)])

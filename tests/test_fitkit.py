@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from bolostat import (
     ComplexSweep,
     DegenerateCircleError,
-    DegenerateSigmaWarning,
     FitError,
     RankDeficiencyError,
     SweepConfig,
@@ -545,13 +543,11 @@ class TestMeasurementFit:
 
     def test_zero_broadening_fits_sigma_near_its_floor(self):
         # the floor is v = 0, where the line is the bare Lorentzian; the
-        # exact line's fit ends on it or within round-off inside it, and is
-        # flagged only on it (see the narrow-line test)
+        # exact line's fit ends on it or within round-off inside it, and
+        # either is the zero-input answer
         _, calib = base_calibration()
         sweep = synth_sweep(522e6, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSigmaWarning)
-            mu, v, fit = fit_measurements([sweep], calib)[0]
+        mu, v, fit = fit_measurements([sweep], calib)[0]
         assert math.sqrt(v) < 1.0 and fit.converged and fit.residual_norm < 1e-14
         assert abs(mu - 522e6) < 1e3
 
@@ -559,16 +555,14 @@ class TestMeasurementFit:
         # a sigma = 0 trace whose gamma is 1% below the calibrated one is
         # narrower than the calibrated line at any v >= 0: descent pushes v
         # against its bound, so v's column leaves the solve there and the
-        # other five converge, once flagged.  With v kept in the solve on
-        # its bound, every step was clipped and the fit crawled to the cap.
+        # other five converge with v = 0.0.  With v kept in the solve on its
+        # bound, every step was clipped and the fit crawled to the cap.
         _, calib = base_calibration()
         x = calib.fit.params.copy()
         x[PARAM_NAMES.index("gamma")] *= 0.99
         x[PARAM_NAMES.index("mu")], x[PARAM_NAMES.index("v")] = 522e6, 0.0
         sweep = ComplexSweep(PROBE_GRID, _chain_model(x, PROBE_GRID))
-        with pytest.warns(DegenerateSigmaWarning, match="v = 0") as caught:
-            _, v, fit = fit_measurements([sweep], calib)[0]
-        assert len(caught) == 1
+        _, v, fit = fit_measurements([sweep], calib)[0]
         assert v == 0.0 and fit.converged and fit.n_iter <= 20
 
     def test_noise_robust_sigma(self):
@@ -631,15 +625,12 @@ def test_calibration_stages_and_the_sweep_are_lm_batches(monkeypatch):
     monkeypatch.setattr(fk, "_chain_jacobian", counted_chain)
     shipped = Path(__file__).resolve().parent.parent / "configs" / "thermal.json"
     dataset = simulate_sweep(SweepConfig.from_dict(json.loads(shipped.read_text())))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        extract_statistics(dataset)
+    records = extract_statistics(dataset)
     assert len(dataset.records) == 9
     assert batches == [1, 9]
     assert all(n > 0 for n in evals)
-    # the base calibration ends at v = 0, the zero-input answer, which is
-    # not degenerate, and no measurement trace does
-    assert not caught
+    # no measurement trace ends at v = 0
+    assert all(rec.sigma_hz > 0.0 for rec in records)
 
 
 def test_measurement_fit_evaluates_the_model_only_inside_the_lm(monkeypatch):
@@ -970,18 +961,14 @@ class TestSweepFit:
         dataset = simulate_sweep(SweepConfig.from_dict(raw))
         calibration = run_calibration(dataset)
         sweeps = [point.sweep for point in dataset.records]
-        with warnings.catch_warnings(record=True) as caught_batch:
-            warnings.simplefilter("always")
-            batch = fit_measurements(sweeps, calibration)
-        with warnings.catch_warnings(record=True) as caught_alone:
-            warnings.simplefilter("always")
-            alone = [fit_measurements([sweep], calibration)[0] for sweep in sweeps]
+        batch = fit_measurements(sweeps, calibration)
+        alone = [fit_measurements([sweep], calibration)[0] for sweep in sweeps]
         for (mu, v, fit), (mu1, v1, fit1) in zip(batch, alone, strict=True):
             assert mu == pytest.approx(mu1, rel=1e-9, abs=0)
             assert v == pytest.approx(v1, rel=1e-9, abs=0)
             assert fit.residual_norm == pytest.approx(fit1.residual_norm, rel=1e-9, abs=0)
             assert (fit.n_iter, fit.converged) == (fit1.n_iter, fit1.converged)
-        assert [w.category for w in caught_batch] == [w.category for w in caught_alone]
+        assert [v == 0.0 for _, v, _ in batch] == [v == 0.0 for _, v, _ in alone]
         assert [fit.n_iter for _, _, fit in batch] == self.N_ITER[name, noise]
 
     @staticmethod

@@ -91,3 +91,16 @@ def test_no_module_reads_the_environment():
         if ENVIRONMENT_NAMES & set(names):
             readers[path.name] = sorted(ENVIRONMENT_NAMES & set(names))
     assert readers == {}
+
+
+def test_no_module_imports_warnings():
+    # a fit that ends on a bound reports it in its result, and the CLI
+    # writes its notes to stderr: the package emits no Python warning
+    importers = []
+    for path in sorted((ROOT / "src" / "bolostat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        if "warnings" in modules:
+            importers.append(path.name)
+    assert importers == []

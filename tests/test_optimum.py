@@ -11,7 +11,6 @@ the round-trip tests check them by their residual.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +69,7 @@ def test_trf_cannot_improve_a_converged_fit(name, noise):
         dataset = simulate_sweep(SweepConfig.from_dict(raw))
         calibration = run_calibration(dataset)
         cases.append((calibration.fit.params, EVERY, dataset.base.sweep, calibration.fit))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = fit_measurements([p.sweep for p in dataset.records], calibration)
+        rows = fit_measurements([p.sweep for p in dataset.records], calibration)
         for point, (_, _, fit) in zip(dataset.records, rows):
             x = calibration.fit.params.copy()
             x[MEASURED] = fit.params

@@ -24,6 +24,14 @@ def test_planck_zero_temperature():
     assert planck_mean_photon(0.0, 8.428e9) == 0.0
 
 
+def test_planck_past_the_range_of_expm1():
+    # at 8.428 GHz, h f / k_B T passes expm1's range below about 0.58 mK,
+    # and k_B T underflows to 0 below about 1.8e-301 K
+    ns = [planck_mean_photon(T, 8.428e9) for T in (1e-3, 5e-4, 1e-4, 1e-310)]
+    assert all(math.isfinite(n) and n >= 0.0 for n in ns)
+    assert ns == sorted(ns, reverse=True)
+
+
 def test_planck_reference_point():
     # 8.428 GHz at 1 K: hf/k_B = 0.40448 K -> <n> = 2.0059
     n = planck_mean_photon(1.0, 8.428e9)

@@ -2,7 +2,6 @@ import base64
 import io
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from bolostat import (
     PARAM_NAMES,
     ComplexSweep,
     ConfigError,
-    DegenerateSigmaWarning,
     SweepConfig,
     SweepDataset,
     extract_statistics,
@@ -441,13 +439,24 @@ class TestExtraction:
         # round-off of it
         raw = dict(json.loads((SHIPPED / "thermal.json").read_text()), noise=noise, seed=seed)
         dataset = simulate_sweep(SweepConfig.from_dict(raw))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            calibration = run_calibration(dataset)
-            extract_statistics(dataset, calibration)
+        calibration = run_calibration(dataset)
+        extract_statistics(dataset, calibration)
         v = calibration.fit.params[PARAM_NAMES.index("v")]
         assert math.sqrt(v) < 1.0 if noise == 0 else v == 0.0
-        assert not [w for w in caught if issubclass(w.category, DegenerateSigmaWarning)]
+
+    @pytest.mark.parametrize("noise,seed", [(0.0, 7), (0.01, 3)])
+    def test_zero_input_row_reports_zero_broadening(self, noise, seed):
+        # a zero-flux trace's v = 0 is its answer, which its row reports as
+        # sigma_hz 0.0 without a warning (its g2 is ROADMAP item 12's)
+        raw = dict(
+            json.loads((SHIPPED / "coherent.json").read_text()),
+            flux_grid=[0.0, 1.0, 3.0],
+            noise=noise,
+            seed=seed,
+        )
+        records = extract_statistics(simulate_sweep(SweepConfig.from_dict(raw)))
+        assert [rec.sigma_hz == 0.0 for rec in records] == [True, False, False]
+        assert all(rec.converged for rec in records)
 
     def test_calibration_starts_sigma_on_its_bound(self, monkeypatch):
         # gamma_c = 0.95*gamma, seed 13: a start whose broadening sat on a
